@@ -72,7 +72,7 @@ fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let seeds = if quick { 5 } else { 15 };
     let tables = if quick { 6 } else { 8 };
-    let threads = mpq_bench::harness::sweep_threads(None);
+    let threads = mpq_bench::harness::sweep_threads();
 
     println!("# Ablation study — chain and star queries, {tables} tables, 1 parameter");
     println!("# medians over {seeds} random queries\n");

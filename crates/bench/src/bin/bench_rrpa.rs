@@ -1,615 +1,44 @@
-//! RRPA performance baseline writer: measures the paper's chain and star
-//! workloads at one or more optimizer thread counts — plus batched
-//! multi-query workloads with a shared cost-lifting cache — and emits a
-//! machine-readable `BENCH_rrpa.json`, so every future performance PR has
-//! a trajectory to beat.
+//! CI smoke checks for the optimizer core: the batched multi-query path
+//! and the ε-approximate frontier path, each asserted end to end on tiny
+//! workloads. Performance numbers come from the `mpqbench` package (see
+//! `mpqbench/README.md`), not from this binary.
 //!
 //! Usage:
-//!   cargo run --release -p mpq-bench --bin bench_rrpa -- \
-//!       [--space grid,pwl] [--seeds N] [--threads 1,4] \
-//!       [--batch N] [--overlap R,R...] \
-//!       [--out BENCH_rrpa.json] [--quick] [--smoke] [--smoke-approx] \
-//!       [--merge-mqo BENCH_rrpa.json] [--merge-approx BENCH_rrpa.json] \
-//!       [--obs-overhead BENCH_rrpa.json] \
-//!       [--baseline-note "text"] [--baseline FILE]
+//!   cargo run --release -p mpq-bench --bin bench_rrpa -- --smoke
+//!   cargo run --release -p mpq-bench --bin bench_rrpa -- --smoke-approx
 //!
-//! * `--space` — comma-separated space backends to measure (default
-//!   `grid`). The `pwl` backend (Algorithms 2/3 verbatim) runs a smaller
-//!   matrix — 1-parameter chain/star plus the 2-parameter chain-4 and
-//!   star-4 configs the simplex-aligned piece-algebra fast paths make
-//!   viable — its piece-decomposition costs grow faster than the grid
-//!   backend's.
-//! * `--seeds` — random queries per configuration (default 5; medians are
-//!   reported).
-//! * `--threads` — comma-separated optimizer thread counts to measure
-//!   (default `1,4`); `RAYON_NUM_THREADS` is honoured when the list is
-//!   omitted. Seed sweeps always run sequentially so wall-clock numbers
-//!   are not polluted by concurrent runs.
-//! * `--batch` — queries per batched workload (default 16; `0` disables
-//!   the batch rows). Batched rows measure whole batches through one
-//!   `OptimizerSession`, cached *and* uncached, at every `--overlap`
-//!   ratio — single-threaded, so `speedup` isolates cost-lifting reuse.
-//! * `--overlap` — comma-separated table-overlap ratios for the batch
-//!   rows (default `0,0.5,1`).
-//! * `--baseline` — a previously written `BENCH_rrpa.json` whose entries
-//!   are embedded verbatim as the `baseline` section (used to carry the
-//!   post-manifest-fix reference numbers forward).
-//! * `--merge-mqo` — measure **only** the shared-subplan (`mqo_entries`)
-//!   matrix and splice it into an existing baseline file, preserving
-//!   every other row byte for byte and bumping the schema to v8. This is
-//!   how subtree-cache rows join a committed baseline without
-//!   re-measuring (and thus perturbing) the other sections.
-//! * `--merge-approx` — measure **only** the ε-approximate
-//!   (`approx_entries`) matrix — grid backend, single-threaded,
-//!   ε ∈ {1e-3, 1e-2, 1e-1} per configuration, each seed run both
-//!   approximately and exactly — and splice it into an existing baseline
-//!   file between the mqo and service sections, preserving every other
-//!   row byte for byte and bumping the schema to v8. Rows record the
-//!   wall/LP speedups and the frontier-size reduction the `(1+ε)` band
-//!   buys.
-//! * `--obs-overhead` — measure **only** the observability-overhead
-//!   (`obs_entries`) matrix — each seed run obs-off then obs-on with a
-//!   live `mpq_obs::Obs` handle installed, bit-identity asserted per
-//!   seed and the ≤5% median-overhead acceptance bound asserted on the
-//!   chain-10/2-param configuration — and splice it into an existing
-//!   baseline file as the trailing section, preserving every other row
-//!   byte for byte and bumping the schema to v10.
-//! * `--quick` — a smaller sweep for smoke-testing the harness.
-//! * `--smoke` — CI mode: one tiny batched workload plus a tiny
-//!   2-parameter pwl config, asserting that the cache hits, that
-//!   cached/uncached/one-by-one plan counters agree, that an
-//!   overlap-1.0 batch hits the subtree cache with plan counters
-//!   bit-identical to the lift-only runs, that the exact
-//!   fast paths fire (`lp_breakdown`), that per-query LP deltas are
-//!   recorded, that grid and pwl agree on the 2-param config, and that
-//!   the JSON writer round-trips. Writes no file (`--out` is ignored);
-//!   exits non-zero on violation.
-//! * `--smoke-approx` — CI mode for the ε-approximate frontier path:
-//!   asserts that an explicit `epsilon: 0.0` run is counter-identical to
-//!   the default exact configuration, that ε = 0.1 satisfies the
-//!   (1+ε)-cover on a small grid config (every exact-frontier cost
-//!   vector dominated within the band at every probe point, frontier
-//!   never larger), and that a deadline-pressured service trace under
-//!   `ApproxPolicy::deadline_only(0.1)` actually serves ε-approximate
-//!   responses (`approx_served`/`approx_batches` > 0). Writes no file;
-//!   exits non-zero on violation.
+//! * `--smoke` — one tiny batched workload plus a tiny 2-parameter pwl
+//!   config, asserting that the cache hits, that cached/uncached/one-by-one
+//!   plan counters agree, that an overlap-1.0 batch hits the subtree cache
+//!   with plan counters bit-identical to the lift-only runs, that the
+//!   exact fast paths fire (`lp_breakdown`), that per-query LP deltas are
+//!   recorded, and that grid and pwl agree on the 2-param config.
+//! * `--smoke-approx` — asserts that an explicit `epsilon: 0.0` run is
+//!   counter-identical to the default exact configuration, that ε = 0.1
+//!   satisfies the (1+ε)-cover on a small grid config (every
+//!   exact-frontier cost vector dominated within the band at every probe
+//!   point, frontier never larger), and that a deadline-pressured service
+//!   trace under `ApproxPolicy::deadline_only(0.1)` actually serves
+//!   ε-approximate responses (`approx_served`/`approx_batches` > 0).
 //!
-//! Interpreting the output: every entry carries the median optimization
-//! wall time, created plans, solved LPs, final Pareto-set size and — as
-//! of schema v4 — the `lp_breakdown` (fast-path hits vs LP fallbacks
-//! per engine call site) for one
-//! `(workload, tables, params, optimizer_threads)` configuration.
-//! Created plans and final plan counts must be identical across thread
-//! counts (the parallel DP is deterministic); wall time is the only
-//! column that may change. `batch_entries` rows additionally carry the
-//! uncached median, the cost-lifting `speedup`, cache hit/miss counts
-//! and `lps_query_median` (exact per-query LP deltas on the
-//! single-threaded batch rows); their `plans_created`/`final_plans`
-//! must match `batch` × the one-by-one runs seed for seed (batching is
-//! bit-identical).
+//! Both modes write no file and exit non-zero on violation; bad arguments
+//! exit 2 with a usage line.
 
 use mpq_bench::harness::{
-    baseline_json, baseline_schema_version, breakdown_medians, bump_schema, record_medians,
-    run_approx_once, run_obs_pair, run_once, run_once_in, run_service_trace, run_workload_in,
-    run_workload_mqo, sweep_threads, ApproxBaselineEntry, ApproxRecord, BaselineEntry,
-    BatchBaselineEntry, BatchRecord, MqoBaselineEntry, MqoRecord, ObsBaselineEntry, ServiceSpec,
-    SpaceKind, WorkloadSpec, BENCH_SCHEMA_VERSION,
+    run_approx_once, run_once, run_once_in, run_service_trace, run_workload, run_workload_mqo,
+    ServiceSpec, SpaceKind, WorkloadSpec,
 };
 use mpq_catalog::graph::Topology;
 use mpq_core::OptimizerConfig;
 
-struct Args {
-    spaces: Vec<SpaceKind>,
-    seeds: usize,
-    threads: Vec<usize>,
-    batch: usize,
-    overlaps: Vec<f64>,
-    out: Option<String>,
-    quick: bool,
-    smoke: bool,
-    smoke_approx: bool,
-    merge_mqo: Option<String>,
-    merge_approx: Option<String>,
-    obs_overhead: Option<String>,
-    baseline_file: Option<String>,
-    baseline_note: Option<String>,
-}
+/// The smoke workload: small 2-parameter chain queries, the batching
+/// regime where cost lifting is a visible slice of the per-query work.
+const SMOKE_CONFIG: (Topology, &str, usize, usize) = (Topology::Chain, "chain", 3, 2);
 
 fn die(msg: &str) -> ! {
     eprintln!("bench_rrpa: {msg}");
-    eprintln!(
-        "usage: bench_rrpa [--space grid[,pwl]] [--seeds N] [--threads N[,M...]] \
-         [--batch N] [--overlap R[,R...]] [--out PATH] [--quick] [--smoke] \
-         [--smoke-approx] [--merge-mqo FILE] [--merge-approx FILE] \
-         [--obs-overhead FILE] [--baseline FILE] [--baseline-note TEXT]"
-    );
+    eprintln!("usage: bench_rrpa --smoke | --smoke-approx");
     std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        spaces: vec![SpaceKind::Grid],
-        seeds: 5,
-        threads: vec![1, 4],
-        batch: 16,
-        overlaps: vec![0.0, 0.5, 1.0],
-        out: None,
-        quick: false,
-        smoke: false,
-        smoke_approx: false,
-        merge_mqo: None,
-        merge_approx: None,
-        obs_overhead: None,
-        baseline_file: None,
-        baseline_note: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--space" => {
-                let list = it
-                    .next()
-                    .unwrap_or_else(|| die("--space expects a comma-separated list"));
-                args.spaces = list
-                    .split(',')
-                    .map(|s| {
-                        SpaceKind::parse(s.trim())
-                            .unwrap_or_else(|| die("--space expects grid and/or pwl"))
-                    })
-                    .collect();
-            }
-            "--seeds" => {
-                args.seeds = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--seeds expects a number"));
-            }
-            "--threads" => {
-                let list = it
-                    .next()
-                    .unwrap_or_else(|| die("--threads expects a comma-separated list"));
-                args.threads = list
-                    .split(',')
-                    .map(|s| match s.trim().parse::<usize>() {
-                        Ok(n) => sweep_threads(Some(n)),
-                        Err(_) => die("--threads expects numbers, e.g. 1,4"),
-                    })
-                    .collect();
-            }
-            "--batch" => {
-                args.batch = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--batch expects a number"));
-            }
-            "--overlap" => {
-                let list = it
-                    .next()
-                    .unwrap_or_else(|| die("--overlap expects a comma-separated list"));
-                args.overlaps = list
-                    .split(',')
-                    .map(|s| match s.trim().parse::<f64>() {
-                        Ok(r) if (0.0..=1.0).contains(&r) => r,
-                        _ => die("--overlap expects ratios in [0, 1], e.g. 0,0.5,1"),
-                    })
-                    .collect();
-            }
-            "--out" => {
-                args.out = Some(it.next().unwrap_or_else(|| die("--out expects a path")));
-            }
-            "--quick" => args.quick = true,
-            "--smoke" => args.smoke = true,
-            "--smoke-approx" => args.smoke_approx = true,
-            "--merge-mqo" => {
-                args.merge_mqo = Some(
-                    it.next()
-                        .unwrap_or_else(|| die("--merge-mqo expects a path")),
-                );
-            }
-            "--merge-approx" => {
-                args.merge_approx = Some(
-                    it.next()
-                        .unwrap_or_else(|| die("--merge-approx expects a path")),
-                );
-            }
-            "--obs-overhead" => {
-                args.obs_overhead = Some(
-                    it.next()
-                        .unwrap_or_else(|| die("--obs-overhead expects a path")),
-                );
-            }
-            "--baseline" => {
-                args.baseline_file = Some(
-                    it.next()
-                        .unwrap_or_else(|| die("--baseline expects a file")),
-                );
-            }
-            "--baseline-note" => {
-                args.baseline_note = Some(
-                    it.next()
-                        .unwrap_or_else(|| die("--baseline-note expects text")),
-                );
-            }
-            other => die(&format!("unknown argument: {other}")),
-        }
-    }
-    args
-}
-
-/// The measured workload matrix per space backend: the paper's heavy
-/// configurations for the grid backend (led by the 10-table chain /
-/// 2-parameter acceptance config) and the 1-parameter chain/star configs
-/// for the exact `pwl` backend.
-fn configs(space: SpaceKind, quick: bool) -> Vec<(Topology, &'static str, usize, usize)> {
-    match (space, quick) {
-        (SpaceKind::Grid, true) => vec![
-            (Topology::Chain, "chain", 6, 2),
-            (Topology::Star, "star", 5, 2),
-        ],
-        (SpaceKind::Grid, false) => vec![
-            (Topology::Chain, "chain", 10, 2),
-            (Topology::Star, "star", 8, 2),
-            (Topology::Chain, "chain", 10, 1),
-            (Topology::Star, "star", 10, 1),
-        ],
-        (SpaceKind::Pwl, true) => vec![
-            (Topology::Chain, "chain", 4, 1),
-            (Topology::Chain, "chain", 3, 2),
-        ],
-        (SpaceKind::Pwl, false) => vec![
-            (Topology::Chain, "chain", 6, 1),
-            (Topology::Star, "star", 5, 1),
-            (Topology::Chain, "chain", 10, 1),
-            (Topology::Star, "star", 8, 1),
-            // 2-parameter rows: viable since the exact simplex-aligned
-            // piece-algebra fast paths (schema v4); previously a single
-            // seed exceeded five minutes.
-            (Topology::Chain, "chain", 4, 2),
-            (Topology::Star, "star", 4, 2),
-        ],
-    }
-}
-
-fn measure(
-    space: SpaceKind,
-    topology: Topology,
-    workload: &str,
-    num_tables: usize,
-    num_params: usize,
-    threads: usize,
-    seeds: usize,
-) -> BaselineEntry {
-    let mut config = OptimizerConfig::default_for(num_params);
-    config.threads = Some(threads);
-    let records: Vec<_> = (0..seeds)
-        .map(|s| {
-            let r = run_once_in(space, num_tables, topology, num_params, s as u64, &config);
-            eprintln!(
-                "  {} {workload} n={num_tables} p={num_params} t={threads} seed={s}: \
-                 {:.0}ms plans={} lps={} final={}",
-                space.name(),
-                r.time_ms,
-                r.plans_created,
-                r.lps_solved,
-                r.final_plans
-            );
-            r
-        })
-        .collect();
-    let (median_time_ms, plans_created, lps_solved, final_plans) = record_medians(&records);
-    BaselineEntry {
-        space: space.name().to_string(),
-        workload: workload.to_string(),
-        num_tables,
-        num_params,
-        optimizer_threads: threads,
-        median_time_ms,
-        plans_created,
-        lps_solved,
-        final_plans,
-        lp_breakdown: breakdown_medians(&records),
-        seeds,
-    }
-}
-
-/// Measures the observability overhead on one configuration: every seed
-/// runs obs-off then obs-on (bit-identity asserted per seed inside
-/// [`run_obs_pair`]), single-threaded per the measurement rules.
-fn measure_obs(
-    topology: Topology,
-    workload: &str,
-    num_tables: usize,
-    num_params: usize,
-    seeds: usize,
-) -> ObsBaselineEntry {
-    let mut config = OptimizerConfig::default_for(num_params);
-    config.threads = Some(1);
-    let records: Vec<_> = (0..seeds)
-        .map(|s| {
-            let r = run_obs_pair(num_tables, topology, num_params, s as u64, &config);
-            eprintln!(
-                "  obs {workload} n={num_tables} p={num_params} seed={s}: \
-                 off={:.0}ms on={:.0}ms ({:+.2}%) spans={}",
-                r.off_ms,
-                r.on_ms,
-                (r.on_ms - r.off_ms) / r.off_ms * 100.0,
-                r.spans
-            );
-            r
-        })
-        .collect();
-    ObsBaselineEntry::from_records(workload, num_tables, num_params, &records)
-}
-
-/// The observability-overhead matrix: the acceptance configuration
-/// (chain-10 / 2-param — the heaviest grid row, where per-span cost is
-/// most diluted) plus a small chain where fixed obs cost is most
-/// visible.
-fn obs_configs() -> Vec<(Topology, &'static str, usize, usize)> {
-    vec![
-        (Topology::Chain, "chain", 10, 2),
-        (Topology::Chain, "chain", 6, 2),
-    ]
-}
-
-/// The batched-workload matrix: *small* queries in volume — the
-/// production batching regime, where cost lifting is a visible slice of
-/// the per-query work. (Large analytical joins are dominated by candidate
-/// pruning; their batch rows would measure noise, so they stay in the
-/// single-query matrix.)
-fn batch_configs(space: SpaceKind, quick: bool) -> Vec<(Topology, &'static str, usize, usize)> {
-    match (space, quick) {
-        (SpaceKind::Grid, true) => vec![(Topology::Chain, "chain", 3, 2)],
-        (SpaceKind::Grid, false) => vec![
-            (Topology::Chain, "chain", 3, 2),
-            (Topology::Chain, "chain", 4, 1),
-            (Topology::Star, "star", 4, 1),
-        ],
-        (SpaceKind::Pwl, _) => vec![(Topology::Chain, "chain", 3, 1)],
-    }
-}
-
-/// Measures one batched-workload cell: cached and uncached medians over
-/// the seeds, single-threaded (per the measurement rules, and so that
-/// `speedup` isolates cost-lifting reuse).
-fn measure_batch(
-    space: SpaceKind,
-    workload: &str,
-    spec: &WorkloadSpec,
-    seeds: usize,
-) -> BatchBaselineEntry {
-    let mut config = OptimizerConfig::default_for(spec.num_params);
-    config.threads = Some(1);
-    let mut cached_records = Vec::with_capacity(seeds);
-    let mut nocache_times = Vec::with_capacity(seeds);
-    for s in 0..seeds {
-        let cached = run_workload_in(space, spec, s as u64, &config, true);
-        let nocache = run_workload_in(space, spec, s as u64, &config, false);
-        assert_eq!(
-            (cached.plans_created, cached.final_plans, cached.lps_solved),
-            (
-                nocache.plans_created,
-                nocache.final_plans,
-                nocache.lps_solved
-            ),
-            "cached and uncached batches must agree exactly"
-        );
-        eprintln!(
-            "  {} {workload} n={} p={} batch={} overlap={} \
-             seed={s}: {:.0}ms (nocache {:.0}ms) plans={} hits={} misses={}",
-            space.name(),
-            spec.num_tables,
-            spec.num_params,
-            spec.batch,
-            spec.overlap,
-            cached.time_ms,
-            nocache.time_ms,
-            cached.plans_created,
-            cached.cache_hits,
-            cached.cache_misses,
-        );
-        nocache_times.push(nocache.time_ms);
-        cached_records.push(cached);
-    }
-    let med = |f: &dyn Fn(&BatchRecord) -> f64| record_batch_median(&cached_records, f);
-    let median_time_ms = med(&|r| r.time_ms);
-    let median_time_nocache_ms = mpq_bench::harness::median(&mut nocache_times);
-    BatchBaselineEntry {
-        space: space.name().to_string(),
-        workload: workload.to_string(),
-        num_tables: spec.num_tables,
-        num_params: spec.num_params,
-        batch: spec.batch,
-        overlap: spec.overlap,
-        optimizer_threads: 1,
-        median_time_ms,
-        median_time_nocache_ms,
-        speedup: median_time_nocache_ms / median_time_ms,
-        cache_hits: med(&|r| r.cache_hits as f64),
-        cache_misses: med(&|r| r.cache_misses as f64),
-        plans_created: med(&|r| r.plans_created as f64),
-        final_plans: med(&|r| r.final_plans as f64),
-        lps_query_median: med(&|r| r.lps_query_median),
-        seeds,
-    }
-}
-
-fn record_batch_median(records: &[BatchRecord], f: &dyn Fn(&BatchRecord) -> f64) -> f64 {
-    let mut values: Vec<f64> = records.iter().map(f).collect();
-    mpq_bench::harness::median(&mut values)
-}
-
-/// The shared-subplan (`mqo_entries`) cells per batch configuration: the
-/// full batch and a quarter-size batch through the unbounded subtree
-/// cache, plus a bounded (evicting) and a zero-capacity (pass-through)
-/// row at the full batch size.
-fn mqo_cells(batch: usize) -> Vec<(usize, Option<usize>)> {
-    let mut cells = vec![(batch, None)];
-    let quarter = (batch / 4).max(1);
-    if quarter != batch {
-        cells.push((quarter, None));
-    }
-    cells.push((batch, Some(8)));
-    cells.push((batch, Some(0)));
-    cells
-}
-
-/// Measures one shared-subplan cell: the subtree-cached batch against
-/// the lift-only cached batch (the pre-subtree behaviour `batch_entries`
-/// records), single-threaded, asserting that memoization is pure — plan
-/// counters must agree seed for seed.
-fn measure_mqo(
-    space: SpaceKind,
-    workload: &str,
-    spec: &WorkloadSpec,
-    subtree_capacity: Option<usize>,
-    seeds: usize,
-) -> MqoBaselineEntry {
-    let mut config = OptimizerConfig::default_for(spec.num_params);
-    config.threads = Some(1);
-    let mut mqo_records = Vec::with_capacity(seeds);
-    let mut lift_times = Vec::with_capacity(seeds);
-    for s in 0..seeds {
-        let mqo = run_workload_mqo(space, spec, s as u64, &config, subtree_capacity);
-        let lift = run_workload_in(space, spec, s as u64, &config, true);
-        assert_eq!(
-            (mqo.plans_created, mqo.final_plans),
-            (lift.plans_created, lift.final_plans),
-            "subtree-cached and lift-only batches must agree exactly"
-        );
-        eprintln!(
-            "  {} {workload} n={} p={} batch={} overlap={} cap={:?} \
-             seed={s}: {:.0}ms (lift-only {:.0}ms) plans={} hits={} misses={} evictions={}",
-            space.name(),
-            spec.num_tables,
-            spec.num_params,
-            spec.batch,
-            spec.overlap,
-            subtree_capacity,
-            mqo.time_ms,
-            lift.time_ms,
-            mqo.plans_created,
-            mqo.subtree_hits,
-            mqo.subtree_misses,
-            mqo.subtree_evictions,
-        );
-        lift_times.push(lift.time_ms);
-        mqo_records.push(mqo);
-    }
-    let med = |f: &dyn Fn(&MqoRecord) -> f64| {
-        let mut values: Vec<f64> = mqo_records.iter().map(f).collect();
-        mpq_bench::harness::median(&mut values)
-    };
-    let median_time_ms = med(&|r| r.time_ms);
-    let median_time_lift_ms = mpq_bench::harness::median(&mut lift_times);
-    MqoBaselineEntry {
-        space: space.name().to_string(),
-        workload: workload.to_string(),
-        num_tables: spec.num_tables,
-        num_params: spec.num_params,
-        batch: spec.batch,
-        overlap: spec.overlap,
-        subtree_capacity,
-        optimizer_threads: 1,
-        median_time_ms,
-        median_time_lift_ms,
-        speedup: median_time_lift_ms / median_time_ms,
-        subtree_hits: med(&|r| r.subtree_hits as f64),
-        subtree_misses: med(&|r| r.subtree_misses as f64),
-        subtree_evictions: med(&|r| r.subtree_evictions as f64),
-        plans_created: med(&|r| r.plans_created as f64),
-        final_plans: med(&|r| r.final_plans as f64),
-        seeds,
-    }
-}
-
-/// Measures the whole shared-subplan matrix: every batch configuration ×
-/// overlap × [`mqo_cells`] cell.
-fn measure_mqo_matrix(args: &Args) -> Vec<MqoBaselineEntry> {
-    let mut mqo_entries = Vec::new();
-    if args.batch == 0 {
-        return mqo_entries;
-    }
-    for &space in &args.spaces {
-        for (topology, workload, n, p) in batch_configs(space, args.quick) {
-            for &overlap in &args.overlaps {
-                for (batch, capacity) in mqo_cells(args.batch) {
-                    let spec = WorkloadSpec {
-                        num_tables: n,
-                        topology,
-                        num_params: p,
-                        batch,
-                        overlap,
-                    };
-                    mqo_entries.push(measure_mqo(space, workload, &spec, capacity, args.seeds));
-                }
-            }
-        }
-    }
-    mqo_entries
-}
-
-/// The ε-approximate matrix (grid backend, single-threaded): the quick
-/// two-parameter configurations plus the 10-table chain at one
-/// parameter. Two-parameter rows are where the band pays — frontiers are
-/// large and dominated by near-duplicates — so they anchor the committed
-/// speedup claim.
-fn approx_configs() -> Vec<(Topology, &'static str, usize, usize)> {
-    vec![
-        (Topology::Chain, "chain", 6, 2),
-        (Topology::Star, "star", 5, 2),
-        (Topology::Chain, "chain", 10, 1),
-    ]
-}
-
-/// The ε sweep of the `approx_entries` matrix (matches the proptest
-/// sweep).
-const APPROX_EPSILONS: [f64; 3] = [1e-3, 1e-2, 1e-1];
-
-/// Measures one ε cell: each seed run approximately *and* exactly
-/// (single-threaded, grid backend), reduced to medians and ratios.
-fn measure_approx(
-    topology: Topology,
-    workload: &str,
-    num_tables: usize,
-    num_params: usize,
-    epsilon: f64,
-    seeds: usize,
-) -> ApproxBaselineEntry {
-    let mut config = OptimizerConfig::default_for(num_params);
-    config.threads = Some(1);
-    let records: Vec<ApproxRecord> = (0..seeds)
-        .map(|s| {
-            let r = run_approx_once(
-                SpaceKind::Grid,
-                num_tables,
-                topology,
-                num_params,
-                s as u64,
-                &config,
-                epsilon,
-            );
-            eprintln!(
-                "  grid {workload} n={num_tables} p={num_params} eps={epsilon} seed={s}: \
-                 {:.0}ms (exact {:.0}ms) lps={}/{} final={}/{}",
-                r.approx.time_ms,
-                r.exact.time_ms,
-                r.approx.lps_solved,
-                r.exact.lps_solved,
-                r.approx.final_plans,
-                r.exact.final_plans
-            );
-            r
-        })
-        .collect();
-    ApproxBaselineEntry::from_records(
-        SpaceKind::Grid,
-        workload,
-        num_tables,
-        num_params,
-        epsilon,
-        &records,
-    )
 }
 
 /// CI smoke mode for the ε-approximate path: the ε = 0 identity, the
@@ -624,7 +53,7 @@ fn run_smoke_approx() {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    let (topology, workload, n, p) = batch_configs(SpaceKind::Grid, true)[0];
+    let (topology, workload, n, p) = SMOKE_CONFIG;
     let mut config = OptimizerConfig::default_for(p);
     config.threads = Some(1);
     // ε = 0 through the banded entry point changes no counter: the
@@ -706,7 +135,6 @@ fn run_smoke_approx() {
         max_batch: 4,
         max_wait_us: 100,
         mean_gap_us: 200,
-        capacity: None,
         subtree: None,
         approx_epsilon: Some(0.1),
     };
@@ -734,10 +162,10 @@ fn run_smoke_approx() {
     );
 }
 
-/// CI smoke mode: one tiny batched workload; asserts the new path's
+/// CI smoke mode: one tiny batched workload; asserts the batched path's
 /// invariants end to end (see the module docs) and prints a summary.
 fn run_smoke() {
-    let (topology, workload, n, p) = batch_configs(SpaceKind::Grid, true)[0];
+    let (topology, workload, n, p) = SMOKE_CONFIG;
     let batch = 3;
     let spec = WorkloadSpec {
         num_tables: n,
@@ -748,8 +176,8 @@ fn run_smoke() {
     };
     let mut config = OptimizerConfig::default_for(p);
     config.threads = Some(1);
-    let cached = run_workload_in(SpaceKind::Grid, &spec, 0, &config, true);
-    let nocache = run_workload_in(SpaceKind::Grid, &spec, 0, &config, false);
+    let cached = run_workload(&spec, 0, &config, true);
+    let nocache = run_workload(&spec, 0, &config, false);
     assert_eq!(
         (cached.plans_created, cached.final_plans, cached.lps_solved),
         (
@@ -772,7 +200,7 @@ fn run_smoke() {
     // Per-query LP deltas are live (exact for single-threaded batches).
     assert!(
         cached.lps_query_median > 0.0,
-        "smoke: per-query LP deltas must be recorded for batch rows"
+        "smoke: per-query LP deltas must be recorded for batch runs"
     );
     // The exact fast paths carry the 2-parameter grid work, and the
     // breakdown records where the remaining LP tail lives.
@@ -813,7 +241,7 @@ fn run_smoke() {
     // subtrees through the unbounded subtree cache, with plan counters
     // bit-identical to the lift-only (and hence the uncached/one-by-one)
     // runs — memoization is pure.
-    let mqo = run_workload_mqo(SpaceKind::Grid, &spec, 0, &config, None);
+    let mqo = run_workload_mqo(&spec, 0, &config, None);
     assert!(
         mqo.subtree_hits > 0,
         "smoke: an overlap-1.0 batch must hit the subtree cache"
@@ -823,22 +251,6 @@ fn run_smoke() {
         (cached.plans_created, cached.final_plans),
         "smoke: subtree-cached batch diverged from the lift-only batch"
     );
-    // The JSON writer keeps its schema shape.
-    let entry = measure_batch(SpaceKind::Grid, workload, &spec, 1);
-    let mqo_entry = measure_mqo(SpaceKind::Grid, workload, &spec, None, 1);
-    let json = baseline_json(
-        &[("schema_version", BENCH_SCHEMA_VERSION.to_string())],
-        &[],
-        &[entry],
-        &[mqo_entry],
-        &[],
-        &[],
-        &[],
-        &[],
-    );
-    assert!(json.contains("\"batch_entries\"") && json.trim_end().ends_with('}'));
-    assert!(json.contains("\"lps_query_median\""));
-    assert!(json.contains("\"mqo_entries\"") && json.contains("\"subtree_hit_rate\""));
     eprintln!(
         "smoke ok: {workload} n={n} p={p} batch={batch} plans={} hits={} misses={} \
          ({:.0}ms cached / {:.0}ms uncached; subtree hits={}; pwl 2-param plans={})",
@@ -852,353 +264,12 @@ fn run_smoke() {
     );
 }
 
-const MQO_MARKER: &str = ",\n  \"mqo_command\"";
-const APPROX_MARKER: &str = ",\n  \"approx_command\"";
-const SERVICE_MARKER: &str = ",\n  \"service_command\"";
-const CHAOS_MARKER: &str = ",\n  \"chaos_command\"";
-const NET_MARKER: &str = ",\n  \"net_command\"";
-const OBS_MARKER: &str = ",\n  \"obs_command\"";
-
-/// Renders the `mqo_command`/`mqo_entries` section (starting with the
-/// separator comma, no trailing newline).
-fn render_mqo_block(command: &str, entries: &[MqoBaselineEntry]) -> String {
-    let mut out = format!(",\n  \"mqo_command\": \"{command}\",\n  \"mqo_entries\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        out.push_str(&e.to_json());
-        out.push_str(if i + 1 < entries.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]");
-    out
-}
-
-/// Renders the `approx_command`/`approx_entries` section (starting with
-/// the separator comma, no trailing newline).
-fn render_approx_block(command: &str, entries: &[ApproxBaselineEntry]) -> String {
-    let mut out = format!(",\n  \"approx_command\": \"{command}\",\n  \"approx_entries\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        out.push_str(&e.to_json());
-        out.push_str(if i + 1 < entries.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]");
-    out
-}
-
-/// Refuses to splice into a baseline written by a *newer* binary: an
-/// older writer cannot know the newer sections' shapes, so a silent
-/// downgrade would corrupt them.
-fn refuse_newer_schema(text: &str, path: &str) {
-    if let Some(v) = baseline_schema_version(text) {
-        if v > BENCH_SCHEMA_VERSION {
-            die(&format!(
-                "{path} carries schema v{v}, newer than this binary's \
-                 v{BENCH_SCHEMA_VERSION}; rebuild the bench binaries before merging"
-            ));
-        }
-    }
-}
-
-/// Splices a freshly measured block (per `marker`) into an existing
-/// baseline file: a previous block with the same marker is replaced,
-/// everything else is preserved byte for byte, the block is inserted
-/// before the first of the `followers` markers (baseline section order is
-/// mqo → approx → service → chaos), and the schema version is bumped to
-/// 8. This is how re-measured rows join a committed baseline without
-/// perturbing the other sections.
-fn merge_block_into(path: &str, new_block: &str, marker: &str, followers: &[&str]) -> String {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| die(&format!("cannot read merge file {path}: {e}")));
-    refuse_newer_schema(&text, path);
-    let end = text
-        .rfind('}')
-        .unwrap_or_else(|| die("merge file is not a JSON object"));
-    let own_pos = text.find(marker).filter(|&p| p < end);
-    let follower_pos: Vec<usize> = followers
-        .iter()
-        .filter_map(|m| text.find(m).filter(|&p| p < end))
-        .collect();
-    // This block precedes its followers; insert it before the first of
-    // them (or before the final `}` when there are none).
-    let trailing = follower_pos.iter().copied().min().unwrap_or(end);
-    let mut out = if let Some(p) = own_pos {
-        let stop = follower_pos
-            .iter()
-            .copied()
-            .filter(|&q| q > p)
-            .min()
-            .unwrap_or(end);
-        format!("{}{}{}", &text[..p], new_block, text[stop..end].trim_end())
-    } else {
-        format!(
-            "{}{}{}",
-            text[..trailing].trim_end(),
-            new_block,
-            text[trailing..end].trim_end()
-        )
-    };
-    bump_schema(&mut out);
-    out.push_str("\n}\n");
-    out
-}
-
-/// Splices a freshly measured `mqo_command`/`mqo_entries` section into an
-/// existing baseline file, preserving the single-query entries, batch
-/// rows and the trailing approx/service/chaos/net/obs blocks byte for
-/// byte.
-fn merge_mqo_into(path: &str, new_block: &str) -> String {
-    merge_block_into(
-        path,
-        new_block,
-        MQO_MARKER,
-        &[
-            APPROX_MARKER,
-            SERVICE_MARKER,
-            CHAOS_MARKER,
-            NET_MARKER,
-            OBS_MARKER,
-        ],
-    )
-}
-
-/// Splices a freshly measured `approx_command`/`approx_entries` section
-/// into an existing baseline file, preserving every other section byte
-/// for byte (the approx block sits between the mqo and service blocks).
-fn merge_approx_into(path: &str, new_block: &str) -> String {
-    merge_block_into(
-        path,
-        new_block,
-        APPROX_MARKER,
-        &[SERVICE_MARKER, CHAOS_MARKER, NET_MARKER, OBS_MARKER],
-    )
-}
-
-/// Renders the `obs_command`/`obs_entries` section (starting with the
-/// separator comma, no trailing newline).
-fn render_obs_block(command: &str, entries: &[ObsBaselineEntry]) -> String {
-    let mut out = format!(",\n  \"obs_command\": \"{command}\",\n  \"obs_entries\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        out.push_str(&e.to_json());
-        out.push_str(if i + 1 < entries.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]");
-    out
-}
-
-/// Splices a freshly measured `obs_command`/`obs_entries` section into an
-/// existing baseline file. The obs block is the last section, so it has
-/// no followers — it lands just before the closing brace.
-fn merge_obs_into(path: &str, new_block: &str) -> String {
-    merge_block_into(path, new_block, OBS_MARKER, &[])
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            '\t' => "\\t".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
 fn main() {
-    let args = parse_args();
-    if args.smoke {
-        run_smoke();
-        return;
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.as_slice() {
+        [mode] if mode == "--smoke" => run_smoke(),
+        [mode] if mode == "--smoke-approx" => run_smoke_approx(),
+        [] => die("a mode is required"),
+        _ => die(&format!("unknown arguments: {}", args.join(" "))),
     }
-    if args.smoke_approx {
-        run_smoke_approx();
-        return;
-    }
-    if args.seeds == 0 {
-        die("--seeds must be at least 1");
-    }
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let space_list = args
-        .spaces
-        .iter()
-        .map(|s| s.name().to_string())
-        .collect::<Vec<_>>()
-        .join(",");
-    eprintln!(
-        "# bench_rrpa: spaces={space_list} seeds={} threads={:?} batch={} overlaps={:?} \
-         host_cores={cores}",
-        args.seeds, args.threads, args.batch, args.overlaps
-    );
-    let overlap_list = args
-        .overlaps
-        .iter()
-        .map(|r| r.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
-    if let Some(path) = args.merge_mqo.clone() {
-        // Measure only the shared-subplan matrix and splice it into the
-        // existing baseline, leaving every other row byte-identical.
-        let mqo_entries = measure_mqo_matrix(&args);
-        if mqo_entries.is_empty() {
-            die("--merge-mqo needs --batch > 0");
-        }
-        let command = format!(
-            "cargo run --release -p mpq-bench --bin bench_rrpa -- --space {space_list} \
-             --seeds {} --batch {} --overlap {overlap_list} --merge-mqo {path}",
-            args.seeds, args.batch,
-        );
-        let json = merge_mqo_into(&path, &render_mqo_block(&command, &mqo_entries));
-        std::fs::write(&path, &json).expect("writable --merge-mqo path");
-        eprintln!("merged {} mqo rows into {path}", mqo_entries.len());
-        return;
-    }
-    if let Some(path) = args.obs_overhead.clone() {
-        // Measure only the observability-overhead matrix and splice it
-        // into the existing baseline, leaving every other row
-        // byte-identical. Per-seed bit-identity is asserted inside the
-        // runner; the ≤5% acceptance bound is asserted here on the
-        // acceptance configuration's median.
-        let obs_entries: Vec<ObsBaselineEntry> = obs_configs()
-            .into_iter()
-            .map(|(topology, workload, n, p)| measure_obs(topology, workload, n, p, args.seeds))
-            .collect();
-        let acceptance = &obs_entries[0];
-        assert!(
-            acceptance.overhead_pct <= 5.0,
-            "obs overhead {:.2}% exceeds the 5% acceptance bound on {} n={} p={}",
-            acceptance.overhead_pct,
-            acceptance.workload,
-            acceptance.num_tables,
-            acceptance.num_params
-        );
-        let command = format!(
-            "cargo run --release -p mpq-bench --bin bench_rrpa -- --seeds {} \
-             --obs-overhead {path}",
-            args.seeds,
-        );
-        let json = merge_obs_into(&path, &render_obs_block(&command, &obs_entries));
-        std::fs::write(&path, &json).expect("writable --obs-overhead path");
-        eprintln!("merged {} obs rows into {path}", obs_entries.len());
-        return;
-    }
-    if let Some(path) = args.merge_approx.clone() {
-        // Measure only the ε-approximate matrix and splice it into the
-        // existing baseline, leaving every other row byte-identical.
-        let mut approx_entries = Vec::new();
-        for (topology, workload, n, p) in approx_configs() {
-            for eps in APPROX_EPSILONS {
-                approx_entries.push(measure_approx(topology, workload, n, p, eps, args.seeds));
-            }
-        }
-        let command = format!(
-            "cargo run --release -p mpq-bench --bin bench_rrpa -- --seeds {} \
-             --merge-approx {path}",
-            args.seeds,
-        );
-        let json = merge_approx_into(&path, &render_approx_block(&command, &approx_entries));
-        std::fs::write(&path, &json).expect("writable --merge-approx path");
-        eprintln!("merged {} approx rows into {path}", approx_entries.len());
-        return;
-    }
-    let mut entries = Vec::new();
-    for &space in &args.spaces {
-        for (topology, workload, n, p) in configs(space, args.quick) {
-            // The pwl backend is measured single-thread only: its matrix is
-            // sized for the exact path and thread counts change nothing but
-            // wall time (and the measurement rules are single-core anyway).
-            let threads: &[usize] = match space {
-                SpaceKind::Grid => &args.threads,
-                SpaceKind::Pwl => &[1],
-            };
-            for &t in threads {
-                entries.push(measure(space, topology, workload, n, p, t, args.seeds));
-            }
-        }
-    }
-    let mut batch_entries = Vec::new();
-    if args.batch > 0 {
-        for &space in &args.spaces {
-            for (topology, workload, n, p) in batch_configs(space, args.quick) {
-                for &overlap in &args.overlaps {
-                    let spec = WorkloadSpec {
-                        num_tables: n,
-                        topology,
-                        num_params: p,
-                        batch: args.batch,
-                        overlap,
-                    };
-                    batch_entries.push(measure_batch(space, workload, &spec, args.seeds));
-                }
-            }
-        }
-    }
-    let mqo_entries = measure_mqo_matrix(&args);
-    let mut meta: Vec<(&str, String)> = vec![
-        ("schema_version", BENCH_SCHEMA_VERSION.to_string()),
-        (
-            "command",
-            format!(
-                "\"cargo run --release -p mpq-bench --bin bench_rrpa -- --space {space_list} \
-                 --seeds {} --threads {} --batch {} --overlap {overlap_list}\"",
-                args.seeds,
-                args.threads
-                    .iter()
-                    .map(|t| t.to_string())
-                    .collect::<Vec<_>>()
-                    .join(","),
-                args.batch,
-            ),
-        ),
-        ("host_cores", cores.to_string()),
-    ];
-    if let Some(note) = &args.baseline_note {
-        meta.push(("baseline_note", format!("\"{}\"", json_escape(note))));
-    }
-    if let Some(path) = &args.baseline_file {
-        // Embed the reference measurement verbatim under "baseline",
-        // indented one level deeper: nested section keys must never sit
-        // at the 2-space indent the `merge_*` markers match, or a later
-        // merge would splice its block *inside* the baseline object.
-        let baseline = std::fs::read_to_string(path).expect("readable --baseline file");
-        meta.push(("baseline", baseline.trim_end().replace('\n', "\n  ")));
-    }
-    // Service rows (`service_entries`) and fault-injection rows
-    // (`chaos_entries`) are measured and merged in by the `bench_service`
-    // bin, which owns the service matrix.
-    let mut json = baseline_json(
-        &meta,
-        &entries,
-        &batch_entries,
-        &mqo_entries,
-        &[],
-        &[],
-        &[],
-        &[],
-    );
-    let out = args.out.as_deref().unwrap_or("BENCH_rrpa.json");
-    // Re-running this bin must not destroy approx/service/chaos rows a
-    // previous `--merge-approx` or `bench_service --merge` spliced into
-    // the same file: carry the existing trailing blocks forward verbatim
-    // (section order is approx → service → chaos).
-    if let Ok(prev) = std::fs::read_to_string(out) {
-        let pos = prev
-            .find(APPROX_MARKER)
-            .or_else(|| prev.find(SERVICE_MARKER))
-            .or_else(|| prev.find(CHAOS_MARKER))
-            .or_else(|| prev.find(NET_MARKER))
-            .or_else(|| prev.find(OBS_MARKER));
-        if let Some(pos) = pos {
-            let end = prev.rfind('}').expect("existing baseline is a JSON object");
-            let block = prev[pos..end].trim_end();
-            let insert = json.rfind('}').expect("baseline_json emits an object");
-            json = format!("{}{}\n}}\n", json[..insert].trim_end(), block);
-            eprintln!(
-                "carried the existing approx/service/chaos/net/obs blocks forward \
-                 (re-measure with --merge-approx / bench_service / --obs-overhead)"
-            );
-        }
-    }
-    std::fs::write(out, &json).expect("writable --out path");
-    eprintln!("wrote {out}");
-    print!("{json}");
 }

@@ -1,86 +1,49 @@
-//! Service baseline writer: drives seeded open-loop arrival traces
-//! through the `mpq-service` front-end (batch accumulation → sharded
-//! sessions → bounded caches → panic quarantine) and merges the measured
-//! `service_entries` / `chaos_entries` / `net_entries` into
-//! `BENCH_rrpa.json` (schema v10).
+//! CI smoke checks for the serving stack: the `mpq-service` front-end
+//! (batch accumulation → sharded sessions → bounded caches → panic
+//! quarantine), the `mpq-net` shard fabric and the `mpq-obs` layer, each
+//! driven end to end on tiny seeded traces. Performance numbers come from
+//! the `mpqbench` package (see `mpqbench/README.md`), not from this binary.
 //!
 //! Usage:
 //!   cargo run --release -p mpq-bench --bin bench_service -- \
-//!       [--seeds N] [--trace N] [--overlap R,R...] [--shards N,N...] \
-//!       [--max-batch N] [--max-wait-us U] [--mean-gap-us U] \
-//!       [--capacity N] [--fault-rate R,R...] [--chaos] [--net] \
-//!       [--merge BENCH_rrpa.json] [--smoke] [--smoke-chaos] [--smoke-net] \
-//!       [--smoke-obs]
+//!       --smoke | --smoke-chaos | --smoke-net | --smoke-obs
 //!
-//! * Traces replay under a **virtual service clock** stepped to each
-//!   arrival (`mpq_catalog::generator::generate_trace` — seeded, no
-//!   wall-clock), so batching decisions, trigger mixes and cache counters
-//!   are bit-reproducible; `median_time_ms` is the real wall time of the
-//!   whole run, and `p50_ms`/`p95_ms` are approximate (completion stamps
-//!   race the driver advancing the virtual clock).
-//! * `--merge` (default `BENCH_rrpa.json`) splices the measured rows into
-//!   an existing baseline file: the previous `service_entries` block (or
-//!   `chaos_entries` under `--chaos`, `net_entries` under `--net`) is
-//!   replaced, every *other* trailing block — including the
-//!   `obs_entries` block owned by `bench_rrpa --obs-overhead` — is
-//!   preserved verbatim, and the schema version is bumped to 10. A file
-//!   stamped with a **newer**
-//!   schema than this binary understands is refused rather than
-//!   silently downgraded.
-//! * The fault-free matrix appends one **deadline-ε** row per workload:
-//!   a sparse trace (`mean_gap = 2 × max_wait`) under
-//!   `ApproxPolicy::deadline_only(0.1)`, so deadline-triggered batches
-//!   are downgraded to the ε-approximate frontier mode and the row's
-//!   `approx_served`/`approx_batches` columns are live.
-//! * `--chaos` — measure the fault-injection matrix instead of the
-//!   fault-free service matrix: seeded fault plans poison `--fault-rate`
-//!   of each trace's queries; rows record quarantine counts, worker
-//!   restarts, healthy-query latency percentiles, and healthy plan
-//!   counts (asserted bit-identical to one-by-one sessions at measure
-//!   time — `run_chaos_trace` panics on any contract violation).
-//! * `--smoke` — CI mode: one tiny trace at two shard counts; asserts
-//!   the trigger mix is sane (every batch carries exactly one trigger,
-//!   both size and drain fire), that busy shards hit their lifting
-//!   caches at overlap 1.0, and that the service's summed counters —
-//!   plans created, final plans, *and* the per-batch LP deltas — equal
-//!   the same queries run one-by-one through a plain session. A second
-//!   pass with the shared-subplan cache enabled must hit subtrees at
-//!   overlap 1.0 while keeping those counters bit-identical. Writes no
-//!   file; exits non-zero on violation.
-//! * `--smoke-chaos` — CI mode: one tiny trace under a seeded fault plan
-//!   at shard counts {1, 2, 4}; `run_chaos_trace` asserts outcome
-//!   accounting (exactly one outcome per query, quarantine = poison
-//!   count, restarts ≥ quarantines) and healthy-query plan equality
-//!   against plain sessions; the smoke additionally requires that the
-//!   plan actually poisons something and that healthy queries survive.
-//!   Writes no file; exits non-zero on violation.
-//! * `--net` — measure the networked-sharding matrix instead: each trace
-//!   replays through `mpq-net`'s shard fabric (wire codec → in-process
-//!   transport under a seeded network fault plan → retrying router),
-//!   with clean-wire rows at every `--shards` count plus one row per
-//!   fault kind × `--fault-rate`. `run_net_trace` panics unless every
-//!   query resolves exactly once, answers are bit-identical to fresh
-//!   in-process optimization, and a clean wire shows zero retries /
-//!   reconnects / drops.
-//! * `--smoke-net` — CI mode: a clean loopback-TCP pass (real sockets,
+//! Traces replay under a **virtual service clock** stepped to each
+//! arrival (`mpq_catalog::generator::generate_trace` — seeded, no
+//! wall-clock), so batching decisions, trigger mixes and cache counters
+//! are bit-reproducible.
+//!
+//! * `--smoke` — one tiny trace at two shard counts; asserts the trigger
+//!   mix is sane (every batch carries exactly one trigger, both size and
+//!   drain fire), that busy shards hit their lifting caches at overlap
+//!   1.0, and that the service's summed counters — plans created, final
+//!   plans, *and* the per-batch LP deltas — equal the same queries run
+//!   one-by-one through a plain session. A second pass with the
+//!   shared-subplan cache enabled must hit subtrees at overlap 1.0 while
+//!   keeping those counters bit-identical.
+//! * `--smoke-chaos` — one tiny trace under a seeded fault plan at shard
+//!   counts {1, 2, 4}; `run_chaos_trace` asserts outcome accounting
+//!   (exactly one outcome per query, quarantine = poison count, restarts
+//!   ≥ quarantines) and healthy-query plan equality against plain
+//!   sessions; the smoke additionally requires that the plan actually
+//!   poisons something and that healthy queries survive.
+//! * `--smoke-net` — a clean loopback-TCP pass (real sockets,
 //!   bit-identity, first-attempt answers, cache replay), a deterministic
 //!   in-memory chaos pass (drop/duplicate/delay at rate 0.3, shards
 //!   {1, 2} — drops must cost retries, duplicates must replay from the
-//!   idempotency cache), and a dead-address pass (typed `Unavailable`
-//!   in bounded wall time). Writes no file; exits non-zero on violation.
-//! * `--smoke-obs` — CI mode for the observability layer: an in-process
-//!   service pass with a live virtual-clock `Obs` handle (exposition
-//!   parses, the stats conservation identity re-derives from registry
-//!   counters alone) and a loopback-TCP pass with observed router and
-//!   server (every wire trace id joins router and server spans, and a
-//!   `Metrics` wire scrape returns the server registry's samples).
-//!   Writes no file; exits non-zero on violation.
+//!   idempotency cache), and a dead-address pass (typed `Unavailable` in
+//!   bounded wall time).
+//! * `--smoke-obs` — an in-process service pass with a live virtual-clock
+//!   `Obs` handle (exposition parses, the stats conservation identity
+//!   re-derives from registry counters alone) and a loopback-TCP pass
+//!   with observed router and server (every wire trace id joins router
+//!   and server spans, and a `Metrics` wire scrape returns the server
+//!   registry's samples).
+//!
+//! Every mode writes no file and exits non-zero on violation; bad
+//! arguments exit 2 with a usage line.
 
-use mpq_bench::harness::{
-    baseline_schema_version, bump_schema, run_chaos_trace, run_net_trace, run_service_trace,
-    ChaosBaselineEntry, ChaosRecord, NetBaselineEntry, NetRecord, NetSpec, ServiceBaselineEntry,
-    ServiceRecord, ServiceSpec, BENCH_SCHEMA_VERSION,
-};
+use mpq_bench::harness::{run_chaos_trace, run_net_trace, run_service_trace, NetSpec, ServiceSpec};
 use mpq_catalog::fault::NetFaultKind;
 use mpq_catalog::generator::GeneratorConfig;
 use mpq_catalog::generator::{generate_trace, TraceConfig, WorkloadConfig};
@@ -92,158 +55,10 @@ use mpq_core::OptimizerConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-struct Args {
-    seeds: usize,
-    trace: usize,
-    overlaps: Vec<f64>,
-    shards: Vec<usize>,
-    max_batch: usize,
-    max_wait_us: u64,
-    mean_gap_us: u64,
-    capacity: Option<usize>,
-    fault_rates: Vec<f64>,
-    chaos: bool,
-    net: bool,
-    merge: String,
-    smoke: bool,
-    smoke_chaos: bool,
-    smoke_net: bool,
-    smoke_obs: bool,
-}
-
 fn die(msg: &str) -> ! {
     eprintln!("bench_service: {msg}");
-    eprintln!(
-        "usage: bench_service [--seeds N] [--trace N] [--overlap R[,R...]] \
-         [--shards N[,N...]] [--max-batch N] [--max-wait-us U] [--mean-gap-us U] \
-         [--capacity N] [--fault-rate R[,R...]] [--chaos] [--net] [--merge FILE] \
-         [--smoke] [--smoke-chaos] [--smoke-net] [--smoke-obs]"
-    );
+    eprintln!("usage: bench_service --smoke | --smoke-chaos | --smoke-net | --smoke-obs");
     std::process::exit(2);
-}
-
-fn parse_ratio_list(list: &str, what: &str) -> Vec<f64> {
-    list.split(',')
-        .map(|s| match s.trim().parse::<f64>() {
-            Ok(r) if (0.0..=1.0).contains(&r) => r,
-            _ => die(&format!("{what} expects ratios in [0, 1]")),
-        })
-        .collect()
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        seeds: 5,
-        trace: 48,
-        overlaps: vec![0.0, 1.0],
-        shards: vec![1, 2, 4],
-        max_batch: 8,
-        max_wait_us: 400,
-        mean_gap_us: 150,
-        capacity: None,
-        fault_rates: vec![0.1, 0.3],
-        chaos: false,
-        net: false,
-        merge: "BENCH_rrpa.json".to_string(),
-        smoke: false,
-        smoke_chaos: false,
-        smoke_net: false,
-        smoke_obs: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut num = |name: &str| -> usize {
-            it.next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| die(&format!("{name} expects a number")))
-        };
-        match a.as_str() {
-            "--seeds" => args.seeds = num("--seeds"),
-            "--trace" => args.trace = num("--trace"),
-            "--max-batch" => args.max_batch = num("--max-batch"),
-            "--max-wait-us" => args.max_wait_us = num("--max-wait-us") as u64,
-            "--mean-gap-us" => args.mean_gap_us = num("--mean-gap-us") as u64,
-            "--capacity" => args.capacity = Some(num("--capacity")),
-            "--overlap" => {
-                let list = it
-                    .next()
-                    .unwrap_or_else(|| die("--overlap expects a comma-separated list"));
-                args.overlaps = parse_ratio_list(&list, "--overlap");
-            }
-            "--fault-rate" => {
-                let list = it
-                    .next()
-                    .unwrap_or_else(|| die("--fault-rate expects a comma-separated list"));
-                args.fault_rates = parse_ratio_list(&list, "--fault-rate");
-            }
-            "--shards" => {
-                let list = it
-                    .next()
-                    .unwrap_or_else(|| die("--shards expects a comma-separated list"));
-                args.shards = list
-                    .split(',')
-                    .map(|s| match s.trim().parse::<usize>() {
-                        Ok(n) if n >= 1 => n,
-                        _ => die("--shards expects positive numbers"),
-                    })
-                    .collect();
-            }
-            "--merge" => {
-                args.merge = it.next().unwrap_or_else(|| die("--merge expects a path"));
-            }
-            "--chaos" => args.chaos = true,
-            "--net" => args.net = true,
-            "--smoke" => args.smoke = true,
-            "--smoke-chaos" => args.smoke_chaos = true,
-            "--smoke-net" => args.smoke_net = true,
-            "--smoke-obs" => args.smoke_obs = true,
-            other => die(&format!("unknown argument: {other}")),
-        }
-    }
-    args
-}
-
-/// The service workload matrix: small queries in volume (the regime the
-/// batching/sharding front-end targets — see the `bench_rrpa` batch
-/// matrix), chain and star.
-fn service_configs() -> Vec<(Topology, &'static str, usize, usize)> {
-    vec![
-        (Topology::Chain, "chain", 4, 1),
-        (Topology::Star, "star", 4, 1),
-        (Topology::Chain, "chain", 3, 2),
-    ]
-}
-
-fn measure(spec: &ServiceSpec, workload: &str, seeds: usize) -> ServiceBaselineEntry {
-    let mut config = OptimizerConfig::default_for(spec.num_params);
-    config.threads = Some(1);
-    let records: Vec<ServiceRecord> = (0..seeds)
-        .map(|s| {
-            let r = run_service_trace(spec, s as u64, &config);
-            eprintln!(
-                "  {workload} n={} p={} trace={} overlap={} shards={} seed={s}: \
-                 {:.0}ms batches={} (size {}/deadline {}/drain {}) hits={} misses={} \
-                 evictions={} plans={} p95={:.2}ms",
-                spec.num_tables,
-                spec.num_params,
-                spec.trace,
-                spec.overlap,
-                spec.shards,
-                r.time_ms,
-                r.batches,
-                r.size_triggered,
-                r.deadline_triggered,
-                r.drain_triggered,
-                r.cache_hits,
-                r.cache_misses,
-                r.evictions,
-                r.plans_created,
-                r.p95_ms,
-            );
-            r
-        })
-        .collect();
-    ServiceBaselineEntry::from_records(spec, workload, &records)
 }
 
 /// CI smoke: a tiny trace, deterministic under the virtual clock,
@@ -264,7 +79,6 @@ fn run_smoke() {
             max_batch: 3,
             max_wait_us: 120,
             mean_gap_us: 100,
-            capacity: None,
             // Pass-through subtree cache: the session default is now
             // *enabled*, but this smoke pins exact counter equality
             // against one-by-one sessions — a subtree hit would replay
@@ -332,10 +146,10 @@ fn run_smoke() {
             "smoke: service per-batch LP deltas diverged from one-by-one ({shards} shards)"
         );
         // Per-query attribution (the per-run atomic) is live on service
-        // rows.
+        // traces.
         assert!(
             r.lps_query_median > 0.0,
-            "smoke: per-query LP attribution must be recorded for service rows"
+            "smoke: per-query LP attribution must be recorded for service traces"
         );
         // Shared-subplan pass: the same trace with the subtree cache on
         // must actually reuse subtrees (overlap 1.0 means the batch is
@@ -396,7 +210,6 @@ fn run_smoke_chaos() {
             max_batch: 3,
             max_wait_us: 120,
             mean_gap_us: 100,
-            capacity: None,
             subtree: None,
             approx_epsilon: None,
         };
@@ -834,398 +647,14 @@ fn run_smoke_obs() {
     }
 }
 
-/// The `--net` matrix: per workload, clean-wire rows at every shard
-/// count, then one row per fault kind × rate at the middle of the
-/// overlap range — reduced to `net_entries` rows and merged into the
-/// baseline file (the `service_entries`/`chaos_entries` blocks are
-/// preserved verbatim). Every underlying run re-asserts the networked
-/// determinism contract (see `run_net_trace`).
-fn run_net_matrix(args: &Args) {
-    let mut entries = Vec::new();
-    let measure_net = |spec: &NetSpec, workload: &str| {
-        let mut config = OptimizerConfig::default_for(spec.num_params);
-        config.threads = Some(1);
-        let records: Vec<NetRecord> = (0..args.seeds)
-            .map(|s| {
-                let r = run_net_trace(spec, s as u64, &config);
-                eprintln!(
-                    "  {workload} n={} trace={} shards={} fault={}@{} seed={s}: \
-                     {:.0}ms retries={} dropped={} dedup={} p95={:.2}ms",
-                    spec.num_tables,
-                    spec.trace,
-                    spec.shards,
-                    spec.fault_kind.map_or("none", |k| k.name()),
-                    spec.fault_rate,
-                    r.time_ms,
-                    r.retries,
-                    r.dropped,
-                    r.dedup_hits,
-                    r.p95_ms,
-                );
-                r
-            })
-            .collect();
-        NetBaselineEntry::from_records(spec, workload, &records)
-    };
-    for (topology, workload, n, p) in service_configs() {
-        let base = NetSpec {
-            num_tables: n,
-            topology,
-            num_params: p,
-            trace: args.trace,
-            overlap: 0.5,
-            shards: 1,
-            fault_kind: None,
-            fault_rate: 0.0,
-            mean_gap_us: args.mean_gap_us,
-        };
-        for &shards in &args.shards {
-            entries.push(measure_net(&NetSpec { shards, ..base }, workload));
-        }
-        for kind in NetFaultKind::ALL {
-            for &rate in &args.fault_rates {
-                entries.push(measure_net(
-                    &NetSpec {
-                        shards: 2,
-                        fault_kind: Some(kind),
-                        fault_rate: rate,
-                        ..base
-                    },
-                    workload,
-                ));
-            }
-        }
-    }
-    let shard_list = args
-        .shards
-        .iter()
-        .map(|s| s.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
-    let rate_list = args
-        .fault_rates
-        .iter()
-        .map(|r| r.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
-    let command = format!(
-        "cargo run --release -p mpq-bench --bin bench_service -- --net --seeds {} \
-         --trace {} --shards {shard_list} --fault-rate {rate_list} --mean-gap-us {}",
-        args.seeds, args.trace, args.mean_gap_us,
-    );
-    let json = merge_into(&args.merge, &render_net_block(&command, &entries));
-    std::fs::write(&args.merge, &json).expect("writable --merge path");
-    eprintln!("merged {} net rows into {}", entries.len(), args.merge);
-}
-
-/// Runs one chaos configuration over all seeds and reduces to a
-/// baseline row. Every underlying run re-asserts the robustness
-/// contract (see [`run_chaos_trace`]).
-fn measure_chaos(
-    spec: &ServiceSpec,
-    workload: &str,
-    fault_rate: f64,
-    seeds: usize,
-) -> ChaosBaselineEntry {
-    let mut config = OptimizerConfig::default_for(spec.num_params);
-    config.threads = Some(1);
-    let records: Vec<ChaosRecord> = (0..seeds)
-        .map(|s| {
-            let r = run_chaos_trace(spec, fault_rate, s as u64, &config);
-            eprintln!(
-                "  {workload} n={} trace={} overlap={} shards={} rate={} seed={s}: \
-                 {:.0}ms healthy={} quarantined={} restarts={} batches={} p95={:.2}ms",
-                spec.num_tables,
-                spec.trace,
-                spec.overlap,
-                spec.shards,
-                fault_rate,
-                r.time_ms,
-                r.healthy,
-                r.quarantined,
-                r.restarts,
-                r.batches,
-                r.p95_ms,
-            );
-            r
-        })
-        .collect();
-    ChaosBaselineEntry::from_records(spec, workload, fault_rate, &records)
-}
-
-const SERVICE_MARKER: &str = ",\n  \"service_command\"";
-const CHAOS_MARKER: &str = ",\n  \"chaos_command\"";
-const NET_MARKER: &str = ",\n  \"net_command\"";
-// Preserved (never written by this bin): the trailing obs section owned
-// by `bench_rrpa --obs-overhead`.
-const OBS_MARKER: &str = ",\n  \"obs_command\"";
-
-/// Renders the trailing `service_command`/`service_entries` section
-/// (starting with the separator comma, no trailing newline).
-fn render_service_block(command: &str, entries: &[ServiceBaselineEntry]) -> String {
-    let mut out = format!(",\n  \"service_command\": \"{command}\",\n  \"service_entries\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        out.push_str(&e.to_json());
-        out.push_str(if i + 1 < entries.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]");
-    out
-}
-
-/// Renders the trailing `chaos_command`/`chaos_entries` section.
-fn render_chaos_block(command: &str, entries: &[ChaosBaselineEntry]) -> String {
-    let mut out = format!(",\n  \"chaos_command\": \"{command}\",\n  \"chaos_entries\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        out.push_str(&e.to_json());
-        out.push_str(if i + 1 < entries.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]");
-    out
-}
-
-/// Renders the trailing `net_command`/`net_entries` section.
-fn render_net_block(command: &str, entries: &[NetBaselineEntry]) -> String {
-    let mut out = format!(",\n  \"net_command\": \"{command}\",\n  \"net_entries\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        out.push_str(&e.to_json());
-        out.push_str(if i + 1 < entries.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]");
-    out
-}
-
-/// Replaces one trailing section (`service_*`, `chaos_*` or `net_*`,
-/// per `new_block`'s marker) of an existing baseline file, preserving
-/// everything else — including the *other* trailing sections — verbatim
-/// in the canonical order service → chaos → net → obs (the obs block is
-/// owned by `bench_rrpa --obs-overhead` and only ever preserved here),
-/// and bumping the schema to the binary's version.
-///
-/// Refuses to write into a file stamped with a **newer** schema than
-/// this binary knows: an older writer cannot preserve sections whose
-/// shape it has never seen, so a silent splice would downgrade (and
-/// possibly corrupt) the baseline. The refusal is the fix, not a
-/// convenience — merge with a binary at least as new as the file.
-fn merge_into(path: &str, new_block: &str) -> String {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| die(&format!("cannot read --merge file {path}: {e}")));
-    if let Some(v) = baseline_schema_version(&text) {
-        if v > BENCH_SCHEMA_VERSION {
-            die(&format!(
-                "{path} carries schema v{v}, newer than this binary's \
-                 v{BENCH_SCHEMA_VERSION}; rebuild the bench binaries before merging"
-            ));
-        }
-    }
-    let end = text
-        .rfind('}')
-        .unwrap_or_else(|| die("--merge file is not a JSON object"));
-    let markers = [SERVICE_MARKER, CHAOS_MARKER, NET_MARKER, OBS_MARKER];
-    let positions: Vec<Option<usize>> = markers
-        .iter()
-        .map(|m| text.find(m).filter(|&p| p < end))
-        .collect();
-    // Head = everything before the first trailing block (or before the
-    // final `}` when there is none yet).
-    let head_end = positions.iter().flatten().copied().min().unwrap_or(end);
-    // A block runs from its marker to the next marker or the final `}`.
-    let slice = |pos: Option<usize>| {
-        pos.map(|p| {
-            let stop = positions
-                .iter()
-                .flatten()
-                .copied()
-                .filter(|&q| q > p)
-                .min()
-                .unwrap_or(end);
-            text[p..stop].trim_end().to_string()
-        })
-    };
-    let replacing = markers
-        .iter()
-        .position(|m| new_block.starts_with(m))
-        .expect("new_block starts with a known marker");
-    let mut out = text[..head_end].trim_end().to_string();
-    bump_schema(&mut out);
-    for (i, &pos) in positions.iter().enumerate() {
-        if i == replacing {
-            out.push_str(new_block);
-        } else if let Some(b) = slice(pos) {
-            out.push_str(&b);
-        }
-    }
-    out.push_str("\n}\n");
-    out
-}
-
 fn main() {
-    let args = parse_args();
-    if args.smoke {
-        run_smoke();
-        return;
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.as_slice() {
+        [mode] if mode == "--smoke" => run_smoke(),
+        [mode] if mode == "--smoke-chaos" => run_smoke_chaos(),
+        [mode] if mode == "--smoke-net" => run_smoke_net(),
+        [mode] if mode == "--smoke-obs" => run_smoke_obs(),
+        [] => die("a mode is required"),
+        _ => die(&format!("unknown arguments: {}", args.join(" "))),
     }
-    if args.smoke_chaos {
-        run_smoke_chaos();
-        return;
-    }
-    if args.smoke_net {
-        run_smoke_net();
-        return;
-    }
-    if args.smoke_obs {
-        run_smoke_obs();
-        return;
-    }
-    if args.seeds == 0 {
-        die("--seeds must be at least 1");
-    }
-    if args.chaos {
-        run_chaos_matrix(&args);
-        return;
-    }
-    if args.net {
-        run_net_matrix(&args);
-        return;
-    }
-    let mut entries = Vec::new();
-    for (topology, workload, n, p) in service_configs() {
-        for &overlap in &args.overlaps {
-            for &shards in &args.shards {
-                let spec = ServiceSpec {
-                    num_tables: n,
-                    topology,
-                    num_params: p,
-                    trace: args.trace,
-                    overlap,
-                    shards,
-                    max_batch: args.max_batch,
-                    max_wait_us: args.max_wait_us,
-                    mean_gap_us: args.mean_gap_us,
-                    capacity: args.capacity,
-                    subtree: None,
-                    approx_epsilon: None,
-                };
-                entries.push(measure(&spec, workload, args.seeds));
-            }
-        }
-    }
-    // One bounded-cache row per workload: the eviction path measured
-    // under the hottest sharing (overlap 1.0, one shard, tiny capacity).
-    for (topology, workload, n, p) in service_configs() {
-        let spec = ServiceSpec {
-            num_tables: n,
-            topology,
-            num_params: p,
-            trace: args.trace,
-            overlap: 1.0,
-            shards: 1,
-            max_batch: args.max_batch,
-            max_wait_us: args.max_wait_us,
-            mean_gap_us: args.mean_gap_us,
-            capacity: Some(4),
-            subtree: None,
-            approx_epsilon: None,
-        };
-        entries.push(measure(&spec, workload, args.seeds));
-    }
-    // One deadline-ε row per workload: a sparse trace (arrivals slower
-    // than the batch deadline, so batches deadline-trigger) under
-    // `ApproxPolicy::deadline_only(0.1)` — the anytime dial measured in
-    // its target regime; `approx_served`/`approx_batches` are live here.
-    for (topology, workload, n, p) in service_configs() {
-        let spec = ServiceSpec {
-            num_tables: n,
-            topology,
-            num_params: p,
-            trace: args.trace,
-            overlap: 1.0,
-            shards: 1,
-            max_batch: args.max_batch,
-            max_wait_us: args.max_wait_us,
-            mean_gap_us: 2 * args.max_wait_us,
-            capacity: args.capacity,
-            subtree: None,
-            approx_epsilon: Some(0.1),
-        };
-        entries.push(measure(&spec, workload, args.seeds));
-    }
-    let overlap_list = args
-        .overlaps
-        .iter()
-        .map(|r| r.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
-    let shard_list = args
-        .shards
-        .iter()
-        .map(|s| s.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
-    let command = format!(
-        "cargo run --release -p mpq-bench --bin bench_service -- --seeds {} --trace {} \
-         --overlap {overlap_list} --shards {shard_list} --max-batch {} --max-wait-us {} \
-         --mean-gap-us {}",
-        args.seeds, args.trace, args.max_batch, args.max_wait_us, args.mean_gap_us,
-    );
-    let json = merge_into(&args.merge, &render_service_block(&command, &entries));
-    std::fs::write(&args.merge, &json).expect("writable --merge path");
-    eprintln!("merged {} service rows into {}", entries.len(), args.merge);
-}
-
-/// The `--chaos` matrix: every service configuration × fault rate ×
-/// overlap × shard count, reduced to `chaos_entries` rows and merged
-/// into the baseline file (the fault-free `service_entries` block is
-/// preserved verbatim).
-fn run_chaos_matrix(args: &Args) {
-    let mut entries = Vec::new();
-    for (topology, workload, n, p) in service_configs() {
-        for &fault_rate in &args.fault_rates {
-            for &overlap in &args.overlaps {
-                for &shards in &args.shards {
-                    let spec = ServiceSpec {
-                        num_tables: n,
-                        topology,
-                        num_params: p,
-                        trace: args.trace,
-                        overlap,
-                        shards,
-                        max_batch: args.max_batch,
-                        max_wait_us: args.max_wait_us,
-                        mean_gap_us: args.mean_gap_us,
-                        capacity: args.capacity,
-                        subtree: None,
-                        approx_epsilon: None,
-                    };
-                    entries.push(measure_chaos(&spec, workload, fault_rate, args.seeds));
-                }
-            }
-        }
-    }
-    let overlap_list = args
-        .overlaps
-        .iter()
-        .map(|r| r.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
-    let shard_list = args
-        .shards
-        .iter()
-        .map(|s| s.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
-    let rate_list = args
-        .fault_rates
-        .iter()
-        .map(|r| r.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
-    let command = format!(
-        "cargo run --release -p mpq-bench --bin bench_service -- --chaos --seeds {} \
-         --trace {} --overlap {overlap_list} --shards {shard_list} --fault-rate {rate_list} \
-         --max-batch {} --max-wait-us {} --mean-gap-us {}",
-        args.seeds, args.trace, args.max_batch, args.max_wait_us, args.mean_gap_us,
-    );
-    let json = merge_into(&args.merge, &render_chaos_block(&command, &entries));
-    std::fs::write(&args.merge, &json).expect("writable --merge path");
-    eprintln!("merged {} chaos rows into {}", entries.len(), args.merge);
 }

@@ -1,8 +1,9 @@
 //! Debug helper: run one `(space, topology, tables, params, seed)`
 //! configuration and print its counters plus the per-site LP breakdown —
-//! the quickest way to check a single cell of the bench matrix against
-//! `BENCH_rrpa.json` (plans must match seed for seed; `lps_solved` and
-//! the breakdown show where a change moved the LP tail). The run happens
+//! the quickest way to check one query before and after a change (plans
+//! must match seed for seed, as `mpqbench`'s pinned `fig12` counters do;
+//! `lps_solved` and the breakdown show where a change moved the LP
+//! tail). The run happens
 //! under a live wall-clock `Obs` handle, so the output also includes the
 //! per-DP-level span timings (wall, sets, plan/LP deltas) — where the
 //! lattice actually spends its time, level by level.

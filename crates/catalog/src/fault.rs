@@ -4,7 +4,7 @@
 //! *tested*, and failure paths are only testable if faults are
 //! **reproducible**. This module provides the seeded, wall-clock-free
 //! fault source that the `mpq-service` chaos tests and the
-//! `bench_service --smoke-chaos` / `--chaos` harness share — the fault
+//! `bench_service --smoke-chaos` check share — the fault
 //! analogue of [`generate_trace`](crate::generator::generate_trace):
 //!
 //! * a [`FaultPlan`] marks specific queries (by their exact content

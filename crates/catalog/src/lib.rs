@@ -139,9 +139,14 @@ impl Query {
                 return Err(format!("join selectivity {} outside [0, 1]", e.selectivity));
             }
         }
+        // Written positively so NaN fails too (`NaN <= 0.0` is false).
+        let valid_stat = |v: f64| v.is_finite() && v > 0.0;
         for t in &self.tables {
-            if t.rows <= 0.0 || t.row_bytes <= 0.0 {
-                return Err(format!("table {} has non-positive statistics", t.name));
+            if !valid_stat(t.rows) || !valid_stat(t.row_bytes) {
+                return Err(format!(
+                    "table {} has non-finite or non-positive statistics",
+                    t.name
+                ));
             }
         }
         Ok(())
@@ -468,5 +473,15 @@ mod tests {
         assert!(q.validate().is_ok());
         q.num_params = 2;
         assert!(q.validate().is_err(), "unused parameter");
+        q.num_params = 1;
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0] {
+            q.tables[0].rows = bad;
+            assert!(q.validate().is_err(), "rows = {bad} must be rejected");
+            q.tables[0].rows = 100.0;
+            q.tables[0].row_bytes = bad;
+            assert!(q.validate().is_err(), "row_bytes = {bad} must be rejected");
+            q.tables[0].row_bytes = 100.0;
+        }
+        assert!(q.validate().is_ok());
     }
 }

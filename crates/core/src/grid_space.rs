@@ -91,8 +91,7 @@ impl GridSpace {
             // cutout-emptiness prechecks on 2-parameter grids were the
             // dominant LP site. Verdicts are identical to the LP's — the
             // ambiguous tolerance band still falls back to the solver —
-            // so the committed plan counts are unchanged while the LP
-            // trajectory is re-baselined (BENCH_rrpa.json schema v4).
+            // so plan counts are unchanged and only the LP count drops.
             engine: RegionEngine::new(
                 config.relevance_points,
                 config.redundant_cutout_removal,

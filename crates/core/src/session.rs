@@ -218,19 +218,6 @@ where
         Self::with_config(space, model, SessionConfig::new(config))
     }
 
-    /// A session without the cache — every query lifts its own costs.
-    /// Used to measure the cache's contribution (`bench_rrpa --batch`).
-    pub fn without_cache(space: S, model: &'m M, config: OptimizerConfig) -> Self {
-        Self::with_config(
-            space,
-            model,
-            SessionConfig {
-                cached: false,
-                ..SessionConfig::new(config)
-            },
-        )
-    }
-
     /// A session over an explicit [`SessionConfig`] — the entry point that
     /// threads the cache capacity through (long-lived services bound the
     /// cache; batch runs leave it unbounded).
@@ -360,8 +347,8 @@ where
         self.space.lps_solved()
     }
 
-    /// Hit/miss counters of the cost-lifting cache (all-zero for
-    /// [`OptimizerSession::without_cache`] sessions).
+    /// Hit/miss counters of the cost-lifting cache (all-zero for sessions
+    /// built with [`SessionConfig::cached`] off).
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.as_ref().map(|c| c.stats()).unwrap_or_default()
     }

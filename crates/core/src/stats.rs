@@ -21,11 +21,12 @@ pub struct OptStats {
     /// [`OptStats::lps_solved_query`] for the per-query figure.
     pub lps_solved: u64,
     /// Linear programs solved **by this query alone**: every DP work item
-    /// of the run charges its thread-local solve delta
-    /// ([`mpq_lp::thread_solved`]) to a per-run atomic, so the total is
-    /// exact — and deterministic — for every thread count and batch
-    /// schedule, including intra-query fan-out where items execute on
-    /// many workers concurrently with other queries of a session.
+    /// of the run installs the run's atomic counter
+    /// ([`mpq_lp::attribute_solves`]), so each solve is charged to the run
+    /// whichever thread executes it. The total is exact — and
+    /// deterministic — for every thread count and batch schedule,
+    /// including intra-query fan-out where items execute on many workers
+    /// concurrently with other queries of a session.
     pub lps_solved_query: u64,
     /// Wall-clock optimization time.
     pub elapsed: Duration,

@@ -565,7 +565,7 @@ impl RegionEngine {
         let bounds = self.region_max_bounds(base, extra, h.normal())?;
         // The 0–2-extras arms keep their historical behaviour bit for bit
         // (their verdicts are pinned trajectory); the general arm (3+
-        // extras, new in schema v4) additionally refuses "covered"
+        // extras) additionally refuses "covered"
         // verdicts when a candidate generator was conditioning-skipped —
         // `upper` may then understate the true maximum by more than any
         // margin absorbs (a thin wedge's missed tip).

@@ -56,30 +56,8 @@ mod simplex;
 
 pub use simplex::RowStage;
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-thread_local! {
-    /// Per-thread count of LPs solved through any [`LpCtx`] on this
-    /// thread. Backs per-query LP deltas: a query that executes on one
-    /// thread (every `threads = 1` run — the shim pool runs single-width
-    /// fan-outs inline on the caller) sees exactly its own solves here,
-    /// even while other queries of a batch run concurrently elsewhere.
-    static THREAD_SOLVED: Cell<u64> = const { Cell::new(0) };
-}
-
-/// LPs solved through any [`LpCtx`] **on the calling thread** so far.
-///
-/// Deltas of this counter around a region of work give that region's own
-/// LP count, unpolluted by concurrent work on other threads. Work that
-/// fans out to other threads is not attributed to the submitting thread,
-/// so deltas are exact only for single-threaded regions; multi-threaded
-/// runs attribute through [`attribute_solves`] instead.
-pub fn thread_solved() -> u64 {
-    THREAD_SOLVED.with(|c| c.get())
-}
-
 use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 thread_local! {
@@ -127,11 +105,10 @@ pub fn current_attribution() -> Option<Arc<AtomicU64>> {
     RUN_SOLVED.with(|c| c.borrow().clone())
 }
 
-/// One solve happened on this thread: bump the thread-local counter and
-/// the installed attribution counter, if any.
+/// One solve happened on this thread: bump the installed attribution
+/// counter, if any.
 #[inline]
 fn record_solve() {
-    THREAD_SOLVED.with(|c| c.set(c.get() + 1));
     RUN_SOLVED.with(|c| {
         if let Some(run) = c.borrow().as_ref() {
             run.fetch_add(1, Ordering::Relaxed);
@@ -296,7 +273,8 @@ impl FastPathSite {
         FastPathSite::PieceAlgebra,
     ];
 
-    /// Stable snake_case name (used as a JSON key by the bench harness).
+    /// Stable snake_case name (the `<site>` of the
+    /// `lp_fastpath_<site>_{fast,lp}` registry gauges).
     pub fn name(self) -> &'static str {
         match self {
             FastPathSite::CutoutRedundancy => "cutout_redundancy",
@@ -558,20 +536,6 @@ mod tests {
         ctx.solve(&p);
         ctx.publish_to(&registry);
         assert_eq!(registry.gauge("lp_solved").get(), 2);
-    }
-
-    #[test]
-    fn thread_solved_tracks_ctx_solves() {
-        let ctx = LpCtx::new();
-        let p = LpProblem::feasibility(1, vec![c(vec![1.0], 1.0)]);
-        let before = thread_solved();
-        ctx.solve(&p);
-        ctx.solve_staged(&[0.0], |stage| stage.push_row(&[1.0], 1.0));
-        assert_eq!(thread_solved() - before, 2);
-        // Resetting the context does not rewind the thread counter (it is
-        // monotonic; consumers take deltas).
-        ctx.reset();
-        assert_eq!(thread_solved() - before, 2);
     }
 
     #[test]

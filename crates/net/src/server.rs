@@ -28,8 +28,8 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::net::TcpListener;
-use std::os::unix::net::UnixListener;
+use std::net::{TcpListener, TcpStream};
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -388,28 +388,17 @@ where
     M: ParametricCostModel + ?Sized + Sync,
 {
     listener.set_nonblocking(true)?;
-    std::thread::scope(|scope| {
-        while !shutdown.load(Ordering::Relaxed) {
-            match listener.accept() {
-                Ok((stream, _addr)) => {
-                    scope.spawn(move || {
-                        let mut stream = stream;
-                        // Answers are one-frame writes on a request/reply
-                        // cadence; Nagle only adds latency here.
-                        let _ = stream.set_nodelay(true);
-                        if stream.set_read_timeout(Some(POLL_TIMEOUT)).is_err() {
-                            return;
-                        }
-                        serve_stream(&mut stream, &|p| core.handle_frame(p), shutdown);
-                    });
-                }
-                Err(err) if is_poll_timeout(&err) => {
-                    std::thread::sleep(POLL_TIMEOUT);
-                }
-                Err(_) => break,
-            }
-        }
-    });
+    accept_loop(
+        || listener.accept().map(|(stream, _addr)| stream),
+        |stream: &TcpStream| {
+            // Answers are one-frame writes on a request/reply cadence;
+            // Nagle only adds latency here.
+            let _ = stream.set_nodelay(true);
+            stream.set_read_timeout(Some(POLL_TIMEOUT))
+        },
+        core,
+        shutdown,
+    );
     Ok(())
 }
 
@@ -426,13 +415,37 @@ where
     M: ParametricCostModel + ?Sized + Sync,
 {
     listener.set_nonblocking(true)?;
+    accept_loop(
+        || listener.accept().map(|(stream, _addr)| stream),
+        |stream: &UnixStream| stream.set_read_timeout(Some(POLL_TIMEOUT)),
+        core,
+        shutdown,
+    );
+    Ok(())
+}
+
+/// The accept loop behind [`serve_tcp`] and [`serve_unix`]: polls the
+/// non-blocking `accept` until `shutdown` is raised, and serves each
+/// connection on its own scoped thread after `configure` prepares it (a
+/// stream that cannot be configured is dropped).
+fn accept_loop<T, S, M>(
+    accept: impl Fn() -> io::Result<T>,
+    configure: fn(&T) -> io::Result<()>,
+    core: &ShardServerCore<'_, '_, S, M>,
+    shutdown: &AtomicBool,
+) where
+    T: io::Read + io::Write + Send,
+    S: MpqSpace + Sync,
+    S::Cost: Send + Sync,
+    S::Region: Send + Sync,
+    M: ParametricCostModel + ?Sized + Sync,
+{
     std::thread::scope(|scope| {
         while !shutdown.load(Ordering::Relaxed) {
-            match listener.accept() {
-                Ok((stream, _addr)) => {
+            match accept() {
+                Ok(mut stream) => {
                     scope.spawn(move || {
-                        let mut stream = stream;
-                        if stream.set_read_timeout(Some(POLL_TIMEOUT)).is_err() {
+                        if configure(&stream).is_err() {
                             return;
                         }
                         serve_stream(&mut stream, &|p| core.handle_frame(p), shutdown);
@@ -445,5 +458,4 @@ where
             }
         }
     });
-    Ok(())
 }

@@ -1756,6 +1756,42 @@ mod tests {
         );
     }
 
+    /// Non-finite table statistics never come back `Ok`: validation rejects
+    /// them inside `optimize`, so the query resolves `Panicked` while its
+    /// healthy batch-mate still completes.
+    #[test]
+    fn non_finite_statistics_resolve_panicked() {
+        let model = CloudCostModel::default();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let queries = workload(3, 2, 0.0, 7);
+            let mut rows = queries[0].clone();
+            rows.tables[0].rows = bad;
+            let mut row_bytes = queries[0].clone();
+            row_bytes.tables[1].row_bytes = bad;
+            let shard_sessions = sessions(&model, 1, None);
+            let config = ServiceConfig::new(BatchPolicy::new(100, Duration::from_secs(3600)))
+                .with_clock(VirtualClock::new().clock());
+            let (tickets, stats) = serve(&shard_sessions, config, |handle| {
+                [rows, queries[1].clone(), row_bytes]
+                    .into_iter()
+                    .map(|q| handle.submit(q))
+                    .collect::<Vec<_>>()
+            });
+            let responses: Vec<_> = tickets.into_iter().map(|t| t.wait()).collect();
+            for i in [0, 2] {
+                match &responses[i].outcome {
+                    QueryOutcome::Panicked { message } => assert!(
+                        message.contains("invalid query"),
+                        "statistic {bad}: unexpected panic {message}"
+                    ),
+                    other => panic!("statistic {bad}: query {i} got {:?}", other.kind()),
+                }
+            }
+            assert_eq!(responses[1].kind(), OutcomeKind::Ok);
+            assert_eq!((stats.completed, stats.quarantined), (1, 2));
+        }
+    }
+
     /// Bisection attributes panics exactly: with 1 poison (then 2) in a
     /// six-query batch, precisely the marked queries are quarantined.
     #[test]
