@@ -58,7 +58,10 @@ use crate::OptimizerConfig;
 use mpq_catalog::Query;
 use mpq_cloud::model::ParametricCostModel;
 use mpq_cloud::shape::combine_stable;
-use mpq_cost::{CacheStats, LiftedCostCache};
+use mpq_cost::CacheStats;
+/// The single-flight, optionally bounded cache behind the session's lift
+/// and subtree caches, re-exported for front ends built on a session.
+pub use mpq_cost::LiftedCostCache;
 use rayon::prelude::*;
 use std::sync::Arc;
 

@@ -45,10 +45,15 @@ pub(crate) fn subtract_from_nonempty(
     }
     let mut pieces = Vec::new();
     let mut prefix = base.clone();
+    prefix.halfspaces.reserve(minus.num_constraints());
     for h in minus.halfspaces() {
-        let piece = prefix.with(h.complement());
-        if !piece.is_empty_with_fastpath(ctx, &[], FastPathSite::Coverage) {
-            pieces.push(piece);
+        // Test `prefix ∩ ¬h` in place (the same rows in the same order as
+        // the materialised piece) and build the piece only when it stays:
+        // most pieces of a coverage subtraction are empty.
+        let comp = h.complement();
+        if !prefix.is_empty_with_fastpath(ctx, std::slice::from_ref(&comp), FastPathSite::Coverage)
+        {
+            pieces.push(prefix.with(comp));
         }
         prefix.push(h.clone());
     }
@@ -76,7 +81,7 @@ pub const WITNESS_MARGIN: f64 = 1e-6;
 /// Chebyshev verdict**: the margin-certified witness extraction of
 /// `worklist_witness` is a pure function of the piece polytope, so a
 /// piece that survives a resumed coverage check unchanged (the miss fast
-/// path of `subtract_cutout_from_worklist` clones it verbatim) keeps
+/// path of `subtract_cutout_from_worklist` moves it verbatim) keeps
 /// its verdict and never re-runs the `chebyshev_center` LP. Caching
 /// changes only the LP *count* — verdicts, witnesses and therefore
 /// retained plans are bit-identical to recomputation.
@@ -106,10 +111,11 @@ impl CoveragePiece {
 /// [`difference_remainder`] **and** the region engine's incremental
 /// coverage check, which resumes a cached worklist and must issue
 /// bit-identical queries to a from-scratch run (keep this the single
-/// copy of the loop body).
+/// copy of the loop body). Takes the worklist by value so survivors move
+/// into the next one.
 pub(crate) fn subtract_cutout_from_worklist(
     ctx: &LpCtx,
-    remaining: &[CoveragePiece],
+    remaining: Vec<CoveragePiece>,
     cutout: &Polytope,
 ) -> Vec<CoveragePiece> {
     let mut next = Vec::with_capacity(remaining.len());
@@ -120,7 +126,7 @@ pub(crate) fn subtract_cutout_from_worklist(
             .poly
             .is_empty_with_fastpath(ctx, cutout.halfspaces(), FastPathSite::Coverage)
         {
-            next.push(piece.clone());
+            next.push(piece);
         } else {
             // Worklist pieces are non-empty by construction (the check
             // that kept them), so the subtraction skips the duplicate
@@ -213,7 +219,7 @@ fn difference_remainder(ctx: &LpCtx, base: &Polytope, cutouts: &[Polytope]) -> V
         if cutout.is_trivially_empty() {
             continue;
         }
-        remaining = subtract_cutout_from_worklist(ctx, &remaining, cutout);
+        remaining = subtract_cutout_from_worklist(ctx, remaining, cutout);
     }
     remaining
 }
@@ -365,9 +371,9 @@ mod tests {
             "both pieces counted as coverage hits"
         );
         // A piece surviving a disjoint-cutout subtraction keeps its
-        // cached verdict (the miss fast path clones it verbatim).
+        // cached verdict (the miss fast path moves it verbatim).
         let disjoint = Polytope::from_box(&[0.9], &[1.0]);
-        let mut survived = subtract_cutout_from_worklist(&ctx, &worklist, &disjoint);
+        let mut survived = subtract_cutout_from_worklist(&ctx, worklist, &disjoint);
         let before = ctx.solved();
         let w3 = worklist_witness(&ctx, &mut survived).expect("pieces survived");
         assert_eq!(ctx.solved() - before, 0, "survivors reuse cached verdicts");

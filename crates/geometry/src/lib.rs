@@ -74,19 +74,22 @@ pub(crate) const WELL_CONDITIONED_MIN_DET: f64 = 1e-2;
 /// redundancy-check tail.
 pub(crate) const LP_AGREEMENT_MARGIN: f64 = 3e-8;
 
+/// True iff the 2-D normals `a` and `b` are well-conditioned in the sense
+/// of [`WELL_CONDITIONED_MIN_DET`].
+#[inline]
+pub(crate) fn normals_well_conditioned_2d(a: &[f64], b: &[f64]) -> bool {
+    let det = a[0] * b[1] - a[1] * b[0];
+    !(det != 0.0 && det.abs() < WELL_CONDITIONED_MIN_DET)
+}
+
 /// True iff every pair of the given 2-D rows is well-conditioned in the
 /// sense of [`WELL_CONDITIONED_MIN_DET`].
 pub(crate) fn rows_well_conditioned_2d(rows: &[&Halfspace]) -> bool {
-    for (i, a) in rows.iter().enumerate() {
-        for b in &rows[i + 1..] {
-            let (na, nb) = (a.normal(), b.normal());
-            let det = na[0] * nb[1] - na[1] * nb[0];
-            if det != 0.0 && det.abs() < WELL_CONDITIONED_MIN_DET {
-                return false;
-            }
-        }
-    }
-    true
+    rows.iter().enumerate().all(|(i, a)| {
+        rows[i + 1..]
+            .iter()
+            .all(|b| normals_well_conditioned_2d(a.normal(), b.normal()))
+    })
 }
 
 /// Minimum interior (Chebyshev) radius for a polytope to count as

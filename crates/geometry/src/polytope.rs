@@ -108,6 +108,70 @@ fn quick_redundant_2d(kept: &[Halfspace], i: usize) -> Option<bool> {
     }
 }
 
+/// A 2-D row `a · x ≤ b` stored as `[a₀, a₁, b]`.
+type Row2 = [f64; 3];
+
+/// `b − a · x` of a compact row: the same arithmetic as
+/// [`Halfspace::slack`], so verdicts match the slice form.
+#[inline]
+fn slack2(r: &Row2, x: [f64; 2]) -> f64 {
+    r[2] - (r[0] * x[0] + r[1] * x[1])
+}
+
+/// Vertex capacity of [`clipped_vertex_centroid`]'s polygon buffers: each
+/// clip of a convex polygon adds at most one vertex, so the box plus 12
+/// rows needs 16; round-off that splits a near-degenerate edge gives up.
+const CLIP_MAX_VERTICES: usize = 24;
+
+/// Vertex centroid of the box `[lo, hi]` clipped by `rows`
+/// (Sutherland–Hodgman, one row at a time). `None` when fewer than three
+/// vertices survive or the buffer would overflow. The centroid is only a
+/// candidate point: callers certify it by its slack on every row.
+fn clipped_vertex_centroid(lo: [f64; 2], hi: [f64; 2], rows: &[Row2]) -> Option<[f64; 2]> {
+    let mut poly = [[0.0; 2]; CLIP_MAX_VERTICES];
+    let mut next = [[0.0; 2]; CLIP_MAX_VERTICES];
+    poly[..4].copy_from_slice(&[
+        [lo[0], lo[1]],
+        [hi[0], lo[1]],
+        [hi[0], hi[1]],
+        [lo[0], hi[1]],
+    ]);
+    let mut len = 4;
+    for r in rows {
+        let mut out = 0;
+        let mut push = |p: [f64; 2]| {
+            if out == CLIP_MAX_VERTICES {
+                return false;
+            }
+            next[out] = p;
+            out += 1;
+            true
+        };
+        for i in 0..len {
+            let (p, q) = (poly[i], poly[(i + 1) % len]);
+            let (sp, sq) = (slack2(r, p), slack2(r, q));
+            if sp >= 0.0 && !push(p) {
+                return None;
+            }
+            if (sp >= 0.0) != (sq >= 0.0) {
+                let t = sp / (sp - sq);
+                if !push([p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])]) {
+                    return None;
+                }
+            }
+        }
+        if out < 3 {
+            return None;
+        }
+        std::mem::swap(&mut poly, &mut next);
+        len = out;
+    }
+    let (sx, sy) = poly[..len]
+        .iter()
+        .fold((0.0, 0.0), |(x, y), p| (x + p[0], y + p[1]));
+    Some([sx / len as f64, sy / len as f64])
+}
+
 /// Solves the 3×3 system `m · x = b` by Gaussian elimination with partial
 /// pivoting; `None` when (numerically) singular.
 #[inline]
@@ -220,11 +284,15 @@ impl Polytope {
     }
 
     /// The two-dimensional arm of [`Polytope::quick_is_empty_with`],
-    /// answering `self ∩ extra` interior-emptiness queries exactly:
+    /// answering `self ∩ extra` interior-emptiness queries exactly, in
+    /// stages of rising cost:
     ///
-    /// 1. constraints are deduplicated syntactically — aligned piece
+    /// 1. five interior probes of the exact axis-aligned bounding box: a
+    ///    probe whose slack clears `INTERIOR_TOL + FASTPATH_MARGIN` on
+    ///    every row certifies "non-empty" in O(k);
+    /// 2. constraints are deduplicated syntactically — aligned piece
     ///    regions share most rows, so the effective row count is small;
-    /// 2. any pair of rows with **exactly negated** unit normals bounds
+    /// 3. any pair of rows with **exactly negated** unit normals bounds
     ///    the inscribed radius by half the slab width. Grid-aligned
     ///    geometry produces such pairs for every cell boundary and every
     ///    Kuhn diagonal (the two triangle orientations of a cell state the
@@ -232,7 +300,11 @@ impl Polytope {
     ///    splits cut with a halfspace and its exact complement — so
     ///    adjacent and identical-boundary regions (width ≤ 0) resolve
     ///    for free with a tight exact-arithmetic margin;
-    /// 3. otherwise the exact Chebyshev radius is enumerated: the optimum
+    /// 4. the bounding box is clipped by the deduplicated rows in O(k·v)
+    ///    and the clipped polygon's vertex centroid is tested like a
+    ///    probe — the same exact "non-empty" certificate, which settles
+    ///    almost every non-empty query the box probes miss;
+    /// 5. otherwise the exact Chebyshev radius is enumerated: the optimum
     ///    of `max t  s.t.  aᵢ·x + t ≤ bᵢ, t ≤ 1` (the LP behind
     ///    [`Polytope::is_empty_with`]) is attained where three constraints
     ///    are active, so all O(k³) triples are solved and the best
@@ -248,6 +320,17 @@ impl Polytope {
     /// band, are left to the LP (`None`).
     fn quick_is_empty_2d(&self, extra: &[Halfspace], empty_margin: f64) -> Option<bool> {
         debug_assert_eq!(self.dim(), 2);
+        // Every stage reads the rows as compact `[a₀, a₁, b]` copies: one
+        // pass up front, then tight loops without slice indirection.
+        let all: SmallVec<[Row2; 32]> = self
+            .halfspaces
+            .iter()
+            .chain(extra)
+            .map(|h| {
+                let a = h.normal();
+                [a[0], a[1], h.offset()]
+            })
+            .collect();
         // Cheap first pass over the raw (undeduplicated — duplicates do
         // not change slack minima or bounds) rows: exact axis bounds, and
         // bounding-box interior probes. Normals are unit vectors, so
@@ -257,13 +340,12 @@ impl Polytope {
         // genuinely overlapping aligned regions, answered in O(k).
         let mut lo = [f64::NEG_INFINITY; 2];
         let mut hi = [f64::INFINITY; 2];
-        for r in self.halfspaces.iter().chain(extra) {
-            let n = r.normal();
+        for r in &all {
             for axis in 0..2 {
-                if n[axis] == 1.0 && n[1 - axis] == 0.0 {
-                    hi[axis] = hi[axis].min(r.offset());
-                } else if n[axis] == -1.0 && n[1 - axis] == 0.0 {
-                    lo[axis] = lo[axis].max(-r.offset());
+                if r[axis] == 1.0 && r[1 - axis] == 0.0 {
+                    hi[axis] = hi[axis].min(r[2]);
+                } else if r[axis] == -1.0 && r[1 - axis] == 0.0 {
+                    lo[axis] = lo[axis].max(-r[2]);
                 }
             }
         }
@@ -283,33 +365,29 @@ impl Polytope {
                 [c[0] + q[0], c[1] - q[1]],
                 [c[0] + q[0], c[1] + q[1]],
             ] {
-                for h in self.halfspaces.iter().chain(extra) {
-                    if h.slack(&probe) <= bar {
-                        continue 'probe;
-                    }
+                if all.iter().any(|r| slack2(r, probe) <= bar) {
+                    continue 'probe;
                 }
                 return Some(false);
             }
         }
         // The heavier exact machinery works on deduplicated rows (aligned
         // piece regions share most rows, so the effective count is small).
-        let mut rows: SmallVec<[&Halfspace; 16]> = SmallVec::new();
-        for h in self.halfspaces.iter().chain(extra) {
-            if !rows
-                .iter()
-                .any(|r| r.offset() == h.offset() && r.normal() == h.normal())
-            {
+        let mut rows: SmallVec<[Row2; 16]> = SmallVec::new();
+        for h in &all {
+            if !rows.iter().any(|r| r == h) {
                 if rows.len() == QUICK2D_MAX_ROWS {
                     return None;
                 }
-                rows.push(h);
+                rows.push(*h);
             }
         }
         // Opposite-normal slab test (exact): aᵢ = −aⱼ forces
         // 2t ≤ bᵢ + bⱼ in the Chebyshev LP. Near-opposite pairs give the
         // weaker sound bound 2t ≤ bᵢ + bⱼ + ‖aᵢ + aⱼ‖·‖x‖ (via
         // Cauchy–Schwarz over the bounding box) — too loose for verdicts,
-        // but enough to prove a triple scan pointless.
+        // but enough to prove a triple scan pointless. The same pass
+        // checks each pair's conditioning.
         let diag = if is_bounded {
             ((hi[0] - lo[0]).powi(2) + (hi[1] - lo[1]).powi(2)).sqrt()
                 + lo[0].abs().max(hi[0].abs())
@@ -319,15 +397,16 @@ impl Polytope {
         };
         let mut slab_cap = f64::INFINITY;
         let mut radius_cap = f64::INFINITY;
+        let mut wc = true;
         for (i, a) in rows.iter().enumerate() {
             for b in &rows[i + 1..] {
-                let (na, nb) = (a.normal(), b.normal());
-                if na[0] == -nb[0] && na[1] == -nb[1] {
-                    slab_cap = slab_cap.min((a.offset() + b.offset()) / 2.0);
-                } else if na[0] * nb[0] + na[1] * nb[1] < -0.9 && diag.is_finite() {
-                    let sum_norm = ((na[0] + nb[0]).powi(2) + (na[1] + nb[1]).powi(2)).sqrt();
-                    radius_cap = radius_cap.min((a.offset() + b.offset() + sum_norm * diag) / 2.0);
+                if a[0] == -b[0] && a[1] == -b[1] {
+                    slab_cap = slab_cap.min((a[2] + b[2]) / 2.0);
+                } else if a[0] * b[0] + a[1] * b[1] < -0.9 && diag.is_finite() {
+                    let sum_norm = ((a[0] + b[0]).powi(2) + (a[1] + b[1]).powi(2)).sqrt();
+                    radius_cap = radius_cap.min((a[2] + b[2] + sum_norm * diag) / 2.0);
                 }
+                wc &= crate::normals_well_conditioned_2d(&a[..2], &b[..2]);
             }
         }
         radius_cap = radius_cap.min(slab_cap);
@@ -338,7 +417,6 @@ impl Polytope {
         // ill-conditioned rows the LP has been observed to report radii
         // ~5e-6 on exactly-empty slivers; those verdicts are pinned
         // trajectory and keep the LP (an infinite effective margin).
-        let wc = crate::rows_well_conditioned_2d(&rows);
         let eff_empty = if empty_margin <= 1e-9 {
             empty_margin
         } else if wc {
@@ -369,6 +447,18 @@ impl Polytope {
         if n > 12 || (eff_empty.is_infinite() && radius_cap <= nonempty_bar) {
             return None;
         }
+        // Clipped-centroid certificate: the vertex centroid of the clipped
+        // polygon sits inside it, usually well away from every edge, so a
+        // centroid slack clearing the probe bar proves an inscribed ball
+        // in O(k·v) — the verdict the triple scan below would reach in
+        // O(k³) for almost every non-empty region.
+        if is_bounded {
+            if let Some(c) = clipped_vertex_centroid(lo, hi, &rows) {
+                if rows.iter().all(|r| slack2(r, c) > bar) {
+                    return Some(false);
+                }
+            }
+        }
         let mut best: Option<f64> = None;
         // Set when a triple was skipped as near-singular without being
         // exactly parallel: the enumerated maximum may then miss the true
@@ -379,8 +469,8 @@ impl Polytope {
             if i == n {
                 ([0.0, 0.0, 1.0], 1.0)
             } else {
-                let a = rows[i].normal();
-                ([a[0], a[1], 1.0], rows[i].offset())
+                let r = rows[i];
+                ([r[0], r[1], 1.0], r[2])
             }
         };
         for i in 0..=n {
@@ -408,10 +498,9 @@ impl Polytope {
                         continue;
                     }
                     let feasible = t <= 1.0 + QUICK2D_FEAS_EPS
-                        && rows.iter().all(|r| {
-                            let a = r.normal();
-                            r.offset() - (a[0] * x0 + a[1] * x1) - t >= -QUICK2D_FEAS_EPS
-                        });
+                        && rows
+                            .iter()
+                            .all(|r| slack2(r, [x0, x1]) - t >= -QUICK2D_FEAS_EPS);
                     if feasible {
                         // A feasible candidate with a decisively large
                         // radius certifies an inscribed ball regardless of

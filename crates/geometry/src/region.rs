@@ -996,7 +996,7 @@ impl RegionEngine {
                         poly.push(h.clone());
                     }
                     remaining =
-                        crate::difference::subtract_cutout_from_worklist(ctx, &remaining, &poly);
+                        crate::difference::subtract_cutout_from_worklist(ctx, remaining, &poly);
                 }
                 if remaining.is_empty() {
                     true

@@ -1,5 +1,7 @@
 //! Differential tests of the region engine's 2-D vertex enumeration
-//! ([`RegionEngine::region_max_bounds`]) against the LP answer.
+//! ([`RegionEngine::region_max_bounds`]) and of the 2-D emptiness fast
+//! path ([`Polytope::quick_is_empty_with`],
+//! [`Polytope::is_empty_with_fastpath`]) against the LP answer.
 //!
 //! The enumeration returns two-sided bounds on `max w·x` over
 //! `base ∩ extra`:
@@ -17,7 +19,7 @@
 //! produces.
 
 use mpq_geometry::{Halfspace, Polytope, RegionBase, RegionEngine};
-use mpq_lp::{LpCtx, LpOutcome};
+use mpq_lp::{FastPathSite, LpCtx, LpOutcome};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -145,8 +147,76 @@ fn check_bounds_against_lp(
     Ok(())
 }
 
+/// Every verdict the 2-D emptiness fast path gives — the tight
+/// [`Polytope::quick_is_empty_with`] and the coverage site's
+/// [`Polytope::is_empty_with_fastpath`] — must match the Chebyshev LP
+/// ([`Polytope::is_empty_with`]). Queries the fast path leaves to the LP
+/// have nothing to compare.
+fn check_emptiness_against_lp(base: &Polytope, extras: &[Halfspace]) -> Result<(), TestCaseError> {
+    let lp = base.is_empty_with(&LpCtx::new(), extras);
+    if let Some(quick) = base.quick_is_empty_with(extras) {
+        prop_assert_eq!(
+            quick,
+            lp,
+            "quick_is_empty_with disagrees with the LP (extras {:?})",
+            extras
+        );
+    }
+    let ctx = LpCtx::new();
+    let fast_before = ctx.fastpath_breakdown().fast[FastPathSite::Coverage as usize];
+    let verdict = base.is_empty_with_fastpath(&ctx, extras, FastPathSite::Coverage);
+    if ctx.fastpath_breakdown().fast[FastPathSite::Coverage as usize] > fast_before {
+        prop_assert_eq!(
+            verdict,
+            lp,
+            "coverage fast path disagrees with the LP (extras {:?})",
+            extras
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
+
+    #[test]
+    fn emptiness_fast_path_agrees_with_lp(
+        use_triangle in 0usize..2,
+        sliver in 0usize..3,
+        width_k in 0usize..8,
+        sliver_x in 0.05..0.95f64,
+        dir in -1.0..1.0f64,
+        extras in prop::collection::vec(extra_halfspace(), 0..8),
+    ) {
+        let base = if use_triangle == 1 {
+            triangle_base()
+        } else {
+            square_base()
+        };
+        // Thin shapes around the INTERIOR_TOL decision band, where the
+        // stages differ: zero width is the sliver of two aligned,
+        // adjacent regions.
+        let width = [0.0, 1e-8, 1e-7, 1.5e-7, 3e-7, 1e-6, 1e-3, 2e-2][width_k];
+        let mut all = Vec::new();
+        match sliver {
+            // A slab of exactly opposite rows along a random direction.
+            1 => {
+                let a = [dir, 1.0 - dir.abs()];
+                let c = a[0] * sliver_x + a[1] * 0.5;
+                all.push(Halfspace::proper(a.to_vec(), c + width));
+                all.push(Halfspace::proper(vec![-a[0], -a[1]], -c));
+            }
+            // A thin wedge `x + s·y ≤ X ≤ x + width`: crossing rows, no
+            // exactly opposite pair.
+            2 => {
+                all.push(Halfspace::proper(vec![1.0, 0.0], sliver_x + width));
+                all.push(Halfspace::proper(vec![-1.0, dir.abs() * 1e-3], -sliver_x));
+            }
+            _ => {}
+        }
+        all.extend(extras);
+        check_emptiness_against_lp(base.polytope(), &all)?;
+    }
 
     #[test]
     fn vertex_enumeration_bounds_agree_with_lp(

@@ -55,7 +55,7 @@ pub mod wire;
 
 pub use chaos::{ChaosConn, ChaosCounters, InProcConn};
 pub use router::{NetError, NetResponse, NetTime, RetryPolicy, ShardConn, ShardRouter, StreamConn};
-pub use server::{serve_tcp, serve_unix, ServerCounters, ShardServerCore};
+pub use server::{serve_tcp, serve_unix, ServerCounters, ShardServerCore, DEDUP_CAPACITY};
 pub use wire::{
     decode_message, encode_message, read_frame, write_frame, Message, PlanSummary, WireError,
     WireOutcome, WireRequest, WireResponse, MAX_FRAME_LEN, WIRE_VERSION,

@@ -18,6 +18,15 @@
 //! requests byte-indistinguishable from first tries (modulo the `dedup`
 //! flag, which exists precisely so tests can assert the replay happened).
 //!
+//! The idempotency cache is **single-flight and bounded**, with no global
+//! lock: it is the workspace's [`LiftedCostCache`], which reserves a
+//! digest's slot under its ring lock and runs the optimize outside it.
+//! Requests for distinct digests optimize concurrently; a replay racing
+//! an in-flight digest waits for that one optimize and replays it. At
+//! most [`DEDUP_CAPACITY`] answers stay resident (second-chance
+//! eviction), so a long-lived server's memory does not grow with its
+//! traffic.
+//!
 //! A request that panics inside the optimizer is caught
 //! ([`std::panic::catch_unwind`]) and answered
 //! [`WireOutcome::Panicked`]; the panic outcome is cached like any other,
@@ -26,24 +35,29 @@
 //! router treats as retryable transport damage. The connection never
 //! hangs and never dies of one bad request.
 
-use std::collections::HashMap;
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use mpq_cloud::model::ParametricCostModel;
-use mpq_core::session::OptimizerSession;
+use mpq_core::session::{LiftedCostCache, OptimizerSession};
 use mpq_core::space::MpqSpace;
-use mpq_obs::{CacheCounters, Counter, Obs};
+use mpq_obs::{Counter, Obs};
 
 use crate::wire::{
     decode_message, encode_message, peek_request, write_frame, Message, PlanSummary,
     WireMetricsResponse, WireOutcome, WireProtocolError, WireResponse,
 };
+
+/// Entry bound of a server's idempotency cache. Retries and duplicates
+/// of a request arrive within one router attempt timeout, which at a
+/// shard's request rate is far fewer requests than this, so an evicted
+/// digest is one no router will replay; and if one ever is, the
+/// re-optimized answer is bit-identical (only `dedup` differs).
+pub const DEDUP_CAPACITY: usize = 4096;
 
 /// Monotone counters a shard server keeps about its own traffic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -75,17 +89,10 @@ pub struct ShardServerCore<'a, 'm, S: MpqSpace, M: ParametricCostModel + ?Sized>
     /// `Some(ε)` serves every request through `optimize_at(ε)` and stamps
     /// the response's `served_epsilon`; `None` serves exact.
     epsilon: Option<f64>,
-    /// digest → first answer. A `Mutex<HashMap>` (not a fancier map)
-    /// because correctness here is subtle enough already: the lock makes
-    /// "first optimize wins, everyone replays it" trivially true even
-    /// when connections race on the same digest.
-    dedup: Mutex<HashMap<u64, (WireOutcome, Option<f64>)>>,
-    /// Hit/miss counters of the idempotency cache — the same
-    /// [`CacheCounters`] cells that back `mpq-cost`'s lift and subtree
-    /// caches, so one stats type describes every cache in the system.
-    /// With observability on these are the registry's `server_dedup`
-    /// cells; [`Self::counters`] reads them either way.
-    dedup_counters: Arc<CacheCounters>,
+    /// digest → first answer: single-flight (one optimize per resident
+    /// digest, racing replays wait on it) and bounded to
+    /// [`DEDUP_CAPACITY`]. Its counters register as `server_dedup`.
+    dedup: LiftedCostCache<u64, (WireOutcome, Option<f64>)>,
     obs: Obs,
     handled: Counter,
     protocol_errors: Counter,
@@ -107,8 +114,7 @@ where
             shard,
             probes,
             epsilon: None,
-            dedup: Mutex::new(HashMap::new()),
-            dedup_counters: Arc::new(CacheCounters::new()),
+            dedup: LiftedCostCache::with_capacity(Some(DEDUP_CAPACITY)),
             obs: Obs::off(),
             handled: Counter::new(),
             protocol_errors: Counter::new(),
@@ -116,20 +122,20 @@ where
         }
     }
 
-    /// Attaches an observability handle: the traffic counters and the
-    /// dedup cache re-home onto the handle's registry (`server_handled`,
-    /// `server_protocol_errors`, `server_panicked`, `server_dedup`, plus
-    /// the session's caches under `server_`), every request emits a
-    /// `server_request` span stamped with the wire `trace_id`, and
-    /// [`Message::MetricsRequest`] frames are answered from the
-    /// registry. Call before serving — re-homing does not migrate counts
-    /// already accumulated.
+    /// Attaches an observability handle: the traffic counters re-home onto
+    /// the handle's registry (`server_handled`, `server_protocol_errors`,
+    /// `server_panicked`), the dedup cache and the session's caches
+    /// register there (`server_dedup`, and the session's under
+    /// `server_`), every request emits a `server_request` span stamped
+    /// with the wire `trace_id`, and [`Message::MetricsRequest`] frames
+    /// are answered from the registry. Call before serving — re-homing
+    /// does not migrate traffic counts already accumulated.
     pub fn with_obs(mut self, obs: Obs) -> Self {
         if let Some(registry) = obs.registry() {
             self.handled = registry.counter("server_handled");
             self.protocol_errors = registry.counter("server_protocol_errors");
             self.panicked = registry.counter("server_panicked");
-            self.dedup_counters = registry.cache("server_dedup");
+            registry.register_cache("server_dedup", self.dedup.counters());
             self.session.register_obs(registry, "server_");
         }
         self.obs = obs;
@@ -155,7 +161,7 @@ where
     pub fn counters(&self) -> ServerCounters {
         ServerCounters {
             handled: self.handled.get(),
-            dedup_hits: self.dedup_counters.hits(),
+            dedup_hits: self.dedup.stats().hits,
             protocol_errors: self.protocol_errors.get(),
             panicked: self.panicked.get(),
         }
@@ -210,27 +216,17 @@ where
         span.record("shard", u64::from(self.shard));
         span.record("attempt", u64::from(request.attempt));
 
-        // Idempotency: hold the digest's cache entry across the whole
-        // optimize, so a racing replay of the same digest waits and
-        // replays rather than optimizing twice.
-        let (outcome, served_epsilon, dedup) = {
-            let mut cache = match self.dedup.lock() {
-                Ok(guard) => guard,
-                // A poisoned cache means a panic escaped `catch_unwind`
-                // below (it can't — but a lock API must answer). Serve
-                // the request uncached rather than refuse it.
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            if let Some((outcome, eps)) = cache.get(&request.digest) {
-                self.dedup_counters.hit();
-                (outcome.clone(), *eps, true)
-            } else {
-                self.dedup_counters.miss();
-                let (outcome, eps) = self.optimize_once(&request.submitted.query);
-                cache.insert(request.digest, (outcome.clone(), eps));
-                (outcome, eps, false)
-            }
-        };
+        // Idempotency: the first request for a digest optimizes outside
+        // the cache lock; a racing replay of the same digest waits for
+        // that optimize and replays it. A replay is any call whose
+        // closure did not run.
+        let mut optimized = false;
+        let answer = self.dedup.get_or_lift(&request.digest, || {
+            optimized = true;
+            self.optimize_once(&request.submitted.query)
+        });
+        let dedup = !optimized;
+        let (outcome, served_epsilon) = (answer.0.clone(), answer.1);
         span.record("dedup", u64::from(dedup));
 
         encode_message(&Message::Response(WireResponse {
@@ -244,21 +240,21 @@ where
         }))
     }
 
+    /// Optimizes and summarizes one query. Never unwinds: it runs inside
+    /// the dedup cache's once-cell, where an unwind would poison the
+    /// digest for every later replay, so the summary is taken inside the
+    /// `catch_unwind` too.
     fn optimize_once(&self, query: &mpq_catalog::Query) -> (WireOutcome, Option<f64>) {
         let epsilon = self.epsilon;
-        let result = catch_unwind(AssertUnwindSafe(|| match epsilon {
-            Some(eps) => self.session.optimize_at(query, eps),
-            None => self.session.optimize(query),
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            let solution = match epsilon {
+                Some(eps) => self.session.optimize_at(query, eps),
+                None => self.session.optimize(query),
+            };
+            PlanSummary::of(self.session.space(), &solution, &self.probes)
         }));
         match result {
-            Ok(solution) => (
-                WireOutcome::Ok(PlanSummary::of(
-                    self.session.space(),
-                    &solution,
-                    &self.probes,
-                )),
-                epsilon,
-            ),
+            Ok(summary) => (WireOutcome::Ok(summary), epsilon),
             Err(payload) => {
                 self.panicked.inc();
                 let message = if let Some(s) = payload.downcast_ref::<&str>() {

@@ -18,9 +18,9 @@
 //! * nested parallel calls run sequentially on the executing worker (real
 //!   rayon would steal; sequential nesting is the deterministic subset).
 //!
-//! Thread counts honour `RAYON_NUM_THREADS`, then
-//! [`ThreadPoolBuilder::num_threads`] via [`ThreadPool::install`], then
-//! the machine's parallelism. The global pool grows on demand to the
+//! Thread counts honour [`ThreadPoolBuilder::num_threads`] via
+//! [`ThreadPool::install`], then `RAYON_NUM_THREADS`, then the machine's
+//! parallelism; the last two are read once per process. The global pool grows on demand to the
 //! largest parallelism any call requests and its idle workers block on a
 //! condition variable (no spinning).
 
@@ -46,14 +46,22 @@ pub fn current_num_threads() -> usize {
     if let Some(n) = POOL_THREADS.with(|p| p.get()) {
         return n.max(1);
     }
-    if let Some(n) = std::env::var("RAYON_NUM_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-    {
-        return n;
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    default_num_threads()
+}
+
+/// The default thread count, resolved once per process like real rayon
+/// does at pool start: `RAYON_NUM_THREADS`, then the machine's
+/// parallelism. Re-reading both on every parallel call was measurable,
+/// since `available_parallelism` reads cgroup files each time.
+fn default_num_threads() -> usize {
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    *DEFAULT.get_or_init(|| {
+        std::env::var("RAYON_NUM_THREADS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    })
 }
 
 /// Builder mirroring `rayon::ThreadPoolBuilder`.
