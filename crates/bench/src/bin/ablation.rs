@@ -72,7 +72,11 @@ fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let seeds = if quick { 5 } else { 15 };
     let tables = if quick { 6 } else { 8 };
-    let threads = mpq_bench::harness::sweep_threads();
+    // The sweep width: `RAYON_NUM_THREADS`, else the machine's parallelism.
+    let threads = rayon::ThreadPoolBuilder::new()
+        .build()
+        .expect("default pool")
+        .current_num_threads();
 
     println!("# Ablation study — chain and star queries, {tables} tables, 1 parameter");
     println!("# medians over {seeds} random queries\n");

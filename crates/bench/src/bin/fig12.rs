@@ -45,7 +45,11 @@ fn main() {
     let max_override: Option<Vec<usize>> = std::env::var("MPQ_FIG12_MAX")
         .ok()
         .map(|v| v.split(',').filter_map(|s| s.trim().parse().ok()).collect());
-    let threads = mpq_bench::harness::sweep_threads();
+    // The sweep width: `RAYON_NUM_THREADS`, else the machine's parallelism.
+    let threads = rayon::ThreadPoolBuilder::new()
+        .build()
+        .expect("default pool")
+        .current_num_threads();
 
     println!("# Figure 12 reproduction — PWL-RRPA on random queries");
     println!(

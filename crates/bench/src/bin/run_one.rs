@@ -2,7 +2,7 @@
 //! configuration and print its counters plus the per-site LP breakdown —
 //! the quickest way to check one query before and after a change (plans
 //! must match seed for seed, as `mpqbench`'s pinned `fig12` counters do;
-//! `lps_solved` and the breakdown show where a change moved the LP
+//! `lps_solved_query` and the breakdown show where a change moved the LP
 //! tail). The run happens
 //! under a live wall-clock `Obs` handle, so the output also includes the
 //! per-DP-level span timings (wall, sets, plan/LP deltas) — where the
@@ -31,8 +31,7 @@ fn main() {
     let tables: usize = args[2].parse().unwrap();
     let params: usize = args[3].parse().unwrap();
     let seed: u64 = args[4].parse().unwrap();
-    let mut config = OptimizerConfig::default_for(params);
-    config.threads = Some(1);
+    let config = OptimizerConfig::default_for(params);
     let query = generate(
         &GeneratorConfig::paper(tables, topology, params),
         &mut StdRng::seed_from_u64(seed),
@@ -62,7 +61,7 @@ fn main() {
         seed,
         stats.elapsed.as_secs_f64() * 1e3,
         stats.plans_created,
-        stats.lps_solved,
+        stats.lps_solved_query,
         stats.final_plan_count
     );
     for site in FastPathSite::ALL {

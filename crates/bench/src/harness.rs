@@ -4,11 +4,9 @@
 //! `bench_rrpa` and `bench_service`. The repository's performance numbers
 //! come from the separate `mpqbench` package, not from this crate.
 //!
-//! Seed sweeps fan out over a rayon-style parallel iterator; every seed is
-//! an independent optimization, so records are bitwise identical for any
-//! thread count. [`sweep_threads`] resolves the worker count from the
-//! `RAYON_NUM_THREADS` environment variable, falling back to the
-//! machine's parallelism.
+//! Seed sweeps fan out over a rayon-style parallel iterator, one seed per
+//! thread; every seed is an independent single-threaded optimization, so
+//! records are bitwise identical for any sweep width.
 
 use mpq_catalog::generator::{generate, generate_workload, GeneratorConfig, WorkloadConfig};
 use mpq_catalog::graph::Topology;
@@ -40,7 +38,7 @@ pub struct RunRecord {
     pub time_ms: f64,
     /// Plans generated, including partial and pruned plans.
     pub plans_created: u64,
-    /// Linear programs solved.
+    /// Linear programs solved (`OptStats::lps_solved_query`).
     pub lps_solved: u64,
     /// Plans in the final Pareto plan set.
     pub final_plans: usize,
@@ -101,7 +99,7 @@ pub fn run_once_in(
     RunRecord {
         time_ms: solution_stats.elapsed.as_secs_f64() * 1e3,
         plans_created: solution_stats.plans_created,
-        lps_solved: solution_stats.lps_solved,
+        lps_solved: solution_stats.lps_solved_query,
         final_plans: solution_stats.final_plan_count,
         lp_breakdown,
     }
@@ -133,8 +131,7 @@ pub struct BatchRecord {
     /// Cost-lifting cache misses (= distinct operator cost shapes).
     pub cache_misses: u64,
     /// Median per-query LP count across the batch
-    /// (`OptStats::lps_solved_query`; exact for the single-threaded
-    /// batch measurements).
+    /// (`OptStats::lps_solved_query`).
     pub lps_query_median: f64,
 }
 
@@ -191,9 +188,6 @@ pub fn run_workload(
     session_cfg.cached = cached;
     let session = OptimizerSession::with_config(space, &model, session_cfg);
     let start = Instant::now();
-    // The per-batch delta accessor: self-describing (per-solution
-    // `stats.lps_solved` snapshots the session-cumulative counter, which
-    // only happens to equal the batch cost on a fresh session).
     let (solutions, batch_lps) = session.optimize_batch_counted(&queries);
     let time_ms = start.elapsed().as_secs_f64() * 1e3;
     let stats = session.cache_stats();
@@ -256,19 +250,6 @@ pub fn run_workload_mqo(
         subtree_hits: subtree.hits,
         subtree_evictions: subtree.evictions,
     }
-}
-
-/// Resolves the worker-thread count for seed sweeps: `RAYON_NUM_THREADS`
-/// when set, else the machine's available parallelism.
-pub fn sweep_threads() -> usize {
-    if let Some(n) = std::env::var("RAYON_NUM_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-    {
-        return n;
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Median of a float sample (empty samples yield NaN; NaN entries sort
@@ -444,8 +425,7 @@ pub struct ServiceRecord {
     /// Cache misses, summed over shards.
     pub cache_misses: u64,
     /// Median **per-query** LP count across the trace's responses
-    /// (`OptStats::lps_solved_query` — the per-run atomic, exact at
-    /// every thread count).
+    /// (`OptStats::lps_solved_query`).
     pub lps_query_median: f64,
     /// Subtree-frontier cache hits, summed over shards (zero when the
     /// shared-subplan cache is disabled).
@@ -966,11 +946,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_threads_resolution_order() {
-        assert!(sweep_threads() >= 1);
-    }
-
-    #[test]
     fn batch_run_matches_one_by_one_counters() {
         let config = OptimizerConfig::default_for(1);
         let spec = WorkloadSpec {
@@ -1019,8 +994,7 @@ mod tests {
     /// the exact run; ε = 0 is counter-identical to the exact path.
     #[test]
     fn approx_run_shrinks_frontier_and_zero_is_exact() {
-        let mut config = OptimizerConfig::default_for(2);
-        config.threads = Some(1);
+        let config = OptimizerConfig::default_for(2);
         let recs: Vec<ApproxRecord> = (0..2)
             .map(|s| run_approx_once(SpaceKind::Grid, 3, Topology::Chain, 2, s, &config, 0.1))
             .collect();

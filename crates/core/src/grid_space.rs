@@ -20,11 +20,11 @@
 //! checks free — lives in the shared
 //! [`mpq_geometry::region::RegionEngine`]; this space contributes one
 //! [`RegionBase`] per simplex (its polytope, vertices, and
-//! vertices-plus-centroid probe set) and the per-simplex fan-out.
+//! vertices-plus-centroid probe set) and the loop over simplices.
 //!
 //! The space is `Sync`: the LP context and the engine's emptiness counters
-//! are atomic, so one `GridSpace` can serve all worker threads of a
-//! parallel RRPA run.
+//! are atomic, so one `GridSpace` can serve every query of a session batch
+//! running on several threads at once.
 
 use crate::space::MpqSpace;
 use crate::OptimizerConfig;
@@ -32,14 +32,7 @@ use mpq_cost::{DominanceHalfspaces, GridCost};
 use mpq_geometry::grid::{GridError, ParamGrid};
 use mpq_geometry::{CutoutRegion, RegionBase, RegionEngine};
 use mpq_lp::LpCtx;
-use rayon::prelude::*;
 use std::sync::Arc;
-
-/// Minimum simplex count before [`GridSpace::subtract_dominated`] fans its
-/// per-simplex loop out across the worker pool; below it the per-item
-/// dispatch overhead outweighs the (often vertex-classified, LP-free)
-/// per-simplex work. 32 = the 2-parameter default grid (`4² · 2!`).
-const PAR_SUBTRACT_MIN_SIMPLICES: usize = 32;
 
 /// A relevance region factorised over grid simplices.
 #[derive(Debug, Clone)]
@@ -55,11 +48,6 @@ pub struct GridSpace {
     /// One base region per simplex, in simplex-id order.
     bases: Vec<RegionBase>,
     num_metrics: usize,
-    /// Whether [`MpqSpace::subtract_dominated`] may fan its per-simplex
-    /// loop out: `false` when the configuration forces sequential
-    /// execution (`threads == Some(1)`), preserving that contract even
-    /// on multi-core hosts.
-    par_subtract: bool,
 }
 
 impl GridSpace {
@@ -100,7 +88,6 @@ impl GridSpace {
             ),
             bases,
             num_metrics,
-            par_subtract: config.threads.is_none_or(|t| t > 1),
         }
     }
 
@@ -130,37 +117,6 @@ impl GridSpace {
     /// Emptiness checks executed / skipped via relevance points.
     pub fn emptiness_counters(&self) -> (u64, u64) {
         self.engine.emptiness_counters()
-    }
-
-    /// The per-simplex body of [`MpqSpace::subtract_dominated`]: classify
-    /// the dominance of `competitor` over `own` on simplex `s` and apply
-    /// it to that simplex's region state. Simplices are independent, so
-    /// the caller may run this serially or fanned out — the resulting
-    /// states and the *total* LP/emptiness counter increments are
-    /// identical either way.
-    fn subtract_in_simplex(
-        &self,
-        s: usize,
-        state: &mut CutoutRegion,
-        own: &GridCost,
-        competitor: &GridCost,
-        strict: bool,
-    ) -> bool {
-        if state.is_marked_empty() {
-            return false;
-        }
-        match competitor.dominance_halfspaces(own, s, strict) {
-            DominanceHalfspaces::Empty => false,
-            DominanceHalfspaces::Full => {
-                state.mark_empty();
-                true
-            }
-            DominanceHalfspaces::Split(halfspaces) => {
-                self.engine
-                    .add_cutout(&self.ctx, &self.bases[s], state, halfspaces, false);
-                true
-            }
-        }
     }
 }
 
@@ -198,18 +154,8 @@ impl MpqSpace for GridSpace {
         }
     }
 
-    /// Simplices are independent (cutouts are local, Theorem 2), so large
-    /// grids fan the loop out across the persistent worker pool: each
-    /// worker claims simplices and mutates disjoint region states in
-    /// place, and the per-simplex engine counter updates merge
-    /// deterministically — the LP and emptiness counters are *sums* of
-    /// per-simplex contributions, so their totals match the serial loop
-    /// for every thread count and schedule. Nested-parallelism guard:
-    /// inside an already-parallel DP level the rayon *shim* reports one
-    /// thread (its workers degrade nested calls to serial), keeping this
-    /// loop serial there; real rayon reports the pool width inside
-    /// workers, so swapping in the real crate should replace this guard
-    /// with an explicit in-worker signal to avoid oversubscription.
+    /// Cutouts are local to one simplex (Theorem 2), so the dominance
+    /// region is classified and applied simplex by simplex.
     fn subtract_dominated(
         &self,
         region: &mut GridRegion,
@@ -217,27 +163,23 @@ impl MpqSpace for GridSpace {
         competitor: &GridCost,
         strict: bool,
     ) -> bool {
-        let n = self.grid.num_simplices();
-        if self.par_subtract && n >= PAR_SUBTRACT_MIN_SIMPLICES && rayon::current_num_threads() > 1
-        {
-            // Nested fan-out: re-install the submitting scope's per-run
-            // LP attribution on every worker item, so solves claimed by
-            // other threads still charge the owning query exactly.
-            let attr = mpq_lp::current_attribution();
-            let changed: Vec<bool> = region
-                .per_simplex
-                .par_iter_mut()
-                .enumerate()
-                .map(|(s, state)| {
-                    let _attr = attr.clone().map(mpq_lp::attribute_solves);
-                    self.subtract_in_simplex(s, state, own, competitor, strict)
-                })
-                .collect();
-            return changed.into_iter().any(|c| c);
-        }
         let mut changed = false;
         for (s, state) in region.per_simplex.iter_mut().enumerate() {
-            changed |= self.subtract_in_simplex(s, state, own, competitor, strict);
+            if state.is_marked_empty() {
+                continue;
+            }
+            match competitor.dominance_halfspaces(own, s, strict) {
+                DominanceHalfspaces::Empty => {}
+                DominanceHalfspaces::Full => {
+                    state.mark_empty();
+                    changed = true;
+                }
+                DominanceHalfspaces::Split(halfspaces) => {
+                    self.engine
+                        .add_cutout(&self.ctx, &self.bases[s], state, halfspaces, false);
+                    changed = true;
+                }
+            }
         }
         changed
     }
@@ -462,53 +404,6 @@ mod tests {
         assert!(!space.region_is_empty(&mut rr));
         assert!(space.region_contains(&rr, &[0.1, 0.1]));
         assert!(!space.region_contains(&rr, &[0.9, 0.9]));
-    }
-
-    /// The fanned-out per-simplex subtraction must equal the serial loop:
-    /// identical membership, identical emptiness verdicts, identical LP
-    /// totals (the deterministic counter merge).
-    #[test]
-    fn parallel_subtract_matches_serial() {
-        let config = OptimizerConfig::default_for(2);
-        assert!(
-            GridSpace::for_unit_box(2, &config, 2)
-                .unwrap()
-                .grid()
-                .num_simplices()
-                >= super::PAR_SUBTRACT_MIN_SIMPLICES,
-            "test must exercise the parallel branch"
-        );
-        let script = |space: &GridSpace| {
-            let own = space.lift(&|x: &[f64]| vec![x[0] + x[1], 1.0]);
-            let c1 = space.lift(&|_x: &[f64]| vec![1.0, 1.0]);
-            let c2 = space.lift(&|x: &[f64]| vec![2.0 * x[0], 0.5 + x[1]]);
-            let mut rr = space.full_region();
-            let a = space.subtract_dominated(&mut rr, &own, &c1, false);
-            let b = space.subtract_dominated(&mut rr, &own, &c2, true);
-            let empty = space.region_is_empty(&mut rr);
-            (rr, a, b, empty)
-        };
-        let run = |threads: usize| {
-            let space = GridSpace::for_unit_box(2, &config, 2).unwrap();
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            let out = pool.install(|| script(&space));
-            let lps = space.lps_solved();
-            (space, out, lps)
-        };
-        let (s1, (r1, a1, b1, e1), lps1) = run(1);
-        let (s4, (r4, a4, b4, e4), lps4) = run(4);
-        assert_eq!((a1, b1, e1), (a4, b4, e4));
-        assert_eq!(lps1, lps4, "LP totals must merge deterministically");
-        for x in mpq_geometry::grid::lattice(&[0.0, 0.0], &[1.0, 1.0], 9) {
-            assert_eq!(
-                s1.region_contains(&r1, &x),
-                s4.region_contains(&r4, &x),
-                "membership diverged at {x:?}"
-            );
-        }
     }
 
     #[test]

@@ -40,9 +40,9 @@
 //!
 //! [`session::OptimizerSession`] optimizes *batches* of queries through
 //! shared state — one parameter grid, a cross-query cost-lifting cache
-//! keyed on canonical operator cost shapes, and a worker pool with a
-//! deterministic ordered merge. Batched results are bit-identical to
-//! one-by-one optimization.
+//! keyed on canonical operator cost shapes, and a batch fan-out that runs
+//! one query per thread and returns results in submission order. Batched
+//! results are bit-identical to one-by-one optimization.
 //!
 //! # Baselines
 //!
@@ -117,10 +117,12 @@ pub struct OptimizerConfig {
     /// Postpone Cartesian products (only join table sets connected by a
     /// join predicate), as in the paper's experiments and Postgres.
     pub postpone_cartesian: bool,
-    /// Worker threads for the per-level DP fan-out of [`rrpa::optimize`]:
-    /// `Some(1)` forces sequential execution, `None` uses the rayon
-    /// default (`RAYON_NUM_THREADS` or the machine's parallelism). The
-    /// result is identical for every value — only wall time changes.
+    /// Width of a [`session::OptimizerSession`]'s batch fan-out: how many
+    /// of a batch's queries run at once, one query per thread. `Some(1)`
+    /// runs a batch on the caller, `None` uses the rayon default
+    /// (`RAYON_NUM_THREADS` or the machine's parallelism). One query
+    /// always runs on one thread ([`rrpa::optimize`] ignores this field),
+    /// and results are identical for every value.
     pub threads: Option<usize>,
     /// Approximation factor of the ε-approximate frontier mode: during
     /// pruning a **new** plan's relevance region is reduced wherever a

@@ -12,16 +12,17 @@
 //!   cost shape, so queries sharing tables reuse each other's liftings
 //!   (the cross-query sharing idea of Kathuria & Sudarshan's multi-query
 //!   optimization, applied to MPQ's lifting step),
-//! * the **worker pool**: batches fan out across workers with a
-//!   deterministic ordered merge, exactly like the per-level DP fan-out
-//!   inside one query.
+//! * the **batch fan-out**: a batch's queries run concurrently, one query
+//!   per thread, up to [`OptimizerConfig::threads`] at a time, and come
+//!   back in submission order. Each query runs start to finish on one
+//!   thread (see [`crate::rrpa`]).
 //!
 //! # Determinism
 //!
 //! [`OptimizerSession::optimize_batch`] is **bit-identical to one-by-one
 //! optimization**: per-query `plans_created`/`final_plans` counters,
 //! retained cost functions and frontiers match a sequential
-//! [`optimize`](crate::rrpa::optimize) run for every seed, thread count
+//! [`optimize`](crate::rrpa::optimize) run for every seed, batch width
 //! and space backend (enforced by `tests/batch_proptest.rs`). Cached
 //! lifts are pure functions of their shape keys, results merge in
 //! submission order, and each query owns its own plan arena. Cache
@@ -84,7 +85,7 @@ pub type FaultHook = Arc<dyn Fn(&Query) + Send + Sync>;
 #[derive(Clone)]
 pub struct SessionConfig {
     /// Per-query optimizer configuration (grid resolution, refinements,
-    /// worker threads).
+    /// batch width).
     pub optimizer: OptimizerConfig,
     /// Enable the cross-query cost-lifting cache.
     pub cached: bool,
@@ -192,7 +193,7 @@ pub fn query_affinity<M: ParametricCostModel + ?Sized>(query: &Query, model: &M)
 }
 
 /// Shared state for optimizing a batch of queries: the space, the cost
-/// model, the cost-lifting cache and the worker pool. See the module docs.
+/// model, the caches and the batch fan-out width. See the module docs.
 pub struct OptimizerSession<'m, S: MpqSpace, M: ParametricCostModel + ?Sized> {
     space: S,
     model: &'m M,
@@ -300,14 +301,14 @@ where
             self.model,
             &self.space,
             config,
-            &self.pool,
             self.cache.as_ref(),
             self.subtree.as_ref(),
         )
     }
 
-    /// Optimizes a batch of queries, fanning the queries out across the
-    /// session's worker pool and merging results in submission order.
+    /// Optimizes a batch of queries, running up to
+    /// [`OptimizerConfig::threads`] of them at once (one query per thread)
+    /// and returning results in submission order.
     /// Per-query results are bit-identical to one-by-one optimization
     /// (see the module docs); each solution owns its own plan arena.
     ///
@@ -329,16 +330,11 @@ where
     }
 
     /// [`Self::optimize_batch`] plus the **per-batch LP delta**: the
-    /// number of LPs the space solved during exactly this batch.
-    ///
-    /// The per-solution `stats.lps_solved` snapshots the session's
-    /// *cumulative* space counter (documented caveat of the batch layer),
-    /// so "how many LPs did this batch cost" needs a delta around the
-    /// batch — which this accessor takes, making consumers (the bench
-    /// smoke checks, service rows) self-describing. Exact as long as no
-    /// other batch runs concurrently on the *same session* (a sharded
-    /// service runs one batch at a time per shard); per-query exact
-    /// attribution is [`crate::stats::OptStats::lps_solved_query`].
+    /// number of LPs the space solved during exactly this batch. Exact as
+    /// long as no other batch runs concurrently on the *same session* (a
+    /// sharded service runs one batch at a time per shard); each query's
+    /// own count is [`crate::stats::OptStats::lps_solved_query`], and the
+    /// per-query counts of a batch sum to this delta.
     pub fn optimize_batch_counted(&self, queries: &[Query]) -> (Vec<MpqSolution<S>>, u64) {
         let before = self.space.lps_solved();
         let solutions = self.optimize_batch(queries);
@@ -362,7 +358,7 @@ where
     }
 
     /// Hit/miss counters of the shared-subplan cache (all-zero when
-    /// subtree caching is disabled — the default).
+    /// subtree caching is disabled; [`SessionConfig::new`] enables it).
     pub fn subtree_cache_stats(&self) -> CacheStats {
         self.subtree.as_ref().map(|c| c.stats()).unwrap_or_default()
     }
@@ -395,7 +391,7 @@ where
 
 /// A workload sharded across `N` independent [`OptimizerSession`]s —
 /// the in-process form of sharding a workload across machines: each shard
-/// owns its space, cost-lifting cache and worker pool, and queries route
+/// owns its space, caches and batch fan-out, and queries route
 /// to shards by **stable shape-derived affinity** ([`query_affinity`]),
 /// so queries sharing tables land on the shard that already cached their
 /// lifts.
@@ -663,8 +659,7 @@ mod tests {
         );
     }
 
-    /// The per-batch LP delta sums consecutive batches to the cumulative
-    /// counter (the PR 3 `lps_solved` caveat, made self-describing).
+    /// Per-batch LP deltas partition the session's cumulative counter.
     #[test]
     fn batch_lp_delta_is_exact_per_batch() {
         let cfg = WorkloadConfig::uniform(GeneratorConfig::paper(3, Topology::Chain, 1), 2, 0.0);

@@ -14,19 +14,12 @@ pub struct OptStats {
     pub plans_created: u64,
     /// Plans discarded because their relevance region emptied.
     pub plans_pruned: u64,
-    /// Linear programs solved (emptiness, dominance, redundancy checks).
-    ///
-    /// Snapshot of the space's shared counter, so **cumulative across a
-    /// batch** when queries share an `OptimizerSession` space; see
-    /// [`OptStats::lps_solved_query`] for the per-query figure.
-    pub lps_solved: u64,
-    /// Linear programs solved **by this query alone**: every DP work item
-    /// of the run installs the run's atomic counter
-    /// ([`mpq_lp::attribute_solves`]), so each solve is charged to the run
-    /// whichever thread executes it. The total is exact — and
-    /// deterministic — for every thread count and batch schedule,
-    /// including intra-query fan-out where items execute on many workers
-    /// concurrently with other queries of a session.
+    /// Linear programs solved by this run alone (emptiness, dominance,
+    /// redundancy checks). A run executes on one thread, so this is the
+    /// difference of two readings of that thread's solve counter
+    /// ([`mpq_lp::thread_solved`]): exact even when the queries of a
+    /// session batch share one space's LP context on several threads.
+    /// On a fresh space it equals the space's own counter.
     pub lps_solved_query: u64,
     /// Wall-clock optimization time.
     pub elapsed: Duration,
@@ -50,7 +43,7 @@ impl OptStats {
             self.elapsed.as_secs_f64() * 1e3,
             self.plans_created,
             self.plans_pruned,
-            self.lps_solved,
+            self.lps_solved_query,
             self.final_plan_count,
             self.max_plans_per_set
         )
@@ -66,7 +59,7 @@ mod tests {
         let s = OptStats {
             plans_created: 10,
             plans_pruned: 4,
-            lps_solved: 99,
+            lps_solved_query: 99,
             elapsed: Duration::from_millis(12),
             final_plan_count: 3,
             max_plans_per_set: 5,

@@ -3,7 +3,7 @@
 //! The approximation contract (`OptimizerConfig::epsilon`): at ε = 0 the
 //! banded pruning path is **bit-identical** to the exact optimizer —
 //! same counters, same plan ids, same frontier cost vectors — on every
-//! backend, thread count and shard count. At ε > 0 the optimizer may
+//! backend, batch width and shard count. At ε > 0 the optimizer may
 //! collapse near-duplicate plans, but must keep a **(1+ε)-cover**: at
 //! every probe point, every cost vector on the exact Pareto frontier is
 //! (1+ε)-dominated by some plan of the approximate solution. The
@@ -78,9 +78,7 @@ fn assert_epsilon_contract<S, F>(
     label: &str,
 ) -> Result<(), TestCaseError>
 where
-    S: MpqSpace + Sync,
-    S::Cost: Send + Sync,
-    S::Region: Send + Sync,
+    S: MpqSpace,
     F: Fn() -> S,
 {
     let model = CloudCostModel::default();
@@ -170,7 +168,6 @@ proptest! {
         prop_assert_eq!(workload.max_params(), params);
         let config = OptimizerConfig {
             grid_resolution: 4,
-            threads: Some(1),
             ..OptimizerConfig::default_for(params)
         };
 
@@ -191,7 +188,7 @@ proptest! {
             assert_epsilon_contract(&workload.queries, &config, make_pwl, "pwl")?;
         }
 
-        // Sharded sessions at ε: threads × shards {1, 2, 4}. The ε = 0
+        // Sharded sessions at ε: batch width × shards {1, 2, 4}. The ε = 0
         // batch must be bit-identical to the exact per-query reference;
         // ε > 0 batches must satisfy the cover and never grow frontiers.
         let model = CloudCostModel::default();
@@ -216,7 +213,7 @@ proptest! {
                 prop_assert_eq!(
                     &fingerprint(sessions.shard(shard).space(), sol),
                     &reference[i],
-                    "sharded ε=0 diverged (query {}, {} threads, {} shards)",
+                    "sharded ε=0 diverged (query {}, width {}, {} shards)",
                     i, threads, shards
                 );
             }

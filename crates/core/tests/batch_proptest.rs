@@ -1,12 +1,14 @@
 //! Property-based determinism tests for batched multi-query optimization.
 //!
-//! An `OptimizerSession` batch run shares a cost-lifting cache and a
-//! worker pool across queries, but must be **bit-identical** to
-//! optimizing every query one by one: per-query `plans_created` /
-//! `plans_pruned` / `final_plans` counters, retained plan ids and exact
-//! frontier cost vectors — for every random workload (topology, overlap
-//! ratio, batch size, seed), every thread count, and both PWL space
-//! backends.
+//! An `OptimizerSession` batch run shares a space and its caches across
+//! queries that run concurrently, one query per thread, but must be
+//! **bit-identical** to optimizing every query one by one: per-query
+//! `plans_created` / `plans_pruned` / `final_plans` counters, retained
+//! plan ids and exact frontier cost vectors — for every random workload
+//! (topology, overlap ratio, batch size, seed), every batch width, and
+//! both PWL space backends. Without the subtree cache, each query's own
+//! LP count matches too, even while its batchmates solve LPs on the same
+//! space from other threads.
 
 use mpq_catalog::generator::{generate_workload, GeneratorConfig, WorkloadConfig};
 use mpq_catalog::graph::Topology;
@@ -53,39 +55,35 @@ fn fingerprint<S: MpqSpace>(space: &S, sol: &MpqSolution<S>) -> Fingerprint {
     }
 }
 
-/// Sequential reference: every query optimized alone, single-threaded, no
-/// cache, fresh space per query.
+/// Sequential reference: every query optimized alone, no cache, fresh
+/// space per query. Returns each query's fingerprint and LP count.
 fn sequential_reference<S, F>(
     queries: &[Query],
     config: &OptimizerConfig,
     make: F,
-) -> Vec<Fingerprint>
+) -> (Vec<Fingerprint>, Vec<u64>)
 where
-    S: MpqSpace + Sync,
-    S::Cost: Send + Sync,
-    S::Region: Send + Sync,
+    S: MpqSpace,
     F: Fn() -> S,
 {
     let model = CloudCostModel::default();
-    let mut cfg = config.clone();
-    cfg.threads = Some(1);
     queries
         .iter()
         .map(|q| {
             let space = make();
-            let sol = optimize(q, &model, &space, &cfg);
-            fingerprint(&space, &sol)
+            let sol = optimize(q, &model, &space, config);
+            (fingerprint(&space, &sol), sol.stats.lps_solved_query)
         })
-        .collect()
+        .unzip()
 }
 
-/// Batched runs at several thread counts, each compared against the
+/// Batched runs at several batch widths, each compared against the
 /// reference.
 fn assert_batched_matches<S, F>(
     queries: &[Query],
     config: &OptimizerConfig,
     make: F,
-    reference: &[Fingerprint],
+    (reference, reference_lps): &(Vec<Fingerprint>, Vec<u64>),
     label: &str,
 ) -> Result<(), TestCaseError>
 where
@@ -98,22 +96,45 @@ where
     for threads in [1usize, 2, 4] {
         let mut cfg = config.clone();
         cfg.threads = Some(threads);
-        let session = OptimizerSession::new(make(), &model, cfg);
-        let solutions = session.optimize_batch(queries);
+        // Lift cache only: with no subtree replay every query solves its
+        // own LPs, so its count must equal the fresh-space count, and the
+        // batch's counts must add up to the shared space's delta.
+        let session = OptimizerSession::with_config(
+            make(),
+            &model,
+            SessionConfig::new(cfg).without_subtree_cache(),
+        );
+        let (solutions, batch_lps) = session.optimize_batch_counted(queries);
         prop_assert_eq!(solutions.len(), queries.len());
         for (i, sol) in solutions.iter().enumerate() {
             let got = fingerprint(session.space(), sol);
             prop_assert_eq!(
                 &got,
                 &reference[i],
-                "{} backend diverged from sequential (query {}, {} threads)",
+                "{} backend diverged from sequential (query {}, width {})",
+                label,
+                i,
+                threads
+            );
+            prop_assert_eq!(
+                sol.stats.lps_solved_query,
+                reference_lps[i],
+                "{} backend: query {} LP count at width {}",
                 label,
                 i,
                 threads
             );
         }
+        prop_assert_eq!(
+            solutions
+                .iter()
+                .map(|s| s.stats.lps_solved_query)
+                .sum::<u64>(),
+            batch_lps,
+            "per-query LP counts must sum to the batch's space delta"
+        );
         // The deterministic cache contract: every distinct shape misses
-        // exactly once, regardless of the thread count.
+        // exactly once, regardless of the batch width.
         let stats = session.cache_stats();
         prop_assert_eq!(
             stats.misses,
@@ -140,7 +161,7 @@ where
                 prop_assert_eq!(
                     &got,
                     &reference[i],
-                    "{} backend diverged under subtree cache {:?} (query {}, {} threads)",
+                    "{} backend diverged under subtree cache {:?} (query {}, width {})",
                     label,
                     capacity,
                     i,
@@ -150,7 +171,7 @@ where
             let subtree = session.subtree_cache_stats();
             match capacity {
                 // Unbounded: the once-cell residency makes miss totals
-                // deterministic at any thread count.
+                // deterministic at any batch width.
                 None => prop_assert_eq!(
                     subtree.misses,
                     session.cached_subtrees() as u64,

@@ -67,7 +67,6 @@ proptest! {
         );
         let config = OptimizerConfig {
             grid_resolution: 4,
-            threads: Some(1),
             ..OptimizerConfig::default_for(1)
         };
         let bare = counters_of(&query, &config, None);
@@ -89,15 +88,18 @@ proptest! {
         prop_assert_eq!(registry.counter("optimize_runs").get(), 1);
         prop_assert_eq!(registry.counter("optimize_plans_created").get(), bare.0);
         prop_assert_eq!(registry.counter("optimize_lps_solved").get(), bare.2);
-        // Per-level plan deltas sum to the run total.
-        let level_plans: u64 = spans
-            .iter()
-            .filter(|s| s.name == "dp_level")
-            .flat_map(|s| &s.fields)
-            .filter(|(k, _)| *k == "plans_delta")
-            .map(|(_, v)| v)
-            .sum();
-        prop_assert_eq!(level_plans, bare.0, "level deltas sum to the total");
+        // Per-level plan and LP deltas sum to the run totals.
+        let level_sum = |field: &str| -> u64 {
+            spans
+                .iter()
+                .filter(|s| s.name == "dp_level")
+                .flat_map(|s| &s.fields)
+                .filter(|(k, _)| *k == field)
+                .map(|(_, v)| v)
+                .sum()
+        };
+        prop_assert_eq!(level_sum("plans_delta"), bare.0, "level deltas sum to the total");
+        prop_assert_eq!(level_sum("lps_delta"), bare.2, "level LP deltas sum to the total");
     }
 }
 
@@ -113,7 +115,6 @@ fn replayed_run_renders_byte_identical_observability() {
         );
         let config = OptimizerConfig {
             grid_resolution: 4,
-            threads: Some(1),
             ..OptimizerConfig::default_for(1)
         };
         let obs = ticking();

@@ -284,8 +284,8 @@ impl CutoutRegion {
 
 /// The shared cutout/witness/emptiness machinery. One engine serves all
 /// regions of an optimization run; it is `Sync` (the LP context is shared
-/// by reference and the emptiness counters are atomic), so worker threads
-/// of a parallel RRPA run use one engine concurrently.
+/// by reference and the emptiness counters are atomic), so the queries of
+/// a session batch can use one engine concurrently.
 #[derive(Debug)]
 pub struct RegionEngine {
     /// §6.2 refinement 3: keep relevance points, skip emptiness checks

@@ -56,64 +56,26 @@ mod simplex;
 
 pub use simplex::RowStage;
 
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 thread_local! {
-    /// The per-run attribution counter installed on this thread (if any):
-    /// every solve on the thread also increments it. Backs exact
-    /// per-query LP attribution under fan-out — each worker item of a run
-    /// installs the run's counter for its own scope, so solves are
-    /// charged to the run no matter which thread executes them.
-    static RUN_SOLVED: RefCell<Option<Arc<AtomicU64>>> = const { RefCell::new(None) };
+    /// LPs solved on this thread so far, through any [`LpCtx`].
+    static THREAD_SOLVED: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Scope guard of [`attribute_solves`]: restores the previously installed
-/// attribution counter on drop (stack discipline, so nested scopes — e.g.
-/// a work-stealing worker picking up an item of another run — attribute
-/// correctly).
-pub struct SolveAttribution {
-    prev: Option<Arc<AtomicU64>>,
+/// The number of LPs solved on the calling thread so far, through any
+/// [`LpCtx`]. A unit of work that runs start to finish on one thread gets
+/// its own exact count as the difference of two readings, even when it
+/// shares its `LpCtx` with work on other threads.
+pub fn thread_solved() -> u64 {
+    THREAD_SOLVED.with(Cell::get)
 }
 
-impl Drop for SolveAttribution {
-    fn drop(&mut self) {
-        RUN_SOLVED.with(|c| *c.borrow_mut() = self.prev.take());
-    }
-}
-
-/// Installs `counter` as the calling thread's solve-attribution target
-/// until the returned guard drops: every [`LpCtx`] solve on this thread
-/// additionally increments it.
-///
-/// Counters are atomic and increments are sums, so a run that installs
-/// one counter around each of its fan-out items gets an **exact,
-/// schedule-independent** total even when its items run concurrently with
-/// other runs on the same threads. Nested fan-outs must re-install the
-/// submitting scope's counter ([`current_attribution`]) on their workers.
-pub fn attribute_solves(counter: Arc<AtomicU64>) -> SolveAttribution {
-    SolveAttribution {
-        prev: RUN_SOLVED.with(|c| c.borrow_mut().replace(counter)),
-    }
-}
-
-/// The attribution counter currently installed on this thread, for
-/// propagation into nested fan-outs (each nested work item re-installs it
-/// via [`attribute_solves`]).
-pub fn current_attribution() -> Option<Arc<AtomicU64>> {
-    RUN_SOLVED.with(|c| c.borrow().clone())
-}
-
-/// One solve happened on this thread: bump the installed attribution
-/// counter, if any.
+/// One solve happened on this thread.
 #[inline]
 fn record_solve() {
-    RUN_SOLVED.with(|c| {
-        if let Some(run) = c.borrow().as_ref() {
-            run.fetch_add(1, Ordering::Relaxed);
-        }
-    });
+    THREAD_SOLVED.with(|c| c.set(c.get() + 1));
 }
 
 /// Numerical tolerance used throughout the solver.
@@ -502,6 +464,20 @@ mod tests {
         assert_eq!(ctx.solved(), 2);
         ctx.reset();
         assert_eq!(ctx.solved(), 0);
+    }
+
+    #[test]
+    fn thread_solved_counts_only_this_threads_solves() {
+        let ctx = LpCtx::new();
+        let p = LpProblem::feasibility(1, vec![c(vec![1.0], 1.0)]);
+        let before = thread_solved();
+        ctx.solve(&p);
+        std::thread::scope(|s| {
+            s.spawn(|| ctx.solve(&p));
+        });
+        ctx.solve_staged(&[0.0], |_| {});
+        assert_eq!(thread_solved() - before, 2);
+        assert_eq!(ctx.solved(), 3);
     }
 
     #[test]

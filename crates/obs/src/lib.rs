@@ -23,9 +23,9 @@
 //! - **Gating** ([`Obs::off`] / [`ObsConfig`]): a disabled handle is a
 //!   no-op on the hot path — `span()` returns an inert guard, no
 //!   allocation, no clock read, no lock. The optimizer layers read the
-//!   ambient handle via [`current`] (installed with [`install`], the
-//!   same thread-local-guard idiom `mpq_lp::attribute_solves` uses), so
-//!   code that never installs one pays nothing.
+//!   ambient handle via [`current`] (installed on the calling thread
+//!   with [`install`], a scope guard that restores the previous handle
+//!   on drop), so code that never installs one pays nothing.
 //!
 //! Histogram buckets are logarithmic with 8 sub-buckets per octave
 //! (values below 64 are exact), so any recorded value is within 12.5 %
@@ -718,7 +718,7 @@ impl Drop for SpanGuard {
 }
 
 // ---------------------------------------------------------------------------
-// Ambient handle (thread-local install, the `attribute_solves` idiom)
+// Ambient handle (thread-local install, restored by a scope guard)
 // ---------------------------------------------------------------------------
 
 thread_local! {

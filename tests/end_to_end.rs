@@ -60,7 +60,7 @@ fn star_query_two_params_pipeline() {
     for x in [[0.1, 0.9], [0.5, 0.5], [1.0, 0.0]] {
         assert!(!solution.relevant_at(&space, &x).is_empty());
     }
-    assert!(solution.stats.lps_solved > 0);
+    assert!(solution.stats.lps_solved_query > 0);
 }
 
 #[test]
@@ -75,7 +75,7 @@ fn stats_correlate_like_figure12() {
                 "created plans must grow with table count"
             );
             assert!(
-                solution.stats.lps_solved > p.lps_solved,
+                solution.stats.lps_solved_query > p.lps_solved_query,
                 "solved LPs must grow with table count"
             );
         }
@@ -208,7 +208,7 @@ fn deterministic_given_seed() {
     let (_, _, a) = optimize_generated(4, Topology::Chain, 1, 99);
     let (_, _, b) = optimize_generated(4, Topology::Chain, 1, 99);
     assert_eq!(a.stats.plans_created, b.stats.plans_created);
-    assert_eq!(a.stats.lps_solved, b.stats.lps_solved);
+    assert_eq!(a.stats.lps_solved_query, b.stats.lps_solved_query);
     assert_eq!(a.plans.len(), b.plans.len());
 }
 
