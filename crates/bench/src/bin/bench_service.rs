@@ -15,7 +15,7 @@
 //!
 //! * `--smoke` — one tiny trace at two shard counts; asserts the trigger
 //!   mix is sane (every batch carries exactly one trigger, both size and
-//!   drain fire), that busy shards hit their lifting caches at overlap
+//!   repeat fire), that busy shards hit their lifting caches at overlap
 //!   1.0, and that the service's summed counters — plans created, final
 //!   plans, *and* the per-batch LP deltas — equal the same queries run
 //!   one-by-one through a plain session. A second pass with the
@@ -35,7 +35,7 @@
 //!   bounded wall time).
 //! * `--smoke-obs` — an in-process service pass with a live virtual-clock
 //!   `Obs` handle (exposition parses, the stats conservation identity
-//!   re-derives from registry counters alone) and a loopback-TCP pass
+//!   and the trigger partition re-derive from registry counters alone) and a loopback-TCP pass
 //!   with observed router and server (every wire trace id joins router
 //!   and server spans, and a `Metrics` wire scrape returns the server
 //!   registry's samples).
@@ -89,17 +89,21 @@ fn run_smoke() {
         };
         let r = run_service_trace(&spec, 0, &config);
         // Trigger mix sane: every batch carries exactly one trigger, the
-        // size trigger fires (10 arrivals, batches of 3) and shutdown
-        // drains the tail.
+        // size trigger fires (10 arrivals, batches of 3), and the copies
+        // arriving after the first dispatch go straight to their shard.
         assert_eq!(
             r.batches,
-            r.size_triggered + r.deadline_triggered + r.drain_triggered,
+            r.size_triggered + r.deadline_triggered + r.drain_triggered + r.repeat_triggered,
             "smoke: triggers must partition the batches"
         );
         assert!(r.batches > 1, "smoke: the trace must form several batches");
         assert!(
             r.size_triggered > 0,
             "smoke: max_batch 3 over 10 arrivals must size-trigger"
+        );
+        assert!(
+            r.repeat_triggered > 0,
+            "smoke: copies of an already-dispatched query must repeat-trigger"
         );
         // Per-shard sharing: an overlap-1.0 trace is copies of one query,
         // so every busy shard must hit its lifting cache.
@@ -173,12 +177,13 @@ fn run_smoke() {
             "smoke: subtree caching changed plan counters ({shards} shards)"
         );
         eprintln!(
-            "smoke ok: shards={shards} batches={} (size {}/deadline {}/drain {}) \
+            "smoke ok: shards={shards} batches={} (size {}/deadline {}/drain {}/repeat {}) \
              hits={} plans={} subtree_hits={}",
             r.batches,
             r.size_triggered,
             r.deadline_triggered,
             r.drain_triggered,
+            r.repeat_triggered,
             r.cache_hits,
             r.plans_created,
             sub.subtree_hits
@@ -551,6 +556,14 @@ fn run_smoke_obs() {
                 + get("service_timed_out")
                 + get("service_quarantined"),
             "obs smoke: conservation re-derived from the registry alone"
+        );
+        assert_eq!(
+            get("service_batches"),
+            get("service_size_triggered")
+                + get("service_deadline_triggered")
+                + get("service_drain_triggered")
+                + get("service_repeat_triggered"),
+            "obs smoke: triggers partition the batches, from the registry alone"
         );
         let text = registry.expose();
         let samples = parse_exposition(&text).expect("obs smoke: exposition parses");

@@ -420,6 +420,8 @@ pub struct ServiceRecord {
     pub deadline_triggered: u64,
     /// Drain-flushed batches.
     pub drain_triggered: u64,
+    /// One-request batches of repeated queries, dispatched at once.
+    pub repeat_triggered: u64,
     /// Cache hits, summed over shards.
     pub cache_hits: u64,
     /// Cache misses, summed over shards.
@@ -504,6 +506,7 @@ pub fn run_service_trace(spec: &ServiceSpec, seed: u64, config: &OptimizerConfig
         size_triggered: stats.size_triggered,
         deadline_triggered: stats.deadline_triggered,
         drain_triggered: stats.drain_triggered,
+        repeat_triggered: stats.repeat_triggered,
         cache_hits: cache.iter().map(|c| c.hits).sum(),
         cache_misses: cache.iter().map(|c| c.misses).sum(),
         lps_query_median: median(&mut lps_query),
@@ -1049,8 +1052,18 @@ mod tests {
         assert_eq!(a.lps_solved, b.lps_solved);
         assert_eq!(a.batches, b.batches);
         assert_eq!(
-            (a.size_triggered, a.deadline_triggered, a.drain_triggered),
-            (b.size_triggered, b.deadline_triggered, b.drain_triggered),
+            (
+                a.size_triggered,
+                a.deadline_triggered,
+                a.drain_triggered,
+                a.repeat_triggered
+            ),
+            (
+                b.size_triggered,
+                b.deadline_triggered,
+                b.drain_triggered,
+                b.repeat_triggered
+            ),
             "virtual-clock trigger mix replays exactly"
         );
         assert_eq!(
@@ -1059,7 +1072,11 @@ mod tests {
         );
         assert_eq!(
             a.batches,
-            a.size_triggered + a.deadline_triggered + a.drain_triggered
+            a.size_triggered + a.deadline_triggered + a.drain_triggered + a.repeat_triggered
+        );
+        assert!(
+            a.repeat_triggered > 0,
+            "copies arriving after the first dispatch take the repeat trigger"
         );
         // With the subtree cache default-on, duplicate queries can be
         // absorbed at the subtree layer before the lift cache sees them.

@@ -13,7 +13,15 @@
 //!   buffered request has waited `max_wait` (*deadline* trigger —
 //!   Trummer & Koch's randomized-MPQ line frames exactly this
 //!   latency/quality trade-off: waiting longer buys more sharing).
-//!   Shutdown flushes the rest (*drain* trigger).
+//!   Shutdown flushes the rest (*drain* trigger). Only first-seen
+//!   queries wait: the batcher remembers the content digest
+//!   (`mpq_catalog::fault::query_digest`) of every request it has
+//!   dispatched, and an arrival repeating one of them dispatches at once
+//!   as a batch of one (*repeat* trigger) — its lifts and subtrees are
+//!   already in its shard's caches, so waiting would buy no sharing. The
+//!   set holds at most [`REPEAT_CAPACITY`] digests (second-chance
+//!   eviction, see `mpq_cost`); an evicted digest only means the next
+//!   copy buffers like a first-seen query.
 //! * **Sharded sessions** — batches dispatch to one of N
 //!   [`ShardedSession`] shards, chosen by the stable `OpShape`-derived
 //!   affinity (`mpq_core::session::query_affinity`), so queries over the
@@ -36,6 +44,10 @@
 //!   buffered-but-undispatched request count; beyond it, `submit`
 //!   answers the ticket immediately with [`QueryOutcome::Rejected`]
 //!   (backpressure the caller can see) instead of queueing unboundedly.
+//!   `submit` also runs `Query::validate`: an invalid query is answered
+//!   [`QueryOutcome::Panicked`] (`invalid query: …`, the message
+//!   `optimize` would panic with) and counted quarantined before it can
+//!   enter a batch, so it never costs its batch-mates a bisection.
 //! * **Deadline budgets** — a per-query absolute deadline
 //!   ([`SubmittedQuery::deadline`], service-clock seconds) is checked
 //!   when the query's batch dispatches: already-expired queries are
@@ -56,11 +68,13 @@
 //!   per-shard cache hit/miss and restart counts, and p50/p95 latency
 //!   measured under a **caller-supplied clock**. With a [`VirtualClock`]
 //!   stepped from a seeded arrival trace, batching decisions — batch
-//!   contents and the trigger mix — replay bit-identically with no
-//!   wall-clock dependence; the latency *percentiles* are approximate
-//!   there (completion times are read while the submitter may still be
-//!   advancing the clock), so treat them like any other
-//!   measured-duration metric.
+//!   contents and the trigger mix, repeats included (the batcher thread
+//!   registers digests as it dispatches, so which arrivals repeat is
+//!   itself a function of the submission sequence) — replay
+//!   bit-identically with no wall-clock dependence; the latency
+//!   *percentiles* are approximate there (completion times are read
+//!   while the submitter may still be advancing the clock), so treat
+//!   them like any other measured-duration metric.
 //!
 //! # Determinism contract
 //!
@@ -68,9 +82,11 @@
 //! and frontiers are bit-identical to optimizing the same queries one by
 //! one through a plain `OptimizerSession`** — independent of batch
 //! grouping, shard count, trigger timing and cache evictions. Batching
-//! only regroups independent deterministic optimizations; shard spaces
-//! are constructed identically; evicted lifts re-lift to bit-identical
-//! values (lifts are pure in their shape). Only throughput counters
+//! only regroups independent deterministic optimizations (a repeat still
+//! runs through its shard's session, so the repeat trigger changes only
+//! *when* a query runs, never its answer); shard spaces are constructed
+//! identically; evicted lifts re-lift to bit-identical values (lifts are
+//! pure in their shape). Only throughput counters
 //! (`lps_solved` snapshots, cache hit/miss/eviction totals) depend on the
 //! grouping. The contract extends **under faults**: with a deterministic
 //! fault plan (`mpq_catalog::fault::FaultPlan`) poisoning some queries,
@@ -119,13 +135,15 @@
 // (`unwrap`/`expect` on queue plumbing) this crate bans.
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
+use mpq_catalog::fault::query_digest;
 use mpq_catalog::Query;
 use mpq_cloud::model::ParametricCostModel;
 use mpq_core::rrpa::MpqSolution;
 use mpq_core::session::{OptimizerSession, ShardedSession};
 use mpq_core::space::MpqSpace;
-use mpq_cost::CacheStats;
+use mpq_cost::{CacheStats, LiftedCostCache};
 use mpq_obs::{Counter, Gauge, Histogram, Obs, ObsConfig};
+use std::cell::OnceCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
@@ -138,7 +156,8 @@ pub struct BatchPolicy {
     pub max_batch: usize,
     /// Dispatch once the oldest buffered request has waited this long
     /// under the service clock (deadline trigger) — the latency bound a
-    /// request pays for batching.
+    /// *first-seen* query pays for batching. A repeat of an
+    /// already-dispatched query never waits (see [`BatchTrigger::Repeat`]).
     pub max_wait: Duration,
 }
 
@@ -377,7 +396,16 @@ pub enum BatchTrigger {
     Deadline,
     /// Service shutdown flushed the remainder.
     Drain,
+    /// The one request repeats a query the service already dispatched,
+    /// so it went to its shard at once instead of buffering. Always runs
+    /// exact.
+    Repeat,
 }
+
+/// The most query digests the batcher remembers for the
+/// [`BatchTrigger::Repeat`] rule; past it, second-chance eviction drops
+/// the digest that repeated least recently.
+pub const REPEAT_CAPACITY: usize = 4096;
 
 /// How a request travelled through the service: set on outcomes that
 /// reached a shard worker ([`QueryOutcome::Ok`] / [`Panicked`]), absent
@@ -680,6 +708,9 @@ pub struct ServiceStats {
     pub deadline_triggered: u64,
     /// Batches flushed at shutdown.
     pub drain_triggered: u64,
+    /// One-request batches dispatched at once because the request repeats
+    /// an already-dispatched query.
+    pub repeat_triggered: u64,
     /// LPs solved across all dispatched batches (summed per-batch deltas
     /// — exact: shards run one batch at a time; includes work burned by
     /// panicked bisection attempts).
@@ -731,6 +762,7 @@ struct ObsMirror {
     size_triggered: Counter,
     deadline_triggered: Counter,
     drain_triggered: Counter,
+    repeat_triggered: Counter,
     lps_solved: Counter,
     queue_depth: Gauge,
     queue_depth_peak: Gauge,
@@ -750,6 +782,7 @@ impl ObsMirror {
             size_triggered: registry.counter("service_size_triggered"),
             deadline_triggered: registry.counter("service_deadline_triggered"),
             drain_triggered: registry.counter("service_drain_triggered"),
+            repeat_triggered: registry.counter("service_repeat_triggered"),
             lps_solved: registry.counter("service_lps_solved"),
             queue_depth: registry.gauge("service_queue_depth"),
             queue_depth_peak: registry.gauge("service_queue_depth_peak"),
@@ -778,6 +811,7 @@ struct StatsShared {
     size_triggered: AtomicU64,
     deadline_triggered: AtomicU64,
     drain_triggered: AtomicU64,
+    repeat_triggered: AtomicU64,
     lps_solved: AtomicU64,
     shard_queries: Vec<AtomicU64>,
     shard_batches: Vec<AtomicU64>,
@@ -817,6 +851,7 @@ impl StatsShared {
             size_triggered: AtomicU64::new(0),
             deadline_triggered: AtomicU64::new(0),
             drain_triggered: AtomicU64::new(0),
+            repeat_triggered: AtomicU64::new(0),
             lps_solved: AtomicU64::new(0),
             shard_queries: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             shard_batches: (0..shards).map(|_| AtomicU64::new(0)).collect(),
@@ -873,6 +908,7 @@ impl StatsShared {
             size_triggered: self.size_triggered.load(Ordering::Relaxed),
             deadline_triggered: self.deadline_triggered.load(Ordering::Relaxed),
             drain_triggered: self.drain_triggered.load(Ordering::Relaxed),
+            repeat_triggered: self.repeat_triggered.load(Ordering::Relaxed),
             lps_solved: self.lps_solved.load(Ordering::Relaxed),
             per_shard: caches
                 .into_iter()
@@ -895,6 +931,9 @@ impl StatsShared {
 /// One buffered request travelling batcher → shard worker.
 struct Pending<S: MpqSpace> {
     query: Query,
+    /// `query_digest(&query)`, the key of the [`BatchTrigger::Repeat`]
+    /// rule.
+    digest: u64,
     /// Absolute service-clock deadline (see [`SubmittedQuery::deadline`]).
     deadline: Option<f64>,
     submitted_at: f64,
@@ -907,6 +946,7 @@ fn trigger_code(t: BatchTrigger) -> u64 {
         BatchTrigger::Size => 0,
         BatchTrigger::Deadline => 1,
         BatchTrigger::Drain => 2,
+        BatchTrigger::Repeat => 3,
     }
 }
 
@@ -1017,15 +1057,34 @@ where
     /// convertible into a [`SubmittedQuery`] (a bare `Query` works; use
     /// [`SubmittedQuery::with_deadline`] for a latency budget).
     ///
-    /// Never panics and never blocks on a full service: if admission
-    /// control is at its bound the ticket resolves immediately to
-    /// [`QueryOutcome::Rejected`]; if the service has already shut down
-    /// it resolves to [`QueryOutcome::Shutdown`].
+    /// Never panics and never blocks on a full service: a query failing
+    /// [`Query::validate`] resolves immediately to
+    /// [`QueryOutcome::Panicked`] with the `invalid query: …` message
+    /// `optimize` would panic with, counted `quarantined` and never
+    /// batched; if admission control is at its bound the ticket resolves
+    /// immediately to [`QueryOutcome::Rejected`]; if the service has
+    /// already shut down it resolves to [`QueryOutcome::Shutdown`].
     pub fn submit(&self, query: impl Into<SubmittedQuery>) -> ServiceTicket<S> {
         let submitted = query.into();
         let (reply_tx, reply_rx) = mpsc::channel();
         let mut span = self.obs.span("submit");
         self.stats.bump(&self.stats.submitted, |m| &m.submitted);
+        // Validation at admission: an invalid query would only panic
+        // inside `optimize`, and bisecting it out of a batch re-runs its
+        // healthy batch-mates.
+        if let Err(e) = submitted.query.validate() {
+            span.record("invalid", 1);
+            self.stats.bump(&self.stats.quarantined, |m| &m.quarantined);
+            let _ = reply_tx.send(QueryResponse {
+                outcome: QueryOutcome::Panicked {
+                    message: format!("invalid query: {e}"),
+                },
+                route: None,
+                latency: 0.0,
+                served_epsilon: None,
+            });
+            return ServiceTicket { rx: reply_rx };
+        }
         // Admission control: reserve a queue slot or reject. The
         // reservation is released when the request leaves the buffers
         // (dispatch, expiry, or shutdown drain).
@@ -1054,6 +1113,7 @@ where
             return ServiceTicket { rx: reply_rx };
         }
         let pending = Pending {
+            digest: query_digest(&submitted.query),
             query: submitted.query,
             deadline: submitted.deadline,
             submitted_at: (self.clock)(),
@@ -1100,6 +1160,17 @@ struct ShardBuffer<S: MpqSpace> {
     /// (`submitted_at + max_wait`); meaningless while empty. (Distinct
     /// from the per-query [`SubmittedQuery::deadline`] budget.)
     deadline: f64,
+}
+
+impl<S: MpqSpace> ShardBuffer<S> {
+    /// Empties the buffer for dispatch.
+    fn take(&mut self, stats: &StatsShared) -> Vec<Pending<S>> {
+        let requests = std::mem::take(&mut self.requests);
+        stats
+            .queue_depth
+            .fetch_sub(requests.len() as u64, Ordering::Relaxed);
+        requests
+    }
 }
 
 /// Runs the service for the duration of `body`: spawns the batcher and
@@ -1252,102 +1323,119 @@ where
                     })
                     .collect();
                 let mut seq = 0u64;
-                let mut flush =
-                    |buffers: &mut Vec<ShardBuffer<S>>, shard: usize, trigger: BatchTrigger| {
-                        // ε decision, *before* the take so the buffered
-                        // depth includes this shard's requests. Both
-                        // inputs — the trigger and the total buffered
-                        // count — are pure functions of the submission
-                        // sequence under a virtual clock, so replays
-                        // reproduce the ε choice exactly.
-                        let epsilon = approx.and_then(|a| {
-                            if trigger != BatchTrigger::Deadline {
-                                return None;
+                // Digests of every dispatched request, for the repeat
+                // trigger; allocated at the first dispatch.
+                let dispatched: OnceCell<LiftedCostCache<u64, ()>> = OnceCell::new();
+                // Sends `requests` to `shard` as one batch; `buffers` is
+                // what stays buffered, for the ε gate's depth.
+                let mut dispatch = |buffers: &[ShardBuffer<S>],
+                                    shard: usize,
+                                    trigger: BatchTrigger,
+                                    requests: Vec<Pending<S>>| {
+                    if requests.is_empty() {
+                        return;
+                    }
+                    // ε decision. Both inputs — the trigger and the total
+                    // buffered count, this batch included — are pure
+                    // functions of the submission sequence under a
+                    // virtual clock, so replays reproduce the ε choice
+                    // exactly.
+                    let epsilon = approx.and_then(|a| {
+                        if trigger != BatchTrigger::Deadline {
+                            return None;
+                        }
+                        let buffered = requests.len()
+                            + buffers.iter().map(|b| b.requests.len()).sum::<usize>();
+                        match a.trigger {
+                            ApproxTrigger::DeadlineOnly => Some(a.epsilon),
+                            ApproxTrigger::QueueDepth(depth) => {
+                                (buffered >= depth).then_some(a.epsilon)
                             }
-                            let buffered: usize = buffers.iter().map(|b| b.requests.len()).sum();
-                            match a.trigger {
-                                ApproxTrigger::DeadlineOnly => Some(a.epsilon),
-                                ApproxTrigger::QueueDepth(depth) => {
-                                    (buffered >= depth).then_some(a.epsilon)
-                                }
-                            }
+                        }
+                    });
+                    let mut span = obs.span("batch_flush");
+                    span.record("shard", shard as u64);
+                    span.record("trigger", trigger_code(trigger));
+                    stats
+                        .queued
+                        .fetch_sub(requests.len() as u64, Ordering::Relaxed);
+                    // Per-query deadline budget, checked at dispatch:
+                    // requests already expired are answered TimedOut
+                    // without burning optimizer time; the batch forms
+                    // from the rest.
+                    let now = clock();
+                    let (live, expired): (Vec<_>, Vec<_>) = requests
+                        .into_iter()
+                        .partition(|p| p.deadline.is_none_or(|d| now <= d));
+                    span.record("expired", expired.len() as u64);
+                    span.record("dispatched", live.len() as u64);
+                    for pending in expired {
+                        stats.bump(&stats.timed_out, |m| &m.timed_out);
+                        let latency = now - pending.submitted_at;
+                        let _ = pending.reply.send(QueryResponse {
+                            outcome: QueryOutcome::TimedOut,
+                            route: None,
+                            latency,
+                            served_epsilon: None,
                         });
-                        let requests = std::mem::take(&mut buffers[shard].requests);
-                        if requests.is_empty() {
-                            return;
-                        }
-                        let mut span = obs.span("batch_flush");
-                        span.record("shard", shard as u64);
-                        span.record("trigger", trigger_code(trigger));
-                        let n = requests.len() as u64;
-                        stats.queue_depth.fetch_sub(n, Ordering::Relaxed);
-                        stats.queued.fetch_sub(n, Ordering::Relaxed);
-                        // Per-query deadline budget, checked at dispatch:
-                        // requests already expired are answered TimedOut
-                        // without burning optimizer time; the batch forms
-                        // from the rest.
-                        let now = clock();
-                        let (live, expired): (Vec<_>, Vec<_>) = requests
-                            .into_iter()
-                            .partition(|p| p.deadline.is_none_or(|d| now <= d));
-                        span.record("expired", expired.len() as u64);
-                        span.record("dispatched", live.len() as u64);
-                        for pending in expired {
-                            stats.bump(&stats.timed_out, |m| &m.timed_out);
-                            let latency = now - pending.submitted_at;
-                            let _ = pending.reply.send(QueryResponse {
-                                outcome: QueryOutcome::TimedOut,
-                                route: None,
-                                latency,
-                                served_epsilon: None,
-                            });
-                        }
-                        if live.is_empty() {
-                            return;
-                        }
-                        match batch_txs[shard].send(ShardBatch {
-                            seq,
-                            trigger,
-                            epsilon,
-                            requests: live,
-                        }) {
-                            Ok(()) => {
-                                seq += 1;
-                                stats.bump(&stats.batches, |m| &m.batches);
-                                if epsilon.is_some() {
-                                    stats.bump(&stats.approx_batches, |m| &m.approx_batches);
-                                }
-                                match trigger {
-                                    BatchTrigger::Size => {
-                                        stats.bump(&stats.size_triggered, |m| &m.size_triggered)
-                                    }
-                                    BatchTrigger::Deadline => stats
-                                        .bump(&stats.deadline_triggered, |m| &m.deadline_triggered),
-                                    BatchTrigger::Drain => {
-                                        stats.bump(&stats.drain_triggered, |m| &m.drain_triggered)
-                                    }
-                                }
+                    }
+                    if live.is_empty() {
+                        return;
+                    }
+                    // Registered here, in the batcher thread, so which
+                    // later arrivals repeat is a function of the
+                    // submission sequence.
+                    let set = dispatched
+                        .get_or_init(|| LiftedCostCache::with_capacity(Some(REPEAT_CAPACITY)));
+                    for pending in &live {
+                        set.get_or_lift(&pending.digest, || ());
+                    }
+                    match batch_txs[shard].send(ShardBatch {
+                        seq,
+                        trigger,
+                        epsilon,
+                        requests: live,
+                    }) {
+                        Ok(()) => {
+                            seq += 1;
+                            stats.bump(&stats.batches, |m| &m.batches);
+                            if epsilon.is_some() {
+                                stats.bump(&stats.approx_batches, |m| &m.approx_batches);
                             }
-                            Err(mpsc::SendError(batch)) => {
-                                // The shard worker is gone without being
-                                // told to stop — it can only have been
-                                // killed from outside (workers catch
-                                // query panics). Answer the whole batch
-                                // as Shutdown rather than panicking the
-                                // batcher and stranding every other
-                                // ticket.
-                                for pending in batch.requests {
-                                    let latency = now - pending.submitted_at;
-                                    let _ = pending.reply.send(QueryResponse {
-                                        outcome: QueryOutcome::Shutdown,
-                                        route: None,
-                                        latency,
-                                        served_epsilon: None,
-                                    });
+                            match trigger {
+                                BatchTrigger::Size => {
+                                    stats.bump(&stats.size_triggered, |m| &m.size_triggered)
+                                }
+                                BatchTrigger::Deadline => {
+                                    stats.bump(&stats.deadline_triggered, |m| &m.deadline_triggered)
+                                }
+                                BatchTrigger::Drain => {
+                                    stats.bump(&stats.drain_triggered, |m| &m.drain_triggered)
+                                }
+                                BatchTrigger::Repeat => {
+                                    stats.bump(&stats.repeat_triggered, |m| &m.repeat_triggered)
                                 }
                             }
                         }
-                    };
+                        Err(mpsc::SendError(batch)) => {
+                            // The shard worker is gone without being
+                            // told to stop — it can only have been
+                            // killed from outside (workers catch query
+                            // panics). Answer the whole batch as
+                            // Shutdown rather than panicking the batcher
+                            // and stranding every other ticket.
+                            for pending in batch.requests {
+                                let latency = now - pending.submitted_at;
+                                let _ = pending.reply.send(QueryResponse {
+                                    outcome: QueryOutcome::Shutdown,
+                                    route: None,
+                                    latency,
+                                    served_epsilon: None,
+                                });
+                            }
+                        }
+                    }
+                };
                 loop {
                     // Blocking recv while idle; with buffered requests,
                     // sleep only until the earliest buffered deadline
@@ -1381,77 +1469,79 @@ where
                             Err(_) => break,
                         }
                     };
-                    match received {
-                        Some(pending) => {
-                            // Deadline sweep *before* admitting the new
-                            // arrival, keyed on its submit timestamp: an
-                            // expired buffer dispatches without the new
-                            // request, exactly as if the timeout wake had
-                            // won the race — batch contents are a pure
-                            // function of the submission sequence.
-                            let t = pending.submitted_at;
-                            for shard in 0..shards {
-                                if !buffers[shard].requests.is_empty()
-                                    && buffers[shard].deadline <= t
-                                {
-                                    flush(&mut buffers, shard, BatchTrigger::Deadline);
-                                }
-                            }
-                            // Routing consults the query's shape; a
-                            // malformed query that panics the affinity
-                            // computation is quarantined right here, so
-                            // it cannot take the batcher down.
-                            let shard = match catch_unwind(AssertUnwindSafe(|| {
-                                sessions.shard_of(&pending.query)
-                            })) {
-                                Ok(shard) => shard,
-                                Err(payload) => {
-                                    stats.queued.fetch_sub(1, Ordering::Relaxed);
-                                    stats.bump(&stats.quarantined, |m| &m.quarantined);
-                                    let latency = clock() - pending.submitted_at;
-                                    let _ = pending.reply.send(QueryResponse {
-                                        outcome: QueryOutcome::Panicked {
-                                            message: panic_message(payload),
-                                        },
-                                        route: None,
-                                        latency,
-                                        served_epsilon: None,
-                                    });
-                                    continue;
-                                }
-                            };
-                            if buffers[shard].requests.is_empty() {
-                                buffers[shard].deadline = pending.submitted_at + max_wait_secs;
-                            }
-                            buffers[shard].requests.push(pending);
-                            let depth = stats.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-                            stats.queue_depth_peak.fetch_max(depth, Ordering::Relaxed);
-                            if buffers[shard].requests.len() >= policy.max_batch {
-                                flush(&mut buffers, shard, BatchTrigger::Size);
-                            }
+                    // Deadline sweep. On an arrival it runs *before*
+                    // admitting the new request, keyed on its submit
+                    // timestamp: an expired buffer dispatches without the
+                    // new request, exactly as if the timeout wake had won
+                    // the race — batch contents are a pure function of
+                    // the submission sequence. On a timeout wake the
+                    // channel was empty for the whole timeout, so no
+                    // admitted-but-unswept arrival exists and the sweep
+                    // matches what the next arrival would do.
+                    let now = received
+                        .as_ref()
+                        .map_or_else(|| clock(), |p| p.submitted_at);
+                    for shard in 0..shards {
+                        if !buffers[shard].requests.is_empty() && buffers[shard].deadline <= now {
+                            let requests = buffers[shard].take(&stats);
+                            dispatch(&buffers, shard, BatchTrigger::Deadline, requests);
                         }
-                        None => {
-                            // Timeout wake: flush whatever expired. The
-                            // channel was empty for the whole timeout, so
-                            // no admitted-but-unswept arrival exists and
-                            // the sweep matches what the next arrival
-                            // would do.
-                            let now = clock();
-                            for shard in 0..shards {
-                                if !buffers[shard].requests.is_empty()
-                                    && buffers[shard].deadline <= now
-                                {
-                                    flush(&mut buffers, shard, BatchTrigger::Deadline);
-                                }
-                            }
+                    }
+                    let Some(pending) = received else {
+                        continue;
+                    };
+                    // Routing consults the query's shape; a malformed
+                    // query that panics the affinity computation is
+                    // quarantined right here, so it cannot take the
+                    // batcher down.
+                    let shard = match catch_unwind(AssertUnwindSafe(|| {
+                        sessions.shard_of(&pending.query)
+                    })) {
+                        Ok(shard) => shard,
+                        Err(payload) => {
+                            stats.queued.fetch_sub(1, Ordering::Relaxed);
+                            stats.bump(&stats.quarantined, |m| &m.quarantined);
+                            let latency = clock() - pending.submitted_at;
+                            let _ = pending.reply.send(QueryResponse {
+                                outcome: QueryOutcome::Panicked {
+                                    message: panic_message(payload),
+                                },
+                                route: None,
+                                latency,
+                                served_epsilon: None,
+                            });
+                            continue;
                         }
+                    };
+                    // A copy of an already-dispatched query has nothing
+                    // left to share — its lifts and subtrees sit in its
+                    // shard's caches — so it skips the buffer. (A copy
+                    // whose first copy is still buffered is not in the
+                    // set yet and joins that buffer.)
+                    if dispatched
+                        .get()
+                        .is_some_and(|set| set.probe(&pending.digest))
+                    {
+                        dispatch(&buffers, shard, BatchTrigger::Repeat, vec![pending]);
+                        continue;
+                    }
+                    if buffers[shard].requests.is_empty() {
+                        buffers[shard].deadline = pending.submitted_at + max_wait_secs;
+                    }
+                    buffers[shard].requests.push(pending);
+                    let depth = stats.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
+                    stats.queue_depth_peak.fetch_max(depth, Ordering::Relaxed);
+                    if buffers[shard].requests.len() >= policy.max_batch {
+                        let requests = buffers[shard].take(&stats);
+                        dispatch(&buffers, shard, BatchTrigger::Size, requests);
                     }
                 }
                 // Shutdown: drain whatever is left, in shard order —
                 // every buffered ticket gets an answer before the
                 // workers are released.
                 for shard in 0..shards {
-                    flush(&mut buffers, shard, BatchTrigger::Drain);
+                    let requests = buffers[shard].take(&stats);
+                    dispatch(&buffers, shard, BatchTrigger::Drain, requests);
                 }
                 // `batch_txs` drop here, terminating the shard workers.
             });
@@ -1511,6 +1601,26 @@ mod tests {
         queries
     }
 
+    /// `n` digest-distinct queries on one shard: copies of one query
+    /// (overlap 1.0 — identical scan shapes, so one affinity) told apart
+    /// by a join selectivity, which no scan shape reads. Tests of the
+    /// size, deadline and drain triggers use these, since a plain copy
+    /// of an already-dispatched query would take the repeat trigger.
+    fn same_shard_workload(n: usize, seed: u64) -> Vec<Query> {
+        let mut queries = workload(3, n, 1.0, seed);
+        for (i, q) in queries.iter_mut().enumerate() {
+            q.joins[0].selectivity *= 1.0 - i as f64 * 1e-3;
+        }
+        let model = CloudCostModel::default();
+        let affinities: HashSet<u64> = queries
+            .iter()
+            .map(|q| mpq_core::session::query_affinity(q, &model))
+            .collect();
+        let digests: HashSet<u64> = queries.iter().map(query_digest).collect();
+        assert_eq!((affinities.len(), digests.len()), (1, n));
+        queries
+    }
+
     fn sessions<'m>(
         model: &'m CloudCostModel,
         shards: usize,
@@ -1549,6 +1659,35 @@ mod tests {
             .collect()
     }
 
+    /// Per-query facts that must match bit for bit between the service
+    /// and a plain session: counters and the frontier at probe points.
+    type Fingerprint = (
+        u64,
+        u64,
+        usize,
+        Vec<Vec<(mpq_core::plan::PlanId, Vec<f64>)>>,
+    );
+
+    fn fingerprint(space: &GridSpace, solution: &MpqSolution<GridSpace>) -> Fingerprint {
+        (
+            solution.stats.plans_created,
+            solution.stats.plans_pruned,
+            solution.stats.final_plan_count,
+            [0.0, 0.5, 1.0]
+                .iter()
+                .map(|&x| solution.frontier_at(space, &[x]))
+                .collect(),
+        )
+    }
+
+    /// The fingerprint of `query` optimized alone through a plain session.
+    fn plain_fingerprint(query: &Query, model: &CloudCostModel) -> Fingerprint {
+        let opt = OptimizerConfig::default_for(1);
+        let space = GridSpace::for_unit_box(1, &opt, 2).unwrap();
+        let session = OptimizerSession::new(space, model, opt.clone());
+        fingerprint(session.space(), &session.optimize(query))
+    }
+
     /// Service responses equal plain one-by-one session runs bit for bit.
     #[test]
     fn service_matches_plain_session() {
@@ -1566,7 +1705,10 @@ mod tests {
         assert_eq!(stats.rejected, 0);
         assert_eq!(stats.quarantined, 0);
         assert_eq!(
-            stats.size_triggered + stats.deadline_triggered + stats.drain_triggered,
+            stats.size_triggered
+                + stats.deadline_triggered
+                + stats.drain_triggered
+                + stats.repeat_triggered,
             stats.batches,
             "every batch carries exactly one trigger"
         );
@@ -1586,7 +1728,7 @@ mod tests {
     #[test]
     fn size_trigger_bounds_batches() {
         let model = CloudCostModel::default();
-        let queries = workload(3, 7, 1.0, 3);
+        let queries = same_shard_workload(7, 3);
         let shard_sessions = sessions(&model, 2, None);
         let config = ServiceConfig::new(BatchPolicy::new(3, Duration::from_secs(3600)))
             .with_clock(VirtualClock::new().clock());
@@ -1600,10 +1742,11 @@ mod tests {
         });
         let responses: Vec<_> = tickets.into_iter().map(|t| t.wait()).collect();
         assert_eq!(stats.deadline_triggered, 0, "frozen clock, huge deadline");
-        // Identical queries share one affinity → one shard takes all 7:
-        // two size batches of 3 and a drained single.
+        // One affinity → one shard takes all 7: two size batches of 3
+        // and a drained single.
         assert_eq!(stats.size_triggered, 2);
         assert_eq!(stats.drain_triggered, 1);
+        assert_eq!(stats.repeat_triggered, 0, "no query repeats");
         for resp in &responses {
             assert_eq!(resp.kind(), OutcomeKind::Ok);
             assert!(resp.route.unwrap().batch_size <= 3);
@@ -1615,7 +1758,7 @@ mod tests {
         assert_eq!(busy[0].restarts, 0, "no faults, no restarts");
         assert!(
             busy[0].cache.hits + busy[0].subtree.hits > 0,
-            "identical queries share lifts or whole subtrees"
+            "queries over the same tables share lifts or whole subtrees"
         );
     }
 
@@ -1624,7 +1767,7 @@ mod tests {
     #[test]
     fn deadline_trigger_fires_on_virtual_clock() {
         let model = CloudCostModel::default();
-        let queries = workload(3, 3, 1.0, 5);
+        let queries = same_shard_workload(3, 5);
         let shard_sessions = sessions(&model, 1, None);
         let vclock = VirtualClock::new();
         let config = ServiceConfig::new(BatchPolicy::new(100, Duration::from_micros(50)))
@@ -1756,14 +1899,16 @@ mod tests {
         );
     }
 
-    /// Non-finite table statistics never come back `Ok`: validation rejects
-    /// them inside `optimize`, so the query resolves `Panicked` while its
-    /// healthy batch-mate still completes.
+    /// Non-finite table statistics never come back `Ok`: `submit`
+    /// validates, so the query resolves `Panicked` with `optimize`'s own
+    /// message before it can enter a batch. Its would-be batch-mate runs
+    /// alone, with no restart, bit-identical to a plain session.
     #[test]
     fn non_finite_statistics_resolve_panicked() {
         let model = CloudCostModel::default();
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let queries = workload(3, 2, 0.0, 7);
+            let healthy = plain_fingerprint(&queries[1], &model);
             let mut rows = queries[0].clone();
             rows.tables[0].rows = bad;
             let mut row_bytes = queries[0].clone();
@@ -1781,14 +1926,24 @@ mod tests {
             for i in [0, 2] {
                 match &responses[i].outcome {
                     QueryOutcome::Panicked { message } => assert!(
-                        message.contains("invalid query"),
+                        message.starts_with("invalid query: "),
                         "statistic {bad}: unexpected panic {message}"
                     ),
                     other => panic!("statistic {bad}: query {i} got {:?}", other.kind()),
                 }
+                assert!(responses[i].route.is_none(), "never batched");
             }
-            assert_eq!(responses[1].kind(), OutcomeKind::Ok);
+            let route = responses[1].route.unwrap();
+            assert_eq!(route.batch_size, 1, "the invalid queries left no trace");
+            let mate = responses.into_iter().nth(1).unwrap().expect_ok();
+            assert_eq!(
+                fingerprint(shard_sessions.shard(route.shard).space(), &mate),
+                healthy,
+                "statistic {bad}: the batch-mate diverged"
+            );
             assert_eq!((stats.completed, stats.quarantined), (1, 2));
+            assert_eq!(stats.per_shard[0].restarts, 0, "nothing to bisect");
+            assert_eq!(stats.queue_depth_peak, 1);
         }
     }
 
@@ -1970,7 +2125,7 @@ mod tests {
     #[test]
     fn approx_policy_downgrades_deadline_batches() {
         let model = CloudCostModel::default();
-        let queries = workload(3, 3, 1.0, 5);
+        let queries = same_shard_workload(3, 5);
         let shard_sessions = sessions(&model, 1, None);
         let vclock = VirtualClock::new();
         let config = ServiceConfig::new(BatchPolicy::new(100, Duration::from_micros(50)))
@@ -2009,8 +2164,8 @@ mod tests {
         let model = CloudCostModel::default();
         // Two affinity groups so two shard buffers can hold requests at
         // the same flush.
-        let mut queries = workload(3, 2, 1.0, 5);
-        queries.extend(workload(3, 2, 1.0, 23));
+        let mut queries = same_shard_workload(2, 5);
+        queries.extend(same_shard_workload(2, 23));
         let shard_sessions = sessions(&model, 2, None);
         let vclock = VirtualClock::new();
         let config = ServiceConfig::new(BatchPolicy::new(100, Duration::from_micros(50)))
@@ -2253,6 +2408,7 @@ mod tests {
         assert_eq!(get("service_size_triggered"), stats.size_triggered);
         assert_eq!(get("service_deadline_triggered"), stats.deadline_triggered);
         assert_eq!(get("service_drain_triggered"), stats.drain_triggered);
+        assert_eq!(get("service_repeat_triggered"), stats.repeat_triggered);
         assert_eq!(get("service_approx_batches"), stats.approx_batches);
         assert_eq!(get("service_approx_served"), stats.approx_served);
         assert_eq!(get("service_lps_solved"), stats.lps_solved);
@@ -2265,6 +2421,14 @@ mod tests {
                 + get("service_quarantined"),
             get("service_submitted"),
             "registry counters satisfy the conservation identity"
+        );
+        assert_eq!(
+            get("service_size_triggered")
+                + get("service_deadline_triggered")
+                + get("service_drain_triggered")
+                + get("service_repeat_triggered"),
+            get("service_batches"),
+            "registry triggers partition the batches"
         );
         // Percentiles in the snapshot ARE the registry histogram's.
         let histogram = registry.histogram("service_latency_seconds");
@@ -2282,5 +2446,130 @@ mod tests {
         let text = registry.expose();
         let parsed = mpq_obs::parse_exposition(&text).expect("exposition parses");
         assert!(parsed.iter().any(|(n, _)| n == "service_submitted"));
+    }
+
+    /// A copy of an already-dispatched query skips the buffer: with a
+    /// frozen clock and a 1000 s deadline it is answered inside the body,
+    /// as a one-request `Repeat` batch that runs exact, bit-identical to
+    /// a plain session; an expired copy still times out at dispatch.
+    #[test]
+    fn repeat_dispatches_at_once() {
+        let model = CloudCostModel::default();
+        let query = workload(3, 1, 0.0, 5).remove(0);
+        let reference = plain_fingerprint(&query, &model);
+        let shard_sessions = sessions(&model, 1, None);
+        let vclock = VirtualClock::new();
+        let vc = vclock.clone();
+        let obs = Obs::with_clock(true, Arc::new(move || vc.now_micros()));
+        let clock = vclock.clock();
+        let config = ServiceConfig::new(BatchPolicy::new(2, Duration::from_secs(1000)))
+            .with_clock(vclock.clock())
+            .with_approx(ApproxPolicy::deadline_only(0.1))
+            .with_obs(obs.clone());
+        let (first, stats) = serve(&shard_sessions, config, |handle| {
+            let first = [handle.submit(query.clone()), handle.submit(query.clone())];
+            let third = handle
+                .submit(query.clone())
+                .wait_timeout(&clock, Duration::from_secs(60));
+            let route = third.route.expect("answered before the drain");
+            assert_eq!((route.trigger, route.batch_size), (BatchTrigger::Repeat, 1));
+            assert_eq!(third.served_epsilon, None, "repeats run exact");
+            let space = shard_sessions.shard(route.shard).space();
+            assert_eq!(fingerprint(space, &third.expect_ok()), reference);
+            let expired = handle
+                .submit(SubmittedQuery::new(query.clone()).with_deadline(-1.0))
+                .wait_timeout(&clock, Duration::from_secs(60));
+            assert_eq!(expired.kind(), OutcomeKind::TimedOut);
+            first
+        });
+        for ticket in first {
+            let route = ticket.wait().route.unwrap();
+            assert_eq!((route.trigger, route.batch_size), (BatchTrigger::Size, 2));
+        }
+        assert_eq!(
+            (stats.batches, stats.size_triggered, stats.repeat_triggered),
+            (2, 1, 1)
+        );
+        assert_eq!((stats.completed, stats.timed_out), (3, 1));
+        assert_eq!(stats.queue_depth_peak, 2, "a repeat never buffers");
+        let registry = obs.registry().expect("enabled handle");
+        assert_eq!(registry.counter("service_repeat_triggered").get(), 1);
+        let repeat_spans = obs
+            .spans()
+            .iter()
+            .filter(|s| s.name == "shard_batch" && s.fields.contains(&("trigger", 3)))
+            .count();
+        assert_eq!(repeat_spans, 1, "the span carries the repeat code");
+    }
+
+    /// A copy submitted while its first copy is still buffered is not a
+    /// repeat yet: it joins that buffer.
+    #[test]
+    fn copy_of_buffered_query_joins_its_buffer() {
+        let model = CloudCostModel::default();
+        let query = workload(3, 1, 0.0, 5).remove(0);
+        let shard_sessions = sessions(&model, 1, None);
+        let config = ServiceConfig::new(BatchPolicy::new(100, Duration::from_secs(1000)))
+            .with_clock(VirtualClock::new().clock());
+        let (tickets, stats) = serve(&shard_sessions, config, |handle| {
+            [handle.submit(query.clone()), handle.submit(query.clone())]
+        });
+        for ticket in tickets {
+            let route = ticket.wait().route.unwrap();
+            assert_eq!((route.trigger, route.batch_size), (BatchTrigger::Drain, 2));
+        }
+        assert_eq!((stats.batches, stats.repeat_triggered), (1, 0));
+    }
+
+    /// A poison query's later copies are quarantined one per `Repeat`
+    /// batch at one restart each; no healthy query rides with them, so
+    /// none is re-run.
+    #[test]
+    fn poison_repeats_quarantine_alone() {
+        silence_injected_panics();
+        let model = CloudCostModel::default();
+        let queries = distinct_workload(3, 2, 7);
+        let (poison, healthy) = (&queries[0], &queries[1]);
+        let reference = plain_fingerprint(healthy, &model);
+        let mut plan = FaultPlan::new();
+        plan.mark(poison, Fault::poison());
+        let plan = Arc::new(plan);
+        let shard_sessions = sessions_with_plan(&model, 1, None, Some(&plan));
+        let vclock = VirtualClock::new();
+        let config = ServiceConfig::new(BatchPolicy::new(100, Duration::from_micros(50)))
+            .with_clock(vclock.clock());
+        let (tickets, stats) = serve(&shard_sessions, config, |handle| {
+            let mut tickets = vec![handle.submit(poison.clone())];
+            // The healthy arrival's sweep dispatches the first poison
+            // copy alone; every later copy repeats it.
+            vclock.advance_to_micros(100);
+            tickets.push(handle.submit(healthy.clone()));
+            tickets.extend((0..3).map(|_| handle.submit(poison.clone())));
+            tickets
+        });
+        let responses: Vec<_> = tickets.into_iter().map(|t| t.wait()).collect();
+        for (i, resp) in responses.iter().enumerate().filter(|&(i, _)| i != 1) {
+            assert_eq!(resp.kind(), OutcomeKind::Panicked, "poison copy {i}");
+            let route = resp.route.unwrap();
+            let expected = if i == 0 {
+                BatchTrigger::Deadline
+            } else {
+                BatchTrigger::Repeat
+            };
+            assert_eq!((route.trigger, route.batch_size), (expected, 1));
+        }
+        let mut responses = responses;
+        let mate = responses.remove(1);
+        let route = mate.route.unwrap();
+        assert_eq!((route.trigger, route.batch_size), (BatchTrigger::Drain, 1));
+        assert_eq!(
+            fingerprint(shard_sessions.shard(0).space(), &mate.expect_ok()),
+            reference
+        );
+        assert_eq!((stats.quarantined, stats.repeat_triggered), (4, 3));
+        assert_eq!(
+            stats.per_shard[0].restarts, 4,
+            "one restart per poison copy, none for the healthy query"
+        );
     }
 }

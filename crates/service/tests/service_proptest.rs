@@ -156,7 +156,10 @@ proptest! {
                 );
                 prop_assert_eq!(
                     stats.batches,
-                    stats.size_triggered + stats.deadline_triggered + stats.drain_triggered
+                    stats.size_triggered
+                        + stats.deadline_triggered
+                        + stats.drain_triggered
+                        + stats.repeat_triggered
                 );
                 let evictions: u64 =
                     stats.per_shard.iter().map(|s| s.cache.evictions).sum();
