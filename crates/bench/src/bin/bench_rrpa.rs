@@ -137,6 +137,7 @@ fn run_smoke_approx() {
         mean_gap_us: 200,
         subtree: None,
         approx_epsilon: Some(0.1),
+        distinct_copies: false,
     };
     let mut service_cfg = OptimizerConfig::default_for(1);
     service_cfg.threads = Some(1);

@@ -13,20 +13,28 @@
 //! wall-clock), so batching decisions, trigger mixes and cache counters
 //! are bit-reproducible.
 //!
-//! * `--smoke` — one tiny trace at two shard counts; asserts the trigger
-//!   mix is sane (every batch carries exactly one trigger, both size and
-//!   repeat fire), that busy shards hit their lifting caches at overlap
-//!   1.0, and that the service's summed counters — plans created, final
-//!   plans, *and* the per-batch LP deltas — equal the same queries run
-//!   one-by-one through a plain session. A second pass with the
-//!   shared-subplan cache enabled must hit subtrees at overlap 1.0 while
-//!   keeping those counters bit-identical.
+//! * `--smoke` — two tiny overlap-1.0 traces at two shard counts. In the
+//!   first, the queries are told apart (digest-distinct, same tables):
+//!   the smoke asserts the trigger mix is sane (every batch carries
+//!   exactly one trigger, the size trigger fires), that busy shards hit
+//!   their lifting caches, and that the service's summed counters —
+//!   plans created, final plans, *and* the per-batch LP deltas — equal
+//!   the same queries run one-by-one through a plain session; a pass
+//!   with the shared-subplan cache enabled must hit subtrees while
+//!   keeping those counters bit-identical. The second trace is copies of
+//!   one query: every copy must coalesce onto its leader, the summed
+//!   plan counters must still equal one-by-one runs of every request,
+//!   and the service's LPs must equal one-by-one runs of the distinct
+//!   queries only.
 //! * `--smoke-chaos` — one tiny trace under a seeded fault plan at shard
 //!   counts {1, 2, 4}; `run_chaos_trace` asserts outcome accounting
 //!   (exactly one outcome per query, quarantine = poison count, restarts
 //!   ≥ quarantines) and healthy-query plan equality against plain
 //!   sessions; the smoke additionally requires that the plan actually
-//!   poisons something and that healthy queries survive.
+//!   poisons something and that healthy queries survive. An overlap-1.0
+//!   pass (copies of one poisoned query) requires copies that waited on
+//!   the poison leader, so the worker's re-run of each copy is exercised
+//!   under the same accounting.
 //! * `--smoke-net` — a clean loopback-TCP pass (real sockets,
 //!   bit-identity, first-attempt answers, cache replay), a deterministic
 //!   in-memory chaos pass (drop/duplicate/delay at rate 0.3, shards
@@ -43,17 +51,21 @@
 //! Every mode writes no file and exits non-zero on violation; bad
 //! arguments exit 2 with a usage line.
 
-use mpq_bench::harness::{run_chaos_trace, run_net_trace, run_service_trace, NetSpec, ServiceSpec};
-use mpq_catalog::fault::NetFaultKind;
+use mpq_bench::harness::{
+    run_chaos_trace, run_net_trace, run_service_trace, service_trace, NetSpec, ServiceSpec,
+};
+use mpq_catalog::fault::{query_digest, NetFaultKind};
 use mpq_catalog::generator::GeneratorConfig;
 use mpq_catalog::generator::{generate_trace, TraceConfig, WorkloadConfig};
 use mpq_catalog::graph::Topology;
+use mpq_catalog::Query;
 use mpq_cloud::model::CloudCostModel;
 use mpq_core::grid_space::GridSpace;
 use mpq_core::session::OptimizerSession;
 use mpq_core::OptimizerConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::HashSet;
 
 fn die(msg: &str) -> ! {
     eprintln!("bench_service: {msg}");
@@ -61,7 +73,24 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// CI smoke: a tiny trace, deterministic under the virtual clock,
+/// Summed plan counters and per-batch LPs of `queries` run one by one
+/// through plain sessions (fresh space per query — the determinism
+/// contract's reference).
+fn one_by_one(queries: &[Query], config: &OptimizerConfig) -> (u64, u64, u64) {
+    let model = CloudCostModel::default();
+    let (mut plans, mut final_plans, mut lps) = (0u64, 0u64, 0u64);
+    for q in queries {
+        let space = GridSpace::for_unit_box(q.num_params, config, 2).expect("grid space");
+        let session = OptimizerSession::new(space, &model, config.clone());
+        let (solutions, batch_lps) = session.optimize_batch_counted(std::slice::from_ref(q));
+        plans += solutions[0].stats.plans_created;
+        final_plans += solutions[0].stats.final_plan_count as u64;
+        lps += batch_lps;
+    }
+    (plans, final_plans, lps)
+}
+
+/// CI smoke: tiny traces, deterministic under the virtual clock,
 /// checked end to end against plain one-by-one sessions.
 fn run_smoke() {
     let (topology, n, p) = (Topology::Chain, 3, 1);
@@ -86,14 +115,16 @@ fn run_smoke() {
             // solver and break the comparison.
             subtree: Some(Some(0)),
             approx_epsilon: None,
+            // Digest-distinct queries over the same tables: each one is
+            // batched and optimized, and they share lifts.
+            distinct_copies: true,
         };
         let r = run_service_trace(&spec, 0, &config);
-        // Trigger mix sane: every batch carries exactly one trigger, the
-        // size trigger fires (10 arrivals, batches of 3), and the copies
-        // arriving after the first dispatch go straight to their shard.
+        // Trigger mix sane: every batch carries exactly one trigger, and
+        // the size trigger fires (10 arrivals, batches of 3).
         assert_eq!(
             r.batches,
-            r.size_triggered + r.deadline_triggered + r.drain_triggered + r.repeat_triggered,
+            r.size_triggered + r.deadline_triggered + r.drain_triggered,
             "smoke: triggers must partition the batches"
         );
         assert!(r.batches > 1, "smoke: the trace must form several batches");
@@ -101,45 +132,19 @@ fn run_smoke() {
             r.size_triggered > 0,
             "smoke: max_batch 3 over 10 arrivals must size-trigger"
         );
-        assert!(
-            r.repeat_triggered > 0,
-            "smoke: copies of an already-dispatched query must repeat-trigger"
-        );
-        // Per-shard sharing: an overlap-1.0 trace is copies of one query,
-        // so every busy shard must hit its lifting cache.
+        assert_eq!(r.coalesced, 0, "smoke: distinct queries never coalesce");
+        // Per-shard sharing: the queries share every table, so every
+        // busy shard must hit its lifting cache.
         assert!(
             r.cache_hits > 0,
             "smoke: overlap-1.0 trace must hit the shard caches"
         );
         // Service-vs-session counter equality: the same queries, one by
-        // one through a plain session (fresh space per query — the
-        // determinism contract's reference), must produce exactly the
-        // same summed plans and LP volume. The LP comparison uses the
+        // one through a plain session, must produce exactly the same
+        // summed plans and LP volume. The LP comparison uses the
         // per-batch delta accessor on both sides, so the assertion is
         // self-describing (no session-cumulative snapshots involved).
-        let trace = generate_trace(
-            &TraceConfig {
-                workload: WorkloadConfig::uniform(
-                    GeneratorConfig::paper(n, topology, p),
-                    trace_len,
-                    1.0,
-                ),
-                mean_gap: spec.mean_gap_us as f64 * 1e-6,
-            },
-            &mut StdRng::seed_from_u64(0),
-        );
-        let model = CloudCostModel::default();
-        let mut plans = 0u64;
-        let mut final_plans = 0u64;
-        let mut lps = 0u64;
-        for q in &trace.queries {
-            let space = GridSpace::for_unit_box(p, &config, 2).expect("grid space");
-            let session = OptimizerSession::new(space, &model, config.clone());
-            let (solutions, batch_lps) = session.optimize_batch_counted(std::slice::from_ref(q));
-            plans += solutions[0].stats.plans_created;
-            final_plans += solutions[0].stats.final_plan_count as u64;
-            lps += batch_lps;
-        }
+        let (plans, final_plans, lps) = one_by_one(&service_trace(&spec, 0).queries, &config);
         assert_eq!(
             (r.plans_created, r.final_plans),
             (plans, final_plans),
@@ -156,9 +161,9 @@ fn run_smoke() {
             "smoke: per-query LP attribution must be recorded for service traces"
         );
         // Shared-subplan pass: the same trace with the subtree cache on
-        // must actually reuse subtrees (overlap 1.0 means the batch is
-        // copies of one query) while the plan counters stay bit-identical
-        // to the cache-off run — memoization is pure.
+        // must actually reuse subtrees (the queries share every table)
+        // while the plan counters stay bit-identical to the cache-off
+        // run — memoization is pure.
         let sub = run_service_trace(
             &ServiceSpec {
                 subtree: Some(None),
@@ -176,17 +181,50 @@ fn run_smoke() {
             (r.plans_created, r.final_plans),
             "smoke: subtree caching changed plan counters ({shards} shards)"
         );
+        // Copies pass: the plain overlap-1.0 trace is copies of one
+        // query. Every copy gets its leader's answer, so the summed plan
+        // counters still equal one-by-one runs of every request, while
+        // the LPs are those of the one distinct query.
+        let copies_spec = ServiceSpec {
+            distinct_copies: false,
+            ..spec
+        };
+        let copies = run_service_trace(&copies_spec, 0, &config);
+        let trace = service_trace(&copies_spec, 0);
+        let mut seen = HashSet::new();
+        let distinct: Vec<Query> = trace
+            .queries
+            .iter()
+            .filter(|q| seen.insert(query_digest(q)))
+            .cloned()
+            .collect();
+        assert_eq!(
+            copies.coalesced,
+            (trace.len() - distinct.len()) as u64,
+            "smoke: every copy must coalesce onto its leader ({shards} shards)"
+        );
+        let (plans, final_plans, _) = one_by_one(&trace.queries, &config);
+        assert_eq!(
+            (copies.plans_created, copies.final_plans),
+            (plans, final_plans),
+            "smoke: copies' answers diverged from one-by-one sessions ({shards} shards)"
+        );
+        let (_, _, distinct_lps) = one_by_one(&distinct, &config);
+        assert_eq!(
+            copies.lps_solved, distinct_lps,
+            "smoke: copies must cost only their leader's LPs ({shards} shards)"
+        );
         eprintln!(
-            "smoke ok: shards={shards} batches={} (size {}/deadline {}/drain {}/repeat {}) \
-             hits={} plans={} subtree_hits={}",
+            "smoke ok: shards={shards} batches={} (size {}/deadline {}/drain {}) \
+             hits={} plans={} subtree_hits={} coalesced={}",
             r.batches,
             r.size_triggered,
             r.deadline_triggered,
             r.drain_triggered,
-            r.repeat_triggered,
             r.cache_hits,
             r.plans_created,
-            sub.subtree_hits
+            sub.subtree_hits,
+            copies.coalesced
         );
     }
 }
@@ -217,6 +255,7 @@ fn run_smoke_chaos() {
             mean_gap_us: 100,
             subtree: None,
             approx_epsilon: None,
+            distinct_copies: false,
         };
         let r = run_chaos_trace(&spec, 0.3, 0, &config);
         assert!(
@@ -227,10 +266,34 @@ fn run_smoke_chaos() {
             r.healthy > 0,
             "chaos smoke: healthy queries must survive their poisoned batchmates"
         );
+        // Copies of one query share its fault fate: a poisoned leader's
+        // waiting copies are each re-run alone by its shard worker, and
+        // `run_chaos_trace` holds them to the same accounting
+        // (quarantined == poisoned, restarts ≥ quarantines).
+        let copies = run_chaos_trace(
+            &ServiceSpec {
+                overlap: 1.0,
+                ..spec
+            },
+            0.3,
+            0,
+            &config,
+        );
+        assert!(
+            copies.quarantined > 0 && copies.coalesced > 0,
+            "chaos smoke: the overlap-1.0 pass must poison a leader with waiting copies"
+        );
         eprintln!(
             "chaos smoke ok: shards={shards} healthy={} quarantined={} restarts={} \
-             batches={} plans={}",
-            r.healthy, r.quarantined, r.restarts, r.batches, r.healthy_plans_created
+             batches={} plans={}; copies: quarantined={} coalesced={} restarts={}",
+            r.healthy,
+            r.quarantined,
+            r.restarts,
+            r.batches,
+            r.healthy_plans_created,
+            copies.quarantined,
+            copies.coalesced,
+            copies.restarts
         );
     }
 }
@@ -561,8 +624,7 @@ fn run_smoke_obs() {
             get("service_batches"),
             get("service_size_triggered")
                 + get("service_deadline_triggered")
-                + get("service_drain_triggered")
-                + get("service_repeat_triggered"),
+                + get("service_drain_triggered"),
             "obs smoke: triggers partition the batches, from the registry alone"
         );
         let text = registry.expose();

@@ -400,6 +400,31 @@ pub struct ServiceSpec {
     /// deadline-pressured batch runs at `ε` (stamped on its responses);
     /// `None` keeps every batch exact.
     pub approx_epsilon: Option<f64>,
+    /// Tell copies apart: query `i`'s first join selectivity is scaled
+    /// by `1 − i·10⁻³`. That changes its digest but no scan shape, so an
+    /// overlap-1.0 trace becomes digest-distinct queries that still share
+    /// lifts, instead of copies that coalesce onto one leader.
+    pub distinct_copies: bool,
+}
+
+/// The seeded arrival trace a [`ServiceSpec`] describes.
+pub fn service_trace(spec: &ServiceSpec, seed: u64) -> mpq_catalog::generator::ArrivalTrace {
+    use mpq_catalog::generator::{generate_trace, TraceConfig};
+    let trace_cfg = TraceConfig {
+        workload: WorkloadConfig::uniform(
+            GeneratorConfig::paper(spec.num_tables, spec.topology, spec.num_params),
+            spec.trace,
+            spec.overlap,
+        ),
+        mean_gap: spec.mean_gap_us as f64 * 1e-6,
+    };
+    let mut trace = generate_trace(&trace_cfg, &mut StdRng::seed_from_u64(seed));
+    if spec.distinct_copies {
+        for (i, q) in trace.queries.iter_mut().enumerate() {
+            q.joins[0].selectivity *= 1.0 - i as f64 * 1e-3;
+        }
+    }
+    trace
 }
 
 /// Metrics of one service-trace run (grid backend, single-threaded
@@ -420,8 +445,8 @@ pub struct ServiceRecord {
     pub deadline_triggered: u64,
     /// Drain-flushed batches.
     pub drain_triggered: u64,
-    /// One-request batches of repeated queries, dispatched at once.
-    pub repeat_triggered: u64,
+    /// Copies answered from their leader instead of batched.
+    pub coalesced: u64,
     /// Cache hits, summed over shards.
     pub cache_hits: u64,
     /// Cache misses, summed over shards.
@@ -444,20 +469,11 @@ pub struct ServiceRecord {
 /// clock** — stepped to each arrival at submit, exactly the replayable
 /// no-wall-clock regime the trace generator promises.
 pub fn run_service_trace(spec: &ServiceSpec, seed: u64, config: &OptimizerConfig) -> ServiceRecord {
-    use mpq_catalog::generator::{generate_trace, TraceConfig};
     use mpq_core::session::{SessionConfig, ShardedSession};
     use mpq_service::{serve, ApproxPolicy, BatchPolicy, ServiceConfig, VirtualClock};
     use std::time::Duration;
 
-    let trace_cfg = TraceConfig {
-        workload: WorkloadConfig::uniform(
-            GeneratorConfig::paper(spec.num_tables, spec.topology, spec.num_params),
-            spec.trace,
-            spec.overlap,
-        ),
-        mean_gap: spec.mean_gap_us as f64 * 1e-6,
-    };
-    let trace = generate_trace(&trace_cfg, &mut StdRng::seed_from_u64(seed));
+    let trace = service_trace(spec, seed);
     let model = CloudCostModel::default();
     let metrics = model_num_metrics(&model);
     let mut session_cfg = SessionConfig::new(config.clone());
@@ -506,7 +522,7 @@ pub fn run_service_trace(spec: &ServiceSpec, seed: u64, config: &OptimizerConfig
         size_triggered: stats.size_triggered,
         deadline_triggered: stats.deadline_triggered,
         drain_triggered: stats.drain_triggered,
-        repeat_triggered: stats.repeat_triggered,
+        coalesced: stats.coalesced,
         cache_hits: cache.iter().map(|c| c.hits).sum(),
         cache_misses: cache.iter().map(|c| c.misses).sum(),
         lps_query_median: median(&mut lps_query),
@@ -539,6 +555,8 @@ pub struct ChaosRecord {
     /// LPs solved (per-batch deltas, including work burned by panicked
     /// bisection attempts).
     pub lps_solved: u64,
+    /// Copies answered from (or re-run for) their leader.
+    pub coalesced: u64,
 }
 
 /// Runs one open-loop arrival trace through the service under a seeded
@@ -556,22 +574,13 @@ pub fn run_chaos_trace(
     config: &OptimizerConfig,
 ) -> ChaosRecord {
     use mpq_catalog::fault::{silence_injected_panics, FaultConfig, FaultPlan};
-    use mpq_catalog::generator::{generate_trace, TraceConfig};
     use mpq_core::session::{SessionConfig, ShardedSession};
     use mpq_service::{serve, ApproxPolicy, BatchPolicy, OutcomeKind, ServiceConfig, VirtualClock};
     use std::sync::Arc;
     use std::time::Duration;
 
     silence_injected_panics();
-    let trace_cfg = TraceConfig {
-        workload: WorkloadConfig::uniform(
-            GeneratorConfig::paper(spec.num_tables, spec.topology, spec.num_params),
-            spec.trace,
-            spec.overlap,
-        ),
-        mean_gap: spec.mean_gap_us as f64 * 1e-6,
-    };
-    let trace = generate_trace(&trace_cfg, &mut StdRng::seed_from_u64(seed));
+    let trace = service_trace(spec, seed);
     let plan = Arc::new(FaultPlan::generate(
         &trace,
         &FaultConfig::poison_only(fault_rate),
@@ -699,6 +708,7 @@ pub fn run_chaos_trace(
         healthy_plans_created,
         healthy_final_plans,
         lps_solved: stats.lps_solved,
+        coalesced: stats.coalesced,
     }
 }
 
@@ -1035,11 +1045,13 @@ mod tests {
             mean_gap_us: 50,
             subtree: None,
             approx_epsilon: None,
+            distinct_copies: false,
         }
     }
 
     /// Virtual-clock service traces replay bit-identically: every counter
-    /// (including the trigger mix) repeats run for run.
+    /// (including the trigger mix and the copy count) repeats run for
+    /// run.
     #[test]
     fn service_trace_is_deterministic() {
         let mut config = OptimizerConfig::default_for(1);
@@ -1056,15 +1068,15 @@ mod tests {
                 a.size_triggered,
                 a.deadline_triggered,
                 a.drain_triggered,
-                a.repeat_triggered
+                a.coalesced
             ),
             (
                 b.size_triggered,
                 b.deadline_triggered,
                 b.drain_triggered,
-                b.repeat_triggered
+                b.coalesced
             ),
-            "virtual-clock trigger mix replays exactly"
+            "virtual-clock trigger mix and copy count replay exactly"
         );
         assert_eq!(
             (a.cache_hits, a.cache_misses),
@@ -1072,16 +1084,13 @@ mod tests {
         );
         assert_eq!(
             a.batches,
-            a.size_triggered + a.deadline_triggered + a.drain_triggered + a.repeat_triggered
+            a.size_triggered + a.deadline_triggered + a.drain_triggered
         );
-        assert!(
-            a.repeat_triggered > 0,
-            "copies arriving after the first dispatch take the repeat trigger"
-        );
-        // With the subtree cache default-on, duplicate queries can be
-        // absorbed at the subtree layer before the lift cache sees them.
-        assert!(
-            a.cache_hits + a.subtree_hits > 0,
+        // An overlap-1.0 trace is copies of one query: all but the first
+        // share its answer.
+        assert_eq!(
+            a.coalesced,
+            spec.trace as u64 - 1,
             "overlap-1.0 trace must share work across queries"
         );
     }

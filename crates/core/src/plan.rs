@@ -36,7 +36,7 @@ pub enum PlanNode {
 }
 
 /// Arena of plan nodes for one optimization run.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct PlanArena {
     nodes: Vec<PlanNode>,
 }

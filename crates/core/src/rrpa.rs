@@ -206,6 +206,16 @@ pub struct MpqSolution<S: MpqSpace> {
     pub stats: OptStats,
 }
 
+impl<S: MpqSpace> Clone for MpqSolution<S> {
+    fn clone(&self) -> Self {
+        Self {
+            plans: self.plans.clone(),
+            arena: self.arena.clone(),
+            stats: self.stats.clone(),
+        }
+    }
+}
+
 impl<S: MpqSpace> MpqSolution<S> {
     /// The plans whose relevance region contains `x`, with their cost
     /// vectors at `x`. By the PPS guarantee these include a dominator for

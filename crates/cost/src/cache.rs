@@ -306,20 +306,6 @@ impl<K: Eq + Hash + Clone, V> LiftedCostCache<K, V> {
         value
     }
 
-    /// True iff `key` is resident. A resident key counts a hit and gets
-    /// its second-chance reference bit, exactly like a hit of
-    /// [`get_or_lift`](Self::get_or_lift); an absent key changes nothing
-    /// — no miss is counted and nothing is inserted.
-    pub fn probe(&self, key: &K) -> bool {
-        let mut ring = self.ring.lock().expect("lift cache poisoned");
-        let Some(&slot) = ring.map.get(key) else {
-            return false;
-        };
-        self.counters.hit();
-        ring.slots[slot].referenced = true;
-        true
-    }
-
     /// Number of resident shapes.
     pub fn len(&self) -> usize {
         self.ring.lock().expect("lift cache poisoned").map.len()
@@ -402,29 +388,6 @@ mod tests {
             21,
             "unreferenced entry evicted"
         );
-    }
-
-    /// A probe counts a hit and references a resident entry (so it
-    /// survives the next sweep) but never inserts or counts a miss.
-    #[test]
-    fn probe_hits_and_references_but_never_inserts() {
-        let cache: LiftedCostCache<u64, ()> = LiftedCostCache::with_capacity(Some(2));
-        assert!(!cache.probe(&1), "absent key");
-        assert!(cache.is_empty(), "a probe never inserts");
-        assert_eq!(
-            cache.stats(),
-            CacheStats::default(),
-            "an absent probe counts nothing"
-        );
-        cache.get_or_lift(&1, || ());
-        cache.get_or_lift(&2, || ());
-        assert!(cache.probe(&1));
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.evictions), (1, 2, 0));
-        cache.get_or_lift(&3, || ()); // hand clears 1's bit, evicts 2
-        assert!(cache.probe(&1), "the probed entry got its second chance");
-        assert!(!cache.probe(&2), "the unreferenced entry was evicted");
-        assert_eq!(cache.len(), 2);
     }
 
     /// Replaying the same access sequence produces identical counters —

@@ -619,7 +619,7 @@ impl<'a, C: ShardConn> ShardRouter<'a, C> {
             size_triggered: 0,
             deadline_triggered: 0,
             drain_triggered: 0,
-            repeat_triggered: 0,
+            coalesced: 0,
             lps_solved: 0,
             per_shard: c
                 .per_shard_queries

@@ -27,8 +27,11 @@
 //! eviction), so a long-lived server's memory does not grow with its
 //! traffic.
 //!
-//! A request that panics inside the optimizer is caught
-//! ([`std::panic::catch_unwind`]) and answered
+//! A query failing `Query::validate` is answered
+//! [`WireOutcome::Panicked`] (`invalid query: …`) before the dedup cache,
+//! without running the optimizer — the same admission rule the
+//! in-process service applies. A request that panics inside the
+//! optimizer is caught ([`std::panic::catch_unwind`]) and answered
 //! [`WireOutcome::Panicked`]; the panic outcome is cached like any other,
 //! so a poison query cannot be re-detonated by retries. An undecodable
 //! frame is answered [`Message::Error`] — a protocol-level diagnosis the
@@ -68,8 +71,9 @@ pub struct ServerCounters {
     pub dedup_hits: u64,
     /// Frames that failed to decode and were answered [`Message::Error`].
     pub protocol_errors: u64,
-    /// Requests whose optimization panicked (cached and answered
-    /// [`WireOutcome::Panicked`]).
+    /// Requests answered [`WireOutcome::Panicked`]: optimizations that
+    /// panicked (cached), plus queries that failed validation (never
+    /// optimized).
     pub panicked: u64,
 }
 
@@ -216,17 +220,26 @@ where
         span.record("shard", u64::from(self.shard));
         span.record("attempt", u64::from(request.attempt));
 
-        // Idempotency: the first request for a digest optimizes outside
-        // the cache lock; a racing replay of the same digest waits for
-        // that optimize and replays it. A replay is any call whose
-        // closure did not run.
-        let mut optimized = false;
-        let answer = self.dedup.get_or_lift(&request.digest, || {
-            optimized = true;
-            self.optimize_once(&request.submitted.query)
-        });
-        let dedup = !optimized;
-        let (outcome, served_epsilon) = (answer.0.clone(), answer.1);
+        // Validation at admission, the rule `ServiceHandle::submit`
+        // applies: an invalid query is answered without reaching the
+        // optimizer (or the dedup cache) instead of panicking inside it.
+        let (outcome, served_epsilon, dedup) = if let Err(e) = request.submitted.query.validate() {
+            span.record("invalid", 1);
+            self.panicked.inc();
+            let message = format!("invalid query: {e}");
+            (WireOutcome::Panicked { message }, None, false)
+        } else {
+            // Idempotency: the first request for a digest optimizes
+            // outside the cache lock; a racing replay of the same digest
+            // waits for that optimize and replays it. A replay is any
+            // call whose closure did not run.
+            let mut optimized = false;
+            let answer = self.dedup.get_or_lift(&request.digest, || {
+                optimized = true;
+                self.optimize_once(&request.submitted.query)
+            });
+            (answer.0.clone(), answer.1, !optimized)
+        };
         span.record("dedup", u64::from(dedup));
 
         encode_message(&Message::Response(WireResponse {

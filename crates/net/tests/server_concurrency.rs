@@ -1,7 +1,8 @@
 //! The shard server's idempotency cache under concurrency and at its
 //! bound: distinct digests optimize at the same time, a racing replay of
-//! an in-flight digest waits for that one optimize and replays it, and
-//! the cache evicts past [`DEDUP_CAPACITY`] without changing answers.
+//! an in-flight digest waits for that one optimize and replays it, the
+//! cache evicts past [`DEDUP_CAPACITY`] without changing answers, and an
+//! invalid query is answered before it reaches the cache.
 //!
 //! The concurrency tests meet inside the session's fault hook, which
 //! runs at the start of every optimize. The meeting point waits with a
@@ -21,7 +22,9 @@ use mpq_core::grid_space::GridSpace;
 use mpq_core::session::{FaultHook, OptimizerSession, SessionConfig};
 use mpq_core::OptimizerConfig;
 use mpq_net::server::{ShardServerCore, DEDUP_CAPACITY};
-use mpq_net::wire::{decode_message, encode_message, Message, WireRequest, WireResponse};
+use mpq_net::wire::{
+    decode_message, encode_message, Message, WireOutcome, WireRequest, WireResponse,
+};
 use mpq_obs::Obs;
 use mpq_service::SubmittedQuery;
 use rand::rngs::StdRng;
@@ -268,4 +271,40 @@ fn dedup_cache_is_bounded_and_eviction_keeps_answers() {
     assert!(dedup.evictions() > 0);
     assert_eq!(dedup.hits(), 0);
     assert_eq!(dedup.misses(), qs.len() as u64 + 1);
+}
+
+/// An invalid query is answered `Panicked` with `invalid query: …`
+/// before the dedup cache: `server_panicked` counts it, and no
+/// `optimize` span runs (a valid query afterwards shows the span would
+/// be there).
+#[test]
+fn invalid_query_is_answered_without_optimizing() {
+    let model = CloudCostModel::default();
+    let session = session(&model, None);
+    let obs = Obs::wall();
+    let core = core(&session).with_obs(obs.clone());
+    let valid = queries(2, 1, 3).remove(0);
+    let mut invalid = valid.clone();
+    invalid.tables[0].rows = f64::NAN;
+
+    let answer = response(&core.handle_frame(&request_frame(1, &invalid)));
+    match &answer.outcome {
+        WireOutcome::Panicked { message } => assert!(
+            message.starts_with("invalid query: "),
+            "unexpected message {message}"
+        ),
+        other => panic!("invalid query answered {other:?}"),
+    }
+    assert_eq!((answer.dedup, answer.served_epsilon), (false, None));
+    let registry = obs.registry().expect("observed");
+    assert_eq!(registry.counter("server_panicked").get(), 1);
+    assert_eq!(core.counters().panicked, 1);
+    assert_eq!(registry.cache("server_dedup").misses(), 0, "never cached");
+    let optimize_spans = |obs: &Obs| obs.spans().iter().filter(|s| s.name == "optimize").count();
+    assert_eq!(optimize_spans(&obs), 0);
+
+    let answer = response(&core.handle_frame(&request_frame(2, &valid)));
+    assert!(matches!(answer.outcome, WireOutcome::Ok(_)));
+    assert_eq!(optimize_spans(&obs), 1);
+    assert_eq!(core.counters().panicked, 1);
 }

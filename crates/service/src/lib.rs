@@ -7,21 +7,32 @@
 //! cost lifts across the queries of one batch; this crate adds the
 //! *service front-end* that turns arriving queries into batches:
 //!
-//! * **Batch accumulation** — arriving [`SubmittedQuery`]s buffer per
-//!   shard and dispatch when either trigger of the [`BatchPolicy`] fires:
-//!   the buffer reaches `max_batch` (*size* trigger) or the oldest
-//!   buffered request has waited `max_wait` (*deadline* trigger —
-//!   Trummer & Koch's randomized-MPQ line frames exactly this
-//!   latency/quality trade-off: waiting longer buys more sharing).
-//!   Shutdown flushes the rest (*drain* trigger). Only first-seen
-//!   queries wait: the batcher remembers the content digest
-//!   (`mpq_catalog::fault::query_digest`) of every request it has
-//!   dispatched, and an arrival repeating one of them dispatches at once
-//!   as a batch of one (*repeat* trigger) — its lifts and subtrees are
-//!   already in its shard's caches, so waiting would buy no sharing. The
-//!   set holds at most [`REPEAT_CAPACITY`] digests (second-chance
-//!   eviction, see `mpq_cost`); an evicted digest only means the next
-//!   copy buffers like a first-seen query.
+//! * **Coalescing** — identical requests share one optimization. The
+//!   first submit of a (query, deadline) pair is its *leader* and batches
+//!   like any request. A later submit of the same pair is a *copy*: it
+//!   never joins a batch or reaches a session (it only passes its submit
+//!   time to the batcher's deadline sweep). If the leader has resolved,
+//!   `submit` answers the copy at once with a clone of the leader's
+//!   answer; otherwise the copy waits on the leader and is answered the
+//!   moment it resolves. A copy gets the leader's route and
+//!   `served_epsilon` — the answer it would have got by riding in the
+//!   leader's batch. The key is the content digest
+//!   (`mpq_catalog::fault::query_digest`) mixed with the deadline's bits,
+//!   and a hit also requires the leader's stored query to be equal, so a
+//!   digest collision only costs the sharing, never a wrong answer. At
+//!   most [`ANSWER_CAPACITY`] keys are remembered (second-chance
+//!   eviction, see `mpq_cost`); the next submit of an evicted key leads
+//!   again. A leader that timed out or met shutdown passes that outcome
+//!   on (a copy has the same deadline). A leader that panicked does not:
+//!   its shard worker re-runs each waiting copy alone (see *panic
+//!   isolation*), and the next submit of the key leads again.
+//! * **Batch accumulation** — leaders buffer per shard and dispatch when
+//!   either trigger of the [`BatchPolicy`] fires: the buffer reaches
+//!   `max_batch` (*size* trigger) or the oldest buffered request has
+//!   waited `max_wait` (*deadline* trigger — Trummer & Koch's
+//!   randomized-MPQ line frames exactly this latency/quality trade-off:
+//!   waiting longer buys more sharing). Shutdown flushes the rest
+//!   (*drain* trigger).
 //! * **Sharded sessions** — batches dispatch to one of N
 //!   [`ShardedSession`] shards, chosen by the stable `OpShape`-derived
 //!   affinity (`mpq_core::session::query_affinity`), so queries over the
@@ -39,11 +50,14 @@
 //!   attribute the panic to the poison queries, answers *them* with
 //!   [`QueryOutcome::Panicked`], re-runs the healthy remainder, and
 //!   stays alive. One bad query can neither abort the process nor lose
-//!   another query's answer.
+//!   another query's answer. Copies waiting on a panicked leader are
+//!   re-run alone at the batch's ε, one more bisection leaf each (its own
+//!   fault attempt, and a restart if it panics again).
 //! * **Admission control** — [`ServiceConfig::max_queue`] bounds the
 //!   buffered-but-undispatched request count; beyond it, `submit`
 //!   answers the ticket immediately with [`QueryOutcome::Rejected`]
 //!   (backpressure the caller can see) instead of queueing unboundedly.
+//!   Copies take no queue slot, so a copy is never rejected.
 //!   `submit` also runs `Query::validate`: an invalid query is answered
 //!   [`QueryOutcome::Panicked`] (`invalid query: …`, the message
 //!   `optimize` would panic with) and counted quarantined before it can
@@ -68,10 +82,14 @@
 //!   per-shard cache hit/miss and restart counts, and p50/p95 latency
 //!   measured under a **caller-supplied clock**. With a [`VirtualClock`]
 //!   stepped from a seeded arrival trace, batching decisions — batch
-//!   contents and the trigger mix, repeats included (the batcher thread
-//!   registers digests as it dispatches, so which arrivals repeat is
-//!   itself a function of the submission sequence) — replay
-//!   bit-identically with no wall-clock dependence; the latency
+//!   contents, the trigger mix and the `coalesced` count — replay
+//!   bit-identically with no wall-clock dependence (`submit` classifies
+//!   leaders and copies, so the split is a function of the submission
+//!   sequence, and a copy's submit time still reaches the deadline
+//!   sweep, so a clock advance at a copy expires buffers exactly as an
+//!   advance at any other arrival). The one timing-dependent case is a copy of a query whose
+//!   leader panicked: whether the worker re-runs it or it leads anew
+//!   depends on when it arrives, but its outcome does not. The latency
 //!   *percentiles* are approximate there (completion times are read
 //!   while the submitter may still be advancing the clock), so treat
 //!   them like any other measured-duration metric.
@@ -82,9 +100,9 @@
 //! and frontiers are bit-identical to optimizing the same queries one by
 //! one through a plain `OptimizerSession`** — independent of batch
 //! grouping, shard count, trigger timing and cache evictions. Batching
-//! only regroups independent deterministic optimizations (a repeat still
-//! runs through its shard's session, so the repeat trigger changes only
-//! *when* a query runs, never its answer); shard spaces are constructed
+//! only regroups independent deterministic optimizations, and a copy
+//! gets a clone of its leader's answer, which is the answer the copy
+//! itself would have computed; shard spaces are constructed
 //! identically; evicted lifts re-lift to bit-identical values (lifts are
 //! pure in their shape). Only throughput counters
 //! (`lps_solved` snapshots, cache hit/miss/eviction totals) depend on the
@@ -142,11 +160,12 @@ use mpq_core::rrpa::MpqSolution;
 use mpq_core::session::{OptimizerSession, ShardedSession};
 use mpq_core::space::MpqSpace;
 use mpq_cost::{CacheStats, LiftedCostCache};
-use mpq_obs::{Counter, Gauge, Histogram, Obs, ObsConfig};
-use std::cell::OnceCell;
+use mpq_obs::{Counter, Gauge, Histogram, Obs, ObsConfig, SpanGuard};
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// When an accumulating batch dispatches to its shard.
@@ -156,8 +175,9 @@ pub struct BatchPolicy {
     pub max_batch: usize,
     /// Dispatch once the oldest buffered request has waited this long
     /// under the service clock (deadline trigger) — the latency bound a
-    /// *first-seen* query pays for batching. A repeat of an
-    /// already-dispatched query never waits (see [`BatchTrigger::Repeat`]).
+    /// leader pays for batching. A copy of a resolved leader never waits;
+    /// a copy of a buffered leader waits only for that leader (see the
+    /// crate docs on coalescing).
     pub max_wait: Duration,
 }
 
@@ -396,20 +416,18 @@ pub enum BatchTrigger {
     Deadline,
     /// Service shutdown flushed the remainder.
     Drain,
-    /// The one request repeats a query the service already dispatched,
-    /// so it went to its shard at once instead of buffering. Always runs
-    /// exact.
-    Repeat,
 }
 
-/// The most query digests the batcher remembers for the
-/// [`BatchTrigger::Repeat`] rule; past it, second-chance eviction drops
-/// the digest that repeated least recently.
-pub const REPEAT_CAPACITY: usize = 4096;
+/// The most (query, deadline) keys `submit` remembers for coalescing
+/// copies; past it, second-chance eviction drops the key that was copied
+/// least recently.
+pub const ANSWER_CAPACITY: usize = 4096;
 
 /// How a request travelled through the service: set on outcomes that
 /// reached a shard worker ([`QueryOutcome::Ok`] / [`Panicked`]), absent
-/// on requests turned away earlier (`TimedOut`, `Rejected`, `Shutdown`).
+/// on requests turned away earlier (`TimedOut`, `Rejected`, `Shutdown`,
+/// and queries that failed validation). A copy carries its leader's
+/// route.
 ///
 /// [`Panicked`]: QueryOutcome::Panicked
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -467,6 +485,20 @@ pub enum OutcomeKind {
     Shutdown,
 }
 
+impl<S: MpqSpace> Clone for QueryOutcome<S> {
+    fn clone(&self) -> Self {
+        match self {
+            QueryOutcome::Ok(solution) => QueryOutcome::Ok(solution.clone()),
+            QueryOutcome::Panicked { message } => QueryOutcome::Panicked {
+                message: message.clone(),
+            },
+            QueryOutcome::TimedOut => QueryOutcome::TimedOut,
+            QueryOutcome::Rejected => QueryOutcome::Rejected,
+            QueryOutcome::Shutdown => QueryOutcome::Shutdown,
+        }
+    }
+}
+
 impl<S: MpqSpace> QueryOutcome<S> {
     /// The outcome's discriminant.
     pub fn kind(&self) -> OutcomeKind {
@@ -517,11 +549,14 @@ pub struct QueryResponse<S: MpqSpace> {
     /// What became of the query.
     pub outcome: QueryOutcome<S>,
     /// The batch the query rode in — `Some` only for outcomes that
-    /// reached a shard worker (`Ok` / `Panicked`).
+    /// reached a shard worker (`Ok` / `Panicked`). A copy carries its
+    /// leader's route.
     pub route: Option<BatchRoute>,
     /// Submit-to-resolution latency in service-clock seconds.
-    /// Meaningful for `Ok`, `Panicked` and `TimedOut`; `0.0` for
-    /// requests turned away at submit time (`Rejected`, `Shutdown`).
+    /// Meaningful for `Ok`, `Panicked` and `TimedOut` (a copy measures
+    /// from its own submit); `0.0` for requests answered inside `submit`
+    /// without reading the clock (`Rejected`, `Shutdown`, and queries
+    /// that failed validation).
     pub latency: f64,
     /// The ε-approximation factor the request's batch ran at: `Some(ε)`
     /// when an [`ApproxPolicy`] downgraded the (deadline-pressured)
@@ -530,6 +565,16 @@ pub struct QueryResponse<S: MpqSpace> {
     /// exact frontier (every exact-frontier plan is ε-dominated by some
     /// served plan), not necessarily the exact frontier itself.
     pub served_epsilon: Option<f64>,
+}
+
+/// A response that never reached a shard worker.
+fn unrouted<S: MpqSpace>(outcome: QueryOutcome<S>, latency: f64) -> QueryResponse<S> {
+    QueryResponse {
+        outcome,
+        route: None,
+        latency,
+        served_epsilon: None,
+    }
 }
 
 impl<S: MpqSpace> std::fmt::Debug for QueryResponse<S> {
@@ -547,6 +592,16 @@ impl<S: MpqSpace> QueryResponse<S> {
     /// The outcome's discriminant.
     pub fn kind(&self) -> OutcomeKind {
         self.outcome.kind()
+    }
+
+    /// This answer, shared with a copy whose wait was `latency`.
+    fn for_copy(&self, latency: f64) -> Self {
+        Self {
+            outcome: self.outcome.clone(),
+            route: self.route,
+            latency,
+            served_epsilon: self.served_epsilon,
+        }
     }
 
     /// The solution of an `Ok` outcome.
@@ -583,12 +638,9 @@ impl<S: MpqSpace> ServiceTicket<S> {
     /// size-triggered nor passed its (frozen-clock) deadline blocks
     /// forever, because the drain flush only runs once the body returns.
     pub fn wait(self) -> QueryResponse<S> {
-        self.rx.recv().unwrap_or_else(|_| QueryResponse {
-            outcome: QueryOutcome::Shutdown,
-            route: None,
-            latency: 0.0,
-            served_epsilon: None,
-        })
+        self.rx
+            .recv()
+            .unwrap_or_else(|_| unrouted(QueryOutcome::Shutdown, 0.0))
     }
 
     /// [`Self::wait`] with a **real-time** budget, so a caller can never
@@ -606,18 +658,10 @@ impl<S: MpqSpace> ServiceTicket<S> {
         let waited_from = clock();
         match self.rx.recv_timeout(budget) {
             Ok(response) => response,
-            Err(mpsc::RecvTimeoutError::Disconnected) => QueryResponse {
-                outcome: QueryOutcome::Shutdown,
-                route: None,
-                latency: 0.0,
-                served_epsilon: None,
-            },
-            Err(mpsc::RecvTimeoutError::Timeout) => QueryResponse {
-                outcome: QueryOutcome::TimedOut,
-                route: None,
-                latency: clock() - waited_from,
-                served_epsilon: None,
-            },
+            Err(mpsc::RecvTimeoutError::Disconnected) => unrouted(QueryOutcome::Shutdown, 0.0),
+            Err(mpsc::RecvTimeoutError::Timeout) => {
+                unrouted(QueryOutcome::TimedOut, clock() - waited_from)
+            }
         }
     }
 
@@ -708,9 +752,10 @@ pub struct ServiceStats {
     pub deadline_triggered: u64,
     /// Batches flushed at shutdown.
     pub drain_triggered: u64,
-    /// One-request batches dispatched at once because the request repeats
-    /// an already-dispatched query.
-    pub repeat_triggered: u64,
+    /// Copies: requests that got their leader's answer instead of being
+    /// batched (see the crate docs on coalescing). Each also counts in
+    /// the resolution class of its outcome.
+    pub coalesced: u64,
     /// LPs solved across all dispatched batches (summed per-batch deltas
     /// — exact: shards run one batch at a time; includes work burned by
     /// panicked bisection attempts).
@@ -762,7 +807,7 @@ struct ObsMirror {
     size_triggered: Counter,
     deadline_triggered: Counter,
     drain_triggered: Counter,
-    repeat_triggered: Counter,
+    coalesced: Counter,
     lps_solved: Counter,
     queue_depth: Gauge,
     queue_depth_peak: Gauge,
@@ -782,7 +827,7 @@ impl ObsMirror {
             size_triggered: registry.counter("service_size_triggered"),
             deadline_triggered: registry.counter("service_deadline_triggered"),
             drain_triggered: registry.counter("service_drain_triggered"),
-            repeat_triggered: registry.counter("service_repeat_triggered"),
+            coalesced: registry.counter("service_coalesced"),
             lps_solved: registry.counter("service_lps_solved"),
             queue_depth: registry.gauge("service_queue_depth"),
             queue_depth_peak: registry.gauge("service_queue_depth_peak"),
@@ -811,7 +856,7 @@ struct StatsShared {
     size_triggered: AtomicU64,
     deadline_triggered: AtomicU64,
     drain_triggered: AtomicU64,
-    repeat_triggered: AtomicU64,
+    coalesced: AtomicU64,
     lps_solved: AtomicU64,
     shard_queries: Vec<AtomicU64>,
     shard_batches: Vec<AtomicU64>,
@@ -851,7 +896,7 @@ impl StatsShared {
             size_triggered: AtomicU64::new(0),
             deadline_triggered: AtomicU64::new(0),
             drain_triggered: AtomicU64::new(0),
-            repeat_triggered: AtomicU64::new(0),
+            coalesced: AtomicU64::new(0),
             lps_solved: AtomicU64::new(0),
             shard_queries: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             shard_batches: (0..shards).map(|_| AtomicU64::new(0)).collect(),
@@ -873,6 +918,38 @@ impl StatsShared {
         if let Some(m) = &self.mirror {
             pick(m).inc();
         }
+    }
+
+    /// Adds a batch's LP work to `lps_solved` and its mirror.
+    fn add_lps(&self, delta: u64) {
+        self.lps_solved.fetch_add(delta, Ordering::Relaxed);
+        if let Some(m) = &self.mirror {
+            m.lps_solved.add(delta);
+        }
+    }
+
+    /// Counts `response` in its resolution class and sends it — the one
+    /// place every ticket is answered. A dropped ticket is fine: the
+    /// client walked away from the response.
+    fn answer<S: MpqSpace>(
+        &self,
+        reply: &mpsc::Sender<QueryResponse<S>>,
+        response: QueryResponse<S>,
+    ) {
+        match response.outcome {
+            QueryOutcome::Ok(_) => {
+                self.push_latency(response.latency);
+                self.bump(&self.completed, |m| &m.completed);
+                if response.served_epsilon.is_some() {
+                    self.bump(&self.approx_served, |m| &m.approx_served);
+                }
+            }
+            QueryOutcome::Panicked { .. } => self.bump(&self.quarantined, |m| &m.quarantined),
+            QueryOutcome::TimedOut => self.bump(&self.timed_out, |m| &m.timed_out),
+            QueryOutcome::Rejected => self.bump(&self.rejected, |m| &m.rejected),
+            QueryOutcome::Shutdown => {}
+        }
+        let _ = reply.send(response);
     }
 
     fn snapshot(&self, caches: Vec<CacheStats>, subtrees: Vec<CacheStats>) -> ServiceStats {
@@ -908,7 +985,7 @@ impl StatsShared {
             size_triggered: self.size_triggered.load(Ordering::Relaxed),
             deadline_triggered: self.deadline_triggered.load(Ordering::Relaxed),
             drain_triggered: self.drain_triggered.load(Ordering::Relaxed),
-            repeat_triggered: self.repeat_triggered.load(Ordering::Relaxed),
+            coalesced: self.coalesced.load(Ordering::Relaxed),
             lps_solved: self.lps_solved.load(Ordering::Relaxed),
             per_shard: caches
                 .into_iter()
@@ -931,13 +1008,88 @@ impl StatsShared {
 /// One buffered request travelling batcher → shard worker.
 struct Pending<S: MpqSpace> {
     query: Query,
-    /// `query_digest(&query)`, the key of the [`BatchTrigger::Repeat`]
-    /// rule.
-    digest: u64,
     /// Absolute service-clock deadline (see [`SubmittedQuery::deadline`]).
     deadline: Option<f64>,
     submitted_at: f64,
     reply: mpsc::Sender<QueryResponse<S>>,
+    /// The coalescing slot this request leads (`None`: it runs unshared
+    /// after a digest collision).
+    slot: Option<Arc<Mutex<Slot<S>>>>,
+}
+
+impl<S: MpqSpace> Pending<S> {
+    /// Answers this request and the copies waiting on it. `Ok`,
+    /// `TimedOut` and `Shutdown` are shared, and the slot keeps the
+    /// answer for later copies. A `Panicked` answer is not shared: the
+    /// slot goes back to vacant and the waiting copies are returned for
+    /// the caller to re-run.
+    fn resolve(
+        &self,
+        stats: &StatsShared,
+        response: QueryResponse<S>,
+        now: f64,
+    ) -> Vec<WaitingCopy<S>> {
+        let mut rerun = Vec::new();
+        if let Some(slot) = &self.slot {
+            let mut state = slot.lock().unwrap_or_else(PoisonError::into_inner);
+            if let Slot::InFlight { key, copies } = std::mem::replace(&mut *state, Slot::Vacant) {
+                if response.kind() == OutcomeKind::Panicked {
+                    rerun = copies;
+                } else {
+                    for copy in copies {
+                        stats.answer(&copy.reply, response.for_copy(now - copy.submitted_at));
+                    }
+                    *state = Slot::Done {
+                        key,
+                        answer: response.for_copy(0.0),
+                    };
+                }
+            }
+        }
+        stats.answer(&self.reply, response);
+        rerun
+    }
+}
+
+/// What `submit` sends the batcher.
+enum Arrival<S: MpqSpace> {
+    /// A leader (or an unshared request) to buffer and batch.
+    Request(Pending<S>),
+    /// A copy's submit time. The batcher runs the deadline sweep a
+    /// request arriving then would run, so under a virtual clock every
+    /// clock advance still reaches the batcher through the submission
+    /// sequence, and which buffers expire stays a function of it.
+    Sweep(f64),
+}
+
+/// The coalescing state of one (query, deadline) key.
+enum Slot<S: MpqSpace> {
+    /// No leader: the next submit of the key leads.
+    Vacant,
+    /// The leader is in the service; its copies wait here.
+    InFlight {
+        key: SubmittedQuery,
+        copies: Vec<WaitingCopy<S>>,
+    },
+    /// The leader resolved; a copy is answered inside `submit`.
+    Done {
+        key: SubmittedQuery,
+        answer: QueryResponse<S>,
+    },
+}
+
+/// A copy waiting on its leader.
+struct WaitingCopy<S: MpqSpace> {
+    submitted_at: f64,
+    reply: mpsc::Sender<QueryResponse<S>>,
+}
+
+/// The coalescing key: the content digest mixed with the deadline's bits.
+fn answer_key(submitted: &SubmittedQuery) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    query_digest(&submitted.query).hash(&mut hasher);
+    submitted.deadline.map(f64::to_bits).hash(&mut hasher);
+    hasher.finish()
 }
 
 /// Stable numeric code for a trigger in span fields (spans carry u64s).
@@ -946,7 +1098,6 @@ fn trigger_code(t: BatchTrigger) -> u64 {
         BatchTrigger::Size => 0,
         BatchTrigger::Deadline => 1,
         BatchTrigger::Drain => 2,
-        BatchTrigger::Repeat => 3,
     }
 }
 
@@ -1038,12 +1189,15 @@ pub struct ServiceHandle<'a, S: MpqSpace, M: ParametricCostModel + ?Sized> {
     // `mpsc::Sender` is `Send` but not `Sync`; the mutex makes the handle
     // shareable across client threads (submission rate is far below the
     // lock's throughput).
-    tx: Mutex<mpsc::Sender<Pending<S>>>,
+    tx: Mutex<mpsc::Sender<Arrival<S>>>,
     clock: ServiceClock,
     max_queue: Option<usize>,
     stats: Arc<StatsShared>,
     obs: Obs,
     sessions: &'a ShardedSession<'a, S, M>,
+    /// The coalescing slots, keyed by [`answer_key`] and bounded by
+    /// [`ANSWER_CAPACITY`]; allocated at the first valid submit.
+    slots: OnceLock<LiftedCostCache<u64, Mutex<Slot<S>>>>,
 }
 
 impl<S, M> ServiceHandle<'_, S, M>
@@ -1061,12 +1215,15 @@ where
     /// [`Query::validate`] resolves immediately to
     /// [`QueryOutcome::Panicked`] with the `invalid query: …` message
     /// `optimize` would panic with, counted `quarantined` and never
-    /// batched; if admission control is at its bound the ticket resolves
-    /// immediately to [`QueryOutcome::Rejected`]; if the service has
-    /// already shut down it resolves to [`QueryOutcome::Shutdown`].
+    /// batched; a copy of a resolved leader resolves immediately to the
+    /// leader's answer (see the crate docs on coalescing); if admission
+    /// control is at its bound the ticket resolves immediately to
+    /// [`QueryOutcome::Rejected`]; if the service has already shut down
+    /// it resolves to [`QueryOutcome::Shutdown`].
     pub fn submit(&self, query: impl Into<SubmittedQuery>) -> ServiceTicket<S> {
         let submitted = query.into();
         let (reply_tx, reply_rx) = mpsc::channel();
+        let ticket = ServiceTicket { rx: reply_rx };
         let mut span = self.obs.span("submit");
         self.stats.bump(&self.stats.submitted, |m| &m.submitted);
         // Validation at admission: an invalid query would only panic
@@ -1074,17 +1231,42 @@ where
         // healthy batch-mates.
         if let Err(e) = submitted.query.validate() {
             span.record("invalid", 1);
-            self.stats.bump(&self.stats.quarantined, |m| &m.quarantined);
-            let _ = reply_tx.send(QueryResponse {
-                outcome: QueryOutcome::Panicked {
-                    message: format!("invalid query: {e}"),
-                },
-                route: None,
-                latency: 0.0,
-                served_epsilon: None,
-            });
-            return ServiceTicket { rx: reply_rx };
+            let outcome = QueryOutcome::Panicked {
+                message: format!("invalid query: {e}"),
+            };
+            self.stats.answer(&reply_tx, unrouted(outcome, 0.0));
+            return ticket;
         }
+        let submitted_at = (self.clock)();
+        let slot = self
+            .slots
+            .get_or_init(|| LiftedCostCache::with_capacity(Some(ANSWER_CAPACITY)))
+            .get_or_lift(&answer_key(&submitted), || Mutex::new(Slot::Vacant));
+        // A poisoned slot lock only means a client thread panicked while
+        // holding it; the state inside is still consistent.
+        let mut state = slot.lock().unwrap_or_else(PoisonError::into_inner);
+        let leads = match &mut *state {
+            Slot::Vacant => true,
+            Slot::Done { key, answer } if *key == submitted => {
+                let response = answer.for_copy((self.clock)() - submitted_at);
+                drop(state);
+                self.stats.answer(&reply_tx, response);
+                self.coalesced(&mut span, submitted_at);
+                return ticket;
+            }
+            Slot::InFlight { key, copies } if *key == submitted => {
+                copies.push(WaitingCopy {
+                    submitted_at,
+                    reply: reply_tx,
+                });
+                drop(state);
+                self.coalesced(&mut span, submitted_at);
+                return ticket;
+            }
+            // A digest collision: the slot belongs to another query, so
+            // this one runs unshared.
+            _ => false,
+        };
         // Admission control: reserve a queue slot or reject. The
         // reservation is released when the request leaves the buffers
         // (dispatch, expiry, or shutdown drain).
@@ -1103,37 +1285,48 @@ where
         };
         if !admitted {
             span.record("rejected", 1);
-            self.stats.bump(&self.stats.rejected, |m| &m.rejected);
-            let _ = reply_tx.send(QueryResponse {
-                outcome: QueryOutcome::Rejected,
-                route: None,
-                latency: 0.0,
-                served_epsilon: None,
-            });
-            return ServiceTicket { rx: reply_rx };
+            self.stats
+                .answer(&reply_tx, unrouted(QueryOutcome::Rejected, 0.0));
+            return ticket;
         }
+        let slot = leads.then(|| {
+            *state = Slot::InFlight {
+                key: submitted.clone(),
+                copies: Vec::new(),
+            };
+            Arc::clone(&slot)
+        });
+        drop(state);
         let pending = Pending {
-            digest: query_digest(&submitted.query),
             query: submitted.query,
             deadline: submitted.deadline,
-            submitted_at: (self.clock)(),
+            submitted_at,
             reply: reply_tx,
+            slot,
         };
         // A poisoned submit lock only means another client thread
         // panicked *while holding it*; the sender inside is still valid.
         let sender = self.tx.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Err(mpsc::SendError(pending)) = sender.send(pending) {
+        if let Err(mpsc::SendError(Arrival::Request(pending))) =
+            sender.send(Arrival::Request(pending))
+        {
             // The batcher is gone — the service is shutting down (or was
             // killed). Answer the ticket instead of panicking the client.
             self.stats.queued.fetch_sub(1, Ordering::Relaxed);
-            let _ = pending.reply.send(QueryResponse {
-                outcome: QueryOutcome::Shutdown,
-                route: None,
-                latency: 0.0,
-                served_epsilon: None,
-            });
+            let response = unrouted(QueryOutcome::Shutdown, 0.0);
+            pending.resolve(&self.stats, response, (self.clock)());
         }
-        ServiceTicket { rx: reply_rx }
+        ticket
+    }
+
+    /// Counts a copy and sends the batcher its submit time (see
+    /// [`Arrival::Sweep`]).
+    fn coalesced(&self, span: &mut SpanGuard, submitted_at: f64) {
+        span.record("coalesced", 1);
+        self.stats.bump(&self.stats.coalesced, |m| &m.coalesced);
+        let sender = self.tx.lock().unwrap_or_else(PoisonError::into_inner);
+        // A gone batcher has nothing left to sweep.
+        let _ = sender.send(Arrival::Sweep(submitted_at));
     }
 
     /// A live snapshot of the service counters (queue depth, batches,
@@ -1210,7 +1403,7 @@ where
     let stats = Arc::new(StatsShared::new(shards, &obs));
 
     let out = std::thread::scope(|scope| {
-        let (sub_tx, sub_rx) = mpsc::channel::<Pending<S>>();
+        let (sub_tx, sub_rx) = mpsc::channel::<Arrival<S>>();
         let mut batch_txs = Vec::with_capacity(shards);
         // Shard workers: one thread per shard, each draining its own
         // batch channel through its own session. One batch at a time per
@@ -1237,10 +1430,13 @@ where
                     stats.shard_queries[shard].fetch_add(batch_size as u64, Ordering::Relaxed);
                     let queries: Vec<Query> =
                         batch.requests.iter().map(|p| p.query.clone()).collect();
-                    // LP delta measured around the whole isolation, so
-                    // work burned by panicked attempts is counted too.
+                    // LP delta measured around the whole isolation and the
+                    // copy re-runs, so work burned by panicked attempts is
+                    // counted too. The isolation's share is counted before
+                    // any ticket is answered.
                     let lps_before = session.lps_solved();
-                    let restarts_before = stats.shard_restarts[shard].load(Ordering::Relaxed);
+                    let restarts = &stats.shard_restarts[shard];
+                    let restarts_before = restarts.load(Ordering::Relaxed);
                     let idx: Vec<usize> = (0..batch_size).collect();
                     let mut results: Vec<Option<BatchItem<S>>> =
                         (0..batch_size).map(|_| None).collect();
@@ -1249,61 +1445,58 @@ where
                         &queries,
                         &idx,
                         &mut results,
-                        &stats.shard_restarts[shard],
+                        restarts,
                         batch.epsilon,
                     );
-                    let lps_delta = session.lps_solved() - lps_before;
-                    span.record("lps_delta", lps_delta);
-                    span.record(
-                        "restarts_delta",
-                        stats.shard_restarts[shard].load(Ordering::Relaxed) - restarts_before,
-                    );
-                    stats.lps_solved.fetch_add(lps_delta, Ordering::Relaxed);
-                    if let Some(m) = &stats.mirror {
-                        m.lps_solved.add(lps_delta);
-                    }
-                    let now = clock();
-                    let route = BatchRoute {
+                    let isolated = session.lps_solved();
+                    stats.add_lps(isolated - lps_before);
+                    let route = Some(BatchRoute {
                         shard,
                         batch_seq: batch.seq,
                         batch_size,
                         trigger: batch.trigger,
-                    };
-                    for (pending, result) in batch.requests.into_iter().zip(results) {
-                        let latency = now - pending.submitted_at;
+                    });
+                    let respond = |result: Option<BatchItem<S>>, latency: f64| {
                         let outcome = match result {
-                            Some(Ok(solution)) => {
-                                stats.push_latency(latency);
-                                stats.bump(&stats.completed, |m| &m.completed);
-                                if batch.epsilon.is_some() {
-                                    stats.bump(&stats.approx_served, |m| &m.approx_served);
-                                }
-                                QueryOutcome::Ok(solution)
-                            }
-                            Some(Err(message)) => {
-                                stats.bump(&stats.quarantined, |m| &m.quarantined);
-                                QueryOutcome::Panicked { message }
-                            }
+                            Some(Ok(solution)) => QueryOutcome::Ok(solution),
+                            Some(Err(message)) => QueryOutcome::Panicked { message },
                             // Unreachable: `isolate_into` fills every
                             // index it is given. Kept as a typed answer
                             // so a logic bug degrades one query, not the
                             // process.
-                            None => {
-                                stats.bump(&stats.quarantined, |m| &m.quarantined);
-                                QueryOutcome::Panicked {
-                                    message: "batch isolation missed the query".to_string(),
-                                }
-                            }
+                            None => QueryOutcome::Panicked {
+                                message: "batch isolation missed the query".to_string(),
+                            },
                         };
-                        // A dropped ticket is fine — the client walked
-                        // away from the response.
-                        let _ = pending.reply.send(QueryResponse {
+                        QueryResponse {
                             outcome,
-                            route: Some(route),
+                            route,
                             latency,
                             served_epsilon: batch.epsilon,
-                        });
+                        }
+                    };
+                    let now = clock();
+                    for (pending, result) in batch.requests.iter().zip(results) {
+                        let response = respond(result, now - pending.submitted_at);
+                        // Copies of a panicked leader re-run alone: one
+                        // more bisection leaf each, at the batch's ε.
+                        for copy in pending.resolve(&stats, response, now) {
+                            stats.shard_queries[shard].fetch_add(1, Ordering::Relaxed);
+                            let mut out = [None];
+                            let one = std::slice::from_ref(&pending.query);
+                            isolate_into(session, one, &[0], &mut out, restarts, batch.epsilon);
+                            let [result] = out;
+                            let latency = clock() - copy.submitted_at;
+                            stats.answer(&copy.reply, respond(result, latency));
+                        }
                     }
+                    let lps_after = session.lps_solved();
+                    stats.add_lps(lps_after - isolated);
+                    span.record("lps_delta", lps_after - lps_before);
+                    span.record(
+                        "restarts_delta",
+                        restarts.load(Ordering::Relaxed) - restarts_before,
+                    );
                 }
             });
         }
@@ -1323,9 +1516,6 @@ where
                     })
                     .collect();
                 let mut seq = 0u64;
-                // Digests of every dispatched request, for the repeat
-                // trigger; allocated at the first dispatch.
-                let dispatched: OnceCell<LiftedCostCache<u64, ()>> = OnceCell::new();
                 // Sends `requests` to `shard` as one batch; `buffers` is
                 // what stays buffered, for the ε gate's depth.
                 let mut dispatch = |buffers: &[ShardBuffer<S>],
@@ -1370,25 +1560,11 @@ where
                     span.record("expired", expired.len() as u64);
                     span.record("dispatched", live.len() as u64);
                     for pending in expired {
-                        stats.bump(&stats.timed_out, |m| &m.timed_out);
                         let latency = now - pending.submitted_at;
-                        let _ = pending.reply.send(QueryResponse {
-                            outcome: QueryOutcome::TimedOut,
-                            route: None,
-                            latency,
-                            served_epsilon: None,
-                        });
+                        pending.resolve(&stats, unrouted(QueryOutcome::TimedOut, latency), now);
                     }
                     if live.is_empty() {
                         return;
-                    }
-                    // Registered here, in the batcher thread, so which
-                    // later arrivals repeat is a function of the
-                    // submission sequence.
-                    let set = dispatched
-                        .get_or_init(|| LiftedCostCache::with_capacity(Some(REPEAT_CAPACITY)));
-                    for pending in &live {
-                        set.get_or_lift(&pending.digest, || ());
                     }
                     match batch_txs[shard].send(ShardBatch {
                         seq,
@@ -1412,9 +1588,6 @@ where
                                 BatchTrigger::Drain => {
                                     stats.bump(&stats.drain_triggered, |m| &m.drain_triggered)
                                 }
-                                BatchTrigger::Repeat => {
-                                    stats.bump(&stats.repeat_triggered, |m| &m.repeat_triggered)
-                                }
                             }
                         }
                         Err(mpsc::SendError(batch)) => {
@@ -1426,12 +1599,8 @@ where
                             // and stranding every other ticket.
                             for pending in batch.requests {
                                 let latency = now - pending.submitted_at;
-                                let _ = pending.reply.send(QueryResponse {
-                                    outcome: QueryOutcome::Shutdown,
-                                    route: None,
-                                    latency,
-                                    served_epsilon: None,
-                                });
+                                let response = unrouted(QueryOutcome::Shutdown, latency);
+                                pending.resolve(&stats, response, now);
                             }
                         }
                     }
@@ -1444,7 +1613,9 @@ where
                     // at most that floor plus batch processing — even
                     // while other shards keep receiving traffic, every
                     // iteration recomputes the remaining time. Virtual
-                    // clocks advance only at submissions, so for them
+                    // clocks advance only at submissions, and every
+                    // submit that reaches past validation and admission
+                    // sends an arrival (a copy sends its submit time), so
                     // the timeout wake re-reads an unchanged `now` — its
                     // sweep only ever fires on an *empty* channel (all
                     // sent arrivals admitted), which makes it equivalent
@@ -1478,16 +1649,18 @@ where
                     // channel was empty for the whole timeout, so no
                     // admitted-but-unswept arrival exists and the sweep
                     // matches what the next arrival would do.
-                    let now = received
-                        .as_ref()
-                        .map_or_else(|| clock(), |p| p.submitted_at);
+                    let now = match &received {
+                        Some(Arrival::Request(p)) => p.submitted_at,
+                        Some(Arrival::Sweep(at)) => *at,
+                        None => clock(),
+                    };
                     for shard in 0..shards {
                         if !buffers[shard].requests.is_empty() && buffers[shard].deadline <= now {
                             let requests = buffers[shard].take(&stats);
                             dispatch(&buffers, shard, BatchTrigger::Deadline, requests);
                         }
                     }
-                    let Some(pending) = received else {
+                    let Some(Arrival::Request(pending)) = received else {
                         continue;
                     };
                     // Routing consults the query's shape; a malformed
@@ -1500,31 +1673,23 @@ where
                         Ok(shard) => shard,
                         Err(payload) => {
                             stats.queued.fetch_sub(1, Ordering::Relaxed);
-                            stats.bump(&stats.quarantined, |m| &m.quarantined);
-                            let latency = clock() - pending.submitted_at;
-                            let _ = pending.reply.send(QueryResponse {
-                                outcome: QueryOutcome::Panicked {
-                                    message: panic_message(payload),
-                                },
-                                route: None,
-                                latency,
-                                served_epsilon: None,
-                            });
+                            let now = clock();
+                            let message = panic_message(payload);
+                            let panicked = |submitted_at: f64| {
+                                let outcome = QueryOutcome::Panicked {
+                                    message: message.clone(),
+                                };
+                                unrouted(outcome, now - submitted_at)
+                            };
+                            // Routing is pure in the query, so its copies
+                            // would panic the same way.
+                            let leader = panicked(pending.submitted_at);
+                            for copy in pending.resolve(&stats, leader, now) {
+                                stats.answer(&copy.reply, panicked(copy.submitted_at));
+                            }
                             continue;
                         }
                     };
-                    // A copy of an already-dispatched query has nothing
-                    // left to share — its lifts and subtrees sit in its
-                    // shard's caches — so it skips the buffer. (A copy
-                    // whose first copy is still buffered is not in the
-                    // set yet and joins that buffer.)
-                    if dispatched
-                        .get()
-                        .is_some_and(|set| set.probe(&pending.digest))
-                    {
-                        dispatch(&buffers, shard, BatchTrigger::Repeat, vec![pending]);
-                        continue;
-                    }
                     if buffers[shard].requests.is_empty() {
                         buffers[shard].deadline = pending.submitted_at + max_wait_secs;
                     }
@@ -1554,6 +1719,7 @@ where
             stats: Arc::clone(&stats),
             obs: obs.clone(),
             sessions,
+            slots: OnceLock::new(),
         };
         let out = body(&handle);
         // Dropping the handle closes the submit channel: the batcher
@@ -1603,9 +1769,9 @@ mod tests {
 
     /// `n` digest-distinct queries on one shard: copies of one query
     /// (overlap 1.0 — identical scan shapes, so one affinity) told apart
-    /// by a join selectivity, which no scan shape reads. Tests of the
-    /// size, deadline and drain triggers use these, since a plain copy
-    /// of an already-dispatched query would take the repeat trigger.
+    /// by a join selectivity, which no scan shape reads. Tests that need
+    /// several requests to reach a shard use these, since plain copies
+    /// would coalesce onto one leader.
     fn same_shard_workload(n: usize, seed: u64) -> Vec<Query> {
         let mut queries = workload(3, n, 1.0, seed);
         for (i, q) in queries.iter_mut().enumerate() {
@@ -1705,10 +1871,7 @@ mod tests {
         assert_eq!(stats.rejected, 0);
         assert_eq!(stats.quarantined, 0);
         assert_eq!(
-            stats.size_triggered
-                + stats.deadline_triggered
-                + stats.drain_triggered
-                + stats.repeat_triggered,
+            stats.size_triggered + stats.deadline_triggered + stats.drain_triggered,
             stats.batches,
             "every batch carries exactly one trigger"
         );
@@ -1746,7 +1909,7 @@ mod tests {
         // and a drained single.
         assert_eq!(stats.size_triggered, 2);
         assert_eq!(stats.drain_triggered, 1);
-        assert_eq!(stats.repeat_triggered, 0, "no query repeats");
+        assert_eq!(stats.coalesced, 0, "no query repeats");
         for resp in &responses {
             assert_eq!(resp.kind(), OutcomeKind::Ok);
             assert!(resp.route.unwrap().batch_size <= 3);
@@ -1800,7 +1963,7 @@ mod tests {
     #[test]
     fn tiny_capacity_identical_results() {
         let model = CloudCostModel::default();
-        let queries = workload(3, 6, 1.0, 9);
+        let queries = same_shard_workload(6, 9);
         let run = |capacity: Option<usize>| {
             let shard_sessions = sessions(&model, 2, capacity);
             let config = ServiceConfig::new(BatchPolicy::new(2, Duration::from_millis(1)));
@@ -2048,7 +2211,7 @@ mod tests {
     #[test]
     fn admission_control_rejects_when_full() {
         let model = CloudCostModel::default();
-        let queries = workload(3, 5, 1.0, 3);
+        let queries = same_shard_workload(5, 3);
         let shard_sessions = sessions(&model, 1, None);
         let config = ServiceConfig::new(BatchPolicy::new(100, Duration::from_secs(3600)))
             .with_clock(VirtualClock::new().clock())
@@ -2089,7 +2252,7 @@ mod tests {
     #[test]
     fn per_query_deadline_times_out_at_dispatch() {
         let model = CloudCostModel::default();
-        let queries = workload(3, 3, 1.0, 5);
+        let queries = same_shard_workload(3, 5);
         let shard_sessions = sessions(&model, 1, None);
         let vclock = VirtualClock::new();
         let config = ServiceConfig::new(BatchPolicy::new(100, Duration::from_secs(3600)))
@@ -2216,7 +2379,7 @@ mod tests {
     fn bisection_preserves_batch_epsilon() {
         silence_injected_panics();
         let model = CloudCostModel::default();
-        let queries = distinct_workload(3, 3, 7);
+        let queries = distinct_workload(3, 4, 7);
         let mut plan = FaultPlan::new();
         plan.mark(&queries[0], Fault::poison());
         let plan = Arc::new(plan);
@@ -2235,7 +2398,7 @@ mod tests {
             // frozen clock never expires buffers. Submit a 4th after
             // advancing so the arrival sweep flushes the batch.
             vclock.advance_to_micros(100);
-            let t3 = handle.submit(queries[1].clone());
+            let t3 = handle.submit(queries[3].clone());
             vec![t0, t1, t2, t3]
         });
         let responses: Vec<_> = tickets.into_iter().map(|t| t.wait()).collect();
@@ -2377,7 +2540,7 @@ mod tests {
     #[test]
     fn registry_mirrors_service_stats() {
         let model = CloudCostModel::default();
-        let queries = workload(3, 5, 1.0, 3);
+        let queries = same_shard_workload(5, 3);
         let shard_sessions = sessions(&model, 1, None);
         let vclock = VirtualClock::new();
         let vc = vclock.clone();
@@ -2408,7 +2571,7 @@ mod tests {
         assert_eq!(get("service_size_triggered"), stats.size_triggered);
         assert_eq!(get("service_deadline_triggered"), stats.deadline_triggered);
         assert_eq!(get("service_drain_triggered"), stats.drain_triggered);
-        assert_eq!(get("service_repeat_triggered"), stats.repeat_triggered);
+        assert_eq!(get("service_coalesced"), stats.coalesced);
         assert_eq!(get("service_approx_batches"), stats.approx_batches);
         assert_eq!(get("service_approx_served"), stats.approx_served);
         assert_eq!(get("service_lps_solved"), stats.lps_solved);
@@ -2425,8 +2588,7 @@ mod tests {
         assert_eq!(
             get("service_size_triggered")
                 + get("service_deadline_triggered")
-                + get("service_drain_triggered")
-                + get("service_repeat_triggered"),
+                + get("service_drain_triggered"),
             get("service_batches"),
             "registry triggers partition the batches"
         );
@@ -2448,128 +2610,310 @@ mod tests {
         assert!(parsed.iter().any(|(n, _)| n == "service_submitted"));
     }
 
-    /// A copy of an already-dispatched query skips the buffer: with a
-    /// frozen clock and a 1000 s deadline it is answered inside the body,
-    /// as a one-request `Repeat` batch that runs exact, bit-identical to
-    /// a plain session; an expired copy still times out at dispatch.
+    /// Coalescing under a frozen clock: a leader and three copies make
+    /// one dispatched request. Every answer is bit-identical to a plain
+    /// session and carries the leader's route.
     #[test]
-    fn repeat_dispatches_at_once() {
+    fn copies_coalesce_onto_their_leader() {
+        let model = CloudCostModel::default();
+        let query = workload(3, 1, 0.0, 5).remove(0);
+        let reference = plain_fingerprint(&query, &model);
+        let shard_sessions = sessions(&model, 2, None);
+        let vclock = VirtualClock::new();
+        let vc = vclock.clone();
+        let obs = Obs::with_clock(true, Arc::new(move || vc.now_micros()));
+        let config = ServiceConfig::new(BatchPolicy::new(100, Duration::from_secs(1000)))
+            .with_clock(vclock.clock())
+            .with_obs(obs.clone());
+        let (tickets, stats) = serve(&shard_sessions, config, |handle| {
+            (0..4)
+                .map(|_| handle.submit(query.clone()))
+                .collect::<Vec<_>>()
+        });
+        let responses: Vec<_> = tickets.into_iter().map(|t| t.wait()).collect();
+        let leader = responses[0].route.expect("the leader reached a worker");
+        assert_eq!(
+            (leader.trigger, leader.batch_size),
+            (BatchTrigger::Drain, 1)
+        );
+        for resp in responses {
+            assert_eq!(
+                resp.route,
+                Some(leader),
+                "a copy carries its leader's route"
+            );
+            let space = shard_sessions.shard(leader.shard).space();
+            assert_eq!(fingerprint(space, &resp.expect_ok()), reference);
+        }
+        let dispatched: u64 = stats.per_shard.iter().map(|s| s.queries).sum();
+        assert_eq!((dispatched, stats.batches), (1, 1));
+        assert_eq!((stats.coalesced, stats.completed), (3, 4));
+        assert_eq!(stats.queue_depth_peak, 1, "copies never buffer");
+        let registry = obs.registry().expect("enabled handle");
+        assert_eq!(registry.counter("service_coalesced").get(), 3);
+        let coalesced_spans = obs
+            .spans()
+            .iter()
+            .filter(|s| s.name == "submit" && s.fields.contains(&("coalesced", 1)))
+            .count();
+        assert_eq!(coalesced_spans, 3);
+    }
+
+    /// A copy of a resolved leader is answered inside `submit`.
+    #[test]
+    fn copy_of_resolved_leader_is_answered_at_submit() {
         let model = CloudCostModel::default();
         let query = workload(3, 1, 0.0, 5).remove(0);
         let reference = plain_fingerprint(&query, &model);
         let shard_sessions = sessions(&model, 1, None);
         let vclock = VirtualClock::new();
-        let vc = vclock.clone();
-        let obs = Obs::with_clock(true, Arc::new(move || vc.now_micros()));
         let clock = vclock.clock();
-        let config = ServiceConfig::new(BatchPolicy::new(2, Duration::from_secs(1000)))
-            .with_clock(vclock.clock())
-            .with_approx(ApproxPolicy::deadline_only(0.1))
-            .with_obs(obs.clone());
-        let (first, stats) = serve(&shard_sessions, config, |handle| {
-            let first = [handle.submit(query.clone()), handle.submit(query.clone())];
-            let third = handle
+        let config = ServiceConfig::new(BatchPolicy::new(1, Duration::from_secs(1000)))
+            .with_clock(vclock.clock());
+        let ((), stats) = serve(&shard_sessions, config, |handle| {
+            let leader = handle
                 .submit(query.clone())
                 .wait_timeout(&clock, Duration::from_secs(60));
-            let route = third.route.expect("answered before the drain");
-            assert_eq!((route.trigger, route.batch_size), (BatchTrigger::Repeat, 1));
-            assert_eq!(third.served_epsilon, None, "repeats run exact");
+            let route = leader.route.expect("size-triggered at once");
+            let copy = handle
+                .submit(query.clone())
+                .try_wait()
+                .expect("answered before submit returned");
+            assert_eq!((copy.route, copy.latency), (Some(route), 0.0));
             let space = shard_sessions.shard(route.shard).space();
-            assert_eq!(fingerprint(space, &third.expect_ok()), reference);
-            let expired = handle
-                .submit(SubmittedQuery::new(query.clone()).with_deadline(-1.0))
-                .wait_timeout(&clock, Duration::from_secs(60));
-            assert_eq!(expired.kind(), OutcomeKind::TimedOut);
-            first
+            assert_eq!(fingerprint(space, &copy.expect_ok()), reference);
         });
-        for ticket in first {
-            let route = ticket.wait().route.unwrap();
-            assert_eq!((route.trigger, route.batch_size), (BatchTrigger::Size, 2));
-        }
-        assert_eq!(
-            (stats.batches, stats.size_triggered, stats.repeat_triggered),
-            (2, 1, 1)
-        );
-        assert_eq!((stats.completed, stats.timed_out), (3, 1));
-        assert_eq!(stats.queue_depth_peak, 2, "a repeat never buffers");
-        let registry = obs.registry().expect("enabled handle");
-        assert_eq!(registry.counter("service_repeat_triggered").get(), 1);
-        let repeat_spans = obs
-            .spans()
-            .iter()
-            .filter(|s| s.name == "shard_batch" && s.fields.contains(&("trigger", 3)))
-            .count();
-        assert_eq!(repeat_spans, 1, "the span carries the repeat code");
+        assert_eq!((stats.batches, stats.coalesced, stats.completed), (1, 1, 2));
     }
 
-    /// A copy submitted while its first copy is still buffered is not a
-    /// repeat yet: it joins that buffer.
+    /// A copy's submit time reaches the batcher: under a virtual clock,
+    /// a copy arriving past its leader's batching deadline dispatches
+    /// that buffer exactly as any other arrival would.
     #[test]
-    fn copy_of_buffered_query_joins_its_buffer() {
+    fn copy_arrival_sweeps_expired_buffers() {
         let model = CloudCostModel::default();
         let query = workload(3, 1, 0.0, 5).remove(0);
         let shard_sessions = sessions(&model, 1, None);
-        let config = ServiceConfig::new(BatchPolicy::new(100, Duration::from_secs(1000)))
-            .with_clock(VirtualClock::new().clock());
-        let (tickets, stats) = serve(&shard_sessions, config, |handle| {
-            [handle.submit(query.clone()), handle.submit(query.clone())]
-        });
-        for ticket in tickets {
-            let route = ticket.wait().route.unwrap();
-            assert_eq!((route.trigger, route.batch_size), (BatchTrigger::Drain, 2));
-        }
-        assert_eq!((stats.batches, stats.repeat_triggered), (1, 0));
-    }
-
-    /// A poison query's later copies are quarantined one per `Repeat`
-    /// batch at one restart each; no healthy query rides with them, so
-    /// none is re-run.
-    #[test]
-    fn poison_repeats_quarantine_alone() {
-        silence_injected_panics();
-        let model = CloudCostModel::default();
-        let queries = distinct_workload(3, 2, 7);
-        let (poison, healthy) = (&queries[0], &queries[1]);
-        let reference = plain_fingerprint(healthy, &model);
-        let mut plan = FaultPlan::new();
-        plan.mark(poison, Fault::poison());
-        let plan = Arc::new(plan);
-        let shard_sessions = sessions_with_plan(&model, 1, None, Some(&plan));
         let vclock = VirtualClock::new();
         let config = ServiceConfig::new(BatchPolicy::new(100, Duration::from_micros(50)))
             .with_clock(vclock.clock());
         let (tickets, stats) = serve(&shard_sessions, config, |handle| {
-            let mut tickets = vec![handle.submit(poison.clone())];
-            // The healthy arrival's sweep dispatches the first poison
-            // copy alone; every later copy repeats it.
+            let leader = handle.submit(query.clone());
             vclock.advance_to_micros(100);
-            tickets.push(handle.submit(healthy.clone()));
-            tickets.extend((0..3).map(|_| handle.submit(poison.clone())));
+            [leader, handle.submit(query.clone())]
+        });
+        for ticket in tickets {
+            let route = ticket.wait().route.unwrap();
+            assert_eq!(
+                (route.trigger, route.batch_size),
+                (BatchTrigger::Deadline, 1)
+            );
+        }
+        assert_eq!((stats.deadline_triggered, stats.drain_triggered), (1, 0));
+    }
+
+    /// A digest collision never shares: with another query's resolved
+    /// slot planted under this query's key, the request runs unshared
+    /// and gets its own answer.
+    #[test]
+    fn colliding_key_runs_unshared() {
+        let model = CloudCostModel::default();
+        let queries = same_shard_workload(2, 5);
+        let reference = plain_fingerprint(&queries[0], &model);
+        let shard_sessions = sessions(&model, 1, None);
+        let vclock = VirtualClock::new();
+        let clock = vclock.clock();
+        let config = ServiceConfig::new(BatchPolicy::new(1, Duration::from_secs(1000)))
+            .with_clock(vclock.clock());
+        let ((), stats) = serve(&shard_sessions, config, |handle| {
+            let budget = Duration::from_secs(60);
+            let other = handle
+                .submit(queries[1].clone())
+                .wait_timeout(&clock, budget);
+            let key = answer_key(&SubmittedQuery::new(queries[0].clone()));
+            handle.slots.get().unwrap().get_or_lift(&key, || {
+                Mutex::new(Slot::Done {
+                    key: SubmittedQuery::new(queries[1].clone()),
+                    answer: other,
+                })
+            });
+            let own = handle
+                .submit(queries[0].clone())
+                .wait_timeout(&clock, budget);
+            let space = shard_sessions.shard(0).space();
+            assert_eq!(fingerprint(space, &own.expect_ok()), reference);
+        });
+        assert_eq!((stats.batches, stats.coalesced), (2, 0));
+    }
+
+    /// Equal queries with different deadlines do not share. A leader
+    /// that expires passes `TimedOut` to its same-deadline copies, both
+    /// those waiting on it and those submitted after.
+    #[test]
+    fn deadlines_split_copies_and_expiry_is_shared() {
+        let model = CloudCostModel::default();
+        let queries = same_shard_workload(2, 5);
+        let query = || SubmittedQuery::new(queries[0].clone());
+        let shard_sessions = sessions(&model, 1, None);
+        let config = ServiceConfig::new(BatchPolicy::new(100, Duration::from_secs(1000)))
+            .with_clock(VirtualClock::new().clock());
+        let (tickets, stats) = serve(&shard_sessions, config, |handle| {
+            [
+                handle.submit(query()),
+                handle.submit(query().with_deadline(10.0)),
+                handle.submit(query().with_deadline(20.0)),
+            ]
+        });
+        for ticket in tickets {
+            let route = ticket.wait().route.expect("every request leads");
+            assert_eq!(route.batch_size, 3);
+        }
+        assert_eq!((stats.coalesced, stats.completed), (0, 3));
+
+        let vclock = VirtualClock::new();
+        let clock = vclock.clock();
+        let config = ServiceConfig::new(BatchPolicy::new(100, Duration::from_micros(50)))
+            .with_clock(vclock.clock());
+        let (tickets, stats) = serve(&shard_sessions, config, |handle| {
+            let leader = handle.submit(query().with_deadline(5e-5));
+            let waiting = handle.submit(query().with_deadline(5e-5));
+            vclock.advance_to_micros(100);
+            // This arrival's sweep dispatches the leader's buffer, where
+            // the leader expires.
+            let other = handle.submit(queries[1].clone());
+            let leader = leader.wait_timeout(&clock, Duration::from_secs(60));
+            assert_eq!(leader.kind(), OutcomeKind::TimedOut);
+            let late = handle.submit(query().with_deadline(5e-5)).try_wait();
+            assert_eq!(late.map(|r| r.kind()), Some(OutcomeKind::TimedOut));
+            [waiting, other]
+        });
+        let [waiting, other] = tickets.map(|t| t.wait());
+        assert_eq!(waiting.kind(), OutcomeKind::TimedOut);
+        assert!(waiting.route.is_none());
+        assert_eq!(other.kind(), OutcomeKind::Ok);
+        assert_eq!((stats.timed_out, stats.coalesced), (3, 2));
+        assert!(stats.conserves());
+    }
+
+    /// A poison leader's waiting copies are re-run alone: each is
+    /// quarantined with its own restart, and the healthy batch-mate stays
+    /// bit-identical. A copy of a `transient(1)` leader gets its own
+    /// attempt, which succeeds.
+    #[test]
+    fn poison_leader_copies_rerun_alone() {
+        silence_injected_panics();
+        let model = CloudCostModel::default();
+        let queries = distinct_workload(3, 3, 7);
+        let (poison, healthy, transient) = (&queries[0], &queries[1], &queries[2]);
+        let reference = plain_fingerprint(healthy, &model);
+        let mut plan = FaultPlan::new();
+        plan.mark(poison, Fault::poison());
+        plan.mark(transient, Fault::transient(1));
+        let plan = Arc::new(plan);
+        let shard_sessions = sessions_with_plan(&model, 1, None, Some(&plan));
+        let frozen = || {
+            ServiceConfig::new(BatchPolicy::new(100, Duration::from_secs(1000)))
+                .with_clock(VirtualClock::new().clock())
+        };
+        let (tickets, stats) = serve(&shard_sessions, frozen(), |handle| {
+            let mut tickets = vec![handle.submit(healthy.clone())];
+            tickets.extend((0..4).map(|_| handle.submit(poison.clone())));
             tickets
         });
-        let responses: Vec<_> = tickets.into_iter().map(|t| t.wait()).collect();
-        for (i, resp) in responses.iter().enumerate().filter(|&(i, _)| i != 1) {
-            assert_eq!(resp.kind(), OutcomeKind::Panicked, "poison copy {i}");
-            let route = resp.route.unwrap();
-            let expected = if i == 0 {
-                BatchTrigger::Deadline
-            } else {
-                BatchTrigger::Repeat
-            };
-            assert_eq!((route.trigger, route.batch_size), (expected, 1));
+        let mut responses: Vec<_> = tickets.into_iter().map(|t| t.wait()).collect();
+        let route = responses[1]
+            .route
+            .expect("the poison leader reached a worker");
+        for resp in &responses[1..] {
+            assert_eq!(resp.kind(), OutcomeKind::Panicked);
+            assert_eq!(resp.route, Some(route));
         }
-        let mut responses = responses;
-        let mate = responses.remove(1);
-        let route = mate.route.unwrap();
-        assert_eq!((route.trigger, route.batch_size), (BatchTrigger::Drain, 1));
+        let mate = responses.remove(0).expect_ok();
         assert_eq!(
-            fingerprint(shard_sessions.shard(0).space(), &mate.expect_ok()),
+            fingerprint(shard_sessions.shard(0).space(), &mate),
             reference
         );
-        assert_eq!((stats.quarantined, stats.repeat_triggered), (4, 3));
+        assert_eq!((stats.quarantined, stats.coalesced), (4, 3));
+        assert!(stats.per_shard[0].restarts >= stats.quarantined);
+
+        let (tickets, stats) = serve(&shard_sessions, frozen(), |handle| {
+            [
+                handle.submit(transient.clone()),
+                handle.submit(transient.clone()),
+            ]
+        });
+        let [leader, copy] = tickets.map(|t| t.wait());
+        assert_eq!(leader.kind(), OutcomeKind::Panicked, "attempt 1 panics");
+        assert_eq!(copy.route, leader.route);
         assert_eq!(
-            stats.per_shard[0].restarts, 4,
-            "one restart per poison copy, none for the healthy query"
+            fingerprint(shard_sessions.shard(0).space(), &copy.expect_ok()),
+            plain_fingerprint(transient, &model),
+            "the copy's own attempt succeeds"
         );
+        assert_eq!((stats.quarantined, stats.completed), (1, 1));
+        assert!(stats.per_shard[0].restarts >= stats.quarantined);
+    }
+
+    /// A copy of an ε-downgraded leader carries its `served_epsilon` and
+    /// counts as ε-served.
+    #[test]
+    fn copy_of_approx_leader_carries_epsilon() {
+        let model = CloudCostModel::default();
+        let queries = same_shard_workload(2, 5);
+        let shard_sessions = sessions(&model, 1, None);
+        let vclock = VirtualClock::new();
+        let clock = vclock.clock();
+        let config = ServiceConfig::new(BatchPolicy::new(100, Duration::from_micros(50)))
+            .with_clock(vclock.clock())
+            .with_approx(ApproxPolicy::deadline_only(0.1));
+        let (tickets, stats) = serve(&shard_sessions, config, |handle| {
+            let leader = handle.submit(queries[0].clone());
+            let waiting = handle.submit(queries[0].clone());
+            vclock.advance_to_micros(100);
+            let other = handle.submit(queries[1].clone());
+            let leader = leader.wait_timeout(&clock, Duration::from_secs(60));
+            assert_eq!(leader.route.unwrap().trigger, BatchTrigger::Deadline);
+            assert_eq!(leader.served_epsilon, Some(0.1));
+            let late = handle.submit(queries[0].clone()).try_wait().unwrap();
+            assert_eq!(
+                (late.kind(), late.served_epsilon),
+                (OutcomeKind::Ok, Some(0.1))
+            );
+            [waiting, other]
+        });
+        let [waiting, other] = tickets.map(|t| t.wait());
+        assert_eq!(
+            (waiting.kind(), waiting.served_epsilon),
+            (OutcomeKind::Ok, Some(0.1))
+        );
+        assert_eq!(other.served_epsilon, None, "drain batches run exact");
+        assert_eq!((stats.approx_batches, stats.approx_served), (1, 3));
+        assert_eq!((stats.coalesced, stats.completed), (2, 4));
+    }
+
+    /// Copies take no admission-queue slot: at `max_queue` 1 they are
+    /// never rejected, while a distinct query is.
+    #[test]
+    fn copies_are_never_rejected() {
+        let model = CloudCostModel::default();
+        let queries = same_shard_workload(2, 3);
+        let shard_sessions = sessions(&model, 1, None);
+        let config = ServiceConfig::new(BatchPolicy::new(100, Duration::from_secs(1000)))
+            .with_clock(VirtualClock::new().clock())
+            .with_max_queue(1);
+        let (tickets, stats) = serve(&shard_sessions, config, |handle| {
+            let tickets: Vec<_> = (0..4).map(|_| handle.submit(queries[0].clone())).collect();
+            let distinct = handle.submit(queries[1].clone()).try_wait();
+            assert_eq!(distinct.map(|r| r.kind()), Some(OutcomeKind::Rejected));
+            tickets
+        });
+        for ticket in tickets {
+            assert_eq!(ticket.wait().kind(), OutcomeKind::Ok);
+        }
+        assert_eq!(
+            (stats.rejected, stats.coalesced, stats.completed),
+            (1, 3, 4)
+        );
+        assert!(stats.conserves());
     }
 }

@@ -11,6 +11,7 @@
 //! caches are exercised here; a tiny capacity must also *terminate*
 //! (eviction cannot livelock a batch) with the identical plans.
 
+use mpq_catalog::fault::query_digest;
 use mpq_catalog::generator::{generate_trace, GeneratorConfig, TraceConfig, WorkloadConfig};
 use mpq_catalog::graph::Topology;
 use mpq_cloud::model::CloudCostModel;
@@ -23,6 +24,7 @@ use mpq_service::{serve, BatchPolicy, ServiceConfig, VirtualClock};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::HashSet;
 use std::time::Duration;
 
 /// Deterministic probe points for frontier comparison.
@@ -80,6 +82,12 @@ proptest! {
             mean_gap: mean_gap_us as f64 * 1e-6,
         };
         let trace = generate_trace(&trace_cfg, &mut StdRng::seed_from_u64(seed));
+        // A fully overlapping trace is copies of one query.
+        let distinct: HashSet<u64> = trace.queries.iter().map(query_digest).collect();
+        let copies = (trace.len() - distinct.len()) as u64;
+        if overlap == 1.0 {
+            prop_assert_eq!(copies, trace.len() as u64 - 1, "full overlap is all copies");
+        }
         let model = CloudCostModel::default();
         let opt = OptimizerConfig {
             grid_resolution: 4,
@@ -156,11 +164,11 @@ proptest! {
                 );
                 prop_assert_eq!(
                     stats.batches,
-                    stats.size_triggered
-                        + stats.deadline_triggered
-                        + stats.drain_triggered
-                        + stats.repeat_triggered
+                    stats.size_triggered + stats.deadline_triggered + stats.drain_triggered
                 );
+                // Each copy of an earlier query gets its leader's answer
+                // instead of a run of its own.
+                prop_assert_eq!(stats.coalesced, copies, "copies coalesce");
                 let evictions: u64 =
                     stats.per_shard.iter().map(|s| s.cache.evictions).sum();
                 if capacity == Some(1) && overlap == 0.0 && trace_len > 2 {
@@ -171,16 +179,9 @@ proptest! {
                 }
                 let subtree_hits: u64 =
                     stats.per_shard.iter().map(|s| s.subtree.hits).sum();
-                match subtree {
+                if subtree.is_none() {
                     // Subtree caching off: the stats block stays all-zero.
-                    None => prop_assert_eq!(subtree_hits, 0, "subtree cache disabled"),
-                    // Duplicates share a shard (affinity hashes the scan
-                    // shapes), so a fully overlapping trace must reuse
-                    // subtrees through the unbounded cache.
-                    Some(None) if overlap == 1.0 && trace_len > 1 => {
-                        prop_assert!(subtree_hits > 0, "full overlap must hit subtrees");
-                    }
-                    Some(_) => {}
+                    prop_assert_eq!(subtree_hits, 0, "subtree cache disabled");
                 }
                 for (i, ticket) in tickets.into_iter().enumerate() {
                     let resp = ticket.wait();
