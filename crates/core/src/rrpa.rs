@@ -517,8 +517,11 @@ where
 /// thread (see the module docs).
 ///
 /// # Panics
-/// Panics if the query is invalid (`query.validate()` fails) or the model
-/// reports a different metric count than the space.
+/// Panics if the query is invalid (`query.validate()` fails), if the model
+/// reports a different metric count than the space, or if an operator's
+/// cost is non-finite at a point the space samples
+/// ([`MpqSpace::lift`]; valid statistics can still overflow, e.g. 1e300
+/// rows per table).
 pub fn optimize<S, M>(
     query: &Query,
     model: &M,
@@ -699,16 +702,25 @@ fn register_level_result<S: MpqSpace>(
 /// The pruning procedure of Algorithm 1 (lines 33–57), with the §6.3-style
 /// whole-space dominance fast path.
 ///
+/// The discard test runs over every retained plan **before** any region
+/// geometry: a newcomer that some retained plan dominates everywhere
+/// ([`MpqSpace::dominates_everywhere`]) is dropped without a single
+/// `subtract_dominated` or emptiness check. Testing first cannot change
+/// the outcome: the subtractions of lines 36–44 touch only the
+/// newcomer's own region, an interleaved test would discard the same
+/// newcomer by the time it reached the dominating plan, and
+/// `plans_pruned` rises by one either way. A newcomer that no retained
+/// plan dominates everywhere meets the subtraction loop unchanged.
+///
 /// With `ctx.band > 1` (ε-approximate mode) the band is applied **only**
-/// as a whole-plan discard: a newcomer that some retained plan
-/// `band`-dominates everywhere is dropped before any geometry is built
-/// ([`MpqSpace::dominates_everywhere_banded`]); all region subtraction —
-/// insertion and retained phase alike — stays exact. Exact removals
-/// transfer coverage at factor 1 and a discard cites a *relevant* plan
-/// directly, so every coverage chain crosses at most one banded link per
-/// DP level and the whole run stays within `(1+ε)` for
-/// `band = (1+ε)^(1/n)` (`n` = table count). Banded *partial* cuts are
-/// deliberately excluded — see the trait docs for the counterexample.
+/// as this whole-plan discard ([`MpqSpace::dominates_everywhere_banded`]);
+/// all region subtraction — insertion and retained phase alike — stays
+/// exact. Exact removals transfer coverage at factor 1 and a discard
+/// cites a *relevant* plan directly, so every coverage chain crosses at
+/// most one banded link per DP level and the whole run stays within
+/// `(1+ε)` for `band = (1+ε)^(1/n)` (`n` = table count). Banded *partial*
+/// cuts are deliberately excluded — see the trait docs for the
+/// counterexample.
 fn prune<S: MpqSpace, M: ParametricCostModel + ?Sized>(
     ctx: RunCtx<'_, S, M>,
     plans: &mut Vec<PendingPlan<S>>,
@@ -718,24 +730,28 @@ fn prune<S: MpqSpace, M: ParametricCostModel + ?Sized>(
 ) {
     let space = ctx.space;
     let config = ctx.config;
-    let banded = ctx.band > 1.0;
+    // Whole-space discard first. ε-approximate mode replaces the exact
+    // test with the banded one — it *is* the approximation, so it is not
+    // gated on `pvi_fastpath`. The discard cites `old` directly: wherever
+    // `old` is no longer relevant, the (exact) chain of removals that cut
+    // its region already ends at relevant plans.
+    let discard = if ctx.band > 1.0 {
+        plans
+            .iter()
+            .any(|old| space.dominates_everywhere_banded(&old.cost, &cost, ctx.band))
+    } else {
+        config.pvi_fastpath
+            && plans
+                .iter()
+                .any(|old| space.dominates_everywhere(&old.cost, &cost))
+    };
+    if discard {
+        tally.plans_pruned += 1;
+        return;
+    }
     // Shrink the new plan's RR by every retained plan (lines 36–44).
     let mut region = space.full_region();
     for old in plans.iter() {
-        // ε-approximate mode replaces the exact whole-space fast path
-        // with the banded discard — it *is* the approximation, so it is
-        // not gated on `pvi_fastpath`. The discard cites `old` directly:
-        // wherever `old` is no longer relevant, the (exact) chain of
-        // removals that cut its region already ends at relevant plans.
-        let discard = if banded {
-            space.dominates_everywhere_banded(&old.cost, &cost, ctx.band)
-        } else {
-            config.pvi_fastpath && space.dominates_everywhere(&old.cost, &cost)
-        };
-        if discard {
-            tally.plans_pruned += 1;
-            return;
-        }
         if space.subtract_dominated(&mut region, &cost, &old.cost, false)
             && space.region_is_empty(&mut region)
         {
@@ -1042,5 +1058,83 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The whole-space discard runs before any region geometry: a
+    /// newcomer that the *second* retained plan dominates everywhere is
+    /// discarded without the first plan's partial cut being subtracted
+    /// and checked for emptiness — no emptiness check, fast-path query or
+    /// LP — and the retained plans' regions stay untouched.
+    #[test]
+    fn whole_space_discard_precedes_region_geometry() {
+        let query = small_query(1, Topology::Chain, 1, 5);
+        let model = CloudCostModel::default();
+        let config = OptimizerConfig {
+            grid_resolution: 2,
+            ..OptimizerConfig::default_for(1)
+        };
+        let space = GridSpace::for_unit_box(1, &config, 2).unwrap();
+        let ctx = RunCtx {
+            query: &query,
+            model: &model,
+            space: &space,
+            config: &config,
+            cache: None,
+            band: 1.0,
+        };
+        let scan = |op| PlanNode::Scan { table: 0, op };
+        let retained = |cost| PendingPlan {
+            node: scan(ScanOp::TableScan),
+            cost,
+            region: space.full_region(),
+            reserved_id: None,
+        };
+        // The first plan beats the newcomer only for x < 0.3 (a cut inside
+        // the first grid simplex); the second beats it everywhere.
+        let partial = space.lift(&|x: &[f64]| vec![x[0] + 0.2, x[0] + 0.2]);
+        let everywhere = space.lift(&|_x: &[f64]| vec![0.1, 0.1]);
+        let newcomer = space.lift(&|_x: &[f64]| vec![0.5, 0.5]);
+        assert!(!space.dominates_everywhere(&partial, &newcomer));
+        let mut plans = vec![retained(partial), retained(everywhere)];
+        let regions_before: Vec<String> = plans.iter().map(|p| format!("{:?}", p.region)).collect();
+        let counters = || {
+            (
+                space.emptiness_counters(),
+                space.lp_ctx().fastpath_breakdown(),
+                space.lps_solved(),
+            )
+        };
+        let before = counters();
+        let mut tally = Tally::default();
+        prune(
+            ctx,
+            &mut plans,
+            scan(ScanOp::IndexSeek),
+            newcomer,
+            &mut tally,
+        );
+        assert_eq!(tally.plans_pruned, 1, "the newcomer is discarded");
+        assert_eq!(plans.len(), 2, "nothing is added or removed");
+        assert_eq!(counters(), before, "no region geometry ran");
+        let regions_after: Vec<String> = plans.iter().map(|p| format!("{:?}", p.region)).collect();
+        assert_eq!(regions_after, regions_before, "retained regions untouched");
+    }
+
+    /// Valid but overflow-prone statistics: with 1e300 rows per table the
+    /// query passes `validate`, yet its operator costs overflow. The lift
+    /// refuses the non-finite value instead of letting NaN costs come
+    /// back as an answer.
+    #[test]
+    #[should_panic(expected = "non-finite cost")]
+    fn overflowing_costs_panic_at_lift() {
+        let mut query = small_query(3, Topology::Chain, 1, 1);
+        for t in &mut query.tables {
+            t.rows = 1e300;
+        }
+        assert!(query.validate().is_ok());
+        let model = CloudCostModel::default();
+        let config = OptimizerConfig::default_for(1);
+        let space = GridSpace::for_unit_box(1, &config, 2).unwrap();
+        optimize(&query, &model, &space, &config);
     }
 }

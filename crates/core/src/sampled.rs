@@ -125,6 +125,10 @@ impl MpqSpace for SampledSpace {
         for p in &self.points {
             let v = f(p);
             debug_assert_eq!(v.len(), self.num_metrics);
+            assert!(
+                v.iter().all(|x| x.is_finite()),
+                "non-finite cost {v:?} at parameter point {p:?}"
+            );
             values.extend(v);
         }
         SampledCost { values }
@@ -232,6 +236,12 @@ mod tests {
         let v = s.eval(&c, &[0.5]);
         assert!((v[0] - 0.25).abs() < 1e-12);
         assert!((v[1] - 1.0 / 1.5).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite cost [NaN, 1.0] at parameter point [0.0]")]
+    fn non_finite_sample_cost_panics() {
+        space().lift(&|x: &[f64]| vec![0.0 / x[0], 1.0]);
     }
 
     #[test]

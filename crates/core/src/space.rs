@@ -44,6 +44,10 @@ pub trait MpqSpace {
     /// into this space's representation. PWL spaces approximate by grid
     /// interpolation (exact at grid vertices); the sampled space is exact
     /// at its sample points.
+    ///
+    /// # Panics
+    /// All three spaces panic, naming the point, if `f` returns a
+    /// non-finite value at a point they sample.
     fn lift(&self, f: &(dyn Fn(&[f64]) -> Vec<f64> + '_)) -> Self::Cost;
 
     /// Pointwise cost accumulation `a + b` (the `AccumulateCost` step of

@@ -59,6 +59,11 @@ fn vertex_key(grid: &ParamGrid, v: &[f64]) -> Vec<i64> {
 /// Evaluates `f` once per distinct grid vertex and interpolates a linear
 /// function on every simplex. Index `i` of the result corresponds to
 /// simplex id `i`.
+///
+/// # Panics
+/// Panics, naming the vertex, if `f` returns a non-finite value there: an
+/// overflowed cost would otherwise interpolate to NaN pieces that every
+/// dominance test silently misreads.
 pub fn approximate_scalar(grid: &ParamGrid, mut f: impl FnMut(&[f64]) -> f64) -> Vec<LinearFn> {
     let mut cache: HashMap<Vec<i64>, f64> = HashMap::new();
     grid.simplices()
@@ -67,7 +72,16 @@ pub fn approximate_scalar(grid: &ParamGrid, mut f: impl FnMut(&[f64]) -> f64) ->
             let values: Vec<f64> = s
                 .vertices
                 .iter()
-                .map(|v| *cache.entry(vertex_key(grid, v)).or_insert_with(|| f(v)))
+                .map(|v| {
+                    *cache.entry(vertex_key(grid, v)).or_insert_with(|| {
+                        let c = f(v);
+                        assert!(
+                            c.is_finite(),
+                            "non-finite cost {c} at parameter point {v:?}"
+                        );
+                        c
+                    })
+                })
                 .collect();
             interpolate_simplex(s, &values).expect("grid simplices are non-degenerate")
         })
@@ -79,6 +93,10 @@ pub fn approximate_scalar(grid: &ParamGrid, mut f: impl FnMut(&[f64]) -> f64) ->
 /// simplex. Returns one `Vec<LinearFn>` per metric, indexed by simplex id
 /// — numerically identical to running [`approximate_scalar`] per metric,
 /// with `num_metrics`× fewer closure evaluations.
+///
+/// # Panics
+/// Panics, naming the vertex, if `f` returns a non-finite value there
+/// (see [`approximate_scalar`]).
 pub fn approximate_vector(
     grid: &ParamGrid,
     num_metrics: usize,
@@ -100,6 +118,10 @@ pub fn approximate_vector(
             *slot = *ids.entry(vertex_key(grid, v)).or_insert_with(|| {
                 let c = f(v);
                 debug_assert_eq!(c.len(), num_metrics);
+                assert!(
+                    c.iter().all(|x| x.is_finite()),
+                    "non-finite cost {c:?} at parameter point {v:?}"
+                );
                 store.push(c);
                 store.len() - 1
             });
@@ -196,6 +218,13 @@ mod tests {
             fine < coarse / 4.0,
             "expected ~quadratic error decay: {coarse} -> {fine}"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite cost inf at parameter point [0.0]")]
+    fn non_finite_vertex_cost_panics() {
+        let grid = ParamGrid::new(&[0.0], &[1.0], 2).unwrap();
+        pwl_from_closure(&grid, |x| 1.0 / x[0]);
     }
 
     #[test]

@@ -8,8 +8,14 @@
 //! `envelope ∖ union`. Both reduce to the primitive implemented here:
 //! subtracting a union of polytopes from a polytope by recursive
 //! subdivision and testing what remains for (interior) emptiness.
+//!
+//! A subtracted row that the piece already carries verbatim yields no
+//! piece and is not queried: `piece ∩ ¬h` lies in the hyperplane of `h`,
+//! so it has no interior. A region-engine cutout is its base plus a few
+//! extra rows, and every worklist piece carries the base rows, so the
+//! engine hands the worklist only the extra rows.
 
-use crate::Polytope;
+use crate::{Halfspace, Polytope};
 use mpq_lp::{FastPathSite, LpCtx};
 
 /// Decomposes `base ∖ minus` into convex pieces with pairwise disjoint
@@ -22,31 +28,42 @@ use mpq_lp::{FastPathSite, LpCtx};
 /// ```
 ///
 /// where `¬c_j` is the complementary closed halfspace. Pieces with empty
-/// interior are dropped (see the crate-level emptiness discussion).
+/// interior are dropped (see the crate-level emptiness discussion); a
+/// `c_j` already among the rows of `base ∩ c₁ ∩ … ∩ c_{j−1}` yields no
+/// piece without an emptiness query.
 pub fn subtract(ctx: &LpCtx, base: &Polytope, minus: &Polytope) -> Vec<Polytope> {
     debug_assert_eq!(base.dim(), minus.dim());
     if base.is_empty_with_fastpath(ctx, &[], FastPathSite::Coverage) {
         return Vec::new();
     }
-    subtract_from_nonempty(ctx, base, minus)
-}
-
-/// [`subtract`] for a `base` already proven non-empty: worklist callers
-/// (the coverage machinery) re-subtract from pieces whose non-emptiness
-/// was established by the exact query that put them on the worklist, so
-/// re-running that check would repeat a deterministic predicate verbatim.
-pub(crate) fn subtract_from_nonempty(
-    ctx: &LpCtx,
-    base: &Polytope,
-    minus: &Polytope,
-) -> Vec<Polytope> {
     if minus.is_trivially_empty() {
         return vec![base.clone()];
     }
+    subtract_from_nonempty(ctx, base, minus.halfspaces())
+}
+
+/// [`subtract`] with `minus` given by its rows, for a `base` already
+/// proven non-empty: worklist callers (the coverage machinery)
+/// re-subtract from pieces whose non-emptiness was established by the
+/// exact query that put them on the worklist, so re-running that check
+/// would repeat a deterministic predicate verbatim.
+///
+/// A row `h` the running prefix already carries verbatim (a base row, or
+/// a repeat within `minus`) is skipped: `prefix ∩ ¬h` lies in `h`'s
+/// hyperplane, so its emptiness query could only answer "no interior",
+/// and pushing `h` again would only duplicate a row.
+pub(crate) fn subtract_from_nonempty(
+    ctx: &LpCtx,
+    base: &Polytope,
+    minus: &[Halfspace],
+) -> Vec<Polytope> {
     let mut pieces = Vec::new();
     let mut prefix = base.clone();
-    prefix.halfspaces.reserve(minus.num_constraints());
-    for h in minus.halfspaces() {
+    prefix.halfspaces.reserve(minus.len());
+    for h in minus {
+        if prefix.halfspaces.contains(h) {
+            continue;
+        }
         // Test `prefix ∩ ¬h` in place (the same rows in the same order as
         // the materialised piece) and build the piece only when it stays:
         // most pieces of a coverage subtraction are empty.
@@ -113,10 +130,14 @@ impl CoveragePiece {
 /// bit-identical queries to a from-scratch run (keep this the single
 /// copy of the loop body). Takes the worklist by value so survivors move
 /// into the next one.
+///
+/// `cutout` is the cutout's rows, of which rows every piece already
+/// carries may be left out (the region engine passes only the rows a
+/// cutout adds to the base).
 pub(crate) fn subtract_cutout_from_worklist(
     ctx: &LpCtx,
     remaining: Vec<CoveragePiece>,
-    cutout: &Polytope,
+    cutout: &[Halfspace],
 ) -> Vec<CoveragePiece> {
     let mut next = Vec::with_capacity(remaining.len());
     for piece in remaining {
@@ -124,7 +145,7 @@ pub(crate) fn subtract_cutout_from_worklist(
         // survives verbatim, cached Chebyshev verdict included.
         if piece
             .poly
-            .is_empty_with_fastpath(ctx, cutout.halfspaces(), FastPathSite::Coverage)
+            .is_empty_with_fastpath(ctx, cutout, FastPathSite::Coverage)
         {
             next.push(piece);
         } else {
@@ -219,7 +240,7 @@ fn difference_remainder(ctx: &LpCtx, base: &Polytope, cutouts: &[Polytope]) -> V
         if cutout.is_trivially_empty() {
             continue;
         }
-        remaining = subtract_cutout_from_worklist(ctx, remaining, cutout);
+        remaining = subtract_cutout_from_worklist(ctx, remaining, cutout.halfspaces());
     }
     remaining
 }
@@ -373,7 +394,7 @@ mod tests {
         // A piece surviving a disjoint-cutout subtraction keeps its
         // cached verdict (the miss fast path moves it verbatim).
         let disjoint = Polytope::from_box(&[0.9], &[1.0]);
-        let mut survived = subtract_cutout_from_worklist(&ctx, worklist, &disjoint);
+        let mut survived = subtract_cutout_from_worklist(&ctx, worklist, disjoint.halfspaces());
         let before = ctx.solved();
         let w3 = worklist_witness(&ctx, &mut survived).expect("pieces survived");
         assert_eq!(ctx.solved() - before, 0, "survivors reuse cached verdicts");

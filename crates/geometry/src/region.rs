@@ -932,6 +932,12 @@ impl RegionEngine {
     /// suffix, and every skipped prefix query is a bit-identical repeat
     /// of a deterministic predicate: verdicts (and therefore retained
     /// plans) are unchanged, only the duplicate LP volume disappears.
+    ///
+    /// Each cutout is subtracted through its extra rows alone. Every
+    /// worklist piece lies inside the base and carries its rows verbatim,
+    /// so a base row could only yield a piece with no interior; the
+    /// worklist skips such rows anyway (see [`crate::subtract`]), and
+    /// leaving them out spares a copy of the base per cutout.
     #[inline]
     pub fn region_is_empty(
         &self,
@@ -991,12 +997,11 @@ impl RegionEngine {
                     if remaining.is_empty() {
                         break;
                     }
-                    let mut poly = (*base.polytope).clone();
-                    for h in &c.halfspaces {
-                        poly.push(h.clone());
-                    }
-                    remaining =
-                        crate::difference::subtract_cutout_from_worklist(ctx, remaining, &poly);
+                    remaining = crate::difference::subtract_cutout_from_worklist(
+                        ctx,
+                        remaining,
+                        &c.halfspaces,
+                    );
                 }
                 if remaining.is_empty() {
                     true

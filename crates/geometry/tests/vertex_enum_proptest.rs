@@ -17,8 +17,13 @@
 //! exact complements (zero-width slivers), near-parallel pairs and
 //! ambiguity-band offsets — the degenerate shapes the optimizer actually
 //! produces.
+//!
+//! The same shapes also pin the coverage check's row skip: a subtracted
+//! row that a piece already carries yields no piece, which is sound only
+//! because `P ∩ ¬h` has no interior for every row `h` of `P`, and must
+//! reach the verdicts of the subtraction that tested every row.
 
-use mpq_geometry::{Halfspace, Polytope, RegionBase, RegionEngine};
+use mpq_geometry::{difference_is_empty, Halfspace, Polytope, RegionBase, RegionEngine};
 use mpq_lp::{FastPathSite, LpCtx, LpOutcome};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -176,8 +181,116 @@ fn check_emptiness_against_lp(base: &Polytope, extras: &[Halfspace]) -> Result<(
     Ok(())
 }
 
+/// The coverage check as it ran before the row skip: every row of every
+/// cutout is tested against the running prefix and pushed onto it, rows
+/// the piece already carries included.
+fn every_row_difference_is_empty(ctx: &LpCtx, base: &Polytope, cutouts: &[Polytope]) -> bool {
+    if base.is_empty_with_fastpath(ctx, &[], FastPathSite::Coverage) {
+        return true;
+    }
+    let mut remaining = vec![base.clone()];
+    for cutout in cutouts {
+        if remaining.is_empty() {
+            break;
+        }
+        let mut next = Vec::new();
+        for piece in remaining {
+            if piece.is_empty_with_fastpath(ctx, cutout.halfspaces(), FastPathSite::Coverage) {
+                next.push(piece);
+                continue;
+            }
+            let mut prefix = piece;
+            for h in cutout.halfspaces() {
+                let comp = h.complement();
+                if !prefix.is_empty_with_fastpath(
+                    ctx,
+                    std::slice::from_ref(&comp),
+                    FastPathSite::Coverage,
+                ) {
+                    next.push(prefix.with(comp));
+                }
+                prefix.push(h.clone());
+            }
+        }
+        remaining = next;
+    }
+    remaining.is_empty()
+}
+
+/// `base` with `extras` appended, the shape of a region-engine cutout.
+fn with_rows(base: &Polytope, extras: &[Halfspace]) -> Polytope {
+    let mut p = base.clone();
+    for h in extras {
+        p.push(h.clone());
+    }
+    p
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// The premise of the row skip: for every row `h` of a polytope `P`,
+    /// the Chebyshev LP finds no interior in `P ∩ ¬h`.
+    #[test]
+    fn own_row_complement_has_no_interior(
+        use_triangle in 0usize..2,
+        extras in prop::collection::vec(extra_halfspace(), 0..6),
+    ) {
+        let base = if use_triangle == 1 {
+            triangle_base()
+        } else {
+            square_base()
+        };
+        let p = with_rows(base.polytope(), &extras);
+        let ctx = LpCtx::new();
+        for h in p.halfspaces() {
+            prop_assert!(
+                p.is_empty_with(&ctx, &[h.complement()]),
+                "P ∩ ¬h has interior for row {:?} of {:?}",
+                h,
+                p.halfspaces()
+            );
+        }
+    }
+
+    /// The coverage check with the row skip reaches the every-row
+    /// subtraction's verdict, whether a cutout carries the base rows
+    /// (`difference_is_empty`'s callers) or only its extra rows (the
+    /// region engine's worklist).
+    #[test]
+    fn row_skip_keeps_coverage_verdicts(
+        use_triangle in 0usize..2,
+        cutout_extras in prop::collection::vec(
+            prop::collection::vec(extra_halfspace(), 1..4),
+            0..5,
+        ),
+    ) {
+        let base = if use_triangle == 1 {
+            triangle_base()
+        } else {
+            square_base()
+        };
+        let base = base.polytope();
+        let full: Vec<Polytope> = cutout_extras.iter().map(|e| with_rows(base, e)).collect();
+        let bare: Vec<Polytope> = cutout_extras
+            .iter()
+            .map(|e| with_rows(&Polytope::full(2), e))
+            .collect();
+        let ctx = LpCtx::new();
+        let expected = every_row_difference_is_empty(&ctx, base, &full);
+        prop_assert_eq!(
+            difference_is_empty(&ctx, base, &full),
+            expected,
+            "cutouts with base rows {:?}",
+            cutout_extras
+        );
+        prop_assert_eq!(
+            difference_is_empty(&ctx, base, &bare),
+            expected,
+            "cutouts of extra rows only {:?}",
+            cutout_extras
+        );
+    }
 
     #[test]
     fn emptiness_fast_path_agrees_with_lp(

@@ -1,8 +1,9 @@
 //! The shard server's idempotency cache under concurrency and at its
 //! bound: distinct digests optimize at the same time, a racing replay of
 //! an in-flight digest waits for that one optimize and replays it, the
-//! cache evicts past [`DEDUP_CAPACITY`] without changing answers, and an
-//! invalid query is answered before it reaches the cache.
+//! cache evicts past [`DEDUP_CAPACITY`] without changing answers, an
+//! invalid query is answered before it reaches the cache, and a valid
+//! query whose costs overflow is answered `Panicked`, never `Ok`.
 //!
 //! The concurrency tests meet inside the session's fault hook, which
 //! runs at the start of every optimize. The meeting point waits with a
@@ -307,4 +308,33 @@ fn invalid_query_is_answered_without_optimizing() {
     assert!(matches!(answer.outcome, WireOutcome::Ok(_)));
     assert_eq!(optimize_spans(&obs), 1);
     assert_eq!(core.counters().panicked, 1);
+}
+
+/// Valid statistics whose costs overflow (1e300 rows per table) pass
+/// admission, but the lift's finiteness assertion panics inside
+/// `optimize`; the server answers `Panicked` rather than `Ok` with NaN
+/// costs, and keeps serving.
+#[test]
+fn overflowing_costs_are_answered_panicked() {
+    let model = CloudCostModel::default();
+    let session = session(&model, None);
+    let core = core(&session);
+    let valid = queries(3, 1, 1).remove(0);
+    let mut overflowing = valid.clone();
+    for t in &mut overflowing.tables {
+        t.rows = 1e300;
+    }
+    assert!(overflowing.validate().is_ok(), "admission lets it in");
+
+    let answer = response(&core.handle_frame(&request_frame(1, &overflowing)));
+    match &answer.outcome {
+        WireOutcome::Panicked { message } => assert!(
+            message.contains("non-finite cost"),
+            "unexpected message {message}"
+        ),
+        other => panic!("overflowing query answered {other:?}"),
+    }
+    assert_eq!(core.counters().panicked, 1);
+    let answer = response(&core.handle_frame(&request_frame(2, &valid)));
+    assert!(matches!(answer.outcome, WireOutcome::Ok(_)));
 }

@@ -2110,6 +2110,53 @@ mod tests {
         }
     }
 
+    /// Valid statistics whose costs overflow (1e300 rows per table) pass
+    /// admission, but the lift's finiteness assertion panics inside
+    /// `optimize`: the query resolves `Panicked` and is quarantined, never
+    /// `Ok` with NaN costs, and its batch-mate still comes back
+    /// bit-identical to a plain session.
+    #[test]
+    fn overflowing_costs_resolve_panicked() {
+        let model = CloudCostModel::default();
+        let mut overflowing = mpq_catalog::generator::generate(
+            &GeneratorConfig::paper(3, Topology::Chain, 1),
+            &mut StdRng::seed_from_u64(1),
+        );
+        for t in &mut overflowing.tables {
+            t.rows = 1e300;
+        }
+        assert!(overflowing.validate().is_ok(), "admission lets it in");
+        let healthy_query = workload(3, 1, 0.0, 7).remove(0);
+        let healthy = plain_fingerprint(&healthy_query, &model);
+        let shard_sessions = sessions(&model, 1, None);
+        let config = ServiceConfig::new(BatchPolicy::new(100, Duration::from_secs(3600)))
+            .with_clock(VirtualClock::new().clock());
+        let (tickets, stats) = serve(&shard_sessions, config, |handle| {
+            [overflowing, healthy_query]
+                .into_iter()
+                .map(|q| handle.submit(q))
+                .collect::<Vec<_>>()
+        });
+        let mut responses = tickets.into_iter().map(|t| t.wait());
+        // Bisection re-runs the query alone, where its lift meets the
+        // cache cell the first panic poisoned.
+        match responses.next().unwrap().outcome {
+            QueryOutcome::Panicked { message } => assert!(
+                message.contains("non-finite cost") || message.contains("lift builder panicked"),
+                "unexpected panic {message}"
+            ),
+            other => panic!("overflowing query got {:?}", other.kind()),
+        }
+        let mate = responses.next().unwrap();
+        let route = mate.route.unwrap();
+        assert_eq!(
+            fingerprint(shard_sessions.shard(route.shard).space(), &mate.expect_ok()),
+            healthy,
+            "the batch-mate diverged"
+        );
+        assert_eq!((stats.completed, stats.quarantined), (1, 1));
+    }
+
     /// Bisection attributes panics exactly: with 1 poison (then 2) in a
     /// six-query batch, precisely the marked queries are quarantined.
     #[test]
