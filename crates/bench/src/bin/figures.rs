@@ -288,9 +288,7 @@ fn pq_vs_mpq() {
     let x = [0.9];
     let frontier = mpq.frontier_at(&space, &x);
     let both = |sol: &mpq_core::rrpa::MpqSolution<GridSpace>, sp: &GridSpace| -> Vec<Vec<f64>> {
-        sol.plans
-            .iter()
-            .filter(|p| sp.region_contains(&p.region, &x))
+        sol.relevant_plans(sp, &x)
             .map(|p| mpq_core::validate::exact_plan_cost(&query, &model, &sol.arena, p.plan, &x))
             .collect()
     };

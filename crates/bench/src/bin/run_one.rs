@@ -8,7 +8,12 @@
 //! per-DP-level span timings (wall, sets, plan/LP deltas) — where the
 //! lattice actually spends its time, level by level.
 //!
-//! Usage: `cargo run --release -p mpq-bench --bin run_one -- grid star 8 2 0`
+//! Usage: `run_one <grid|pwl> <chain|star> <tables> <params> <seed> [dim [resolution]]`,
+//! e.g. `cargo run --release -p mpq-bench --bin run_one -- grid star 8 2 0`.
+//! The optional `dim` runs the query in a `dim`-dimensional space (default:
+//! `params`), so `run_one grid chain 4 1 1 2` optimizes a 1-parameter query
+//! in the face of a 2-D grid; `resolution` overrides the grid resolution
+//! (default: `OptimizerConfig::default_for(dim)`'s).
 
 use mpq_catalog::generator::{generate, GeneratorConfig};
 use mpq_catalog::graph::Topology;
@@ -21,17 +26,34 @@ use mpq_lp::FastPathSite;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+const USAGE: &str =
+    "usage: run_one <grid|pwl> <chain|star> <tables> <params> <seed> [dim [resolution]]";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let numbers: Option<Vec<usize>> = args.iter().skip(2).map(|a| a.parse().ok()).collect();
+    let (tables, params, seed, dim, resolution) = match (args.len(), numbers.as_deref()) {
+        (5..=7, Some(&[tables, params, seed, ref rest @ ..])) => (
+            tables,
+            params,
+            seed as u64,
+            rest.first().copied().unwrap_or(params),
+            rest.get(1).copied(),
+        ),
+        _ => {
+            eprintln!("{USAGE}");
+            std::process::exit(2);
+        }
+    };
     let topology = if args[1] == "star" {
         Topology::Star
     } else {
         Topology::Chain
     };
-    let tables: usize = args[2].parse().unwrap();
-    let params: usize = args[3].parse().unwrap();
-    let seed: u64 = args[4].parse().unwrap();
-    let config = OptimizerConfig::default_for(params);
+    let mut config = OptimizerConfig::default_for(dim);
+    if let Some(resolution) = resolution {
+        config.grid_resolution = resolution;
+    }
     let query = generate(
         &GeneratorConfig::paper(tables, topology, params),
         &mut StdRng::seed_from_u64(seed),
@@ -42,23 +64,25 @@ fn main() {
     let _obs_guard = mpq_obs::install(&obs);
     let (stats, breakdown) = match args[0].as_str() {
         "grid" => {
-            let space = GridSpace::for_unit_box(params, &config, metrics).unwrap();
+            let space = GridSpace::for_unit_box(dim, &config, metrics).unwrap();
             let sol = optimize(&query, &model, &space, &config);
             (sol.stats, space.lp_ctx().fastpath_breakdown())
         }
         _ => {
-            let space = PwlSpace::for_unit_box(params, &config, metrics).unwrap();
+            let space = PwlSpace::for_unit_box(dim, &config, metrics).unwrap();
             let sol = optimize(&query, &model, &space, &config);
             (sol.stats, space.lp_ctx().fastpath_breakdown())
         }
     };
     println!(
-        "space={} topo={} n={} p={} seed={}: time={:.0}ms plans={} lps={} final={}",
+        "space={} topo={} n={} p={} seed={} dim={} res={}: time={:.0}ms plans={} lps={} final={}",
         args[0],
         args[1],
         tables,
         params,
         seed,
+        dim,
+        config.grid_resolution,
         stats.elapsed.as_secs_f64() * 1e3,
         stats.plans_created,
         stats.lps_solved_query,

@@ -25,6 +25,21 @@
 //! The space is `Sync`: the LP context and the engine's emptiness counters
 //! are atomic, so one `GridSpace` can serve every query of a session batch
 //! running on several threads at once.
+//!
+//! # Faces
+//!
+//! A query with fewer parameters than the space runs in a **face**
+//! ([`MpqSpace::face`]): a `GridSpace` over the first `d` axes of the box,
+//! built on first use and kept for the space's lifetime, one per lower
+//! dimension. A 1-parameter query in a 2-D space then decides 1-D
+//! questions on `resolution` intervals instead of on `2·resolution²`
+//! triangles. A face keeps the parent's **resolution** (not
+//! [`OptimizerConfig::default_for`]'s for `d`): its breakpoints are the
+//! parent's grid lines, so every lifted cost interpolates the same vertex
+//! values and the run keeps the parent's plan counters. Faces share the
+//! parent's LP context and engine switches, so `lp_ctx()`,
+//! [`GridSpace::emptiness_counters`] and [`MpqSpace::publish_obs`] count
+//! their work too.
 
 use crate::space::MpqSpace;
 use crate::OptimizerConfig;
@@ -32,7 +47,7 @@ use mpq_cost::{DominanceHalfspaces, GridCost};
 use mpq_geometry::grid::{GridError, ParamGrid};
 use mpq_geometry::{CutoutRegion, RegionBase, RegionEngine};
 use mpq_lp::LpCtx;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A relevance region factorised over grid simplices.
 #[derive(Debug, Clone)]
@@ -48,11 +63,35 @@ pub struct GridSpace {
     /// One base region per simplex, in simplex-id order.
     bases: Vec<RegionBase>,
     num_metrics: usize,
+    /// `faces[d - 1]` is the face over the first `d` axes, for every
+    /// `d < dim`, built on first use (see the module docs).
+    faces: Vec<OnceLock<GridSpace>>,
 }
 
 impl GridSpace {
     /// Builds a space over an existing grid.
     pub fn new(grid: Arc<ParamGrid>, num_metrics: usize, config: &OptimizerConfig) -> Self {
+        // The exact emptiness fast paths (interval arithmetic in 1-D,
+        // slab tests + Chebyshev triple enumeration in 2-D) are on:
+        // cutout-emptiness prechecks on 2-parameter grids were the
+        // dominant LP site. Verdicts are identical to the LP's — the
+        // ambiguous tolerance band still falls back to the solver — so
+        // plan counts are unchanged and only the LP count drops.
+        let engine = RegionEngine::new(
+            config.relevance_points,
+            config.redundant_cutout_removal,
+            config.redundant_constraint_removal,
+            true,
+        );
+        Self::with_parts(grid, num_metrics, engine, Arc::new(LpCtx::new()))
+    }
+
+    fn with_parts(
+        grid: Arc<ParamGrid>,
+        num_metrics: usize,
+        engine: RegionEngine,
+        ctx: Arc<LpCtx>,
+    ) -> Self {
         let bases = grid
             .simplices()
             .iter()
@@ -71,29 +110,22 @@ impl GridSpace {
                 )
             })
             .collect();
+        let faces = (1..grid.dim()).map(|_| OnceLock::new()).collect();
         Self {
             grid,
-            ctx: Arc::new(LpCtx::new()),
-            // The exact emptiness fast paths (interval arithmetic in 1-D,
-            // slab tests + Chebyshev triple enumeration in 2-D) are on:
-            // cutout-emptiness prechecks on 2-parameter grids were the
-            // dominant LP site. Verdicts are identical to the LP's — the
-            // ambiguous tolerance band still falls back to the solver —
-            // so plan counts are unchanged and only the LP count drops.
-            engine: RegionEngine::new(
-                config.relevance_points,
-                config.redundant_cutout_removal,
-                config.redundant_constraint_removal,
-                true,
-            ),
+            ctx,
+            engine,
             bases,
             num_metrics,
+            faces,
         }
     }
 
     /// Builds a space over the unit box `[0, 1]^max(num_params, 1)` with
     /// the configured grid resolution (selectivity parameters live in
     /// `[0, 1]`; queries without parameters get one dummy dimension).
+    /// Queries with fewer parameters run in its faces, at the same
+    /// resolution (see the module docs).
     pub fn for_unit_box(
         num_params: usize,
         config: &OptimizerConfig,
@@ -114,9 +146,16 @@ impl GridSpace {
         &self.ctx
     }
 
-    /// Emptiness checks executed / skipped via relevance points.
+    /// Emptiness checks executed / skipped via relevance points, in this
+    /// space and every face built so far.
     pub fn emptiness_counters(&self) -> (u64, u64) {
-        self.engine.emptiness_counters()
+        self.faces
+            .iter()
+            .filter_map(OnceLock::get)
+            .map(GridSpace::emptiness_counters)
+            .fold(self.engine.emptiness_counters(), |(c, s), (fc, fs)| {
+                (c + fc, s + fs)
+            })
     }
 }
 
@@ -130,6 +169,29 @@ impl MpqSpace for GridSpace {
 
     fn dim(&self) -> usize {
         self.grid.dim()
+    }
+
+    /// The face over the first `max(params, 1)` axes, at this grid's
+    /// resolution, sharing its LP context and engine switches.
+    fn face(&self, params: usize) -> &Self {
+        let d = params.max(1);
+        if d >= self.dim() {
+            return self;
+        }
+        self.faces[d - 1].get_or_init(|| {
+            let grid = ParamGrid::new(
+                &self.grid.lo()[..d],
+                &self.grid.hi()[..d],
+                self.grid.resolution(),
+            )
+            .expect("a face of a valid box is a valid box");
+            Self::with_parts(
+                Arc::new(grid),
+                self.num_metrics,
+                self.engine.with_same_switches(),
+                Arc::clone(&self.ctx),
+            )
+        })
     }
 
     fn lift(&self, f: &(dyn Fn(&[f64]) -> Vec<f64> + '_)) -> GridCost {

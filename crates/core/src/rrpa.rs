@@ -77,9 +77,13 @@ use std::time::Instant;
 
 /// The cross-query cost-lifting cache, specialised to a space's cost
 /// representation: canonical operator cost shapes
-/// ([`mpq_cloud::shape::OpShape`]) map to `Arc`-shared lifted costs. One
-/// cache serves every query of an [`crate::session::OptimizerSession`].
-pub type LiftCache<S> = LiftedCostCache<OpShape, <S as MpqSpace>::Cost>;
+/// ([`mpq_cloud::shape::OpShape`]) paired with the dimension of the face
+/// they were lifted in ([`MpqSpace::face`]) map to `Arc`-shared lifted
+/// costs. A shape does not say how many parameters its query has — one
+/// table scan serves 1- and 2-parameter queries alike — so the face
+/// dimension keeps a lift from crossing into a face of another dimension.
+/// One cache serves every query of an [`crate::session::OptimizerSession`].
+pub type LiftCache<S> = LiftedCostCache<(OpShape, usize), <S as MpqSpace>::Cost>;
 
 /// The shared-subplan cache: canonical subtree identities map to
 /// `Arc`-shared memoized per-subtree Pareto frontiers (see the module
@@ -106,7 +110,9 @@ enum CachedRoot {
 /// A memoized per-subtree Pareto frontier: the survivor roots (local
 /// form) with their accumulated cost functions and relevance regions,
 /// plus the subtree's exact pruning tally. Replaying the value into a run
-/// reproduces the uncached DP bit for bit (see the module docs).
+/// reproduces the uncached DP bit for bit (see the module docs). Costs
+/// and regions live in the query's face; the key's parameter count
+/// ([`ParametricCostModel::subtree_shape`]) fixes which one.
 pub struct CachedSubtree<S: MpqSpace> {
     roots: Vec<(CachedRoot, S::Cost, S::Region)>,
     plans_created: u64,
@@ -143,17 +149,19 @@ impl<C: Clone> LiftedCost<C> {
 /// Lifts an operator cost closure, through the session cache when both a
 /// cache and a canonical shape are available. Cached lifting is
 /// bit-identical to direct lifting: a lift is a pure function of the
-/// shape (see [`mpq_cloud::shape`]), so whichever query lifts a shape
-/// first produces exactly the value every later query would have.
+/// shape and the face (see [`mpq_cloud::shape`]), so whichever query
+/// lifts a shape in a face first produces exactly the value every later
+/// query would have. The shape moves into the key, so keying costs no
+/// allocation.
 fn lift_cost<S: MpqSpace>(
     space: &S,
     cache: Option<&LiftCache<S>>,
-    shape: Option<&OpShape>,
+    shape: Option<OpShape>,
     f: &(dyn Fn(&[f64]) -> Vec<f64> + '_),
 ) -> LiftedCost<S::Cost> {
     match (cache, shape) {
         (Some(cache), Some(shape)) => {
-            LiftedCost::Shared(cache.get_or_lift(shape, || space.lift(f)))
+            LiftedCost::Shared(cache.get_or_lift(&(shape, space.dim()), || space.lift(f)))
         }
         _ => LiftedCost::Owned(space.lift(f)),
     }
@@ -204,6 +212,11 @@ pub struct MpqSolution<S: MpqSpace> {
     pub arena: PlanArena,
     /// Run statistics (the Figure 12 metrics).
     pub stats: OptStats,
+    /// Dimension of the face the query was solved in
+    /// (`space.face(query.num_params).dim()`, see [`MpqSpace::face`]).
+    /// Plan costs and regions live in that face and read `x[..dim]`; the
+    /// point queries below resolve it from the space they are given.
+    pub dim: usize,
 }
 
 impl<S: MpqSpace> Clone for MpqSolution<S> {
@@ -212,19 +225,38 @@ impl<S: MpqSpace> Clone for MpqSolution<S> {
             plans: self.plans.clone(),
             arena: self.arena.clone(),
             stats: self.stats.clone(),
+            dim: self.dim,
         }
     }
 }
 
 impl<S: MpqSpace> MpqSolution<S> {
+    /// The face of `space` this solution was solved in, and `x` cut to
+    /// its axes.
+    fn face_at<'s, 'x>(&self, space: &'s S, x: &'x [f64]) -> (&'s S, &'x [f64]) {
+        (space.face(self.dim), x.get(..self.dim).unwrap_or(x))
+    }
+
+    /// The retained plans whose relevance region contains `x`, a point of
+    /// `space` (the space the solution was optimized with).
+    pub fn relevant_plans<'a>(
+        &'a self,
+        space: &'a S,
+        x: &'a [f64],
+    ) -> impl Iterator<Item = &'a ParetoPlan<S>> + 'a {
+        let (face, x) = self.face_at(space, x);
+        self.plans
+            .iter()
+            .filter(move |p| face.region_contains(&p.region, x))
+    }
+
     /// The plans whose relevance region contains `x`, with their cost
     /// vectors at `x`. By the PPS guarantee these include a dominator for
     /// every possible plan at `x`.
     pub fn relevant_at(&self, space: &S, x: &[f64]) -> Vec<(PlanId, Vec<f64>)> {
-        self.plans
-            .iter()
-            .filter(|p| space.region_contains(&p.region, x))
-            .map(|p| (p.plan, space.eval(&p.cost, x)))
+        let (face, y) = self.face_at(space, x);
+        self.relevant_plans(space, x)
+            .map(|p| (p.plan, face.eval(&p.cost, y)))
             .collect()
     }
 
@@ -313,7 +345,7 @@ fn optimize_set<S: MpqSpace, M: ParametricCostModel + ?Sized>(
             // The join's own cost depends only on the operand sets
             // (their cardinalities), so lift it once per operator — and
             // through the session cache when its shape is canonical.
-            let join_cost = lift_cost(ctx.space, ctx.cache, alt.shape.as_ref(), &*alt.cost);
+            let join_cost = lift_cost(ctx.space, ctx.cache, alt.shape, &*alt.cost);
             for p1 in left_plans {
                 for p2 in right_plans {
                     // Fused accumulation: left + right + join in one pass.
@@ -351,7 +383,7 @@ fn optimize_base<S: MpqSpace, M: ParametricCostModel + ?Sized>(
     let mut plans: Vec<PendingPlan<S>> = Vec::new();
     let mut tally = Tally::default();
     for alt in ctx.model.scan_alternatives(ctx.query, t) {
-        let cost = lift_cost(ctx.space, ctx.cache, alt.shape.as_ref(), &*alt.cost).into_owned();
+        let cost = lift_cost(ctx.space, ctx.cache, alt.shape, &*alt.cost).into_owned();
         let node = PlanNode::Scan {
             table: t,
             op: alt.op,
@@ -516,12 +548,16 @@ where
 /// Runs RRPA and returns the Pareto plan set for `query`, on the calling
 /// thread (see the module docs).
 ///
+/// The DP runs in the query's face of `space`
+/// (`space.face(query.num_params)`, see [`MpqSpace::face`]); the
+/// solution records its dimension.
+///
 /// # Panics
 /// Panics if the query is invalid (`query.validate()` fails), if the model
-/// reports a different metric count than the space, or if an operator's
-/// cost is non-finite at a point the space samples
-/// ([`MpqSpace::lift`]; valid statistics can still overflow, e.g. 1e300
-/// rows per table).
+/// reports a different metric count than the space, if the query has more
+/// parameters than the space has dimensions, or if an operator's cost is
+/// non-finite at a point the space samples ([`MpqSpace::lift`]; valid
+/// statistics can still overflow, e.g. 1e300 rows per table).
 pub fn optimize<S, M>(
     query: &Query,
     model: &M,
@@ -564,6 +600,14 @@ where
         space.num_metrics(),
         "cost model and space disagree on the number of metrics"
     );
+    assert!(
+        query.num_params <= space.dim(),
+        "query has {} parameters, the space has {}",
+        query.num_params,
+        space.dim()
+    );
+    let full_space = space;
+    let space = space.face(query.num_params);
     let start = Instant::now();
     let lps_start = mpq_lp::thread_solved();
     let n = query.num_tables();
@@ -659,7 +703,7 @@ where
     if let Some(registry) = obs.registry() {
         // LP fast-path-site attribution (and anything else the space
         // tracks) lands in the registry alongside the spans.
-        space.publish_obs(registry);
+        full_space.publish_obs(registry);
         registry.counter("optimize_runs").inc();
         registry
             .counter("optimize_plans_created")
@@ -672,6 +716,7 @@ where
         plans,
         arena,
         stats,
+        dim: space.dim(),
     }
 }
 

@@ -253,10 +253,9 @@ where
     /// Optimizes one query through the session's shared state.
     ///
     /// # Panics
-    /// Panics if the query is invalid, the model's metric count differs
-    /// from the space's, or the query references more parameters than
-    /// the session's shared parameter space covers (its cost closures
-    /// would index past the space dimension).
+    /// Panics where [`crate::rrpa::optimize`] does: an invalid query, a
+    /// model whose metric count differs from the space's, or a query
+    /// with more parameters than the session's space has dimensions.
     pub fn optimize(&self, query: &Query) -> MpqSolution<S> {
         self.optimize_at(query, self.config.epsilon)
     }
@@ -280,12 +279,6 @@ where
         if let Some(hook) = &self.fault_hook {
             hook(query);
         }
-        assert!(
-            query.num_params <= self.space.dim(),
-            "query references {} parameters but the session space covers {} dimension(s)",
-            query.num_params,
-            self.space.dim()
-        );
         let override_config;
         let config = if epsilon == self.config.epsilon {
             &self.config

@@ -40,6 +40,21 @@ pub trait MpqSpace {
     /// Number of parameters (the dimension of X).
     fn dim(&self) -> usize;
 
+    /// The space a query with `params` parameters is optimized in: the
+    /// face of X spanned by its first `max(params, 1)` axes. A query's
+    /// costs read only `x[..params]` (`Query::validate` bounds every
+    /// parameter index), so each relevance region in X is a cylinder over
+    /// its set in that face, and deciding it there is the same question
+    /// at a fraction of the geometry. A face is the same type as the
+    /// space, cut to fewer axes; its costs and regions are read at
+    /// `x[..face.dim()]`.
+    ///
+    /// `params >= self.dim()` returns `self`. The default returns `self`
+    /// for every count: a space may always optimize in the full X.
+    fn face(&self, _params: usize) -> &Self {
+        self
+    }
+
     /// Lifts an arbitrary cost closure (parameter vector ↦ cost vector)
     /// into this space's representation. PWL spaces approximate by grid
     /// interpolation (exact at grid vertices); the sampled space is exact

@@ -85,9 +85,7 @@ pub fn check_pps_at<S: MpqSpace, M: ParametricCostModel + ?Sized>(
 ) -> Result<(), String> {
     let truth = crate::baselines::mq::optimize_at(query, model, x, postpone_cartesian);
     let candidates: Vec<Vec<f64>> = solution
-        .plans
-        .iter()
-        .filter(|p| space.region_contains(&p.region, x))
+        .relevant_plans(space, x)
         .map(|p| exact_plan_cost(query, model, &solution.arena, p.plan, x))
         .collect();
     if candidates.is_empty() {

@@ -67,11 +67,11 @@ pub const TOL: f64 = 1e-7;
 pub(crate) const WELL_CONDITIONED_MIN_DET: f64 = 1e-2;
 
 /// Decision margin at which an exact enumeration verdict provably agrees
-/// with the LP on a **well-conditioned** 2-D constraint set: the LP's
-/// round-off there stays near 1e-9, so a 3e-8 clearance leaves an order
-/// of magnitude of headroom while capturing the exact-tie queries
-/// (distance [`TOL`] from their decision boundary) that dominate the
-/// redundancy-check tail.
+/// with the LP on a **well-conditioned** 2-D constraint set, or on any
+/// 1-D one (unit normals are ±1 there): the LP's round-off there stays
+/// near 1e-9, so a 3e-8 clearance leaves an order of magnitude of
+/// headroom while capturing the exact-tie queries (distance [`TOL`] from
+/// their decision boundary) that dominate the redundancy-check tail.
 pub(crate) const LP_AGREEMENT_MARGIN: f64 = 3e-8;
 
 /// True iff the 2-D normals `a` and `b` are well-conditioned in the sense

@@ -326,6 +326,16 @@ impl RegionEngine {
         }
     }
 
+    /// A new engine with this one's switches and zeroed counters.
+    pub fn with_same_switches(&self) -> Self {
+        Self::new(
+            self.relevance_points,
+            self.redundant_cutout_removal,
+            self.redundant_constraint_removal,
+            self.exact_empty_fastpaths,
+        )
+    }
+
     /// Emptiness checks executed / skipped via relevance points, witnesses
     /// and cached verdicts.
     pub fn emptiness_counters(&self) -> (u64, u64) {
@@ -552,11 +562,16 @@ impl RegionEngine {
         Some(bounds)
     }
 
-    /// LP-free arm of [`Self::halfspace_covers`]: `Some(verdict)` when the
-    /// exact enumeration decides the query, `None` when only the solver
-    /// can (unsupported shape, or inside the ambiguous band).
+    /// LP-free arm of the redundancy test "does `h` contain
+    /// `base ∩ extra`": `Some(verdict)` when the exact enumeration decides
+    /// the query, `None` when only the solver can (unsupported shape, or
+    /// inside the ambiguous band).
+    ///
+    /// Public for differential testing against the LP answer
+    /// (`tests/vertex_enum_proptest.rs`); the optimizer consumes it only
+    /// through the engine's cutout paths.
     #[inline]
-    fn halfspace_covers_fast(
+    pub fn halfspace_covers_fast(
         &self,
         base: &RegionBase,
         extra: &[Halfspace],
@@ -597,14 +612,19 @@ impl RegionEngine {
         // conditioning-skipped (`degenerate`); ill-conditioned inputs
         // have been observed to push the LP ~5e-6 past the true
         // maximum, and those verdicts (right or wrong) are pinned
-        // trajectory, so they keep the LP.
-        if base.dim() == 2 && !bounds.degenerate {
+        // trajectory, so they keep the LP. In 1-D every unit normal is
+        // ±1: no row pair can be ill-conditioned, so the rule needs no
+        // conditioning test there.
+        if matches!(base.dim(), 1 | 2) && !bounds.degenerate {
             let decisive = match (bounds.upper, bounds.lower) {
                 (Some(u), _) if u <= h.offset() + TOL - crate::LP_AGREEMENT_MARGIN => Some(true),
                 (_, Some(l)) if l > h.offset() + TOL + crate::LP_AGREEMENT_MARGIN => Some(false),
                 _ => None,
             };
             if decisive.is_some() {
+                if base.dim() == 1 {
+                    return decisive;
+                }
                 let rows: SmallVec<[&Halfspace; 8]> = base
                     .polytope
                     .halfspaces()

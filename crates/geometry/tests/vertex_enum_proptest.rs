@@ -18,6 +18,9 @@
 //! ambiguity-band offsets — the degenerate shapes the optimizer actually
 //! produces.
 //!
+//! Interval (1-D) bases pin the redundancy fast path's verdicts
+//! ([`RegionEngine::halfspace_covers_fast`]) against the LP at exact ties.
+//!
 //! The same shapes also pin the coverage check's row skip: a subtracted
 //! row that a piece already carries yields no piece, which is sound only
 //! because `P ∩ ¬h` has no interior for every row `h` of `P`, and must
@@ -217,6 +220,52 @@ fn every_row_difference_is_empty(ctx: &LpCtx, base: &Polytope, cutouts: &[Polyto
     remaining.is_empty()
 }
 
+/// A 1-D grid cell `[lo, hi]` with its exact vertex set.
+fn interval_base(lo: f64, hi: f64) -> RegionBase {
+    let poly = Polytope::from_box(&[lo], &[hi]);
+    let verts = vec![vec![lo], vec![hi]];
+    let mid = vec![(lo + hi) / 2.0];
+    let mut probes = verts.clone();
+    probes.push(mid.clone());
+    RegionBase::new(Arc::new(poly), verts, probes, mid)
+}
+
+/// A 1-D halfspace `±x ≤ b` whose boundary sits on a grid point (or a
+/// random point), shifted by an offset from a pool of exact ties,
+/// tolerance-distance ties and values inside the LP-agreement band —
+/// the redundancy queries shared sub-plans produce.
+fn tie_halfspace_1d() -> impl Strategy<Value = Halfspace> {
+    (0usize..2, 0usize..6, 0usize..9, -0.5..1.5f64).prop_map(|(sign, ak, dk, r)| {
+        let s = if sign == 0 { 1.0 } else { -1.0 };
+        let anchor = [0.0, 1.0, 0.25, 0.5, 0.75, r][ak];
+        let delta = [0.0, 1e-7, -1e-7, 3e-8, -3e-8, 5e-8, -5e-8, 1e-9, -1e-9][dk];
+        Halfspace::proper(vec![s], s * anchor + delta)
+    })
+}
+
+/// The LP's redundancy verdict — what the engine falls back to when the
+/// fast path has none: `h` contains `base ∩ extras` iff the maximum of
+/// `h.normal() · x` there is at most `h.offset() + TOL`.
+fn lp_covers(base: &RegionBase, extras: &[Halfspace], h: &Halfspace) -> bool {
+    let ctx = LpCtx::new();
+    match base.polytope().max_linear_with(&ctx, h.normal(), extras) {
+        LpOutcome::Optimal(sol) => sol.value <= h.offset() + mpq_geometry::TOL,
+        LpOutcome::Unbounded => false,
+        LpOutcome::Infeasible => true,
+    }
+}
+
+/// The narrow-band rule applies to interval bases: a redundancy query
+/// that ties exactly at the offset is decided without the LP.
+#[test]
+fn interval_tie_is_decided_without_lp() {
+    let engine = RegionEngine::new(true, true, true, true);
+    let base = interval_base(0.25, 0.5);
+    let tie = Halfspace::proper(vec![1.0], 0.5);
+    assert_eq!(engine.halfspace_covers_fast(&base, &[], &tie), Some(true));
+    assert!(lp_covers(&base, &[], &tie));
+}
+
 /// `base` with `extras` appended, the shape of a region-engine cutout.
 fn with_rows(base: &Polytope, extras: &[Halfspace]) -> Polytope {
     let mut p = base.clone();
@@ -329,6 +378,30 @@ proptest! {
         }
         all.extend(extras);
         check_emptiness_against_lp(base.polytope(), &all)?;
+    }
+
+    /// Every redundancy verdict the fast path gives over an interval
+    /// base — exact ties and LP-agreement-band offsets included — is the
+    /// LP's verdict.
+    #[test]
+    fn interval_redundancy_fast_verdicts_agree_with_lp(
+        cell in 0usize..3,
+        extras in prop::collection::vec(tie_halfspace_1d(), 0..4),
+        h in tie_halfspace_1d(),
+    ) {
+        let (lo, hi) = [(0.0, 1.0), (0.25, 0.5), (0.5, 0.75)][cell];
+        let base = interval_base(lo, hi);
+        let engine = RegionEngine::new(true, true, true, true);
+        if let Some(fast) = engine.halfspace_covers_fast(&base, &extras, &h) {
+            prop_assert_eq!(
+                fast,
+                lp_covers(&base, &extras, &h),
+                "fast verdict differs from the LP's for {:?} over {:?} with {:?}",
+                h,
+                base.polytope().halfspaces(),
+                extras
+            );
+        }
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! an in-flight digest waits for that one optimize and replays it, the
 //! cache evicts past [`DEDUP_CAPACITY`] without changing answers, an
 //! invalid query is answered before it reaches the cache, and a valid
-//! query whose costs overflow is answered `Panicked`, never `Ok`.
+//! query whose costs overflow, or that has more parameters than the
+//! server's space, is answered `Panicked`, never `Ok`.
 //!
 //! The concurrency tests meet inside the session's fault hook, which
 //! runs at the start of every optimize. The meeting point waits with a
@@ -335,6 +336,34 @@ fn overflowing_costs_are_answered_panicked() {
         other => panic!("overflowing query answered {other:?}"),
     }
     assert_eq!(core.counters().panicked, 1);
+    let answer = response(&core.handle_frame(&request_frame(2, &valid)));
+    assert!(matches!(answer.outcome, WireOutcome::Ok(_)));
+}
+
+/// A valid query with more parameters than the server's 1-D space passes
+/// admission; `optimize` refuses it, naming both counts, and the server
+/// answers `Panicked` and keeps serving.
+#[test]
+fn too_many_parameters_are_answered_panicked() {
+    let model = CloudCostModel::default();
+    let session = session(&model, None);
+    let core = core(&session);
+    let wide = generate(
+        &GeneratorConfig::paper(3, Topology::Chain, 2),
+        &mut StdRng::seed_from_u64(1),
+    );
+    assert!(wide.validate().is_ok(), "admission lets it in");
+
+    let answer = response(&core.handle_frame(&request_frame(1, &wide)));
+    match &answer.outcome {
+        WireOutcome::Panicked { message } => assert!(
+            message.contains("query has 2 parameters, the space has 1"),
+            "unexpected message {message}"
+        ),
+        other => panic!("2-parameter query answered {other:?}"),
+    }
+    assert_eq!(core.counters().panicked, 1);
+    let valid = queries(3, 1, 1).remove(0);
     let answer = response(&core.handle_frame(&request_frame(2, &valid)));
     assert!(matches!(answer.outcome, WireOutcome::Ok(_)));
 }

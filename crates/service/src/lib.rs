@@ -1989,7 +1989,9 @@ mod tests {
     #[test]
     fn stats_snapshot_mid_run() {
         let model = CloudCostModel::default();
-        let queries = workload(2, 4, 0.0, 7);
+        // Four tables: 2-table queries in a 1-D space solve no LP at all
+        // since 1-D exact ties skip the solver.
+        let queries = workload(4, 4, 0.0, 7);
         let shard_sessions = sessions(&model, 4, None);
         let config = ServiceConfig::new(BatchPolicy::new(1, Duration::from_millis(1)));
         let ((), stats) = serve(&shard_sessions, config, |handle| {
@@ -2146,6 +2148,47 @@ mod tests {
                 "unexpected panic {message}"
             ),
             other => panic!("overflowing query got {:?}", other.kind()),
+        }
+        let mate = responses.next().unwrap();
+        let route = mate.route.unwrap();
+        assert_eq!(
+            fingerprint(shard_sessions.shard(route.shard).space(), &mate.expect_ok()),
+            healthy,
+            "the batch-mate diverged"
+        );
+        assert_eq!((stats.completed, stats.quarantined), (1, 1));
+    }
+
+    /// A valid query with more parameters than the shard's space passes
+    /// admission, but `optimize` refuses it: the query resolves
+    /// `Panicked` with both counts named and is quarantined, and its
+    /// batch-mate still comes back bit-identical to a plain session.
+    #[test]
+    fn too_many_parameters_resolve_panicked() {
+        let model = CloudCostModel::default();
+        let wide = mpq_catalog::generator::generate(
+            &GeneratorConfig::paper(3, Topology::Chain, 2),
+            &mut StdRng::seed_from_u64(1),
+        );
+        assert!(wide.validate().is_ok(), "admission lets it in");
+        let healthy_query = workload(3, 1, 0.0, 7).remove(0);
+        let healthy = plain_fingerprint(&healthy_query, &model);
+        let shard_sessions = sessions(&model, 1, None);
+        let config = ServiceConfig::new(BatchPolicy::new(100, Duration::from_secs(3600)))
+            .with_clock(VirtualClock::new().clock());
+        let (tickets, stats) = serve(&shard_sessions, config, |handle| {
+            [wide, healthy_query]
+                .into_iter()
+                .map(|q| handle.submit(q))
+                .collect::<Vec<_>>()
+        });
+        let mut responses = tickets.into_iter().map(|t| t.wait());
+        match responses.next().unwrap().outcome {
+            QueryOutcome::Panicked { message } => assert!(
+                message.contains("query has 2 parameters, the space has 1"),
+                "unexpected panic {message}"
+            ),
+            other => panic!("2-parameter query got {:?}", other.kind()),
         }
         let mate = responses.next().unwrap();
         let route = mate.route.unwrap();
