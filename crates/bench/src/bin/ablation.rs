@@ -72,11 +72,6 @@ fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let seeds = if quick { 5 } else { 15 };
     let tables = if quick { 6 } else { 8 };
-    // The sweep width: `RAYON_NUM_THREADS`, else the machine's parallelism.
-    let threads = rayon::ThreadPoolBuilder::new()
-        .build()
-        .expect("default pool")
-        .current_num_threads();
 
     println!("# Ablation study — chain and star queries, {tables} tables, 1 parameter");
     println!("# medians over {seeds} random queries\n");
@@ -89,7 +84,7 @@ fn main() {
         );
         let base = OptimizerConfig::default_for(1);
         for v in variants(&base) {
-            let row = fig12_row(tables, topology, 1, seeds, &v.config, threads);
+            let row = fig12_row(tables, topology, 1, seeds, &v.config);
             println!(
                 "{:<34} {:>12.1} {:>14.0} {:>12.0}",
                 v.name, row.time_ms, row.plans_created, row.lps_solved
@@ -108,7 +103,7 @@ fn main() {
             grid_resolution: resolution,
             ..OptimizerConfig::default_for(1)
         };
-        let row = fig12_row(tables, Topology::Chain, 1, seeds, &config, threads);
+        let row = fig12_row(tables, Topology::Chain, 1, seeds, &config);
         println!(
             "{:<12} {:>12.1} {:>14.0} {:>12.0} {:>12.0}",
             resolution, row.time_ms, row.plans_created, row.lps_solved, row.final_plans

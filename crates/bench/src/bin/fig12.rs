@@ -12,8 +12,7 @@
 //! Absolute numbers differ from the paper (different hardware, language,
 //! LP solver and PWL backend); the *shape* — exponential growth in the
 //! table count, star slower than chain, two parameters slower than one,
-//! and time ∝ plans ∝ LPs — is the reproduction target (see
-//! EXPERIMENTS.md).
+//! and time ∝ plans ∝ LPs — is the reproduction target.
 
 use mpq_bench::{fig12_row, Fig12Row};
 use mpq_catalog::graph::Topology;
@@ -45,16 +44,10 @@ fn main() {
     let max_override: Option<Vec<usize>> = std::env::var("MPQ_FIG12_MAX")
         .ok()
         .map(|v| v.split(',').filter_map(|s| s.trim().parse().ok()).collect());
-    // The sweep width: `RAYON_NUM_THREADS`, else the machine's parallelism.
-    let threads = rayon::ThreadPoolBuilder::new()
-        .build()
-        .expect("default pool")
-        .current_num_threads();
-
     println!("# Figure 12 reproduction — PWL-RRPA on random queries");
     println!(
         "# medians over {seeds} random queries per point; Cloud cost model \
-         (time x fees); {threads} worker threads"
+         (time x fees); one query at a time"
     );
 
     for (topology, tname) in [
@@ -63,8 +56,11 @@ fn main() {
     ] {
         for num_params in [1usize, 2] {
             // Sweep limits: the paper reaches 12 tables (1 param) and 10
-            // tables (2 params). Our heavy-tail limits (see EXPERIMENTS.md)
-            // trim the most expensive star/2-param corner.
+            // tables (2 params). Two-parameter queries have a heavy tail
+            // here (on a 2-core x86-64 host, chain-8/2 ranges from 0.3 to
+            // 95 s per query over seeds 0-9, and star-8/2 seed 0 takes
+            // 81 s), so the default sweep stops at 8 chain and 7 star
+            // tables with 2 parameters.
             let block_idx = match (topology, num_params) {
                 (Topology::Chain, 1) => 0,
                 (Topology::Chain, _) => 1,
@@ -88,7 +84,7 @@ fn main() {
             let config = OptimizerConfig::default_for(num_params);
             let mut rows = Vec::new();
             for n in 2..=max_tables {
-                let row = fig12_row(n, topology, num_params.min(n), seeds, &config, threads);
+                let row = fig12_row(n, topology, num_params.min(n), seeds, &config);
                 eprintln!(
                     "  [{tname}, {num_params} param] n={n}: time={:.1}ms plans={:.0} lps={:.0}",
                     row.time_ms, row.plans_created, row.lps_solved

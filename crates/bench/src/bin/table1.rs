@@ -9,79 +9,9 @@
 //!
 //! Usage: cargo run --release -p mpq-bench --bin table1
 
-use mpq_bench::counterexamples::{figure4_plans, figure5_plans, figure6_plans, pareto_at};
-use mpq_cost::LinearFn;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-/// Index of the optimal (minimal) function at `x`; ties broken by index.
-fn argmin_at(fns: &[LinearFn], x: f64) -> usize {
-    let mut best = 0;
-    for (i, f) in fns.iter().enumerate() {
-        if f.eval(&[x]) < fns[best].eval(&[x]) - 1e-12 {
-            best = i;
-        }
-    }
-    best
-}
-
-/// True iff `f` is optimal at `x` (within tolerance).
-fn optimal_at(fns: &[LinearFn], f: usize, x: f64) -> bool {
-    let v = fns[f].eval(&[x]);
-    fns.iter().all(|g| v <= g.eval(&[x]) + 1e-9)
-}
-
-fn random_linear_set(rng: &mut StdRng, k: usize) -> Vec<LinearFn> {
-    (0..k)
-        .map(|_| LinearFn::new(vec![rng.gen_range(-2.0..2.0)], rng.gen_range(0.0..4.0)))
-        .collect()
-}
-
-/// S1: if one plan is optimal at two points it is optimal between them.
-/// S3 is the same statement for the (two) vertices of a 1-D polytope.
-fn check_s1_s3(instances: usize) -> bool {
-    let mut rng = StdRng::seed_from_u64(2014);
-    for _ in 0..instances {
-        let fns = random_linear_set(&mut rng, 6);
-        let (a, b) = (rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0));
-        let p = argmin_at(&fns, a);
-        if optimal_at(&fns, p, b) {
-            for t in 1..10 {
-                let mid = a + (b - a) * t as f64 / 10.0;
-                if !optimal_at(&fns, p, mid) {
-                    return false;
-                }
-            }
-        }
-    }
-    true
-}
-
-/// S2: the region where one plan is optimal is connected (an interval).
-fn check_s2(instances: usize) -> bool {
-    let mut rng = StdRng::seed_from_u64(77);
-    for _ in 0..instances {
-        let fns = random_linear_set(&mut rng, 6);
-        for p in 0..fns.len() {
-            // Scan a fine grid; the optimality indicator must have at most
-            // one maximal run of `true`.
-            let mut runs = 0;
-            let mut prev = false;
-            for step in 0..=400 {
-                let x = step as f64 / 400.0;
-                let now = optimal_at(&fns, p, x);
-                if now && !prev {
-                    runs += 1;
-                }
-                prev = now;
-            }
-            if runs > 1 {
-                return false;
-            }
-        }
-    }
-    true
-}
+use mpq_bench::counterexamples::{
+    check_s1_s3, check_s2, figure4_plans, figure5_plans, figure6_plans, pareto_at,
+};
 
 fn main() {
     println!("# Table 1 verification\n");

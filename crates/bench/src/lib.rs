@@ -1,7 +1,7 @@
 //! Shared harness code for regenerating the MPQ paper's experiments.
 //!
 //! The binaries in `src/bin/` regenerate every table and figure of the
-//! paper (see `DESIGN.md` §3 for the experiment index):
+//! paper:
 //!
 //! * `fig12` — the main evaluation: optimization time, created plans and
 //!   solved LPs over table count, for chain and star queries with one and
@@ -13,8 +13,9 @@
 //!   resolution sweep.
 //!
 //! This library crate holds the pieces those binaries share: single-run
-//! execution, seed sweeps with medians (fanned out on worker threads), and
-//! the paper's counterexample cost functions.
+//! execution, seed sweeps with medians (one query at a time), the
+//! paper's counterexample cost functions and Table 1's single-metric
+//! checks.
 
 pub mod counterexamples;
 pub mod harness;

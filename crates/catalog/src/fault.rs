@@ -3,8 +3,7 @@
 //! A resilient service core is only trustworthy if its failure paths are
 //! *tested*, and failure paths are only testable if faults are
 //! **reproducible**. This module provides the seeded, wall-clock-free
-//! fault source that the `mpq-service` chaos tests and the
-//! `bench_service --smoke-chaos` check share — the fault
+//! fault source that the `mpq-service` chaos tests use — the fault
 //! analogue of [`generate_trace`](crate::generator::generate_trace):
 //!
 //! * a [`FaultPlan`] marks specific queries (by their exact content

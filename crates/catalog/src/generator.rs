@@ -5,7 +5,7 @@
 //! Steinbrunn \[29\] … to choose table cardinalities and join predicates; we
 //! assume that unique values occupy up to 10% of a table column."
 //!
-//! Concretely (conventions documented in `DESIGN.md` §4):
+//! Concretely:
 //!
 //! * table cardinalities are log-uniform in `[min_rows, max_rows]`
 //!   (default `[100, 100 000]`);

@@ -19,8 +19,8 @@
 //! The paper estimates costs with "standard formulas" and prices them with
 //! Amazon EC2's pricing system on general-purpose medium instances; no
 //! query is ever executed. This crate reproduces that estimation structure
-//! with an EC2-m1.medium-like [`ClusterConfig`] profile (the substitution
-//! is documented in `DESIGN.md` §4).
+//! with an EC2-m1.medium-like [`ClusterConfig`] profile in place of the
+//! paper's EC2 price list.
 //!
 //! The [`model::ParametricCostModel`] trait is the interface the optimizer
 //! consumes: a model lists scan and join alternatives and returns each

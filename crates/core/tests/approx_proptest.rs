@@ -10,7 +10,7 @@
 //! approximate frontier is also never larger than the exact one (the
 //! banded predicate only removes more).
 
-use mpq_catalog::generator::{generate_workload, GeneratorConfig, WorkloadConfig};
+use mpq_catalog::generator::{generate, generate_workload, GeneratorConfig, WorkloadConfig};
 use mpq_catalog::graph::Topology;
 use mpq_catalog::Query;
 use mpq_cloud::model::CloudCostModel;
@@ -97,6 +97,12 @@ where
             &fingerprint(&space, &zero),
             &exact_fp,
             "{} backend: ε=0 must be bit-identical to exact",
+            label
+        );
+        prop_assert_eq!(
+            zero.stats.lps_solved_query,
+            exact.stats.lps_solved_query,
+            "{} backend: ε=0 must solve the exact run's LPs",
             label
         );
 
@@ -242,4 +248,43 @@ proptest! {
             }
         }
     }
+}
+
+/// On small 2-parameter queries (chain-3/2, seeds 0 and 1, the default
+/// grid), ε = 0.1 never grows the frontier and, in the median over the
+/// seeds, solves no more LPs than the exact run. The exact runs solve
+/// LPs, so the comparison is not 0 against 0.
+#[test]
+fn epsilon_solves_no_more_lps_than_exact() {
+    let config = OptimizerConfig::default_for(2);
+    assert_eq!(config.epsilon, 0.0, "exact optimization is the default");
+    let model = CloudCostModel::default();
+    let run = |seed: u64, epsilon: f64| {
+        let query = generate(
+            &GeneratorConfig::paper(3, Topology::Chain, 2),
+            &mut StdRng::seed_from_u64(seed),
+        );
+        let space = GridSpace::for_unit_box(2, &config, 2).expect("grid space");
+        let cfg = OptimizerConfig {
+            epsilon,
+            ..config.clone()
+        };
+        optimize(&query, &model, &space, &cfg).stats
+    };
+    let (mut exact_lps, mut approx_lps) = (0, 0);
+    for seed in 0..2 {
+        let (exact, approx) = (run(seed, 0.0), run(seed, 0.1));
+        assert!(exact.lps_solved_query > 0, "seed {seed} must solve LPs");
+        assert!(
+            approx.final_plan_count <= exact.final_plan_count,
+            "ε-discards can only shrink the frontier (seed {seed})"
+        );
+        exact_lps += exact.lps_solved_query;
+        approx_lps += approx.lps_solved_query;
+    }
+    // The median of two seeds is their mean.
+    assert!(
+        approx_lps <= exact_lps,
+        "ε = 0.1 must not solve more LPs than the exact run ({approx_lps} vs {exact_lps})"
+    );
 }

@@ -240,3 +240,60 @@ proptest! {
         }
     }
 }
+
+/// A fixed overlapping batch: three copies of one 2-parameter query
+/// (chain-3/2, seed 0, the default grid). The cached and uncached batches
+/// both match one-by-one runs on every counter, per-query and per-batch
+/// LPs included, and every query solves LPs, so the LP equalities cannot
+/// hold at 0 = 0. The copies must actually share: the lift cache hits,
+/// and an unbounded subtree cache replays whole subtrees without evicting
+/// and without changing any answer.
+#[test]
+fn overlapping_batch_shares_work_with_one_by_one_counters() {
+    let wcfg = WorkloadConfig::uniform(GeneratorConfig::paper(3, Topology::Chain, 2), 3, 1.0);
+    let queries = generate_workload(&wcfg, &mut StdRng::seed_from_u64(0)).queries;
+    let config = OptimizerConfig::default_for(2);
+    let model = CloudCostModel::default();
+    let make = || GridSpace::for_unit_box(2, &config, 2).expect("grid space");
+    let (reference, reference_lps) = sequential_reference(&queries, &config, make);
+    assert!(
+        reference_lps.iter().all(|&lps| lps > 0),
+        "every query must solve LPs: {reference_lps:?}"
+    );
+    for cached in [true, false] {
+        let session_cfg = SessionConfig {
+            cached,
+            ..SessionConfig::new(config.clone())
+        }
+        .without_subtree_cache();
+        let session = OptimizerSession::with_config(make(), &model, session_cfg);
+        let (solutions, batch_lps) = session.optimize_batch_counted(&queries);
+        for (i, sol) in solutions.iter().enumerate() {
+            assert_eq!(
+                fingerprint(session.space(), sol),
+                reference[i],
+                "query {i} (cached: {cached})"
+            );
+            assert_eq!(
+                sol.stats.lps_solved_query, reference_lps[i],
+                "query {i} LPs (cached: {cached})"
+            );
+        }
+        assert_eq!(batch_lps, reference_lps.iter().sum::<u64>());
+        let stats = session.cache_stats();
+        assert_eq!(stats.hits > 0, cached, "only the cached batch hits lifts");
+    }
+
+    let session = OptimizerSession::with_config(
+        make(),
+        &model,
+        SessionConfig::new(config.clone()).with_subtree_cache(None),
+    );
+    let solutions = session.optimize_batch(&queries);
+    for (i, sol) in solutions.iter().enumerate() {
+        assert_eq!(fingerprint(session.space(), sol), reference[i], "query {i}");
+    }
+    let subtree = session.subtree_cache_stats();
+    assert!(subtree.hits > 0, "copies must replay whole subtrees");
+    assert_eq!(subtree.evictions, 0, "an unbounded cache never evicts");
+}

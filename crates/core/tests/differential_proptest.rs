@@ -21,6 +21,7 @@ use mpq_core::pwl_space::PwlSpace;
 use mpq_core::rrpa::optimize;
 use mpq_core::space::MpqSpace;
 use mpq_core::OptimizerConfig;
+use mpq_lp::FastPathSite;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -55,6 +56,15 @@ fn run_differential(
     let grid_sol = optimize(&query, &model, &grid_space, &config);
     let pwl_space = PwlSpace::for_unit_box(params, &config, model.num_metrics()).expect("grid");
     let pwl_sol = optimize(&query, &model, &pwl_space, &config);
+    if params == 2 {
+        // Without the simplex-aligned piece-algebra fast paths the exact
+        // backend would send every cross pair to the LP solver.
+        prop_assert!(
+            pwl_space.lp_ctx().fastpath_breakdown().fast[FastPathSite::PieceAlgebra as usize] > 0,
+            "2-param piece algebra must resolve cross pairs LP-free (seed {})",
+            seed
+        );
+    }
 
     // Identical enumeration and identical pruning verdicts.
     prop_assert_eq!(
@@ -173,4 +183,38 @@ proptest! {
         let topology = if topo == 1 { Topology::Star } else { Topology::Chain };
         run_differential(num_tables, topology, 2, seed)?;
     }
+}
+
+/// The exact fast paths carry the 2-parameter grid work. On a small
+/// 2-parameter query (chain-3/2, seed 0, the default grid) the grid
+/// backend answers cutout-emptiness prechecks and most coverage checks
+/// without an LP. A regression that sends every check to the LP solver
+/// fails here, although it would leave every plan unchanged.
+/// (`run_differential` checks the `PwlSpace` side, piece algebra, on
+/// every 2-parameter case.)
+#[test]
+fn exact_fast_paths_fire_on_a_two_param_grid_query() {
+    let query = generate(
+        &GeneratorConfig::paper(3, Topology::Chain, 2),
+        &mut StdRng::seed_from_u64(0),
+    );
+    let model = CloudCostModel::default();
+    let config = OptimizerConfig::default_for(2);
+    let space = GridSpace::for_unit_box(2, &config, model.num_metrics()).expect("grid");
+    let _ = optimize(&query, &model, &space, &config);
+    let breakdown = space.lp_ctx().fastpath_breakdown();
+    assert!(
+        breakdown.total_fast() > 0,
+        "2-param grid queries must hit the exact fast paths"
+    );
+    assert!(
+        breakdown.fast[FastPathSite::CutoutEmptiness as usize] > 0,
+        "cutout-emptiness prechecks must resolve LP-free"
+    );
+    let coverage_fast = breakdown.fast[FastPathSite::Coverage as usize];
+    let coverage_lp = breakdown.lp[FastPathSite::Coverage as usize];
+    assert!(
+        coverage_fast > coverage_lp,
+        "coverage must stay mostly LP-free (fast {coverage_fast} vs lp {coverage_lp})"
+    );
 }

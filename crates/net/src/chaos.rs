@@ -12,7 +12,7 @@
 //!
 //! [`ChaosConn`] wraps any [`ShardConn`], so the same fault repertoire
 //! drives the threadless in-process transport ([`InProcConn`]) in the
-//! proptest and real sockets in the `--smoke-net` benchmark. The five
+//! proptests as it would drive a real socket. The five
 //! faults map onto the codec's failure surface:
 //!
 //! | fault | what the wire sees | what must happen |

@@ -69,6 +69,182 @@ fn server_session_config(opt: &OptimizerConfig) -> SessionConfig {
     cfg
 }
 
+/// Replays one trace through the faulted fabric at shard counts
+/// {1, 2, 4} and checks the networked determinism contract. Returns the
+/// number of digests the fault plan marked, and per shard count the
+/// transport effort: retries, reconnects, drops, injected faults and
+/// dedup replays.
+fn check_faulted_fabric(
+    num_tables: usize,
+    topology: Topology,
+    trace_len: usize,
+    overlap: f64,
+    kind: NetFaultKind,
+    rate: f64,
+    seed: u64,
+) -> Result<(usize, Vec<[u64; 5]>), TestCaseError> {
+    let trace_cfg = TraceConfig {
+        workload: WorkloadConfig::uniform(
+            GeneratorConfig::paper(num_tables, topology, 1),
+            trace_len,
+            overlap,
+        ),
+        mean_gap: 25e-6,
+    };
+    let trace = generate_trace(&trace_cfg, &mut StdRng::seed_from_u64(seed));
+    let model = CloudCostModel::default();
+    let opt = opt_config();
+
+    // In-process reference: every query on a fresh space.
+    let reference: Vec<PlanSummary> = trace
+        .queries
+        .iter()
+        .map(|q| {
+            let space = GridSpace::for_unit_box(1, &opt, 2).expect("grid space");
+            let sol = optimize(q, &model, &space, &opt);
+            PlanSummary::of(&space, &sol, &probes())
+        })
+        .collect();
+
+    // Transient faults: each marked digest is damaged on attempt 0
+    // only, so the default 4-attempt policy always recovers.
+    let plan = Arc::new(NetFaultPlan::generate(
+        &trace,
+        &NetFaultConfig::only(kind, rate),
+        &mut StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15),
+    ));
+    if rate == 0.0 {
+        prop_assert!(plan.is_empty(), "rate 0 must mark nothing");
+    }
+
+    let mut effort = Vec::new();
+    for shards in [1usize, 2, 4] {
+        let session_cfg = server_session_config(&opt);
+        let sessions = ShardedSession::build(shards, &model, &session_cfg, || {
+            GridSpace::for_unit_box(1, &opt, 2).expect("grid space")
+        });
+        let cores: Vec<_> = (0..shards)
+            .map(|i| ShardServerCore::new(sessions.shard(i), i as u32, probes()))
+            .collect();
+        let vclock = VirtualClock::new();
+        let time = NetTime::virtual_time(&vclock);
+        let conns: Vec<_> = cores
+            .iter()
+            .map(|core| ChaosConn::new(InProcConn::new(core), Arc::clone(&plan), time.clone()))
+            .collect();
+        let mut router = ShardRouter::new(
+            conns,
+            |q| query_affinity(q, &model),
+            RetryPolicy {
+                seed,
+                ..RetryPolicy::default()
+            },
+            time.clone(),
+        );
+
+        let responses: Vec<_> = trace
+            .queries
+            .iter()
+            .zip(&trace.arrivals)
+            .map(|(q, &at)| {
+                vclock.advance_to_secs(at);
+                router.submit(SubmittedQuery {
+                    query: q.clone(),
+                    deadline: None,
+                })
+            })
+            .collect();
+
+        // Exactly one outcome per submission, and with transient
+        // faults every one of them is healthy.
+        prop_assert_eq!(responses.len(), trace.len(), "one outcome per query");
+        let stats = router.stats();
+        prop_assert_eq!(stats.submitted, trace.len() as u64);
+        prop_assert_eq!(
+            stats.completed,
+            trace.len() as u64,
+            "transient faults recover"
+        );
+        prop_assert!(stats.conserves(), "conservation identity");
+
+        for (i, (resp, query)) in responses.iter().zip(&trace.queries).enumerate() {
+            prop_assert_eq!(resp.shard, sessions.shard_of(query), "affinity agreement");
+            let summary = resp.outcome.ok().expect("healthy answer");
+            prop_assert_eq!(
+                summary,
+                &reference[i],
+                "networked answer diverged from in-process (query {}, {} shards, {:?} @ {})",
+                i,
+                shards,
+                kind,
+                rate
+            );
+            prop_assert_eq!(
+                resp.served_epsilon,
+                None,
+                "exact serving carries no ε stamp"
+            );
+        }
+
+        // Wire-effort accounting per fault kind.
+        let chaos_total: u64 = (0..shards).map(|i| router.conn(i).counters().total()).sum();
+        if rate == 0.0 {
+            prop_assert_eq!(
+                (stats.retries, stats.reconnects, stats.dropped, chaos_total),
+                (0, 0, 0, 0),
+                "a clean wire shows zero transport effort"
+            );
+        } else if !plan.is_empty() {
+            prop_assert!(chaos_total > 0, "marked plans must damage something");
+            match kind {
+                // Each dropped/garbled first attempt forces ≥ 1 retry.
+                NetFaultKind::Drop => {
+                    prop_assert!(stats.dropped >= plan.len() as u64);
+                    prop_assert!(stats.retries >= plan.len() as u64);
+                }
+                NetFaultKind::Truncate | NetFaultKind::Corrupt => {
+                    prop_assert!(stats.retries >= plan.len() as u64);
+                    prop_assert_eq!(stats.dropped, 0);
+                }
+                // Duplicates answer from the idempotency cache on the
+                // duplicated exchange; short delays deliver in time.
+                NetFaultKind::Duplicate | NetFaultKind::Delay => {
+                    prop_assert_eq!(stats.retries, 0);
+                    prop_assert_eq!(stats.dropped, 0);
+                }
+            }
+        }
+        let dedup_hits: u64 = cores.iter().map(|c| c.counters().dedup_hits).sum();
+        if kind == NetFaultKind::Duplicate && !plan.is_empty() {
+            prop_assert!(dedup_hits > 0, "duplicated frames must replay from cache");
+        }
+        effort.push([
+            stats.retries,
+            stats.reconnects,
+            stats.dropped,
+            chaos_total,
+            dedup_hits,
+        ]);
+        // Idempotency hard bound: the optimizer ran at most once per
+        // distinct digest, no matter how many frames flew.
+        for (i, core) in cores.iter().enumerate() {
+            let distinct: std::collections::HashSet<u64> = trace
+                .queries
+                .iter()
+                .filter(|q| sessions.shard_of(q) == i)
+                .map(query_digest)
+                .collect();
+            let c = core.counters();
+            prop_assert!(
+                c.handled - c.dedup_hits <= distinct.len() as u64,
+                "shard {} re-optimized a replayed digest",
+                i
+            );
+        }
+    }
+    Ok((plan.len(), effort))
+}
+
 proptest! {
     // Each case replays one trace through 3 shard counts; fault kind and
     // rate are case parameters, so the matrix fills across cases.
@@ -88,153 +264,25 @@ proptest! {
         let kind = NetFaultKind::ALL[kind_idx];
         let rate = [0.0, 0.1, 0.3][rate_idx];
         let topology = if star == 1 { Topology::Star } else { Topology::Chain };
-        let trace_cfg = TraceConfig {
-            workload: WorkloadConfig::uniform(
-                GeneratorConfig::paper(num_tables, topology, 1),
-                trace_len,
-                overlap,
-            ),
-            mean_gap: 25e-6,
+        check_faulted_fabric(num_tables, topology, trace_len, overlap, kind, rate, seed)?;
+    }
+}
+
+/// Every fault kind at rate 0.3 on one fixed trace, so each kind's
+/// effort accounting runs whichever kinds the random cases above draw:
+/// drops cost retries and are counted, garbled frames cost retries,
+/// duplicates replay from the idempotency cache. A second run repeats
+/// the transport effort exactly.
+#[test]
+fn every_fault_kind_costs_its_own_effort() {
+    for kind in NetFaultKind::ALL {
+        let run = || {
+            check_faulted_fabric(3, Topology::Chain, 6, 0.5, kind, 0.3, 1)
+                .unwrap_or_else(|e| panic!("{kind:?}: {e:?}"))
         };
-        let trace = generate_trace(&trace_cfg, &mut StdRng::seed_from_u64(seed));
-        let model = CloudCostModel::default();
-        let opt = opt_config();
-
-        // In-process reference: every query on a fresh space.
-        let reference: Vec<PlanSummary> = trace
-            .queries
-            .iter()
-            .map(|q| {
-                let space = GridSpace::for_unit_box(1, &opt, 2).expect("grid space");
-                let sol = optimize(q, &model, &space, &opt);
-                PlanSummary::of(&space, &sol, &probes())
-            })
-            .collect();
-
-        // Transient faults: each marked digest is damaged on attempt 0
-        // only, so the default 4-attempt policy always recovers.
-        let plan = Arc::new(NetFaultPlan::generate(
-            &trace,
-            &NetFaultConfig::only(kind, rate),
-            &mut StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15),
-        ));
-        if rate == 0.0 {
-            prop_assert!(plan.is_empty(), "rate 0 must mark nothing");
-        }
-
-        for shards in [1usize, 2, 4] {
-            let session_cfg = server_session_config(&opt);
-            let sessions = ShardedSession::build(shards, &model, &session_cfg, || {
-                GridSpace::for_unit_box(1, &opt, 2).expect("grid space")
-            });
-            let cores: Vec<_> = (0..shards)
-                .map(|i| ShardServerCore::new(sessions.shard(i), i as u32, probes()))
-                .collect();
-            let vclock = VirtualClock::new();
-            let time = NetTime::virtual_time(&vclock);
-            let conns: Vec<_> = cores
-                .iter()
-                .map(|core| {
-                    ChaosConn::new(InProcConn::new(core), Arc::clone(&plan), time.clone())
-                })
-                .collect();
-            let mut router = ShardRouter::new(
-                conns,
-                |q| query_affinity(q, &model),
-                RetryPolicy {
-                    seed,
-                    ..RetryPolicy::default()
-                },
-                time.clone(),
-            );
-
-            let responses: Vec<_> = trace
-                .queries
-                .iter()
-                .zip(&trace.arrivals)
-                .map(|(q, &at)| {
-                    vclock.advance_to_secs(at);
-                    router.submit(SubmittedQuery {
-                        query: q.clone(),
-                        deadline: None,
-                    })
-                })
-                .collect();
-
-            // Exactly one outcome per submission, and with transient
-            // faults every one of them is healthy.
-            prop_assert_eq!(responses.len(), trace.len(), "one outcome per query");
-            let stats = router.stats();
-            prop_assert_eq!(stats.submitted, trace.len() as u64);
-            prop_assert_eq!(stats.completed, trace.len() as u64, "transient faults recover");
-            prop_assert!(stats.conserves(), "conservation identity");
-
-            for (i, (resp, query)) in responses.iter().zip(&trace.queries).enumerate() {
-                prop_assert_eq!(resp.shard, sessions.shard_of(query), "affinity agreement");
-                let summary = resp.outcome.ok().expect("healthy answer");
-                prop_assert_eq!(
-                    summary,
-                    &reference[i],
-                    "networked answer diverged from in-process (query {}, {} shards, {:?} @ {})",
-                    i,
-                    shards,
-                    kind,
-                    rate
-                );
-                prop_assert_eq!(resp.served_epsilon, None, "exact serving carries no ε stamp");
-            }
-
-            // Wire-effort accounting per fault kind.
-            let chaos_total: u64 = (0..shards)
-                .map(|i| router.conn(i).counters().total())
-                .sum();
-            if rate == 0.0 {
-                prop_assert_eq!(
-                    (stats.retries, stats.reconnects, stats.dropped, chaos_total),
-                    (0, 0, 0, 0),
-                    "a clean wire shows zero transport effort"
-                );
-            } else if !plan.is_empty() {
-                prop_assert!(chaos_total > 0, "marked plans must damage something");
-                match kind {
-                    // Each dropped/garbled first attempt forces ≥ 1 retry.
-                    NetFaultKind::Drop => {
-                        prop_assert!(stats.dropped >= plan.len() as u64);
-                        prop_assert!(stats.retries >= plan.len() as u64);
-                    }
-                    NetFaultKind::Truncate | NetFaultKind::Corrupt => {
-                        prop_assert!(stats.retries >= plan.len() as u64);
-                        prop_assert_eq!(stats.dropped, 0);
-                    }
-                    // Duplicates answer from the idempotency cache on the
-                    // duplicated exchange; short delays deliver in time.
-                    NetFaultKind::Duplicate | NetFaultKind::Delay => {
-                        prop_assert_eq!(stats.retries, 0);
-                        prop_assert_eq!(stats.dropped, 0);
-                    }
-                }
-            }
-            if kind == NetFaultKind::Duplicate && !plan.is_empty() {
-                let dedup_hits: u64 = cores.iter().map(|c| c.counters().dedup_hits).sum();
-                prop_assert!(dedup_hits > 0, "duplicated frames must replay from cache");
-            }
-            // Idempotency hard bound: the optimizer ran at most once per
-            // distinct digest, no matter how many frames flew.
-            for (i, core) in cores.iter().enumerate() {
-                let distinct: std::collections::HashSet<u64> = trace
-                    .queries
-                    .iter()
-                    .filter(|q| sessions.shard_of(q) == i)
-                    .map(query_digest)
-                    .collect();
-                let c = core.counters();
-                prop_assert!(
-                    c.handled - c.dedup_hits <= distinct.len() as u64,
-                    "shard {} re-optimized a replayed digest",
-                    i
-                );
-            }
-        }
+        let (marked, effort) = run();
+        assert!(marked > 0, "{kind:?}: rate 0.3 must mark a digest");
+        assert_eq!(run().1, effort, "{kind:?}: the effort replays exactly");
     }
 }
 

@@ -207,7 +207,7 @@ pub type ServiceClock = Arc<dyn Fn() -> f64 + Send + Sync>;
 /// **microseconds**, advanced explicitly by the driver and read by the
 /// service as seconds. Advancing takes a max, so the clock is monotone
 /// even if drivers race. One `VirtualClock` pins the unit convention for
-/// every replay site (the bench harness, unit tests, proptests).
+/// every replay site (unit tests and proptests).
 #[derive(Clone, Debug, Default)]
 pub struct VirtualClock {
     micros: Arc<AtomicU64>,

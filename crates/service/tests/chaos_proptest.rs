@@ -288,3 +288,77 @@ proptest! {
         }
     }
 }
+
+/// A fixed chaos trace replays exactly: eight digest-distinct 4-table
+/// chains, about 40% of them poisoned, over 2 shards. The seeded plan
+/// poisons some queries and leaves others healthy, and two runs agree on
+/// every outcome, on quarantines, worker restarts and batches, on the
+/// healthy answers' counters and on LPs, which are actually solved.
+#[test]
+fn chaos_trace_replays_exactly() {
+    silence_injected_panics();
+    let trace_cfg = TraceConfig {
+        workload: WorkloadConfig::uniform(GeneratorConfig::paper(4, Topology::Chain, 1), 8, 0.0),
+        mean_gap: 50e-6,
+    };
+    let trace = generate_trace(&trace_cfg, &mut StdRng::seed_from_u64(5));
+    let plan = Arc::new(FaultPlan::generate(
+        &trace,
+        &FaultConfig::poison_only(0.4),
+        &mut StdRng::seed_from_u64(5 ^ 0x9e37_79b9_7f4a_7c15),
+    ));
+    let model = CloudCostModel::default();
+    let opt = OptimizerConfig {
+        threads: Some(1),
+        ..OptimizerConfig::default_for(1)
+    };
+    let run = || {
+        let mut session_cfg = SessionConfig::new(opt.clone());
+        session_cfg.fault_hook = Some(plan.hook(|_| {}));
+        let sessions = ShardedSession::build(2, &model, &session_cfg, || {
+            GridSpace::for_unit_box(1, &opt, 2).expect("grid space")
+        });
+        let vclock = VirtualClock::new();
+        let config = ServiceConfig::new(BatchPolicy::new(2, Duration::from_micros(100)))
+            .with_clock(vclock.clock());
+        let (tickets, stats) = serve(&sessions, config, |handle| {
+            trace
+                .queries
+                .iter()
+                .zip(&trace.arrivals)
+                .map(|(q, &at)| {
+                    vclock.advance_to_secs(at);
+                    handle.submit(q.clone())
+                })
+                .collect::<Vec<_>>()
+        });
+        let outcomes: Vec<_> = tickets
+            .into_iter()
+            .map(|t| {
+                let resp = t.wait();
+                let kind = resp.kind();
+                let counters = resp
+                    .outcome
+                    .ok()
+                    .map(|s| (s.stats.plans_created, s.stats.final_plan_count));
+                (kind, counters)
+            })
+            .collect();
+        let restarts: u64 = stats.per_shard.iter().map(|s| s.restarts).sum();
+        let counters = [
+            stats.completed,
+            stats.quarantined,
+            restarts,
+            stats.batches,
+            stats.lps_solved,
+        ];
+        (outcomes, counters)
+    };
+    let (outcomes, counters) = run();
+    let [completed, quarantined, restarts, _, lps] = counters;
+    assert!(quarantined > 0, "rate 0.4 over 8 queries must poison");
+    assert!(completed > 0, "healthy queries must survive");
+    assert!(restarts >= quarantined);
+    assert!(lps > 0, "healthy queries must solve LPs");
+    assert_eq!(run(), (outcomes, counters), "the chaos run replays exactly");
+}
