@@ -7,7 +7,12 @@ use std::time::Duration;
 /// Figure 12 of the paper reports, per query: optimization time, the
 /// number of **created** plans ("including partial plans and plans that
 /// were pruned during optimization"), and the number of solved linear
-/// programs.
+/// programs. Emptiness-check counts are kept by the space, not per run:
+/// see [`GridSpace::emptiness_counters`] and
+/// [`PwlSpace::emptiness_counters`].
+///
+/// [`GridSpace::emptiness_counters`]: crate::grid_space::GridSpace::emptiness_counters
+/// [`PwlSpace::emptiness_counters`]: crate::pwl_space::PwlSpace::emptiness_counters
 #[derive(Debug, Clone, Default)]
 pub struct OptStats {
     /// Plans generated, including partial and pruned plans.
@@ -27,12 +32,6 @@ pub struct OptStats {
     pub final_plan_count: usize,
     /// Largest Pareto set kept for any table set during the run.
     pub max_plans_per_set: usize,
-    /// Emptiness checks actually executed (not skipped by relevance
-    /// points).
-    pub emptiness_checks: u64,
-    /// Emptiness checks skipped thanks to surviving relevance points
-    /// (§6.2 refinement 3).
-    pub emptiness_skipped: u64,
 }
 
 impl OptStats {
@@ -63,7 +62,6 @@ mod tests {
             elapsed: Duration::from_millis(12),
             final_plan_count: 3,
             max_plans_per_set: 5,
-            ..Default::default()
         };
         let line = s.summary();
         assert!(line.contains("plans=10") && line.contains("lps=99") && line.contains("final=3"));

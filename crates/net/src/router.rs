@@ -37,7 +37,7 @@ use mpq_catalog::Query;
 use mpq_cloud::shape::fnv1a_bytes;
 use mpq_service::{ServiceClock, ServiceStats, ShardStats, SubmittedQuery, VirtualClock};
 
-use mpq_obs::Obs;
+use mpq_obs::{Histogram, Obs};
 
 use crate::wire::{
     decode_message, encode_message, write_frame, Message, WireError, WireMetricsRequest,
@@ -370,7 +370,9 @@ struct RouterCounters {
     unavailable: u64,
     retries: u64,
     per_shard_queries: Vec<u64>,
-    latencies: Vec<f64>,
+    /// Latencies of `Ok` answers: bounded memory however long the
+    /// router lives.
+    latencies: Histogram,
 }
 
 /// The client front of the shard fabric: affinity-routes each submission
@@ -560,7 +562,7 @@ impl<'a, C: ShardConn> ShardRouter<'a, C> {
                 if served_epsilon.is_some() {
                     self.counters.approx_served += 1;
                 }
-                self.counters.latencies.push(latency);
+                self.counters.latencies.record_secs(latency);
             }
             WireOutcome::Panicked { .. } => self.counters.quarantined += 1,
             WireOutcome::TimedOut => self.counters.timed_out += 1,
@@ -592,15 +594,7 @@ impl<'a, C: ShardConn> ShardRouter<'a, C> {
     /// router is a per-query front; batching happens server-side.
     pub fn stats(&self) -> ServiceStats {
         let c = &self.counters;
-        let mut sorted = c.latencies.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let percentile = |q: f64| -> f64 {
-            if sorted.is_empty() {
-                f64::NAN
-            } else {
-                sorted[((sorted.len() - 1) as f64 * q).round() as usize]
-            }
-        };
+        let (latency_p50, latency_p95) = ServiceStats::latency_percentiles(&c.latencies);
         ServiceStats {
             submitted: c.submitted,
             completed: c.completed,
@@ -629,8 +623,8 @@ impl<'a, C: ShardConn> ShardRouter<'a, C> {
                     ..ShardStats::default()
                 })
                 .collect(),
-            latency_p50: percentile(0.50),
-            latency_p95: percentile(0.95),
+            latency_p50,
+            latency_p95,
         }
     }
 }

@@ -49,6 +49,7 @@ use mpq_cloud::model::ParametricCostModel;
 use mpq_core::session::{LiftedCostCache, OptimizerSession};
 use mpq_core::space::MpqSpace;
 use mpq_obs::{Counter, Obs};
+use mpq_service::panic_message;
 
 use crate::wire::{
     decode_message, encode_message, peek_request, write_frame, Message, PlanSummary,
@@ -270,13 +271,7 @@ where
             Ok(summary) => (WireOutcome::Ok(summary), epsilon),
             Err(payload) => {
                 self.panicked.inc();
-                let message = if let Some(s) = payload.downcast_ref::<&str>() {
-                    (*s).to_string()
-                } else if let Some(s) = payload.downcast_ref::<String>() {
-                    s.clone()
-                } else {
-                    "optimizer panicked".to_string()
-                };
+                let message = panic_message(payload);
                 (WireOutcome::Panicked { message }, None)
             }
         }

@@ -148,6 +148,10 @@ fn tcp_loopback_is_bit_identical_with_zero_transport_effort() {
         let stats = router.stats();
         assert_eq!(stats.completed, trace.len() as u64);
         assert!(stats.conserves());
+        assert!(
+            stats.latency_p50 > 0.0 && stats.latency_p50 <= stats.latency_p95,
+            "the router's histogram holds every Ok latency: {stats:?}"
+        );
         assert_eq!(
             (stats.retries, stats.reconnects, stats.dropped),
             (0, 0, 0),

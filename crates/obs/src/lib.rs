@@ -20,9 +20,9 @@
 //!   thread-local span stack. Opening a span inside another span links
 //!   parent → child; dropping the guard stamps the end time and files
 //!   the [`SpanRecord`]. [`Obs::span_tree`] renders the finished tree.
-//! - **Gating** ([`Obs::off`] / [`ObsConfig`]): a disabled handle is a
-//!   no-op on the hot path — `span()` returns an inert guard, no
-//!   allocation, no clock read, no lock. The optimizer layers read the
+//! - **Gating** ([`Obs::off`]): a disabled handle is a no-op on the
+//!   hot path — `span()` returns an inert guard, no allocation, no
+//!   clock read, no lock. The optimizer layers read the
 //!   ambient handle via [`current`] (installed on the calling thread
 //!   with [`install`], a scope guard that restores the previous handle
 //!   on drop), so code that never installs one pays nothing.
@@ -90,6 +90,16 @@ impl Gauge {
     /// Overwrites the value.
     pub fn set(&self, v: u64) {
         self.0.store(v, Ordering::Relaxed);
+    }
+
+    /// Adds `n` and returns the new value.
+    pub fn add(&self, n: u64) -> u64 {
+        self.0.fetch_add(n, Ordering::Relaxed) + n
+    }
+
+    /// Subtracts `n`.
+    pub fn sub(&self, n: u64) {
+        self.0.fetch_sub(n, Ordering::Relaxed);
     }
 
     /// Raises the gauge to `v` if `v` is larger (high-water mark).
@@ -758,32 +768,6 @@ pub fn install(obs: &Obs) -> InstallGuard {
     InstallGuard { _priv: () }
 }
 
-// ---------------------------------------------------------------------------
-// Config gate
-// ---------------------------------------------------------------------------
-
-/// The configuration gate layers carry: [`ObsConfig::Off`] (the default)
-/// yields [`Obs::off`] — a hot-path no-op — and [`ObsConfig::On`] wraps
-/// a live handle.
-#[derive(Clone, Debug, Default)]
-pub enum ObsConfig {
-    /// Observability disabled; every instrumented site is a no-op.
-    #[default]
-    Off,
-    /// Observability enabled with this handle.
-    On(Obs),
-}
-
-impl ObsConfig {
-    /// The handle this gate resolves to.
-    pub fn obs(&self) -> Obs {
-        match self {
-            ObsConfig::Off => Obs::off(),
-            ObsConfig::On(o) => o.clone(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -860,7 +844,11 @@ mod tests {
         let r = Registry::new();
         r.counter("zeta_total").add(7);
         r.counter("alpha_total").inc();
-        r.gauge("depth").set(3);
+        let depth = r.gauge("depth");
+        depth.set(3);
+        assert_eq!(depth.add(2), 5, "add returns the new value");
+        depth.sub(2);
+        assert_eq!(r.gauge("depth").get(), 3, "one cell per name");
         let cache = r.cache("lift_cache");
         cache.hit();
         cache.hit();
@@ -940,8 +928,6 @@ mod tests {
             assert!(current().enabled(), "outer handle restored");
         }
         assert!(!current().enabled());
-        assert!(!ObsConfig::default().obs().enabled());
-        assert!(ObsConfig::On(on).obs().enabled());
     }
 
     #[test]

@@ -160,7 +160,7 @@ use mpq_core::rrpa::MpqSolution;
 use mpq_core::session::{OptimizerSession, ShardedSession};
 use mpq_core::space::MpqSpace;
 use mpq_cost::{CacheStats, LiftedCostCache};
-use mpq_obs::{Counter, Gauge, Histogram, Obs, ObsConfig, SpanGuard};
+use mpq_obs::{Counter, Gauge, Histogram, Obs, SpanGuard};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -316,12 +316,16 @@ pub struct ServiceConfig {
     /// ε-approximate serving policy for deadline-pressured batches
     /// (`None` = always exact; see [`ApproxPolicy`]).
     pub approx: Option<ApproxPolicy>,
-    /// Observability: [`ObsConfig::Off`] (the default) keeps serving on
-    /// the unobserved hot path; [`ObsConfig::On`] mirrors every
-    /// lifecycle counter into the handle's registry and emits
-    /// submit/dispatch/batch spans. Never changes results — see the
-    /// obs-identity tests.
-    pub obs: ObsConfig,
+    /// Observability: [`Obs::off`] (the default) keeps serving on the
+    /// unobserved hot path, with every counter a private cell. A live
+    /// handle keeps every counter in its registry under a `service_*`
+    /// name (per shard `service_shard{i}_queries`, `_batches` and
+    /// `_restarts`) — the cells [`ServiceStats`] reads — and emits
+    /// submit/dispatch/batch spans. Two [`serve`] calls sharing one
+    /// registry add into the same cells, so the second call's
+    /// [`ServiceStats`] includes the first call's traffic; obs-off calls
+    /// start at zero. Never changes results — see the obs-identity tests.
+    pub obs: Obs,
 }
 
 impl ServiceConfig {
@@ -333,7 +337,7 @@ impl ServiceConfig {
             clock: None,
             max_queue: None,
             approx: None,
-            obs: ObsConfig::Off,
+            obs: Obs::off(),
         }
     }
 
@@ -362,9 +366,10 @@ impl ServiceConfig {
         self
     }
 
-    /// Attaches an observability handle (see [`ServiceConfig::obs`]).
+    /// Attaches an observability handle (see [`ServiceConfig::obs`],
+    /// including how two services sharing one registry count).
     pub fn with_obs(mut self, obs: Obs) -> Self {
-        self.obs = ObsConfig::On(obs);
+        self.obs = obs;
         self
     }
 }
@@ -763,14 +768,17 @@ pub struct ServiceStats {
     /// Per-shard counters, indexed by shard.
     pub per_shard: Vec<ShardStats>,
     /// Median submit-to-completion latency in service-clock seconds over
-    /// all **successful** completions, read from a log-bucketed
-    /// [`mpq_obs::Histogram`]: the reported value is a bucket
-    /// representative (≤ 12.5 % relative error), NaN before the first
-    /// completion. Quarantined/timed-out/rejected requests are excluded,
-    /// so the percentiles describe healthy-query latency even under
-    /// faults; and because bucket counts are order-independent, the
-    /// percentiles are deterministic under a virtual clock even when
-    /// completion stamps race the clock's driver.
+    /// all **successful** completions. Both fronts read it from a
+    /// log-bucketed [`mpq_obs::Histogram`] — in-process [`serve`] from
+    /// its `service_latency_seconds` cell, a network router from its own
+    /// — so the reported value is a bucket representative (≤ 12.5 %
+    /// relative error), NaN before the first completion, and memory stays
+    /// bounded however long the front runs. Quarantined, timed-out,
+    /// rejected and unavailable requests are excluded, so the
+    /// percentiles describe healthy-query latency even under faults; and
+    /// because bucket counts are order-independent, the percentiles are
+    /// deterministic under a virtual clock even when completion stamps
+    /// race the clock's driver.
     pub latency_p50: f64,
     /// 95th-percentile latency in service-clock seconds from the same
     /// histogram (NaN before the first completion).
@@ -787,15 +795,31 @@ impl ServiceStats {
         self.completed + self.rejected + self.timed_out + self.quarantined + self.unavailable
             == self.submitted
     }
+
+    /// The p50 and p95 of a latency histogram in seconds, NaN while it
+    /// is empty — how every front fills [`Self::latency_p50`] and
+    /// [`Self::latency_p95`].
+    pub fn latency_percentiles(latencies: &Histogram) -> (f64, f64) {
+        if latencies.count() == 0 {
+            return (f64::NAN, f64::NAN);
+        }
+        (latencies.quantile_secs(0.50), latencies.quantile_secs(0.95))
+    }
 }
 
-/// Registry mirrors of the lifecycle counters, resolved once at service
-/// start (present only with [`ObsConfig::On`] — the `None` arm keeps
-/// obs-off serving free of any registry traffic). Each cell is bumped at
-/// the same site as its [`StatsShared`] atomic, so the registry satisfies
-/// the same conservation identity as [`ServiceStats`] at any quiescent
-/// point — pinned by the obs tests.
-struct ObsMirror {
+/// One shard's counters in [`StatsShared`].
+struct ShardCells {
+    queries: Counter,
+    batches: Counter,
+    restarts: Counter,
+}
+
+/// The live counters behind [`ServiceStats`] — their only store. With
+/// observability on, every cell is the handle's registry cell of the
+/// same `service_*` name, so a scrape and [`ServiceStats`] read the same
+/// atomics at any moment; with it off, every cell is fresh and no name
+/// is built.
+struct StatsShared {
     submitted: Counter,
     completed: Counter,
     approx_served: Counter,
@@ -803,128 +827,68 @@ struct ObsMirror {
     rejected: Counter,
     timed_out: Counter,
     quarantined: Counter,
+    queue_depth: Gauge,
+    queue_depth_peak: Gauge,
+    /// Admission-control occupancy: requests submitted but not yet
+    /// dispatched to a shard (submit channel + accumulating buffers).
+    /// A CAS bound, not a metric, so it is no registry cell. Kept
+    /// separate from `queue_depth`, which deliberately counts only
+    /// *buffered* requests so its peak stays a deterministic function of
+    /// the submission sequence under a virtual clock.
+    queued: AtomicU64,
     batches: Counter,
     size_triggered: Counter,
     deadline_triggered: Counter,
     drain_triggered: Counter,
     coalesced: Counter,
     lps_solved: Counter,
-    queue_depth: Gauge,
-    queue_depth_peak: Gauge,
-}
-
-impl ObsMirror {
-    fn resolve(registry: &mpq_obs::Registry) -> Self {
-        Self {
-            submitted: registry.counter("service_submitted"),
-            completed: registry.counter("service_completed"),
-            approx_served: registry.counter("service_approx_served"),
-            approx_batches: registry.counter("service_approx_batches"),
-            rejected: registry.counter("service_rejected"),
-            timed_out: registry.counter("service_timed_out"),
-            quarantined: registry.counter("service_quarantined"),
-            batches: registry.counter("service_batches"),
-            size_triggered: registry.counter("service_size_triggered"),
-            deadline_triggered: registry.counter("service_deadline_triggered"),
-            drain_triggered: registry.counter("service_drain_triggered"),
-            coalesced: registry.counter("service_coalesced"),
-            lps_solved: registry.counter("service_lps_solved"),
-            queue_depth: registry.gauge("service_queue_depth"),
-            queue_depth_peak: registry.gauge("service_queue_depth_peak"),
-        }
-    }
-}
-
-/// The lock/atomic-backed live counters behind [`ServiceStats`].
-struct StatsShared {
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    approx_served: AtomicU64,
-    approx_batches: AtomicU64,
-    rejected: AtomicU64,
-    timed_out: AtomicU64,
-    quarantined: AtomicU64,
-    queue_depth: AtomicU64,
-    queue_depth_peak: AtomicU64,
-    /// Admission-control occupancy: requests submitted but not yet
-    /// dispatched to a shard (submit channel + accumulating buffers).
-    /// Kept separate from `queue_depth`, which deliberately counts only
-    /// *buffered* requests so its peak stays a deterministic function of
-    /// the submission sequence under a virtual clock.
-    queued: AtomicU64,
-    batches: AtomicU64,
-    size_triggered: AtomicU64,
-    deadline_triggered: AtomicU64,
-    drain_triggered: AtomicU64,
-    coalesced: AtomicU64,
-    lps_solved: AtomicU64,
-    shard_queries: Vec<AtomicU64>,
-    shard_batches: Vec<AtomicU64>,
-    shard_restarts: Vec<AtomicU64>,
+    shards: Vec<ShardCells>,
     /// Submit-to-completion latencies of successful completions, as a
     /// lock-free log-bucketed histogram: bounded memory at any request
     /// volume, mergeable across processes, and percentiles that are a
     /// pure function of the *set* of samples (no ring-overwrite order
-    /// dependence). With observability on this is the registry's
-    /// `service_latency_seconds` histogram, so exposition and
-    /// [`ServiceStats`] read the same cells.
+    /// dependence).
     latencies: Arc<Histogram>,
-    mirror: Option<ObsMirror>,
 }
 
 impl StatsShared {
     fn new(shards: usize, obs: &Obs) -> Self {
-        let (latencies, mirror) = match obs.registry() {
-            Some(registry) => (
-                registry.histogram("service_latency_seconds"),
-                Some(ObsMirror::resolve(registry)),
-            ),
-            None => (Arc::new(Histogram::new()), None),
+        let registry = obs.registry();
+        let counter = |name: &str| registry.map_or_else(Counter::new, |r| r.counter(name));
+        let gauge = |name: &str| registry.map_or_else(Gauge::new, |r| r.gauge(name));
+        let shard_counter = |i: usize, what: &str| {
+            registry.map_or_else(Counter::new, |r| {
+                r.counter(&format!("service_shard{i}_{what}"))
+            })
         };
         Self {
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            approx_served: AtomicU64::new(0),
-            approx_batches: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            timed_out: AtomicU64::new(0),
-            quarantined: AtomicU64::new(0),
-            queue_depth: AtomicU64::new(0),
-            queue_depth_peak: AtomicU64::new(0),
+            submitted: counter("service_submitted"),
+            completed: counter("service_completed"),
+            approx_served: counter("service_approx_served"),
+            approx_batches: counter("service_approx_batches"),
+            rejected: counter("service_rejected"),
+            timed_out: counter("service_timed_out"),
+            quarantined: counter("service_quarantined"),
+            queue_depth: gauge("service_queue_depth"),
+            queue_depth_peak: gauge("service_queue_depth_peak"),
             queued: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            size_triggered: AtomicU64::new(0),
-            deadline_triggered: AtomicU64::new(0),
-            drain_triggered: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-            lps_solved: AtomicU64::new(0),
-            shard_queries: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            shard_batches: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            shard_restarts: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            latencies,
-            mirror,
-        }
-    }
-
-    fn push_latency(&self, v: f64) {
-        self.latencies.record_secs(v);
-    }
-
-    /// Bumps `field` and its registry mirror (selected by `pick` so the
-    /// obs-off path never touches the registry) — the single idiom
-    /// keeping the atomic and the mirror in lock-step at every site.
-    fn bump(&self, field: &AtomicU64, pick: impl FnOnce(&ObsMirror) -> &Counter) {
-        field.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &self.mirror {
-            pick(m).inc();
-        }
-    }
-
-    /// Adds a batch's LP work to `lps_solved` and its mirror.
-    fn add_lps(&self, delta: u64) {
-        self.lps_solved.fetch_add(delta, Ordering::Relaxed);
-        if let Some(m) = &self.mirror {
-            m.lps_solved.add(delta);
+            batches: counter("service_batches"),
+            size_triggered: counter("service_size_triggered"),
+            deadline_triggered: counter("service_deadline_triggered"),
+            drain_triggered: counter("service_drain_triggered"),
+            coalesced: counter("service_coalesced"),
+            lps_solved: counter("service_lps_solved"),
+            shards: (0..shards)
+                .map(|i| ShardCells {
+                    queries: shard_counter(i, "queries"),
+                    batches: shard_counter(i, "batches"),
+                    restarts: shard_counter(i, "restarts"),
+                })
+                .collect(),
+            latencies: registry.map_or_else(
+                || Arc::new(Histogram::new()),
+                |r| r.histogram("service_latency_seconds"),
+            ),
         }
     }
 
@@ -938,40 +902,30 @@ impl StatsShared {
     ) {
         match response.outcome {
             QueryOutcome::Ok(_) => {
-                self.push_latency(response.latency);
-                self.bump(&self.completed, |m| &m.completed);
+                self.latencies.record_secs(response.latency);
+                self.completed.inc();
                 if response.served_epsilon.is_some() {
-                    self.bump(&self.approx_served, |m| &m.approx_served);
+                    self.approx_served.inc();
                 }
             }
-            QueryOutcome::Panicked { .. } => self.bump(&self.quarantined, |m| &m.quarantined),
-            QueryOutcome::TimedOut => self.bump(&self.timed_out, |m| &m.timed_out),
-            QueryOutcome::Rejected => self.bump(&self.rejected, |m| &m.rejected),
+            QueryOutcome::Panicked { .. } => self.quarantined.inc(),
+            QueryOutcome::TimedOut => self.timed_out.inc(),
+            QueryOutcome::Rejected => self.rejected.inc(),
             QueryOutcome::Shutdown => {}
         }
         let _ = reply.send(response);
     }
 
     fn snapshot(&self, caches: Vec<CacheStats>, subtrees: Vec<CacheStats>) -> ServiceStats {
-        let quantile = |q: f64| -> f64 {
-            if self.latencies.count() == 0 {
-                return f64::NAN;
-            }
-            self.latencies.quantile_secs(q)
-        };
-        if let Some(m) = &self.mirror {
-            m.queue_depth.set(self.queue_depth.load(Ordering::Relaxed));
-            m.queue_depth_peak
-                .set(self.queue_depth_peak.load(Ordering::Relaxed));
-        }
+        let (latency_p50, latency_p95) = ServiceStats::latency_percentiles(&self.latencies);
         ServiceStats {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            approx_served: self.approx_served.load(Ordering::Relaxed),
-            approx_batches: self.approx_batches.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            timed_out: self.timed_out.load(Ordering::Relaxed),
-            quarantined: self.quarantined.load(Ordering::Relaxed),
+            submitted: self.submitted.get(),
+            completed: self.completed.get(),
+            approx_served: self.approx_served.get(),
+            approx_batches: self.approx_batches.get(),
+            rejected: self.rejected.get(),
+            timed_out: self.timed_out.get(),
+            quarantined: self.quarantined.get(),
             // In-process serving has no wire: the four transport
             // counters exist so a network front can report through the
             // same snapshot type (see the `ServiceStats` docs).
@@ -979,28 +933,28 @@ impl StatsShared {
             retries: 0,
             reconnects: 0,
             dropped: 0,
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            queue_depth_peak: self.queue_depth_peak.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            size_triggered: self.size_triggered.load(Ordering::Relaxed),
-            deadline_triggered: self.deadline_triggered.load(Ordering::Relaxed),
-            drain_triggered: self.drain_triggered.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            lps_solved: self.lps_solved.load(Ordering::Relaxed),
-            per_shard: caches
-                .into_iter()
-                .zip(subtrees)
-                .enumerate()
-                .map(|(i, (cache, subtree))| ShardStats {
-                    queries: self.shard_queries[i].load(Ordering::Relaxed),
-                    batches: self.shard_batches[i].load(Ordering::Relaxed),
-                    restarts: self.shard_restarts[i].load(Ordering::Relaxed),
+            queue_depth: self.queue_depth.get(),
+            queue_depth_peak: self.queue_depth_peak.get(),
+            batches: self.batches.get(),
+            size_triggered: self.size_triggered.get(),
+            deadline_triggered: self.deadline_triggered.get(),
+            drain_triggered: self.drain_triggered.get(),
+            coalesced: self.coalesced.get(),
+            lps_solved: self.lps_solved.get(),
+            per_shard: self
+                .shards
+                .iter()
+                .zip(caches.into_iter().zip(subtrees))
+                .map(|(cells, (cache, subtree))| ShardStats {
+                    queries: cells.queries.get(),
+                    batches: cells.batches.get(),
+                    restarts: cells.restarts.get(),
                     cache,
                     subtree,
                 })
                 .collect(),
-            latency_p50: quantile(0.50),
-            latency_p95: quantile(0.95),
+            latency_p50,
+            latency_p95,
         }
     }
 }
@@ -1115,7 +1069,7 @@ struct ShardBatch<S: MpqSpace> {
 
 /// Stringifies a caught panic payload (panics carry `&str` or `String`
 /// payloads unless raised via `panic_any`).
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     payload
         .downcast_ref::<&str>()
         .map(|s| (*s).to_string())
@@ -1147,7 +1101,7 @@ fn isolate_into<S, M>(
     queries: &[Query],
     idx: &[usize],
     out: &mut [Option<BatchItem<S>>],
-    restarts: &AtomicU64,
+    restarts: &Counter,
     epsilon: Option<f64>,
 ) where
     S: MpqSpace + Sync,
@@ -1172,7 +1126,7 @@ fn isolate_into<S, M>(
             }
         }
         Err(payload) => {
-            restarts.fetch_add(1, Ordering::Relaxed);
+            restarts.inc();
             if idx.len() == 1 {
                 out[idx[0]] = Some(Err(panic_message(payload)));
             } else {
@@ -1225,7 +1179,7 @@ where
         let (reply_tx, reply_rx) = mpsc::channel();
         let ticket = ServiceTicket { rx: reply_rx };
         let mut span = self.obs.span("submit");
-        self.stats.bump(&self.stats.submitted, |m| &m.submitted);
+        self.stats.submitted.inc();
         // Validation at admission: an invalid query would only panic
         // inside `optimize`, and bisecting it out of a batch re-runs its
         // healthy batch-mates.
@@ -1323,7 +1277,7 @@ where
     /// [`Arrival::Sweep`]).
     fn coalesced(&self, span: &mut SpanGuard, submitted_at: f64) {
         span.record("coalesced", 1);
-        self.stats.bump(&self.stats.coalesced, |m| &m.coalesced);
+        self.stats.coalesced.inc();
         let sender = self.tx.lock().unwrap_or_else(PoisonError::into_inner);
         // A gone batcher has nothing left to sweep.
         let _ = sender.send(Arrival::Sweep(submitted_at));
@@ -1359,9 +1313,7 @@ impl<S: MpqSpace> ShardBuffer<S> {
     /// Empties the buffer for dispatch.
     fn take(&mut self, stats: &StatsShared) -> Vec<Pending<S>> {
         let requests = std::mem::take(&mut self.requests);
-        stats
-            .queue_depth
-            .fetch_sub(requests.len() as u64, Ordering::Relaxed);
+        stats.queue_depth.sub(requests.len() as u64);
         requests
     }
 }
@@ -1399,7 +1351,7 @@ where
         let start = Instant::now();
         Arc::new(move || start.elapsed().as_secs_f64())
     });
-    let obs = config.obs.obs();
+    let obs = config.obs;
     let stats = Arc::new(StatsShared::new(shards, &obs));
 
     let out = std::thread::scope(|scope| {
@@ -1426,8 +1378,9 @@ where
                     if batch.epsilon.is_some() {
                         span.record("approx", 1);
                     }
-                    stats.shard_batches[shard].fetch_add(1, Ordering::Relaxed);
-                    stats.shard_queries[shard].fetch_add(batch_size as u64, Ordering::Relaxed);
+                    let cells = &stats.shards[shard];
+                    cells.batches.inc();
+                    cells.queries.add(batch_size as u64);
                     let queries: Vec<Query> =
                         batch.requests.iter().map(|p| p.query.clone()).collect();
                     // LP delta measured around the whole isolation and the
@@ -1435,8 +1388,8 @@ where
                     // counted too. The isolation's share is counted before
                     // any ticket is answered.
                     let lps_before = session.lps_solved();
-                    let restarts = &stats.shard_restarts[shard];
-                    let restarts_before = restarts.load(Ordering::Relaxed);
+                    let restarts = &cells.restarts;
+                    let restarts_before = restarts.get();
                     let idx: Vec<usize> = (0..batch_size).collect();
                     let mut results: Vec<Option<BatchItem<S>>> =
                         (0..batch_size).map(|_| None).collect();
@@ -1449,7 +1402,7 @@ where
                         batch.epsilon,
                     );
                     let isolated = session.lps_solved();
-                    stats.add_lps(isolated - lps_before);
+                    stats.lps_solved.add(isolated - lps_before);
                     let route = Some(BatchRoute {
                         shard,
                         batch_seq: batch.seq,
@@ -1481,7 +1434,7 @@ where
                         // Copies of a panicked leader re-run alone: one
                         // more bisection leaf each, at the batch's ε.
                         for copy in pending.resolve(&stats, response, now) {
-                            stats.shard_queries[shard].fetch_add(1, Ordering::Relaxed);
+                            cells.queries.inc();
                             let mut out = [None];
                             let one = std::slice::from_ref(&pending.query);
                             isolate_into(session, one, &[0], &mut out, restarts, batch.epsilon);
@@ -1491,12 +1444,9 @@ where
                         }
                     }
                     let lps_after = session.lps_solved();
-                    stats.add_lps(lps_after - isolated);
+                    stats.lps_solved.add(lps_after - isolated);
                     span.record("lps_delta", lps_after - lps_before);
-                    span.record(
-                        "restarts_delta",
-                        restarts.load(Ordering::Relaxed) - restarts_before,
-                    );
+                    span.record("restarts_delta", restarts.get() - restarts_before);
                 }
             });
         }
@@ -1574,20 +1524,14 @@ where
                     }) {
                         Ok(()) => {
                             seq += 1;
-                            stats.bump(&stats.batches, |m| &m.batches);
+                            stats.batches.inc();
                             if epsilon.is_some() {
-                                stats.bump(&stats.approx_batches, |m| &m.approx_batches);
+                                stats.approx_batches.inc();
                             }
                             match trigger {
-                                BatchTrigger::Size => {
-                                    stats.bump(&stats.size_triggered, |m| &m.size_triggered)
-                                }
-                                BatchTrigger::Deadline => {
-                                    stats.bump(&stats.deadline_triggered, |m| &m.deadline_triggered)
-                                }
-                                BatchTrigger::Drain => {
-                                    stats.bump(&stats.drain_triggered, |m| &m.drain_triggered)
-                                }
+                                BatchTrigger::Size => stats.size_triggered.inc(),
+                                BatchTrigger::Deadline => stats.deadline_triggered.inc(),
+                                BatchTrigger::Drain => stats.drain_triggered.inc(),
                             }
                         }
                         Err(mpsc::SendError(batch)) => {
@@ -1694,8 +1638,8 @@ where
                         buffers[shard].deadline = pending.submitted_at + max_wait_secs;
                     }
                     buffers[shard].requests.push(pending);
-                    let depth = stats.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-                    stats.queue_depth_peak.fetch_max(depth, Ordering::Relaxed);
+                    let depth = stats.queue_depth.add(1);
+                    stats.queue_depth_peak.raise(depth);
                     if buffers[shard].requests.len() >= policy.max_batch {
                         let requests = buffers[shard].take(&stats);
                         dispatch(&buffers, shard, BatchTrigger::Size, requests);
@@ -2607,7 +2551,7 @@ mod tests {
             "NaN before the first completion"
         );
         assert!(empty.latency_p95.is_nan());
-        stats.push_latency(1.0);
+        stats.latencies.record_secs(1.0);
         let snap = stats.snapshot(vec![CacheStats::default()], vec![CacheStats::default()]);
         assert!(
             (snap.latency_p50 - 1.0).abs() <= 0.125,
@@ -2622,11 +2566,11 @@ mod tests {
         assert!(snap.latency_p50 <= snap.latency_p95);
     }
 
-    /// With observability on, every lifecycle counter is mirrored into
-    /// the registry at its bump site: each `ServiceStats` field equals
-    /// its `service_*` registry counter, the conservation identity
-    /// re-derives from the registry alone, and the latency percentiles
-    /// come from the registry's own `service_latency_seconds` histogram.
+    /// With observability on, the registry is the service's counter
+    /// store: each `ServiceStats` field equals its `service_*` registry
+    /// cell (per shard too), the conservation identity re-derives from
+    /// the registry alone, and the latency percentiles come from the
+    /// registry's own `service_latency_seconds` histogram.
     #[test]
     fn registry_mirrors_service_stats() {
         let model = CloudCostModel::default();
@@ -2665,6 +2609,15 @@ mod tests {
         assert_eq!(get("service_approx_batches"), stats.approx_batches);
         assert_eq!(get("service_approx_served"), stats.approx_served);
         assert_eq!(get("service_lps_solved"), stats.lps_solved);
+        for (i, shard) in stats.per_shard.iter().enumerate() {
+            assert_eq!(get(&format!("service_shard{i}_queries")), shard.queries);
+            assert_eq!(get(&format!("service_shard{i}_batches")), shard.batches);
+            assert_eq!(get(&format!("service_shard{i}_restarts")), shard.restarts);
+        }
+        assert_eq!(
+            registry.gauge("service_queue_depth_peak").get(),
+            stats.queue_depth_peak
+        );
         // The conservation identity, re-derived purely from the registry
         // (in-process serving: unavailable is identically zero).
         assert_eq!(
@@ -2698,6 +2651,39 @@ mod tests {
         let text = registry.expose();
         let parsed = mpq_obs::parse_exposition(&text).expect("exposition parses");
         assert!(parsed.iter().any(|(n, _)| n == "service_submitted"));
+    }
+
+    /// The registry's queue-depth gauges are live: a scrape sees the
+    /// buffered requests while they wait, with no `ServiceStats`
+    /// snapshot taken.
+    #[test]
+    fn queue_depth_gauge_is_live_in_the_registry() {
+        let model = CloudCostModel::default();
+        let queries = same_shard_workload(3, 3);
+        let shard_sessions = sessions(&model, 2, None);
+        let vclock = VirtualClock::new();
+        let vc = vclock.clone();
+        let obs = Obs::with_clock(true, Arc::new(move || vc.now_micros()));
+        let registry = obs.registry().expect("enabled handle");
+        let depth = registry.gauge("service_queue_depth");
+        let config = ServiceConfig::new(BatchPolicy::new(100, Duration::from_secs(3600)))
+            .with_clock(vclock.clock())
+            .with_obs(obs.clone());
+        let ((tickets, live_depth), stats) = serve(&shard_sessions, config, |handle| {
+            let tickets: Vec<_> = queries.iter().map(|q| handle.submit(q.clone())).collect();
+            let give_up = Instant::now() + Duration::from_secs(2);
+            while depth.get() < 3 && Instant::now() < give_up {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            (tickets, depth.get())
+        });
+        assert_eq!(live_depth, 3, "three requests sit buffered");
+        for t in tickets {
+            t.wait().expect_ok();
+        }
+        assert_eq!(depth.get(), 0, "the drain empties the buffers");
+        assert_eq!(registry.gauge("service_queue_depth_peak").get(), 3);
+        assert_eq!((stats.queue_depth_peak, stats.drain_triggered), (3, 1));
     }
 
     /// Coalescing under a frozen clock: a leader and three copies make
