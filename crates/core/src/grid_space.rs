@@ -288,10 +288,6 @@ impl MpqSpace for GridSpace {
             .any(|s| s != located && self.grid.simplex(s).polytope.contains_point(x) && check(s))
     }
 
-    fn lps_solved(&self) -> u64 {
-        self.ctx.solved()
-    }
-
     fn publish_obs(&self, registry: &mpq_obs::Registry) {
         self.ctx.publish_to(registry);
     }

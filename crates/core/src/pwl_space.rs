@@ -261,10 +261,6 @@ impl MpqSpace for PwlSpace {
         region.state.contains(x)
     }
 
-    fn lps_solved(&self) -> u64 {
-        self.ctx.solved()
-    }
-
     fn publish_obs(&self, registry: &mpq_obs::Registry) {
         self.ctx.publish_to(registry);
     }

@@ -1008,8 +1008,9 @@ mod tests {
         );
     }
 
-    /// On a fresh space a run's count equals the space's own counter;
-    /// across a shared space, the per-run counts sum to the shared total.
+    /// On a fresh space a run's count equals the thread's solve-counter
+    /// delta around the call; across a shared space, the per-run counts
+    /// sum to the delta around both runs.
     #[test]
     fn per_query_lp_count_is_exact() {
         let model = CloudCostModel::default();
@@ -1017,12 +1018,13 @@ mod tests {
         let space = GridSpace::for_unit_box(1, &config, 2).unwrap();
         let q1 = small_query(3, Topology::Chain, 1, 21);
         let q2 = small_query(3, Topology::Star, 1, 22);
+        let before = mpq_lp::thread_solved();
         let s1 = optimize(&q1, &model, &space, &config);
-        assert_eq!(s1.stats.lps_solved_query, space.lps_solved());
+        assert_eq!(s1.stats.lps_solved_query, mpq_lp::thread_solved() - before);
         assert!(s1.stats.lps_solved_query > 0);
         let s2 = optimize(&q2, &model, &space, &config);
         assert_eq!(
-            space.lps_solved(),
+            mpq_lp::thread_solved() - before,
             s1.stats.lps_solved_query + s2.stats.lps_solved_query
         );
     }
@@ -1146,7 +1148,7 @@ mod tests {
             (
                 space.emptiness_counters(),
                 space.lp_ctx().fastpath_breakdown(),
-                space.lps_solved(),
+                mpq_lp::thread_solved(),
             )
         };
         let before = counters();

@@ -72,8 +72,8 @@ use std::sync::Arc;
 /// to panic or burn virtual time deterministically; production sessions
 /// leave it `None`. Because the hook fires before the lift cache or any
 /// internal lock is entered, an injected panic can never poison session
-/// state — the session stays usable for the retry that isolates the
-/// poison query.
+/// state — the session stays usable for the queries that come after the
+/// poison one.
 pub type FaultHook = Arc<dyn Fn(&Query) + Send + Sync>;
 
 /// Session-level configuration: the per-query optimizer knobs plus the
@@ -320,23 +320,6 @@ where
                 .map(|q| self.optimize_at(q, epsilon))
                 .collect()
         })
-    }
-
-    /// [`Self::optimize_batch`] plus the **per-batch LP delta**: the
-    /// number of LPs the space solved during exactly this batch. Exact as
-    /// long as no other batch runs concurrently on the *same session* (a
-    /// sharded service runs one batch at a time per shard); each query's
-    /// own count is [`crate::stats::OptStats::lps_solved_query`], and the
-    /// per-query counts of a batch sum to this delta.
-    pub fn optimize_batch_counted(&self, queries: &[Query]) -> (Vec<MpqSolution<S>>, u64) {
-        let before = self.space.lps_solved();
-        let solutions = self.optimize_batch(queries);
-        (solutions, self.space.lps_solved() - before)
-    }
-
-    /// Cumulative LPs solved through the session's shared space.
-    pub fn lps_solved(&self) -> u64 {
-        self.space.lps_solved()
     }
 
     /// Hit/miss counters of the cost-lifting cache (all-zero for sessions
@@ -649,24 +632,6 @@ mod tests {
             query_affinity(&other.queries[0], &model),
             a0,
             "fresh tables draw fresh statistics, so shapes (and affinity) differ"
-        );
-    }
-
-    /// Per-batch LP deltas partition the session's cumulative counter.
-    #[test]
-    fn batch_lp_delta_is_exact_per_batch() {
-        let cfg = WorkloadConfig::uniform(GeneratorConfig::paper(3, Topology::Chain, 1), 2, 0.0);
-        let workload = generate_workload(&cfg, &mut StdRng::seed_from_u64(2));
-        let model = CloudCostModel::default();
-        let s = session(&model, 1, true);
-        let (_, d1) = s.optimize_batch_counted(&workload.queries);
-        let (_, d2) = s.optimize_batch_counted(&workload.queries);
-        assert!(d1 > 0);
-        assert_eq!(d1, d2, "identical batches solve identical LP counts");
-        assert_eq!(
-            s.lps_solved(),
-            d1 + d2,
-            "deltas partition the cumulative counter"
         );
     }
 

@@ -148,14 +148,8 @@ pub trait MpqSpace {
     /// where the competitor ties, remain members.
     fn region_contains(&self, region: &Self::Region, x: &[f64]) -> bool;
 
-    /// Number of LPs solved through this space so far (the Figure 12
-    /// metric); spaces without LPs return 0.
-    fn lps_solved(&self) -> u64 {
-        0
-    }
-
-    /// Publishes this space's LP attribution — solved count and per-site
-    /// fast-path breakdown — into an observability registry (see
+    /// Adds this space's per-site LP fast-path growth since its last
+    /// publish to an observability registry's counters (see
     /// [`mpq_lp::LpCtx::publish_to`]). Spaces without an LP context
     /// publish nothing.
     fn publish_obs(&self, _registry: &mpq_obs::Registry) {}

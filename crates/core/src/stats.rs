@@ -2,6 +2,10 @@
 
 use std::time::Duration;
 
+/// The workspace's one LP count, re-exported for front ends that sum
+/// per-attempt deltas (see [`OptStats::lps_solved_query`]).
+pub use mpq_lp::thread_solved;
+
 /// Statistics of one optimization run.
 ///
 /// Figure 12 of the paper reports, per query: optimization time, the
@@ -24,7 +28,6 @@ pub struct OptStats {
     /// difference of two readings of that thread's solve counter
     /// ([`mpq_lp::thread_solved`]): exact even when the queries of a
     /// session batch share one space's LP context on several threads.
-    /// On a fresh space it equals the space's own counter.
     pub lps_solved_query: u64,
     /// Wall-clock optimization time.
     pub elapsed: Duration,

@@ -1,6 +1,6 @@
 //! Observability gating: obs-off is the hot path, obs-on only watches.
 //!
-//! Two pins:
+//! Three pins:
 //!
 //! - **Bit-identity**: optimizing the same query with no handle
 //!   installed, with [`Obs::off`] installed, and with a live handle
@@ -11,6 +11,8 @@
 //!   produce byte-identical span trees and registry snapshots (the
 //!   single-process half of the replay contract; the networked half
 //!   lives in `mpq-net`'s replay proptest).
+//! - **Additivity**: spaces sharing one registry add into its LP
+//!   counters instead of overwriting each other.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -21,6 +23,7 @@ use mpq_cloud::model::CloudCostModel;
 use mpq_core::grid_space::GridSpace;
 use mpq_core::rrpa::optimize;
 use mpq_core::OptimizerConfig;
+use mpq_lp::FastPathSite;
 use mpq_obs::Obs;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -135,6 +138,52 @@ fn replayed_run_renders_byte_identical_observability() {
     assert_eq!(tree_a, tree_b, "span tree replays byte-identically");
     assert_eq!(jsonl_a, jsonl_b, "snapshot replays byte-identically");
     assert_eq!(text_a, text_b, "exposition replays byte-identically");
-    // The LP fast-path attribution made it into the registry.
-    assert!(jsonl_a.contains("\"name\":\"lp_solved\""));
+    // The LP count and its fast-path attribution made it into the
+    // registry.
+    assert!(jsonl_a.contains("\"name\":\"optimize_lps_solved\""));
+    assert!(jsonl_a.contains("\"name\":\"lp_fastpath_coverage_fast\""));
+}
+
+/// Spaces sharing one registry add up: two `GridSpace`s, one query each,
+/// under one installed handle. Every `lp_fastpath_*` counter equals the
+/// sum of the two spaces' breakdowns, and `optimize_lps_solved` the sum
+/// of the two runs' LP counts.
+#[test]
+fn spaces_sharing_a_registry_add_up() {
+    let config = OptimizerConfig::default_for(1);
+    let model = CloudCostModel::default();
+    let obs = ticking();
+    let _guard = mpq_obs::install(&obs);
+    let mut fast = [0u64; FastPathSite::ALL.len()];
+    let mut lp = [0u64; FastPathSite::ALL.len()];
+    let mut lps = 0;
+    for seed in [1, 2] {
+        let query = generate(
+            &GeneratorConfig::paper(4, Topology::Chain, 1),
+            &mut StdRng::seed_from_u64(seed),
+        );
+        let space = GridSpace::for_unit_box(1, &config, 2).expect("grid space");
+        let solution = optimize(&query, &model, &space, &config);
+        let breakdown = space.lp_ctx().fastpath_breakdown();
+        assert!(
+            breakdown.total_fast() + breakdown.total_lp() > 0,
+            "seed {seed}"
+        );
+        for i in 0..FastPathSite::ALL.len() {
+            fast[i] += breakdown.fast[i];
+            lp[i] += breakdown.lp[i];
+        }
+        lps += solution.stats.lps_solved_query;
+    }
+    let registry = obs.registry().expect("enabled handle");
+    for site in FastPathSite::ALL {
+        let i = site as usize;
+        let counter = |kind: &str| {
+            let name = format!("lp_fastpath_{}_{kind}", site.name());
+            registry.counter(&name).get()
+        };
+        assert_eq!(counter("fast"), fast[i], "{site:?} fast");
+        assert_eq!(counter("lp"), lp[i], "{site:?} lp");
+    }
+    assert_eq!(registry.counter("optimize_lps_solved").get(), lps);
 }

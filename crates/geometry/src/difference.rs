@@ -376,14 +376,18 @@ mod tests {
         let sliver = Polytope::from_box(&[0.0], &[1e-8]);
         let fat = Polytope::from_box(&[0.2], &[0.8]);
         let mut worklist = vec![CoveragePiece::new(sliver), CoveragePiece::new(fat)];
-        let before = ctx.solved();
+        let before = mpq_lp::thread_solved();
         let w1 = worklist_witness(&ctx, &mut worklist).expect("fat piece has interior");
-        let first_cost = ctx.solved() - before;
+        let first_cost = mpq_lp::thread_solved() - before;
         assert!(first_cost >= 2, "both pieces ran the chebyshev LP");
         let hits_before = ctx.fastpath_breakdown().fast[FastPathSite::Coverage as usize];
-        let before = ctx.solved();
+        let before = mpq_lp::thread_solved();
         let w2 = worklist_witness(&ctx, &mut worklist).expect("verdicts are cached");
-        assert_eq!(ctx.solved() - before, 0, "cached verdicts solve no LPs");
+        assert_eq!(
+            mpq_lp::thread_solved() - before,
+            0,
+            "cached verdicts solve no LPs"
+        );
         assert_eq!(w1, w2, "cached witness is bit-identical");
         let hits_after = ctx.fastpath_breakdown().fast[FastPathSite::Coverage as usize];
         assert_eq!(
@@ -395,9 +399,13 @@ mod tests {
         // cached verdict (the miss fast path moves it verbatim).
         let disjoint = Polytope::from_box(&[0.9], &[1.0]);
         let mut survived = subtract_cutout_from_worklist(&ctx, worklist, disjoint.halfspaces());
-        let before = ctx.solved();
+        let before = mpq_lp::thread_solved();
         let w3 = worklist_witness(&ctx, &mut survived).expect("pieces survived");
-        assert_eq!(ctx.solved() - before, 0, "survivors reuse cached verdicts");
+        assert_eq!(
+            mpq_lp::thread_solved() - before,
+            0,
+            "survivors reuse cached verdicts"
+        );
         assert_eq!(w1, w3);
     }
 }

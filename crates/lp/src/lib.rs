@@ -9,8 +9,10 @@
 //!
 //! This crate provides the substitute substrate: a from-scratch dense
 //! two-phase simplex solver ([`solve`]) sized for the problems PWL-RRPA
-//! produces (a handful of variables, tens of constraints), a solve-counting
-//! context ([`LpCtx`]) that backs the Figure 12 metric, and a small dense
+//! produces (a handful of variables, tens of constraints), a per-thread
+//! solve counter ([`thread_solved`]) that backs the Figure 12 metric, a
+//! context ([`LpCtx`]) that counts where geometry fast paths fell back to
+//! the solver, and a small dense
 //! linear-system solver ([`dense::solve_linear_system`]) used to interpolate
 //! linear cost functions on grid simplices.
 //!
@@ -42,13 +44,14 @@
 //!     ],
 //! );
 //! let ctx = LpCtx::default();
+//! let before = mpq_lp::thread_solved();
 //! match ctx.solve(&problem) {
 //!     LpOutcome::Optimal(sol) => {
 //!         assert!((sol.value - 4.0).abs() < 1e-9);
 //!     }
 //!     other => panic!("unexpected outcome {other:?}"),
 //! }
-//! assert_eq!(ctx.solved(), 1);
+//! assert_eq!(mpq_lp::thread_solved() - before, 1);
 //! ```
 
 pub mod dense;
@@ -58,6 +61,7 @@ pub use simplex::RowStage;
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 thread_local! {
     /// LPs solved on this thread so far, through any [`LpCtx`].
@@ -65,9 +69,10 @@ thread_local! {
 }
 
 /// The number of LPs solved on the calling thread so far, through any
-/// [`LpCtx`]. A unit of work that runs start to finish on one thread gets
-/// its own exact count as the difference of two readings, even when it
-/// shares its `LpCtx` with work on other threads.
+/// [`LpCtx`] — the workspace's one LP count. A unit of work that runs
+/// start to finish on one thread gets its own exact count as the
+/// difference of two readings, even when it shares its `LpCtx` with work
+/// on other threads; totals are sums of such deltas.
 pub fn thread_solved() -> u64 {
     THREAD_SOLVED.with(Cell::get)
 }
@@ -180,7 +185,7 @@ impl LpOutcome {
 /// Solves a linear program without touching any statistics counter.
 ///
 /// Prefer [`LpCtx::solve`] inside the optimizer so that the solved-LP count
-/// reported by the experiment harness stays accurate.
+/// ([`thread_solved`]) reported by the experiment harness stays accurate.
 pub fn solve(problem: &LpProblem) -> LpOutcome {
     simplex::solve(problem)
 }
@@ -236,7 +241,7 @@ impl FastPathSite {
     ];
 
     /// Stable snake_case name (the `<site>` of the
-    /// `lp_fastpath_<site>_{fast,lp}` registry gauges).
+    /// `lp_fastpath_<site>_{fast,lp}` registry counters).
     pub fn name(self) -> &'static str {
         match self {
             FastPathSite::CutoutRedundancy => "cutout_redundancy",
@@ -271,31 +276,33 @@ impl FastPathBreakdown {
 
 /// Statistics-carrying solver context.
 ///
-/// The MPQ evaluation (Figure 12) reports the number of LPs solved during
-/// optimization; all geometry and cost-function operations route their
-/// solves through a shared `LpCtx` so the harness can read the count. The
-/// counter is atomic, so one context can be shared across worker threads.
+/// All geometry and cost-function operations route their solves through
+/// a shared `LpCtx`. Each solve counts on the solving thread
+/// ([`thread_solved`]); that count is the solved-LP metric of the MPQ
+/// evaluation (Figure 12).
 ///
-/// The context also carries the per-site fast-path breakdown
+/// The context itself carries the per-site fast-path breakdown
 /// ([`FastPathBreakdown`]): geometry predicates report whether they were
 /// answered LP-free or fell back to the solver, giving the bench harness
-/// an exact map of where the remaining LP tail lives.
+/// an exact map of where the remaining LP tail lives. Its counters are
+/// atomic, so one context can be shared across worker threads.
 #[derive(Debug, Default)]
 pub struct LpCtx {
-    solved: AtomicU64,
     fastpath_fast: [AtomicU64; FastPathSite::ALL.len()],
     fastpath_lp: [AtomicU64; FastPathSite::ALL.len()],
+    /// The breakdown as of the last [`Self::publish_to`], so each publish
+    /// adds only the growth since.
+    published: Mutex<FastPathBreakdown>,
 }
 
 impl LpCtx {
-    /// Creates a fresh context with a zeroed counter.
+    /// Creates a fresh context with zeroed counters.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Solves `problem`, incrementing the solved-LP counter.
+    /// Solves `problem`, counting one solve on this thread.
     pub fn solve(&self, problem: &LpProblem) -> LpOutcome {
-        self.solved.fetch_add(1, Ordering::Relaxed);
         record_solve();
         simplex::solve(problem)
     }
@@ -306,16 +313,10 @@ impl LpCtx {
     }
 
     /// Solves `maximize objective · x` subject to rows staged by `fill`,
-    /// incrementing the solved-LP counter. See [`solve_staged`].
+    /// counting one solve on this thread. See [`solve_staged`].
     pub fn solve_staged(&self, objective: &[f64], fill: impl FnOnce(&mut RowStage)) -> LpOutcome {
-        self.solved.fetch_add(1, Ordering::Relaxed);
         record_solve();
         simplex::solve_staged(objective, fill)
-    }
-
-    /// Number of LPs solved through this context so far.
-    pub fn solved(&self) -> u64 {
-        self.solved.load(Ordering::Relaxed)
     }
 
     /// Records that `site` answered a predicate without an LP.
@@ -340,33 +341,29 @@ impl LpCtx {
         out
     }
 
-    /// Publishes the current solved-LP count and the per-site fast-path
-    /// attribution into an observability registry, as gauges named
-    /// `lp_solved` and `lp_fastpath_<site>_{fast,lp}`. Gauges have set
-    /// semantics, so republishing after more work simply refreshes the
-    /// snapshot — the idiom is to call this at the end of each unit of
-    /// work (the optimizer does so per optimization when an
-    /// [`mpq_obs::Obs`] handle is installed).
+    /// Adds the per-site fast-path growth since the last publish to an
+    /// observability registry's `lp_fastpath_<site>_{fast,lp}` counters.
+    /// The idiom is to call this at the end of each unit of work (the
+    /// optimizer does so per optimization when an [`mpq_obs::Obs`]
+    /// handle is installed). Contexts sharing one registry add up, and
+    /// two concurrent publishes of one context never count the same
+    /// growth twice.
     pub fn publish_to(&self, registry: &mpq_obs::Registry) {
-        registry.gauge("lp_solved").set(self.solved());
-        let b = self.fastpath_breakdown();
+        let mut published = self
+            .published
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let now = self.fastpath_breakdown();
         for site in FastPathSite::ALL {
+            let i = site as usize;
             registry
-                .gauge(&format!("lp_fastpath_{}_fast", site.name()))
-                .set(b.fast[site as usize]);
+                .counter(&format!("lp_fastpath_{}_fast", site.name()))
+                .add(now.fast[i] - published.fast[i]);
             registry
-                .gauge(&format!("lp_fastpath_{}_lp", site.name()))
-                .set(b.lp[site as usize]);
+                .counter(&format!("lp_fastpath_{}_lp", site.name()))
+                .add(now.lp[i] - published.lp[i]);
         }
-    }
-
-    /// Resets the solved-LP counter and the fast-path breakdown to zero.
-    pub fn reset(&self) {
-        self.solved.store(0, Ordering::Relaxed);
-        for i in 0..FastPathSite::ALL.len() {
-            self.fastpath_fast[i].store(0, Ordering::Relaxed);
-            self.fastpath_lp[i].store(0, Ordering::Relaxed);
-        }
+        *published = now;
     }
 }
 
@@ -456,17 +453,6 @@ mod tests {
     }
 
     #[test]
-    fn ctx_counts_solves() {
-        let ctx = LpCtx::new();
-        let p = LpProblem::feasibility(1, vec![c(vec![1.0], 1.0)]);
-        ctx.solve(&p);
-        ctx.solve(&p);
-        assert_eq!(ctx.solved(), 2);
-        ctx.reset();
-        assert_eq!(ctx.solved(), 0);
-    }
-
-    #[test]
     fn thread_solved_counts_only_this_threads_solves() {
         let ctx = LpCtx::new();
         let p = LpProblem::feasibility(1, vec![c(vec![1.0], 1.0)]);
@@ -477,7 +463,6 @@ mod tests {
         });
         ctx.solve_staged(&[0.0], |_| {});
         assert_eq!(thread_solved() - before, 2);
-        assert_eq!(ctx.solved(), 3);
     }
 
     #[test]
@@ -491,27 +476,27 @@ mod tests {
         assert_eq!(b.lp[FastPathSite::PieceAlgebra as usize], 1);
         assert_eq!(b.total_fast(), 2);
         assert_eq!(b.total_lp(), 1);
-        ctx.reset();
-        assert_eq!(ctx.fastpath_breakdown(), FastPathBreakdown::default());
     }
 
     #[test]
-    fn publish_to_mirrors_breakdown_as_gauges() {
-        let ctx = LpCtx::new();
-        let p = LpProblem::feasibility(1, vec![c(vec![1.0], 1.0)]);
-        ctx.solve(&p);
-        ctx.fastpath_hit(FastPathSite::Coverage);
-        ctx.fastpath_fallback(FastPathSite::Coverage);
+    fn publish_to_adds_growth_since_last_publish() {
+        let (a, b) = (LpCtx::new(), LpCtx::new());
+        a.fastpath_hit(FastPathSite::Coverage);
+        a.fastpath_fallback(FastPathSite::Coverage);
         let registry = mpq_obs::Registry::new();
-        ctx.publish_to(&registry);
-        assert_eq!(registry.gauge("lp_solved").get(), 1);
-        assert_eq!(registry.gauge("lp_fastpath_coverage_fast").get(), 1);
-        assert_eq!(registry.gauge("lp_fastpath_coverage_lp").get(), 1);
-        assert_eq!(registry.gauge("lp_fastpath_piece_algebra_fast").get(), 0);
-        // Republishing after more work refreshes, not accumulates.
-        ctx.solve(&p);
-        ctx.publish_to(&registry);
-        assert_eq!(registry.gauge("lp_solved").get(), 2);
+        a.publish_to(&registry);
+        assert_eq!(registry.counter("lp_fastpath_coverage_fast").get(), 1);
+        assert_eq!(registry.counter("lp_fastpath_coverage_lp").get(), 1);
+        assert_eq!(registry.counter("lp_fastpath_piece_algebra_fast").get(), 0);
+        // Republishing adds only the growth; a second context sharing the
+        // registry adds to the same counters instead of overwriting them.
+        a.fastpath_hit(FastPathSite::Coverage);
+        a.publish_to(&registry);
+        a.publish_to(&registry);
+        b.fastpath_hit(FastPathSite::Coverage);
+        b.publish_to(&registry);
+        assert_eq!(registry.counter("lp_fastpath_coverage_fast").get(), 3);
+        assert_eq!(registry.counter("lp_fastpath_coverage_lp").get(), 1);
     }
 
     #[test]

@@ -31,25 +31,29 @@
 //! [`WireOutcome::Panicked`] (`invalid query: …`) before the dedup cache,
 //! without running the optimizer — the same admission rule the
 //! in-process service applies. A request that panics inside the
-//! optimizer is caught ([`std::panic::catch_unwind`]) and answered
-//! [`WireOutcome::Panicked`]; the panic outcome is cached like any other,
-//! so a poison query cannot be re-detonated by retries. An undecodable
-//! frame is answered [`Message::Error`] — a protocol-level diagnosis the
-//! router treats as retryable transport damage. The connection never
-//! hangs and never dies of one bad request.
+//! optimizer is caught by [`optimize_isolated`], the in-process
+//! service's own quarantine path, and answered [`WireOutcome::Panicked`];
+//! the panic outcome is cached like any other, so a poison query cannot
+//! be re-detonated by retries. An undecodable frame is answered
+//! [`Message::Error`] — a protocol-level diagnosis the router treats as
+//! retryable transport damage. The connection never hangs and never
+//! dies of one bad request.
+//!
+//! The accept loops serve at most [`MAX_CONNECTIONS`] connections at
+//! once, one thread each; a further client waits in the listen backlog
+//! until a live connection closes.
 
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Duration;
 
 use mpq_cloud::model::ParametricCostModel;
 use mpq_core::session::{LiftedCostCache, OptimizerSession};
 use mpq_core::space::MpqSpace;
 use mpq_obs::{Counter, Obs};
-use mpq_service::panic_message;
+use mpq_service::optimize_isolated;
 
 use crate::wire::{
     decode_message, encode_message, peek_request, write_frame, Message, PlanSummary,
@@ -62,6 +66,14 @@ use crate::wire::{
 /// digest is one no router will replay; and if one ever is, the
 /// re-optimized answer is bit-identical (only `dedup` differs).
 pub const DEDUP_CAPACITY: usize = 4096;
+
+/// The most connections an accept loop ([`serve_tcp`], [`serve_unix`])
+/// serves at once. Each live connection holds one thread; at the cap the
+/// loop stops accepting, so a further client waits in the listen backlog
+/// instead of costing a thread, and is accepted when a live connection
+/// closes. A router holds one connection per shard, so this bounds
+/// threads, not routers' throughput.
+pub const MAX_CONNECTIONS: usize = 64;
 
 /// Monotone counters a shard server keeps about its own traffic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -254,24 +266,17 @@ where
         }))
     }
 
-    /// Optimizes and summarizes one query. Never unwinds: it runs inside
-    /// the dedup cache's once-cell, where an unwind would poison the
-    /// digest for every later replay, so the summary is taken inside the
-    /// `catch_unwind` too.
+    /// Optimizes and summarizes one query through the service's one
+    /// quarantine path ([`optimize_isolated`]). Never unwinds: it runs
+    /// inside the dedup cache's once-cell, where an unwind would poison
+    /// the digest for every later replay, so the summary is taken inside
+    /// the unwind guard too.
     fn optimize_once(&self, query: &mpq_catalog::Query) -> (WireOutcome, Option<f64>) {
-        let epsilon = self.epsilon;
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            let solution = match epsilon {
-                Some(eps) => self.session.optimize_at(query, eps),
-                None => self.session.optimize(query),
-            };
-            PlanSummary::of(self.session.space(), &solution, &self.probes)
-        }));
-        match result {
-            Ok(summary) => (WireOutcome::Ok(summary), epsilon),
-            Err(payload) => {
+        let summarize = |solution| PlanSummary::of(self.session.space(), &solution, &self.probes);
+        match optimize_isolated(self.session, query, self.epsilon, summarize) {
+            Ok(summary) => (WireOutcome::Ok(summary), self.epsilon),
+            Err(message) => {
                 self.panicked.inc();
-                let message = panic_message(payload);
                 (WireOutcome::Panicked { message }, None)
             }
         }
@@ -431,7 +436,8 @@ where
 /// The accept loop behind [`serve_tcp`] and [`serve_unix`]: polls the
 /// non-blocking `accept` until `shutdown` is raised, and serves each
 /// connection on its own scoped thread after `configure` prepares it (a
-/// stream that cannot be configured is dropped).
+/// stream that cannot be configured is dropped). While
+/// [`MAX_CONNECTIONS`] connections are live it does not call `accept`.
 fn accept_loop<T, S, M>(
     accept: impl Fn() -> io::Result<T>,
     configure: fn(&T) -> io::Result<()>,
@@ -444,15 +450,22 @@ fn accept_loop<T, S, M>(
     S::Region: Send + Sync,
     M: ParametricCostModel + ?Sized + Sync,
 {
+    let live = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         while !shutdown.load(Ordering::Relaxed) {
+            if live.load(Ordering::Relaxed) >= MAX_CONNECTIONS {
+                std::thread::sleep(POLL_TIMEOUT);
+                continue;
+            }
             match accept() {
                 Ok(mut stream) => {
+                    live.fetch_add(1, Ordering::Relaxed);
+                    let live = &live;
                     scope.spawn(move || {
-                        if configure(&stream).is_err() {
-                            return;
+                        if configure(&stream).is_ok() {
+                            serve_stream(&mut stream, &|p| core.handle_frame(p), shutdown);
                         }
-                        serve_stream(&mut stream, &|p| core.handle_frame(p), shutdown);
+                        live.fetch_sub(1, Ordering::Relaxed);
                     });
                 }
                 Err(err) if is_poll_timeout(&err) => {

@@ -5,13 +5,18 @@
 //! in-process optimization with **zero** transport effort (no retries,
 //! no reconnects) — a clean wire adds latency, never noise. A third test
 //! points the router at a dead address and asserts the typed
-//! `Unavailable` degradation arrives in bounded wall time.
+//! `Unavailable` degradation arrives in bounded wall time. The last
+//! test holds the accept loop to its connection cap.
 
-use std::net::TcpListener;
+use std::io::ErrorKind;
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use mpq_catalog::generator::{generate_trace, GeneratorConfig, TraceConfig, WorkloadConfig};
+use mpq_catalog::fault::query_digest;
+use mpq_catalog::generator::{
+    generate, generate_trace, GeneratorConfig, TraceConfig, WorkloadConfig,
+};
 use mpq_catalog::graph::Topology;
 use mpq_cloud::model::CloudCostModel;
 use mpq_core::grid_space::GridSpace;
@@ -19,8 +24,11 @@ use mpq_core::rrpa::optimize;
 use mpq_core::session::{query_affinity, SessionConfig, ShardedSession};
 use mpq_core::OptimizerConfig;
 use mpq_net::router::{NetTime, RetryPolicy, ShardRouter, StreamConn};
-use mpq_net::server::{serve_tcp, serve_unix, ShardServerCore};
-use mpq_net::wire::{PlanSummary, WireOutcome};
+use mpq_net::server::{serve_tcp, serve_unix, ShardServerCore, MAX_CONNECTIONS};
+use mpq_net::wire::{
+    decode_message, encode_message, read_frame, write_frame, Message, PlanSummary, WireOutcome,
+    WireRequest,
+};
 use mpq_obs::Obs;
 use mpq_service::SubmittedQuery;
 use rand::rngs::StdRng;
@@ -379,4 +387,68 @@ fn dead_address_degrades_to_unavailable_in_bounded_time() {
     let stats = router.stats();
     assert_eq!(stats.unavailable, 1);
     assert!(stats.conserves());
+}
+
+/// The accept loop serves at most [`MAX_CONNECTIONS`] connections at
+/// once: with that many idle connections open, a further client's
+/// request waits unanswered in the listen backlog, and is answered once
+/// one idle connection closes.
+#[test]
+fn connection_past_the_cap_waits_for_a_free_slot() {
+    let model = CloudCostModel::default();
+    let opt = opt_config();
+    let sessions = ShardedSession::build(1, &model, &uncached(&opt), || {
+        GridSpace::for_unit_box(1, &opt, 2).expect("grid space")
+    });
+    let core = ShardServerCore::new(sessions.shard(0), 0, probes());
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("local addr");
+    let shutdown = AtomicBool::new(false);
+    let query = generate(
+        &GeneratorConfig::paper(2, Topology::Chain, 1),
+        &mut StdRng::seed_from_u64(1),
+    );
+    let request = encode_message(&Message::Request(WireRequest {
+        request_id: 1,
+        digest: query_digest(&query),
+        attempt: 0,
+        trace_id: 1,
+        submitted: SubmittedQuery::new(query),
+    }));
+
+    std::thread::scope(|scope| {
+        let _guard = ShutdownGuard(&shutdown);
+        let (core_ref, shutdown_ref) = (&core, &shutdown);
+        scope.spawn(move || serve_tcp(listener, core_ref, shutdown_ref));
+        // The listen backlog is first in, first out, so the loop accepts
+        // the idle connections before the extra one.
+        let mut idle: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+            .map(|_| TcpStream::connect(addr).expect("connect"))
+            .collect();
+        let mut extra = TcpStream::connect(addr).expect("connect");
+        write_frame(&mut extra, &request).expect("send request");
+
+        extra
+            .set_read_timeout(Some(Duration::from_millis(300)))
+            .expect("read timeout");
+        let early = read_frame(&mut extra);
+        assert!(
+            matches!(&early, Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)),
+            "a connection past the cap must not be served yet: {early:?}"
+        );
+
+        drop(idle.pop());
+        extra
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let frame = read_frame(&mut extra)
+            .expect("answered once a slot frees")
+            .expect("a whole frame");
+        match decode_message(&frame) {
+            Ok(Message::Response(response)) => {
+                assert!(matches!(response.outcome, WireOutcome::Ok(_)));
+            }
+            other => panic!("expected a response, got {other:?}"),
+        }
+    });
 }

@@ -44,15 +44,16 @@
 //!   to a [`QueryOutcome`] (`Ok`, `Panicked`, `TimedOut`, `Rejected`,
 //!   `Shutdown`) instead of panicking when the service cannot produce a
 //!   solution.
-//! * **Panic isolation & quarantine** — each batch runs under
-//!   `catch_unwind`. When a query panics mid-batch, the shard worker
-//!   bisects the batch (halving retries, recursion depth ≤ ⌈log₂ n⌉) to
-//!   attribute the panic to the poison queries, answers *them* with
-//!   [`QueryOutcome::Panicked`], re-runs the healthy remainder, and
-//!   stays alive. One bad query can neither abort the process nor lose
-//!   another query's answer. Copies waiting on a panicked leader are
-//!   re-run alone at the batch's ε, one more bisection leaf each (its own
-//!   fault attempt, and a restart if it panics again).
+//! * **Panic isolation & quarantine** — a shard worker runs its batch
+//!   one query at a time, each query exactly once under its own
+//!   `catch_unwind` ([`optimize_isolated`]), and answers it as soon as
+//!   that attempt ends. A query that panics is answered
+//!   [`QueryOutcome::Panicked`] and counted one restart; its batch-mates
+//!   never re-run, and the worker stays alive. One bad query can neither
+//!   abort the process nor lose another query's answer, and a query's
+//!   outcome does not depend on which batch it rode in. Copies waiting on
+//!   a panicked leader are re-run alone at the batch's ε, one attempt
+//!   each (its own fault attempt, and a restart if it panics again).
 //! * **Admission control** — [`ServiceConfig::max_queue`] bounds the
 //!   buffered-but-undispatched request count; beyond it, `submit`
 //!   answers the ticket immediately with [`QueryOutcome::Rejected`]
@@ -61,7 +62,7 @@
 //!   `submit` also runs `Query::validate`: an invalid query is answered
 //!   [`QueryOutcome::Panicked`] (`invalid query: …`, the message
 //!   `optimize` would panic with) and counted quarantined before it can
-//!   enter a batch, so it never costs its batch-mates a bisection.
+//!   enter a batch.
 //! * **Deadline budgets** — a per-query absolute deadline
 //!   ([`SubmittedQuery::deadline`], service-clock seconds) is checked
 //!   when the query's batch dispatches: already-expired queries are
@@ -111,7 +112,8 @@
 //! every *healthy* query's plans/counters/frontiers stay bit-identical
 //! to the plain session — quarantine only removes the poison, it never
 //! perturbs its batch-mates (the fault hook fires before any optimizer
-//! state is touched, and retries of healthy queries are pure replays).
+//! state is touched, and every query gets exactly one attempt, so no
+//! healthy query is ever re-run).
 //! Enforced by `tests/service_proptest.rs` (fault-free) and
 //! `tests/chaos_proptest.rs` (under seeded fault plans) across random
 //! traces × policies × shard counts × cache capacities.
@@ -159,6 +161,7 @@ use mpq_cloud::model::ParametricCostModel;
 use mpq_core::rrpa::MpqSolution;
 use mpq_core::session::{OptimizerSession, ShardedSession};
 use mpq_core::space::MpqSpace;
+use mpq_core::stats::thread_solved;
 use mpq_cost::{CacheStats, LiftedCostCache};
 use mpq_obs::{Counter, Gauge, Histogram, Obs, SpanGuard};
 use std::collections::hash_map::DefaultHasher;
@@ -260,7 +263,7 @@ pub enum ApproxTrigger {
 /// The service's precision/latency dial: when a batch dispatches because
 /// its **deadline** expired (the batch already waited `max_wait`), the
 /// shard worker may run it through the ε-approximate optimizer
-/// ([`mpq_core::session::OptimizerSession::optimize_batch_at`]) instead
+/// ([`mpq_core::session::OptimizerSession::optimize_at`]) instead
 /// of the exact one — serving a provable `(1+ε)`-cover of each exact
 /// frontier now rather than the exact frontier later. Size- and
 /// drain-triggered batches always run exact.
@@ -320,10 +323,13 @@ pub struct ServiceConfig {
     /// unobserved hot path, with every counter a private cell. A live
     /// handle keeps every counter in its registry under a `service_*`
     /// name (per shard `service_shard{i}_queries`, `_batches` and
-    /// `_restarts`) — the cells [`ServiceStats`] reads — and emits
+    /// `_restarts`) — the cells [`ServiceStats`] reads — registers each
+    /// shard session's caches as `service_shard{i}_lift_cache` and
+    /// `service_shard{i}_subtree_cache`, and emits
     /// submit/dispatch/batch spans. Two [`serve`] calls sharing one
     /// registry add into the same cells, so the second call's
-    /// [`ServiceStats`] includes the first call's traffic; obs-off calls
+    /// [`ServiceStats`] includes the first call's traffic, while the
+    /// cache names point at the second call's sessions; obs-off calls
     /// start at zero. Never changes results — see the obs-identity tests.
     pub obs: Obs,
 }
@@ -455,9 +461,9 @@ pub enum QueryOutcome<S: MpqSpace> {
     /// `OptimizerSession` run of the same query (the determinism
     /// contract; see the crate docs).
     Ok(MpqSolution<S>),
-    /// The query panicked inside the optimizer. The batch bisection
-    /// attributed the panic to *this* query; its batch-mates were re-run
-    /// and answered normally. `message` is the panic payload (or a
+    /// The query's one attempt panicked inside the optimizer (see
+    /// [`optimize_isolated`]); its batch-mates ran their own attempts and
+    /// were answered normally. `message` is the panic payload (or a
     /// placeholder for non-string payloads).
     Panicked {
         /// The panic payload, stringified.
@@ -683,9 +689,9 @@ pub struct ShardStats {
     pub queries: u64,
     /// Batches dispatched to this shard.
     pub batches: u64,
-    /// Panics this shard's worker caught and recovered from (each
-    /// bisection attempt that panicked counts one — a single poison
-    /// query in a batch of n costs up to ⌈log₂ n⌉ + 1 restarts).
+    /// Panics this shard's worker caught and recovered from: one per
+    /// panicked attempt. Each query, and each re-run copy of a panicked
+    /// leader, gets exactly one attempt.
     pub restarts: u64,
     /// The shard session's cost-lifting cache counters
     /// (hit/miss/evictions).
@@ -761,9 +767,11 @@ pub struct ServiceStats {
     /// batched (see the crate docs on coalescing). Each also counts in
     /// the resolution class of its outcome.
     pub coalesced: u64,
-    /// LPs solved across all dispatched batches (summed per-batch deltas
-    /// — exact: shards run one batch at a time; includes work burned by
-    /// panicked bisection attempts).
+    /// LPs solved across all attempts: the sum of each attempt's
+    /// [`mpq_core::stats::thread_solved`] delta, added before the query
+    /// is answered. Exact, because an attempt runs start to finish on
+    /// its shard worker's thread; includes work burned by panicked
+    /// attempts.
     pub lps_solved: u64,
     /// Per-shard counters, indexed by shard.
     pub per_shard: Vec<ShardStats>,
@@ -1061,15 +1069,15 @@ struct ShardBatch<S: MpqSpace> {
     trigger: BatchTrigger,
     /// `Some(ε)` when the [`ApproxPolicy`] downgraded this
     /// (deadline-pressured) batch — decided by the batcher at flush
-    /// time, so the shard worker and every bisection replay run at the
-    /// same ε.
+    /// time, so every query of the batch and every re-run copy runs at
+    /// the same ε.
     epsilon: Option<f64>,
     requests: Vec<Pending<S>>,
 }
 
 /// Stringifies a caught panic payload (panics carry `&str` or `String`
 /// payloads unless raised via `panic_any`).
-pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     payload
         .downcast_ref::<&str>()
         .map(|s| (*s).to_string())
@@ -1077,65 +1085,40 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-/// Per-query result of one batch after panic isolation.
-type BatchItem<S> = Result<MpqSolution<S>, String>;
-
-/// Optimizes `queries[i]` for every `i` in `idx`, isolating panics by
-/// halving bisection: attempt the whole index range as one batch; on a
-/// caught panic, split it and recurse (depth ≤ ⌈log₂ n⌉ — each level
-/// halves the range). A range of one that still panics is the poison —
-/// it is quarantined as `Err(message)`. Healthy queries re-run on the
-/// retry are pure replays (sessions are stateless per query up to
-/// caches, and cached lifts are pure in their shape), so their results
-/// stay bit-identical however often the bisection re-attempts them.
-/// Every caught panic bumps `restarts`.
+/// One attempt at one query, on the calling thread — the one quarantine
+/// path of both serving fronts ([`serve`]'s shard workers and the
+/// network shard server): `optimize_at(ε)` when `epsilon` is set,
+/// `optimize` otherwise, then `finish` on the solution, all under one
+/// `catch_unwind`. `Err` holds the panic message. Each query gets exactly
+/// one attempt, so a panic is attributed to its own query and never
+/// re-runs a healthy one; `finish` sits inside the guard so that a
+/// caller's post-processing cannot unwind either.
 ///
 /// `AssertUnwindSafe` is justified by the session's design: the fault
 /// hook fires *before* any optimizer state is touched, so an injected
 /// panic cannot poison session internals; a genuine mid-optimize panic
-/// may poison a session-internal lock, in which case the retry's panic
-/// is caught again here and the affected queries are quarantined rather
-/// than taking the process down.
-fn isolate_into<S, M>(
+/// may poison a session-internal lock, in which case later attempts that
+/// meet it panic and are quarantined too, rather than taking the process
+/// down.
+pub fn optimize_isolated<S, M, T>(
     session: &OptimizerSession<'_, S, M>,
-    queries: &[Query],
-    idx: &[usize],
-    out: &mut [Option<BatchItem<S>>],
-    restarts: &Counter,
+    query: &Query,
     epsilon: Option<f64>,
-) where
+    finish: impl FnOnce(MpqSolution<S>) -> T,
+) -> Result<T, String>
+where
     S: MpqSpace + Sync,
     S::Cost: Send + Sync,
     S::Region: Send + Sync,
     M: ParametricCostModel + ?Sized,
 {
-    if idx.is_empty() {
-        return;
-    }
-    let part: Vec<Query> = idx.iter().map(|&i| queries[i].clone()).collect();
-    // Bisection retries preserve the batch's ε: a quarantine replay of
-    // an approximate batch re-runs the healthy queries at the same ε, so
-    // their answers stay bit-identical to the first (panicked) attempt.
-    match catch_unwind(AssertUnwindSafe(|| match epsilon {
-        Some(e) => session.optimize_batch_at(&part, e),
-        None => session.optimize_batch(&part),
-    })) {
-        Ok(solutions) => {
-            for (&i, solution) in idx.iter().zip(solutions) {
-                out[i] = Some(Ok(solution));
-            }
-        }
-        Err(payload) => {
-            restarts.inc();
-            if idx.len() == 1 {
-                out[idx[0]] = Some(Err(panic_message(payload)));
-            } else {
-                let mid = idx.len() / 2;
-                isolate_into(session, queries, &idx[..mid], out, restarts, epsilon);
-                isolate_into(session, queries, &idx[mid..], out, restarts, epsilon);
-            }
-        }
-    }
+    catch_unwind(AssertUnwindSafe(|| {
+        finish(match epsilon {
+            Some(e) => session.optimize_at(query, e),
+            None => session.optimize(query),
+        })
+    }))
+    .map_err(panic_message)
 }
 
 /// The submit-side handle passed to [`serve`]'s body closure.
@@ -1181,8 +1164,7 @@ where
         let mut span = self.obs.span("submit");
         self.stats.submitted.inc();
         // Validation at admission: an invalid query would only panic
-        // inside `optimize`, and bisecting it out of a batch re-runs its
-        // healthy batch-mates.
+        // inside `optimize`.
         if let Err(e) = submitted.query.validate() {
             span.record("invalid", 1);
             let outcome = QueryOutcome::Panicked {
@@ -1324,9 +1306,10 @@ impl<S: MpqSpace> ShardBuffer<S> {
 /// handle, and on return drains the buffers, joins every thread and
 /// returns `body`'s result together with the final [`ServiceStats`].
 ///
-/// Fault tolerance: a panicking query is quarantined by batch bisection
-/// and answered [`QueryOutcome::Panicked`]; its batch-mates are re-run
-/// and answered normally; the shard worker survives. `serve` itself
+/// Fault tolerance: each query gets one attempt under its own
+/// `catch_unwind` ([`optimize_isolated`]); a panicking query is answered
+/// [`QueryOutcome::Panicked`], its batch-mates are answered normally,
+/// and the shard worker survives. `serve` itself
 /// only propagates a panic raised by `body` or by the service plumbing
 /// — never one raised inside a query's optimization.
 ///
@@ -1353,13 +1336,21 @@ where
     });
     let obs = config.obs;
     let stats = Arc::new(StatsShared::new(shards, &obs));
+    if let Some(registry) = obs.registry() {
+        for i in 0..shards {
+            sessions
+                .shard(i)
+                .register_obs(registry, &format!("service_shard{i}_"));
+        }
+    }
 
     let out = std::thread::scope(|scope| {
         let (sub_tx, sub_rx) = mpsc::channel::<Arrival<S>>();
         let mut batch_txs = Vec::with_capacity(shards);
         // Shard workers: one thread per shard, each draining its own
-        // batch channel through its own session. One batch at a time per
-        // shard keeps the per-batch LP delta exact.
+        // batch channel through its own session, one query at a time. A
+        // query's whole attempt runs on the worker's thread, so its LP
+        // count is exact as a thread-local delta.
         for shard in 0..shards {
             let (batch_tx, batch_rx) = mpsc::channel::<ShardBatch<S>>();
             batch_txs.push(batch_tx);
@@ -1368,6 +1359,7 @@ where
             let obs = obs.clone();
             let session = sessions.shard(shard);
             scope.spawn(move || {
+                let cells = &stats.shards[shard];
                 for batch in batch_rx {
                     let batch_size = batch.requests.len();
                     let mut span = obs.span("shard_batch");
@@ -1378,75 +1370,49 @@ where
                     if batch.epsilon.is_some() {
                         span.record("approx", 1);
                     }
-                    let cells = &stats.shards[shard];
                     cells.batches.inc();
                     cells.queries.add(batch_size as u64);
-                    let queries: Vec<Query> =
-                        batch.requests.iter().map(|p| p.query.clone()).collect();
-                    // LP delta measured around the whole isolation and the
-                    // copy re-runs, so work burned by panicked attempts is
-                    // counted too. The isolation's share is counted before
-                    // any ticket is answered.
-                    let lps_before = session.lps_solved();
-                    let restarts = &cells.restarts;
-                    let restarts_before = restarts.get();
-                    let idx: Vec<usize> = (0..batch_size).collect();
-                    let mut results: Vec<Option<BatchItem<S>>> =
-                        (0..batch_size).map(|_| None).collect();
-                    isolate_into(
-                        session,
-                        &queries,
-                        &idx,
-                        &mut results,
-                        restarts,
-                        batch.epsilon,
-                    );
-                    let isolated = session.lps_solved();
-                    stats.lps_solved.add(isolated - lps_before);
-                    let route = Some(BatchRoute {
-                        shard,
-                        batch_seq: batch.seq,
-                        batch_size,
-                        trigger: batch.trigger,
-                    });
-                    let respond = |result: Option<BatchItem<S>>, latency: f64| {
-                        let outcome = match result {
-                            Some(Ok(solution)) => QueryOutcome::Ok(solution),
-                            Some(Err(message)) => QueryOutcome::Panicked { message },
-                            // Unreachable: `isolate_into` fills every
-                            // index it is given. Kept as a typed answer
-                            // so a logic bug degrades one query, not the
-                            // process.
-                            None => QueryOutcome::Panicked {
-                                message: "batch isolation missed the query".to_string(),
-                            },
-                        };
-                        QueryResponse {
-                            outcome,
-                            route,
-                            latency,
-                            served_epsilon: batch.epsilon,
+                    let lps_before = thread_solved();
+                    let restarts_before = cells.restarts.get();
+                    // One attempt, its LPs counted before it is answered.
+                    let attempt = |query: &Query| {
+                        let lps = thread_solved();
+                        let result = optimize_isolated(session, query, batch.epsilon, |s| s);
+                        stats.lps_solved.add(thread_solved() - lps);
+                        match result {
+                            Ok(solution) => QueryOutcome::Ok(solution),
+                            Err(message) => {
+                                cells.restarts.inc();
+                                QueryOutcome::Panicked { message }
+                            }
                         }
                     };
-                    let now = clock();
-                    for (pending, result) in batch.requests.iter().zip(results) {
-                        let response = respond(result, now - pending.submitted_at);
-                        // Copies of a panicked leader re-run alone: one
-                        // more bisection leaf each, at the batch's ε.
+                    let respond = |outcome, latency| QueryResponse {
+                        outcome,
+                        route: Some(BatchRoute {
+                            shard,
+                            batch_seq: batch.seq,
+                            batch_size,
+                            trigger: batch.trigger,
+                        }),
+                        latency,
+                        served_epsilon: batch.epsilon,
+                    };
+                    for pending in &batch.requests {
+                        let outcome = attempt(&pending.query);
+                        let now = clock();
+                        let response = respond(outcome, now - pending.submitted_at);
+                        // Copies of a panicked leader re-run alone, one
+                        // attempt each, at the batch's ε.
                         for copy in pending.resolve(&stats, response, now) {
                             cells.queries.inc();
-                            let mut out = [None];
-                            let one = std::slice::from_ref(&pending.query);
-                            isolate_into(session, one, &[0], &mut out, restarts, batch.epsilon);
-                            let [result] = out;
-                            let latency = clock() - copy.submitted_at;
-                            stats.answer(&copy.reply, respond(result, latency));
+                            let outcome = attempt(&pending.query);
+                            stats
+                                .answer(&copy.reply, respond(outcome, clock() - copy.submitted_at));
                         }
                     }
-                    let lps_after = session.lps_solved();
-                    stats.lps_solved.add(lps_after - isolated);
-                    span.record("lps_delta", lps_after - lps_before);
-                    span.record("restarts_delta", restarts.get() - restarts_before);
+                    span.record("lps_delta", thread_solved() - lps_before);
+                    span.record("restarts_delta", cells.restarts.get() - restarts_before);
                 }
             });
         }
@@ -2002,8 +1968,8 @@ mod tests {
         assert_eq!(stats.completed, 3);
         assert_eq!(stats.quarantined, 1);
         assert_eq!(stats.submitted, 4);
-        assert!(
-            stats.per_shard[0].restarts >= 1,
+        assert_eq!(
+            stats.per_shard[0].restarts, 1,
             "the caught panic counts as a restart"
         );
     }
@@ -2051,7 +2017,7 @@ mod tests {
                 "statistic {bad}: the batch-mate diverged"
             );
             assert_eq!((stats.completed, stats.quarantined), (1, 2));
-            assert_eq!(stats.per_shard[0].restarts, 0, "nothing to bisect");
+            assert_eq!(stats.per_shard[0].restarts, 0, "nothing panicked");
             assert_eq!(stats.queue_depth_peak, 1);
         }
     }
@@ -2084,8 +2050,8 @@ mod tests {
                 .collect::<Vec<_>>()
         });
         let mut responses = tickets.into_iter().map(|t| t.wait());
-        // Bisection re-runs the query alone, where its lift meets the
-        // cache cell the first panic poisoned.
+        // The lift's own assertion, or a copy of the query meeting the
+        // cache cell that panic poisoned.
         match responses.next().unwrap().outcome {
             QueryOutcome::Panicked { message } => assert!(
                 message.contains("non-finite cost") || message.contains("lift builder panicked"),
@@ -2144,17 +2110,24 @@ mod tests {
         assert_eq!((stats.completed, stats.quarantined), (1, 1));
     }
 
-    /// Bisection attributes panics exactly: with 1 poison (then 2) in a
-    /// six-query batch, precisely the marked queries are quarantined.
+    /// Panics are attributed exactly: with 1 poison (then 2) in a
+    /// six-query batch, precisely the marked queries are quarantined, and
+    /// every query of the batch ran exactly one attempt.
     #[test]
-    fn bisection_attribution_is_exact() {
+    fn panic_attribution_is_exact() {
         silence_injected_panics();
         let model = CloudCostModel::default();
         let queries = distinct_workload(4, 6, 13);
         for poisoned in [vec![1usize], vec![1, 4]] {
             let mut plan = FaultPlan::new();
-            for &i in &poisoned {
-                plan.mark(&queries[i], Fault::poison());
+            for (i, q) in queries.iter().enumerate() {
+                // A no-op fault still logs the query's attempts.
+                let fault = if poisoned.contains(&i) {
+                    Fault::poison()
+                } else {
+                    Fault::default()
+                };
+                plan.mark(q, fault);
             }
             let plan = Arc::new(plan);
             let shard_sessions = sessions_with_plan(&model, 1, None, Some(&plan));
@@ -2174,9 +2147,40 @@ mod tests {
                     OutcomeKind::Ok
                 };
                 assert_eq!(*kind, expected, "query {i} with poisons {poisoned:?}");
+                assert_eq!(plan.attempts_of(&queries[i]), 1, "query {i} ran once");
             }
             assert_eq!(stats.quarantined, poisoned.len() as u64);
+            assert_eq!(stats.per_shard[0].restarts, stats.quarantined);
             assert_eq!(stats.completed, (queries.len() - poisoned.len()) as u64);
+        }
+    }
+
+    /// A query's outcome does not depend on its batch: a `transient(1)`
+    /// query panics on its one attempt whether it is submitted alone or
+    /// in a batch of four.
+    #[test]
+    fn transient_fault_outcome_is_independent_of_batch() {
+        silence_injected_panics();
+        let model = CloudCostModel::default();
+        let queries = distinct_workload(3, 4, 7);
+        for batch in [1usize, 4] {
+            let mut plan = FaultPlan::new();
+            plan.mark(&queries[0], Fault::transient(1));
+            let plan = Arc::new(plan);
+            let shard_sessions = sessions_with_plan(&model, 1, None, Some(&plan));
+            let config = ServiceConfig::new(BatchPolicy::new(100, Duration::from_secs(3600)))
+                .with_clock(VirtualClock::new().clock());
+            let (tickets, stats) = serve(&shard_sessions, config, |handle| {
+                queries[..batch]
+                    .iter()
+                    .map(|q| handle.submit(q.clone()))
+                    .collect::<Vec<_>>()
+            });
+            let kinds: Vec<OutcomeKind> = tickets.into_iter().map(|t| t.wait().kind()).collect();
+            assert_eq!(kinds[0], OutcomeKind::Panicked, "batch of {batch}");
+            assert!(kinds[1..].iter().all(|&k| k == OutcomeKind::Ok));
+            assert_eq!(plan.attempts_of(&queries[0]), 1, "batch of {batch}");
+            assert_eq!((stats.quarantined, stats.per_shard[0].restarts), (1, 1));
         }
     }
 
@@ -2407,15 +2411,19 @@ mod tests {
         );
     }
 
-    /// Quarantine bisection preserves the batch's ε: healthy batch-mates
-    /// of a poison query in a downgraded batch still come back stamped.
+    /// Quarantine preserves the batch's ε: healthy batch-mates of a
+    /// poison query in a downgraded batch still come back stamped, each
+    /// after exactly one attempt.
     #[test]
-    fn bisection_preserves_batch_epsilon() {
+    fn quarantine_preserves_batch_epsilon() {
         silence_injected_panics();
         let model = CloudCostModel::default();
         let queries = distinct_workload(3, 4, 7);
         let mut plan = FaultPlan::new();
         plan.mark(&queries[0], Fault::poison());
+        for q in &queries[1..] {
+            plan.mark(q, Fault::default());
+        }
         let plan = Arc::new(plan);
         let shard_sessions = sessions_with_plan(&model, 1, None, Some(&plan));
         let vclock = VirtualClock::new();
@@ -2448,8 +2456,11 @@ mod tests {
             assert_eq!(
                 resp.served_epsilon,
                 Some(0.1),
-                "bisection replays keep the batch's ε"
+                "batch-mates keep the batch's ε"
             );
+        }
+        for q in &queries[..3] {
+            assert_eq!(plan.attempts_of(q), 1, "one attempt per query");
         }
         assert_eq!(stats.quarantined, 1);
         assert_eq!(stats.approx_served, 3 - 1);
@@ -2568,7 +2579,8 @@ mod tests {
 
     /// With observability on, the registry is the service's counter
     /// store: each `ServiceStats` field equals its `service_*` registry
-    /// cell (per shard too), the conservation identity re-derives from
+    /// cell (per shard too, the shard sessions' cache counters
+    /// included), the conservation identity re-derives from
     /// the registry alone, and the latency percentiles come from the
     /// registry's own `service_latency_seconds` histogram.
     #[test]
@@ -2613,7 +2625,15 @@ mod tests {
             assert_eq!(get(&format!("service_shard{i}_queries")), shard.queries);
             assert_eq!(get(&format!("service_shard{i}_batches")), shard.batches);
             assert_eq!(get(&format!("service_shard{i}_restarts")), shard.restarts);
+            for (cache, stats) in [("lift", shard.cache), ("subtree", shard.subtree)] {
+                let cells = registry.cache(&format!("service_shard{i}_{cache}_cache"));
+                assert_eq!((cells.hits(), cells.misses()), (stats.hits, stats.misses));
+            }
         }
+        assert!(
+            stats.per_shard[0].cache.misses > 0,
+            "the caches saw traffic"
+        );
         assert_eq!(
             registry.gauge("service_queue_depth_peak").get(),
             stats.queue_depth_peak
@@ -2910,7 +2930,7 @@ mod tests {
             reference
         );
         assert_eq!((stats.quarantined, stats.coalesced), (4, 3));
-        assert!(stats.per_shard[0].restarts >= stats.quarantined);
+        assert_eq!(stats.per_shard[0].restarts, stats.quarantined);
 
         let (tickets, stats) = serve(&shard_sessions, frozen(), |handle| {
             [
@@ -2927,7 +2947,7 @@ mod tests {
             "the copy's own attempt succeeds"
         );
         assert_eq!((stats.quarantined, stats.completed), (1, 1));
-        assert!(stats.per_shard[0].restarts >= stats.quarantined);
+        assert_eq!(stats.per_shard[0].restarts, stats.quarantined);
     }
 
     /// A copy of an ε-downgraded leader carries its `served_epsilon` and

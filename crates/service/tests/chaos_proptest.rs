@@ -15,20 +15,21 @@
 //! 4. the counters conserve: `submitted == completed + rejected +
 //!    timed_out + quarantined` (with `rejected == timed_out == 0` here —
 //!    no admission control or deadlines in these cases), and each
-//!    quarantined poison costs at least one worker restart.
+//!    quarantined poison costs exactly one worker restart: every query
+//!    gets one attempt, and no healthy batch-mate is ever re-run.
 //!
 //! Half the cases additionally run under
 //! `ApproxPolicy::deadline_only(0.1)`: ε-served completions still count
 //! toward the conservation identity (`approx_served ≤ completed`),
 //! quarantine still catches every poison, and a healthy response stamped
-//! `served_epsilon` must carry the policy's ε — bisection replays of a
-//! downgraded batch preserve the batch ε — with a frontier no larger
+//! `served_epsilon` must carry the policy's ε — every attempt of a
+//! downgraded batch runs at the batch ε — with a frontier no larger
 //! than the exact reference and every exact cost vector (1+ε)-dominated.
 //!
-//! Faults here are always-poison (`FaultConfig::poison_only`): which
-//! *attempt* of a transient fault panics depends on how bisection
-//! regroups retries, so transient semantics are covered by unit tests,
-//! while this suite holds the grouping-independent invariants across
+//! Faults here are always-poison (`FaultConfig::poison_only`), whose
+//! outcome never depends on how many attempts ran before; transient
+//! semantics are covered by unit tests, while this suite holds the
+//! grouping-independent invariants across
 //! random traces × policies × shard counts {1, 2, 4}.
 //!
 //! [`QueryOutcome`]: mpq_service::QueryOutcome
@@ -212,9 +213,10 @@ proptest! {
                 );
             }
             let restarts: u64 = stats.per_shard.iter().map(|s| s.restarts).sum();
-            prop_assert!(
-                restarts >= stats.quarantined,
-                "each quarantined poison costs at least its leaf restart"
+            prop_assert_eq!(
+                restarts,
+                stats.quarantined,
+                "each quarantined query costs exactly its one panicked attempt"
             );
             if n_poisoned == 0 {
                 prop_assert_eq!(restarts, 0u64, "no faults, no restarts");
@@ -239,8 +241,8 @@ proptest! {
                 let solution = resp.outcome.ok().expect("healthy query completes");
                 let space = sessions.shard(route.shard).space();
                 if let Some(e) = served_epsilon {
-                    // A deadline-downgraded batch — bisection replays of
-                    // its poisoned members must preserve the batch ε.
+                    // A deadline-downgraded batch: every attempt in it,
+                    // its poisoned members' included, runs at the batch ε.
                     eps_served += 1;
                     prop_assert_eq!(
                         Some(e),
@@ -358,7 +360,7 @@ fn chaos_trace_replays_exactly() {
     let [completed, quarantined, restarts, _, lps] = counters;
     assert!(quarantined > 0, "rate 0.4 over 8 queries must poison");
     assert!(completed > 0, "healthy queries must survive");
-    assert!(restarts >= quarantined);
+    assert_eq!(restarts, quarantined, "one restart per quarantined query");
     assert!(lps > 0, "healthy queries must solve LPs");
     assert_eq!(run(), (outcomes, counters), "the chaos run replays exactly");
 }

@@ -207,25 +207,24 @@ proptest! {
     }
 }
 
-/// Summed `(plans_created, final_plans, per-batch LPs)` of `queries`,
+/// Summed `(plans_created, final_plans, lps_solved_query)` of `queries`,
 /// each optimized alone through a plain session on a fresh space.
 fn one_by_one(queries: &[Query], opt: &OptimizerConfig, model: &CloudCostModel) -> [u64; 3] {
     queries.iter().fold([0; 3], |[plans, finals, lps], q| {
         let space = GridSpace::for_unit_box(1, opt, 2).expect("grid space");
         let session = OptimizerSession::new(space, model, opt.clone());
-        let (solutions, batch_lps) = session.optimize_batch_counted(std::slice::from_ref(q));
-        let stats = &solutions[0].stats;
+        let stats = session.optimize(q).stats;
         [
             plans + stats.plans_created,
             finals + stats.final_plan_count as u64,
-            lps + batch_lps,
+            lps + stats.lps_solved_query,
         ]
     })
 }
 
 /// The service's own counters against one-by-one sessions on a fixed
 /// trace: ten 4-table 1-parameter chains over the same tables, at 1 and
-/// 2 shards. The summed plans and the per-batch LPs equal the one-by-one
+/// 2 shards. The summed plans and the solved LPs equal the one-by-one
 /// runs, every query solves LPs (so the LP equalities cannot hold at
 /// 0 = 0), and the batching counters replay exactly. Digest-distinct
 /// queries batch by size, share lifts, and with the subtree cache on
@@ -325,7 +324,7 @@ fn service_counters_equal_one_by_one_sessions() {
         );
         assert_eq!(
             stats.lps_solved, ref_lps,
-            "service per-batch LPs diverged from one-by-one ({shards} shards)"
+            "service LPs diverged from one-by-one ({shards} shards)"
         );
         let (_, replay) = run(&distinct, shards, Some(0));
         assert_eq!(
