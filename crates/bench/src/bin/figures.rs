@@ -248,12 +248,18 @@ fn bound() {
         );
         averages.push((l, avg));
     }
+    // Configurations may share an `l` ((2, 2) and (1, 3) both give 6),
+    // and §6.3 orders nothing among them: every average at an `l` must
+    // exceed every average at the next smaller `l`.
     averages.sort_by_key(|&(l, _)| l);
-    for pair in averages.windows(2) {
-        assert!(
-            pair[0].1 < pair[1].1,
-            "Pareto-set size must grow with l: {pair:?}"
-        );
+    for &(l, avg) in &averages {
+        let next = averages.iter().map(|&(k, _)| k).find(|&k| k > l);
+        for &(k, larger) in averages.iter().filter(|&&(k, _)| Some(k) == next) {
+            assert!(
+                avg < larger,
+                "Pareto-set size must grow with l: {avg} at l = {l}, {larger} at l = {k}"
+            );
+        }
     }
     println!("  -> retained-set size grows steeply with l, as §6.3 predicts.\n");
 }

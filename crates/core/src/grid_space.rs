@@ -258,20 +258,10 @@ impl MpqSpace for GridSpace {
         true
     }
 
-    fn dominates_everywhere(&self, dominator: &GridCost, dominated: &GridCost) -> bool {
-        // Exact: linear functions on a simplex attain extrema at vertices.
-        dominator.dominates_everywhere(dominated)
-    }
-
-    fn dominates_everywhere_banded(
-        &self,
-        dominator: &GridCost,
-        dominated: &GridCost,
-        band: f64,
-    ) -> bool {
-        // Also vertex-exact: `dominator − band · dominated` is linear on
-        // each simplex, so its sign is decided at the vertices.
-        dominator.dominates_everywhere_banded(dominated, band)
+    fn dominates_everywhere(&self, dominator: &GridCost, dominated: &GridCost, band: f64) -> bool {
+        // Exact: `dominator − band · dominated` is linear on each simplex,
+        // so its sign is decided at the vertices.
+        dominator.dominates_everywhere(dominated, band)
     }
 
     fn region_contains(&self, region: &GridRegion, x: &[f64]) -> bool {
@@ -342,8 +332,8 @@ mod tests {
             space.region_is_empty(&mut rr),
             "equal-cost plan must be pruned"
         );
-        assert!(space.dominates_everywhere(&a, &b));
-        assert!(space.dominates_everywhere(&b, &a));
+        assert!(space.dominates_everywhere(&a, &b, 1.0));
+        assert!(space.dominates_everywhere(&b, &a, 1.0));
     }
 
     #[test]

@@ -125,13 +125,15 @@ pub struct OptimizerConfig {
     /// and results are identical for every value.
     pub threads: Option<usize>,
     /// Approximation factor of the ε-approximate frontier mode: during
-    /// pruning a **new** plan's relevance region is reduced wherever a
-    /// retained plan (1+ε)-band dominates it, collapsing near-duplicate
-    /// plans early (arXiv 1404.0046's coarsened dominance, applied inside
-    /// the DP). Retained plans are still reduced exactly, so every
-    /// exact-frontier plan stays (1+ε)-dominated by some kept plan — the
-    /// cover guarantee. `0.0` (the default) is **bit-identical** to the
-    /// exact optimizer on every code path.
+    /// pruning a **new** plan is discarded outright when some retained
+    /// plan `(1+ε)`-band dominates it everywhere, collapsing
+    /// near-duplicate plans early (arXiv 1404.0046's coarsened
+    /// dominance, applied inside the DP at `(1+ε)^(1/n)` per level).
+    /// Region subtraction stays exact, so every exact-frontier plan stays
+    /// (1+ε)-dominated by some kept plan — the cover guarantee. `0.0`
+    /// (the default) runs the same dominance tests at band 1.0, which is
+    /// exact dominance bit for bit: multiplying by `1.0` is exact in
+    /// IEEE-754.
     pub epsilon: f64,
 }
 

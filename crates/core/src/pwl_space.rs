@@ -28,7 +28,7 @@ use crate::space::MpqSpace;
 use crate::OptimizerConfig;
 use mpq_cost::{approx, MultiCostFn};
 use mpq_geometry::grid::{GridError, ParamGrid};
-use mpq_geometry::{Cutout, CutoutRegion, HalfspaceList, RegionBase, RegionEngine};
+use mpq_geometry::{Cutout, CutoutRegion, HalfspaceList, Polytope, RegionBase, RegionEngine};
 use mpq_lp::LpCtx;
 use std::sync::Arc;
 
@@ -130,6 +130,28 @@ impl PwlSpace {
                 _ => false,
             })
     }
+
+    /// Adds each dominance polytope to `state` as a cutout (Figure 10),
+    /// with the §6.2 refinements applied by the shared engine, until the
+    /// region is marked empty.
+    fn add_cutouts(&self, state: &mut CutoutRegion, dom: Vec<Polytope>) {
+        for poly in dom {
+            if state.is_marked_empty() {
+                break;
+            }
+            let halfspaces: HalfspaceList = poly.halfspaces().iter().cloned().collect();
+            if halfspaces.is_empty() {
+                // An unconstrained dominance polytope covers the whole
+                // parameter space.
+                state.mark_empty();
+                break;
+            }
+            // Algorithm 3 already verified the polytope has interior, so
+            // the engine skips its emptiness precheck.
+            self.engine
+                .add_cutout(&self.ctx, &self.base, state, halfspaces, true);
+        }
+    }
 }
 
 impl MpqSpace for PwlSpace {
@@ -183,64 +205,39 @@ impl MpqSpace for PwlSpace {
         if strict && self.probably_identical(own, competitor) {
             return false;
         }
-        let dom = competitor.dominance_regions(own, &self.ctx);
+        let dom = competitor.dominance_regions(own, 1.0, &self.ctx);
         if dom.is_empty() {
             return false;
         }
-        for poly in dom {
-            if region.state.is_marked_empty() {
-                break;
-            }
-            let halfspaces: HalfspaceList = poly.halfspaces().iter().cloned().collect();
-            if halfspaces.is_empty() {
-                // An unconstrained dominance polytope covers the whole
-                // parameter space.
-                region.state.mark_empty();
-                continue;
-            }
-            // Algorithm 3 already verified the polytope has interior, so
-            // the engine skips its emptiness precheck.
-            self.engine
-                .add_cutout(&self.ctx, &self.base, &mut region.state, halfspaces, true);
-        }
+        self.add_cutouts(&mut region.state, dom);
         true
     }
 
-    /// Banded whole-space dominance via a coverage check: `dominator`
-    /// `band`-dominates `dominated` everywhere iff the union of the banded
-    /// dominance polytopes (`dominator ≤ band · dominated`, Algorithm 3
-    /// with the shifted offsets) covers the parameter space — decided by
-    /// subtracting them from a throwaway full region and asking the shared
-    /// engine for emptiness. Exact up to LP tolerance, so no false
-    /// positives; `band == 1.0` takes the exact fast path (the trait
-    /// default) so the ε=0 run stays bit-identical.
-    fn dominates_everywhere_banded(
+    /// Whole-space dominance via a coverage check: `dominator`
+    /// `band`-dominates `dominated` everywhere iff the union of the
+    /// dominance polytopes (`dominator ≤ band · dominated`, Algorithm 3)
+    /// covers the parameter space — decided by subtracting them from a
+    /// throwaway full region and asking the shared engine for emptiness.
+    /// Exact up to LP tolerance, so no false positives.
+    ///
+    /// At band 1 it answers `false` without looking, so exact runs leave
+    /// whole-space dominance to region subtraction; `false` is always
+    /// sound.
+    fn dominates_everywhere(
         &self,
         dominator: &MultiCostFn,
         dominated: &MultiCostFn,
         band: f64,
     ) -> bool {
         if band == 1.0 {
-            return self.dominates_everywhere(dominator, dominated);
+            return false;
         }
-        let dom = dominator.dominance_regions_banded(dominated, band, &self.ctx);
+        let dom = dominator.dominance_regions(dominated, band, &self.ctx);
         if dom.is_empty() {
             return false;
         }
         let mut state = CutoutRegion::Full;
-        for poly in dom {
-            if state.is_marked_empty() {
-                break;
-            }
-            let halfspaces: HalfspaceList = poly.halfspaces().iter().cloned().collect();
-            if halfspaces.is_empty() {
-                // An unconstrained polytope covers the whole space.
-                state.mark_empty();
-                continue;
-            }
-            self.engine
-                .add_cutout(&self.ctx, &self.base, &mut state, halfspaces, true);
-        }
+        self.add_cutouts(&mut state, dom);
         self.engine
             .region_is_empty(&self.ctx, &self.base, &mut state)
     }

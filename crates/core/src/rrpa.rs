@@ -758,14 +758,13 @@ fn register_level_result<S: MpqSpace>(
 /// plan dominates everywhere meets the subtraction loop unchanged.
 ///
 /// With `ctx.band > 1` (ε-approximate mode) the band is applied **only**
-/// as this whole-plan discard ([`MpqSpace::dominates_everywhere_banded`]);
-/// all region subtraction — insertion and retained phase alike — stays
-/// exact. Exact removals transfer coverage at factor 1 and a discard
-/// cites a *relevant* plan directly, so every coverage chain crosses at
-/// most one banded link per DP level and the whole run stays within
-/// `(1+ε)` for `band = (1+ε)^(1/n)` (`n` = table count). Banded *partial*
-/// cuts are deliberately excluded — see the trait docs for the
-/// counterexample.
+/// in this whole-plan discard; all region subtraction — insertion and
+/// retained phase alike — stays exact. Exact removals transfer coverage
+/// at factor 1 and a discard cites a *relevant* plan directly, so every
+/// coverage chain crosses at most one banded link per DP level and the
+/// whole run stays within `(1+ε)` for `band = (1+ε)^(1/n)` (`n` = table
+/// count). Banded *partial* cuts are deliberately excluded — see the
+/// trait docs for the counterexample.
 fn prune<S: MpqSpace, M: ParametricCostModel + ?Sized>(
     ctx: RunCtx<'_, S, M>,
     plans: &mut Vec<PendingPlan<S>>,
@@ -775,21 +774,15 @@ fn prune<S: MpqSpace, M: ParametricCostModel + ?Sized>(
 ) {
     let space = ctx.space;
     let config = ctx.config;
-    // Whole-space discard first. ε-approximate mode replaces the exact
-    // test with the banded one — it *is* the approximation, so it is not
-    // gated on `pvi_fastpath`. The discard cites `old` directly: wherever
-    // `old` is no longer relevant, the (exact) chain of removals that cut
-    // its region already ends at relevant plans.
-    let discard = if ctx.band > 1.0 {
-        plans
+    // Whole-space discard first. In ε-approximate mode the banded test
+    // *is* the approximation, so it runs whether or not `pvi_fastpath`
+    // is on. The discard cites `old` directly: wherever `old` is no
+    // longer relevant, the (exact) chain of removals that cut its region
+    // already ends at relevant plans.
+    let discard = (ctx.band > 1.0 || config.pvi_fastpath)
+        && plans
             .iter()
-            .any(|old| space.dominates_everywhere_banded(&old.cost, &cost, ctx.band))
-    } else {
-        config.pvi_fastpath
-            && plans
-                .iter()
-                .any(|old| space.dominates_everywhere(&old.cost, &cost))
-    };
+            .any(|old| space.dominates_everywhere(&old.cost, &cost, ctx.band));
     if discard {
         tally.plans_pruned += 1;
         return;
@@ -806,7 +799,7 @@ fn prune<S: MpqSpace, M: ParametricCostModel + ?Sized>(
     }
     // The new plan survives: shrink retained plans' RRs (lines 46–54).
     plans.retain_mut(|old| {
-        if config.pvi_fastpath && space.dominates_everywhere(&cost, &old.cost) {
+        if config.pvi_fastpath && space.dominates_everywhere(&cost, &old.cost, 1.0) {
             tally.plans_pruned += 1;
             return false;
         }
@@ -1141,7 +1134,7 @@ mod tests {
         let partial = space.lift(&|x: &[f64]| vec![x[0] + 0.2, x[0] + 0.2]);
         let everywhere = space.lift(&|_x: &[f64]| vec![0.1, 0.1]);
         let newcomer = space.lift(&|_x: &[f64]| vec![0.5, 0.5]);
-        assert!(!space.dominates_everywhere(&partial, &newcomer));
+        assert!(!space.dominates_everywhere(&partial, &newcomer, 1.0));
         let mut plans = vec![retained(partial), retained(everywhere)];
         let regions_before: Vec<String> = plans.iter().map(|p| format!("{:?}", p.region)).collect();
         let counters = || {

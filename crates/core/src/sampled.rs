@@ -186,25 +186,12 @@ impl MpqSpace for SampledSpace {
         region.alive == 0
     }
 
-    fn dominates_everywhere(&self, dominator: &SampledCost, dominated: &SampledCost) -> bool {
-        (0..self.points.len()).all(|idx| {
-            dominates(
-                self.value(dominator, idx),
-                self.value(dominated, idx),
-                self.tol,
-            )
-        })
-    }
-
-    fn dominates_everywhere_banded(
+    fn dominates_everywhere(
         &self,
         dominator: &SampledCost,
         dominated: &SampledCost,
         band: f64,
     ) -> bool {
-        if band == 1.0 {
-            return self.dominates_everywhere(dominator, dominated);
-        }
         (0..self.points.len()).all(|idx| {
             dominates_banded(
                 self.value(dominator, idx),
@@ -260,7 +247,7 @@ mod tests {
         let best = s.lift(&|_x: &[f64]| vec![0.0, 0.0]);
         s.subtract_dominated(&mut rr, &own, &best, false);
         assert!(s.region_is_empty(&mut rr));
-        assert!(s.dominates_everywhere(&best, &own));
+        assert!(s.dominates_everywhere(&best, &own, 1.0));
     }
 
     #[test]

@@ -155,17 +155,6 @@ impl SessionConfig {
         self.subtree_cached = false;
         self
     }
-
-    /// Sets the ε-approximation factor of every optimization run in the
-    /// session (see [`OptimizerConfig::epsilon`]): plans within a
-    /// multiplicative `(1+ε)` band of a retained plan are pruned during
-    /// the DP. `0.0` (the default) is bit-identical to the exact
-    /// optimizer; per-call overrides are available through
-    /// [`OptimizerSession::optimize_batch_at`].
-    pub fn with_epsilon(mut self, epsilon: f64) -> Self {
-        self.optimizer.epsilon = epsilon;
-        self
-    }
 }
 
 /// The **shard affinity** of a query: a stable digest of its scan cost

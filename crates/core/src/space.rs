@@ -107,17 +107,16 @@ pub trait MpqSpace {
     /// the verdict (e.g. mark a covered simplex as empty).
     fn region_is_empty(&self, region: &mut Self::Region) -> bool;
 
-    /// Cheap *exact* sufficient test that `dominator` dominates
-    /// `dominated` over the whole parameter space. Must never return a
-    /// false positive (plans are discarded on its say-so); returning
-    /// `false` when unsure is always sound. Default: no fast path.
-    fn dominates_everywhere(&self, _dominator: &Self::Cost, _dominated: &Self::Cost) -> bool {
-        false
-    }
-
-    /// [`MpqSpace::dominates_everywhere`] under a multiplicative band: a
-    /// sound test that `dominator ≤ band · dominated` over the whole
-    /// parameter space — the **whole-plan discard** of ε-approximate
+    /// Sound test that `dominator ≤ band · dominated` over the whole
+    /// parameter space. Must never return a false positive (plans are
+    /// discarded on its say-so); returning `false` when unsure is always
+    /// sound.
+    ///
+    /// `band = 1` is exact dominance: RRPA's §6.3-style whole-space fast
+    /// path. Multiplying by `1.0` is exact in IEEE-754, so each backend's
+    /// arithmetic at band 1 *is* the exact test, bit for bit.
+    ///
+    /// `band = 1 + ε` is the **whole-plan discard** of ε-approximate
     /// pruning (the many-objective approximation scheme of
     /// arXiv 1404.0046, applied per DP level): a newcomer that some
     /// retained plan `(1+ε)`-dominates everywhere is dropped entirely,
@@ -129,19 +128,12 @@ pub trait MpqSpace {
     /// contrast, let near-tied plans remove each other (the strict
     /// retained-phase reduction can fire where the band also fires),
     /// leaving points no relevant plan covers.
-    ///
-    /// Same soundness bar as the exact test (no false positives), and
-    /// `band == 1.0` must equal the exact fast path bit for bit.
-    /// Default: delegate to the exact test (sound — exact dominance
-    /// implies banded dominance for `band ≥ 1`, never approximate).
-    fn dominates_everywhere_banded(
+    fn dominates_everywhere(
         &self,
         dominator: &Self::Cost,
         dominated: &Self::Cost,
-        _band: f64,
-    ) -> bool {
-        self.dominates_everywhere(dominator, dominated)
-    }
+        band: f64,
+    ) -> bool;
 
     /// True iff `x` belongs to `region` (diagnostics and plan selection).
     /// Subtracted dominance regions are treated as open: boundary points,

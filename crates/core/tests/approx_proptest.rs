@@ -288,3 +288,115 @@ fn epsilon_solves_no_more_lps_than_exact() {
         "ε = 0.1 must not solve more LPs than the exact run ({approx_lps} vs {exact_lps})"
     );
 }
+
+/// FNV-1a over the frontiers at the fixed probes: per probe its length,
+/// then each plan id and the bits of each cost.
+fn frontier_digest(frontiers: &[Vec<(mpq_core::plan::PlanId, Vec<f64>)>]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |word: u64| {
+        for byte in word.to_le_bytes() {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for frontier in frontiers {
+        mix(frontier.len() as u64);
+        for (id, costs) in frontier {
+            mix(u64::from(id.0));
+            for c in costs {
+                mix(c.to_bits());
+            }
+        }
+    }
+    h
+}
+
+/// `(plans_created, plans_pruned, final plans, lps_solved_query,
+/// frontier digest)` of one ε > 0 run.
+type Pin = (u64, u64, usize, u64, u64);
+
+fn pin_of<S: MpqSpace>(space: &S, sol: &MpqSolution<S>) -> Pin {
+    let fp = fingerprint(space, sol);
+    (
+        fp.plans_created,
+        fp.plans_pruned,
+        fp.final_plans,
+        sol.stats.lps_solved_query,
+        frontier_digest(&fp.frontiers),
+    )
+}
+
+/// The ε > 0 answers, pinned bit for bit: grid and sampled chain-4/2 and
+/// star-4/2 at seeds 0–1, plus a 2-table, 2-parameter query on the
+/// general pwl backend, each at ε ∈ {0.01, 0.1}. The cover proptest
+/// above checks only the (1+ε) cover and frontier sizes; this pins the
+/// counters, the LP count and the frontiers themselves, so a refactor of
+/// the banded predicates cannot move an approximate answer unseen.
+#[test]
+fn epsilon_answers_are_pinned() {
+    #[rustfmt::skip]
+    const PINS: &[(&str, &str, u64, f64, Pin)] = &[
+        ("grid", "chain", 0, 0.01, (298, 220, 30, 4346, 16135524970028124520)),
+        ("grid", "chain", 0, 0.1, (274, 204, 27, 3414, 3846451500733818624)),
+        ("grid", "chain", 1, 0.01, (222, 166, 29, 3107, 11938439756100898725)),
+        ("grid", "chain", 1, 0.1, (214, 164, 24, 2255, 12682678415933722580)),
+        ("grid", "star", 0, 0.01, (334, 207, 74, 9348, 5212796951219174783)),
+        ("grid", "star", 0, 0.1, (310, 206, 56, 6271, 4547468756370397307)),
+        ("grid", "star", 1, 0.01, (390, 298, 26, 7573, 17530212615246607077)),
+        ("grid", "star", 1, 0.1, (382, 294, 24, 6760, 9080374454742232255)),
+        ("sampled", "chain", 0, 0.01, (226, 183, 9, 0, 14544436439347657447)),
+        ("sampled", "chain", 0, 0.1, (218, 178, 8, 0, 16555838934950937988)),
+        ("sampled", "chain", 1, 0.01, (190, 152, 15, 0, 15594135900580845524)),
+        ("sampled", "chain", 1, 0.1, (190, 151, 16, 0, 10911009251170391010)),
+        ("sampled", "star", 0, 0.01, (226, 170, 24, 0, 8968444148154293680)),
+        ("sampled", "star", 0, 0.1, (226, 174, 20, 0, 127553075024077624)),
+        ("sampled", "star", 1, 0.01, (310, 248, 13, 0, 1461763939219636943)),
+        ("sampled", "star", 1, 0.1, (310, 248, 13, 0, 16930815165366487817)),
+        ("pwl", "chain", 0, 0.01, (20, 9, 7, 11631, 7615074744099151248)),
+        ("pwl", "chain", 0, 0.1, (20, 9, 7, 11980, 7615074744099151248)),
+    ];
+    let model = CloudCostModel::default();
+    let run = |backend: &str, topology: &str, seed: u64, epsilon: f64| -> Pin {
+        let (tables, topo) = match (backend, topology) {
+            ("pwl", _) => (2, Topology::Chain),
+            (_, "star") => (4, Topology::Star),
+            _ => (4, Topology::Chain),
+        };
+        let query = generate(
+            &GeneratorConfig::paper(tables, topo, 2),
+            &mut StdRng::seed_from_u64(seed),
+        );
+        let config = OptimizerConfig {
+            threads: Some(1),
+            epsilon,
+            ..OptimizerConfig::default_for(2)
+        };
+        match backend {
+            "grid" => {
+                let space = GridSpace::for_unit_box(2, &config, 2).expect("grid space");
+                pin_of(&space, &optimize(&query, &model, &space, &config))
+            }
+            "sampled" => {
+                let space = SampledSpace::lattice(&[0.0, 0.0], &[1.0, 1.0], 4, 2);
+                pin_of(&space, &optimize(&query, &model, &space, &config))
+            }
+            _ => {
+                let space = PwlSpace::for_unit_box(2, &config, 2).expect("pwl space");
+                pin_of(&space, &optimize(&query, &model, &space, &config))
+            }
+        }
+    };
+    let actual: Vec<(&str, &str, u64, f64, Pin)> = PINS
+        .iter()
+        .map(|&(backend, topology, seed, epsilon, _)| {
+            let pin = run(backend, topology, seed, epsilon);
+            (backend, topology, seed, epsilon, pin)
+        })
+        .collect();
+    let rendered: Vec<String> = actual.iter().map(|row| format!("{row:?},")).collect();
+    assert_eq!(
+        actual.as_slice(),
+        PINS,
+        "ε > 0 answers moved; the current rows are:\n{}",
+        rendered.join("\n")
+    );
+}

@@ -41,16 +41,18 @@ pub fn cost_le(a: f64, b: f64) -> bool {
     a <= b + 1e-9 + 1e-12 * a.abs().max(b.abs())
 }
 
-/// How one plan's metric compares to another's within one simplex.
+/// How one plan's metric compares to `band` times another's within one
+/// simplex ([`GridCost::classify_metric`]).
 #[derive(Debug, Clone)]
 pub enum MetricOnSimplex {
-    /// `self ≤ other` on the whole simplex (all vertex differences ≤ 0).
+    /// `self ≤ band · other` on the whole simplex (all vertex
+    /// differences ≤ 0).
     AlwaysLe,
-    /// `self > other` on the whole simplex (all vertex differences > 0):
-    /// the dominance region is empty for this metric.
+    /// `self > band · other` on the whole simplex (all vertex differences
+    /// > 0): the dominance region is empty for this metric.
     NeverLe,
     /// The comparison flips across the hyperplane carried here
-    /// (`{x : self(x) ≤ other(x)}` within the simplex).
+    /// (`{x : self(x) ≤ band · other(x)}` within the simplex).
     Split(Halfspace),
 }
 
@@ -254,81 +256,25 @@ impl GridCost {
         }
     }
 
-    /// Classifies metric `m` of `self` against `other` on one simplex by
-    /// comparing vertex values (exact — a linear function on a simplex
-    /// attains its extrema at vertices).
+    /// Classifies where `self ≤ band · other` holds for metric `metric` on
+    /// one simplex, by comparing vertex values (exact — the difference
+    /// `self − band · other` is linear on the simplex, so it attains its
+    /// extrema at vertices). `band = 1` is exact dominance, `band = 1 + ε`
+    /// its (1+ε) relaxation; multiplying by `1.0` is exact in IEEE-754,
+    /// so band 1 yields the unscaled difference bit for bit.
     pub fn classify_metric(
-        &self,
-        other: &GridCost,
-        metric: usize,
-        simplex: usize,
-    ) -> MetricOnSimplex {
-        let dim = self.grid.dim();
-        let mine = self.piece_slice(metric, simplex);
-        let theirs = other.piece_slice(metric, simplex);
-        // The difference piece `d = mine − theirs`, evaluated term-fused —
-        // identical float association to materialising `dw` and dotting.
-        let db = mine[dim] - theirs[dim];
-        let d_eval = |v: &[f64]| {
-            db + mine[..dim]
-                .iter()
-                .zip(&theirs[..dim])
-                .zip(v)
-                .map(|((a, b), x)| (a - b) * x)
-                .sum::<f64>()
-        };
-        let verts = &self.grid.simplex(simplex).vertices;
-        let mut any_le = false;
-        let mut any_gt = false;
-        for v in verts {
-            if cost_le(d_eval(v), 0.0) {
-                any_le = true;
-            } else {
-                any_gt = true;
-            }
-        }
-        match (any_le, any_gt) {
-            (true, false) => MetricOnSimplex::AlwaysLe,
-            (false, _) => MetricOnSimplex::NeverLe,
-            (true, true) => {
-                // d(x) ≤ 0  ⇔  dw · x ≤ −db. The weight difference is only
-                // materialised for this (rare) split case.
-                let dw: SmallVec<[f64; 8]> = mine[..dim]
-                    .iter()
-                    .zip(&theirs[..dim])
-                    .map(|(a, b)| a - b)
-                    .collect();
-                match Halfspace::new(&dw[..], -db) {
-                    HalfspaceKind::Proper(h) => MetricOnSimplex::Split(h),
-                    // Degenerate cases are covered by the vertex test above.
-                    HalfspaceKind::AlwaysTrue => MetricOnSimplex::AlwaysLe,
-                    HalfspaceKind::AlwaysFalse => MetricOnSimplex::NeverLe,
-                }
-            }
-        }
-    }
-
-    /// [`GridCost::classify_metric`] under a multiplicative `(1+ε)` band:
-    /// classifies where `self ≤ band · other` on the simplex. With
-    /// `band == 1.0` it delegates to the exact classification (identical
-    /// code path, bit for bit). Like the exact case, the comparison is
-    /// vertex-exact: `self − band·other` is linear on the simplex, so its
-    /// sign pattern at the vertices decides the whole simplex.
-    pub fn classify_metric_banded(
         &self,
         other: &GridCost,
         metric: usize,
         simplex: usize,
         band: f64,
     ) -> MetricOnSimplex {
-        if band == 1.0 {
-            return self.classify_metric(other, metric, simplex);
-        }
         let dim = self.grid.dim();
         let mine = self.piece_slice(metric, simplex);
         let theirs = other.piece_slice(metric, simplex);
-        // The banded difference piece `d = mine − band · theirs`,
-        // term-fused exactly like the exact classification.
+        // The difference piece `d = mine − band · theirs`, evaluated
+        // term-fused — identical float association to materialising `dw`
+        // and dotting.
         let db = mine[dim] - band * theirs[dim];
         let d_eval = |v: &[f64]| {
             db + mine[..dim]
@@ -352,6 +298,8 @@ impl GridCost {
             (true, false) => MetricOnSimplex::AlwaysLe,
             (false, _) => MetricOnSimplex::NeverLe,
             (true, true) => {
+                // d(x) ≤ 0  ⇔  dw · x ≤ −db. The weight difference is only
+                // materialised for this (rare) split case.
                 let dw: SmallVec<[f64; 8]> = mine[..dim]
                     .iter()
                     .zip(&theirs[..dim])
@@ -359,6 +307,7 @@ impl GridCost {
                     .collect();
                 match Halfspace::new(&dw[..], -db) {
                     HalfspaceKind::Proper(h) => MetricOnSimplex::Split(h),
+                    // Degenerate cases are covered by the vertex test above.
                     HalfspaceKind::AlwaysTrue => MetricOnSimplex::AlwaysLe,
                     HalfspaceKind::AlwaysFalse => MetricOnSimplex::NeverLe,
                 }
@@ -401,37 +350,7 @@ impl GridCost {
         }
         let mut halfspaces = HalfspaceList::new();
         for m in 0..self.num_metrics {
-            match self.classify_metric(other, m, simplex) {
-                MetricOnSimplex::NeverLe => return DominanceHalfspaces::Empty,
-                MetricOnSimplex::AlwaysLe => {}
-                MetricOnSimplex::Split(h) => halfspaces.push(h),
-            }
-        }
-        if halfspaces.is_empty() {
-            DominanceHalfspaces::Full
-        } else {
-            DominanceHalfspaces::Split(halfspaces)
-        }
-    }
-
-    /// [`GridCost::dominance_halfspaces`] under a multiplicative band: the
-    /// halfspaces confining the region within one simplex where `self`
-    /// **(1+ε)-dominates** `other` — `self ≤ band · other` on every metric.
-    /// Always non-strict (RRPA applies the band only when reducing the
-    /// *incoming* plan's region; retained plans reduce exactly), and with
-    /// `band == 1.0` identical to the exact non-strict computation.
-    pub fn dominance_halfspaces_banded(
-        &self,
-        other: &GridCost,
-        simplex: usize,
-        band: f64,
-    ) -> DominanceHalfspaces {
-        if band == 1.0 {
-            return self.dominance_halfspaces(other, simplex, false);
-        }
-        let mut halfspaces = HalfspaceList::new();
-        for m in 0..self.num_metrics {
-            match self.classify_metric_banded(other, m, simplex, band) {
+            match self.classify_metric(other, m, simplex, 1.0) {
                 MetricOnSimplex::NeverLe => return DominanceHalfspaces::Empty,
                 MetricOnSimplex::AlwaysLe => {}
                 MetricOnSimplex::Split(h) => halfspaces.push(h),
@@ -465,27 +384,14 @@ impl GridCost {
         }
     }
 
-    /// True iff `self` dominates `other` over the entire parameter space —
-    /// at-most-equal per metric at every simplex vertex. Exact and LP-free.
-    pub fn dominates_everywhere(&self, other: &GridCost) -> bool {
-        (0..self.num_metrics).all(|m| {
-            (0..self.grid.num_simplices())
-                .all(|s| matches!(self.classify_metric(other, m, s), MetricOnSimplex::AlwaysLe))
-        })
-    }
-
-    /// True iff `self` **(1+ε)-dominates** `other` over the entire
-    /// parameter space: `self ≤ band · other` per metric at every simplex
-    /// vertex. Exact and LP-free; `band == 1.0` delegates to the exact
-    /// test.
-    pub fn dominates_everywhere_banded(&self, other: &GridCost, band: f64) -> bool {
-        if band == 1.0 {
-            return self.dominates_everywhere(other);
-        }
+    /// True iff `self ≤ band · other` over the entire parameter space —
+    /// per metric at every simplex vertex. Exact and LP-free; `band = 1`
+    /// is exact dominance (see [`GridCost::classify_metric`]).
+    pub fn dominates_everywhere(&self, other: &GridCost, band: f64) -> bool {
         (0..self.num_metrics).all(|m| {
             (0..self.grid.num_simplices()).all(|s| {
                 matches!(
-                    self.classify_metric_banded(other, m, s, band),
+                    self.classify_metric(other, m, s, band),
                     MetricOnSimplex::AlwaysLe
                 )
             })
@@ -558,10 +464,10 @@ mod tests {
         let grid = grid1d(4);
         let cheap = GridCost::from_closure(Arc::clone(&grid), 2, |x| vec![x[0], 1.0]);
         let pricey = GridCost::from_closure(Arc::clone(&grid), 2, |x| vec![x[0] + 0.5, 1.0]);
-        assert!(cheap.dominates_everywhere(&pricey));
-        assert!(!pricey.dominates_everywhere(&cheap));
+        assert!(cheap.dominates_everywhere(&pricey, 1.0));
+        assert!(!pricey.dominates_everywhere(&cheap, 1.0));
         // Equal functions dominate each other (non-strictly).
-        assert!(cheap.dominates_everywhere(&cheap.clone()));
+        assert!(cheap.dominates_everywhere(&cheap.clone(), 1.0));
     }
 
     #[test]
@@ -569,7 +475,7 @@ mod tests {
         let grid = grid1d(1); // single simplex [0, 1]
         let a = GridCost::from_closure(Arc::clone(&grid), 1, |x| vec![x[0]]);
         let b = GridCost::from_closure(Arc::clone(&grid), 1, |_| vec![0.25]);
-        match a.classify_metric(&b, 0, 0) {
+        match a.classify_metric(&b, 0, 0, 1.0) {
             MetricOnSimplex::Split(h) => {
                 // a ≤ b exactly on [0, 0.25].
                 assert!(h.contains(&[0.1]));
@@ -612,24 +518,19 @@ mod tests {
         // b sits within 5% above a everywhere: a band-dominates it at
         // ε = 0.1 but not exactly and not at ε = 0.01.
         let b = GridCost::from_closure(Arc::clone(&grid), 2, |x| vec![(x[0] + 1.0) * 1.05, 1.05]);
-        assert!(!b.dominates_everywhere(&a));
-        assert!(b.dominates_everywhere_banded(&a, 1.1));
-        assert!(!b.dominates_everywhere_banded(&a, 1.01));
-        // band == 1.0 is the exact test on every pair.
-        assert_eq!(
-            a.dominates_everywhere_banded(&b, 1.0),
-            a.dominates_everywhere(&b)
-        );
-        // Banded halfspaces widen the exact dominance region: where a = σ
-        // meets c = 0.25, the banded split boundary moves right.
+        assert!(!b.dominates_everywhere(&a, 1.0));
+        assert!(b.dominates_everywhere(&a, 1.1));
+        assert!(!b.dominates_everywhere(&a, 1.01));
+        // The band widens the split: where f = σ meets g = 0.25, the
+        // boundary of f ≤ band · g moves right.
         let grid1 = grid1d(1);
         let f = GridCost::from_closure(Arc::clone(&grid1), 1, |x| vec![x[0]]);
         let g = GridCost::from_closure(Arc::clone(&grid1), 1, |_| vec![0.25]);
-        match f.dominance_halfspaces_banded(&g, 0, 1.2) {
-            DominanceHalfspaces::Split(hs) => {
+        match f.classify_metric(&g, 0, 0, 1.2) {
+            MetricOnSimplex::Split(h) => {
                 // f ≤ 1.2·g exactly on [0, 0.3].
-                assert!(hs.iter().all(|h| h.contains(&[0.29])));
-                assert!(!hs.iter().all(|h| h.contains(&[0.31])));
+                assert!(h.contains(&[0.29]));
+                assert!(!h.contains(&[0.31]));
             }
             other => panic!("expected split, got {other:?}"),
         }

@@ -70,7 +70,7 @@ proptest! {
             PwlFn::from_linear(x.clone(), b_time.clone()),
             PwlFn::from_linear(x, b_fees.clone()),
         ]);
-        let dom = a.dominance_regions(&b, &ctx);
+        let dom = a.dominance_regions(&b, 1.0, &ctx);
         // Strictly-interior sample points avoid boundary ambiguity.
         for p in lattice(&[0.017], &[0.989], 31) {
             let should = a_time.eval(&p) <= b_time.eval(&p) + 1e-9
@@ -115,7 +115,7 @@ proptest! {
         let grid = Arc::new(ParamGrid::new(&[0.0, 0.0], &[1.0, 1.0], 2).unwrap());
         let a = GridCost::from_closure(Arc::clone(&grid), 1, |x| vec![fa.eval(x)]);
         let b = GridCost::from_closure(Arc::clone(&grid), 1, |x| vec![fb.eval(x)]);
-        if a.dominates_everywhere(&b) {
+        if a.dominates_everywhere(&b, 1.0) {
             for p in lattice(&[0.0, 0.0], &[1.0, 1.0], 6) {
                 prop_assert!(fa.eval(&p) <= fb.eval(&p) + 1e-6,
                     "claimed dominance violated at {:?}", p);

@@ -16,8 +16,8 @@
 //!
 //! The optimizer's `IsEmpty` no longer calls this module directly: both
 //! PWL backends route emptiness through the shared
-//! [`crate::region::RegionEngine`], whose coverage check
-//! ([`crate::difference_witness`]) gives the same verdict because
+//! [`crate::region::RegionEngine`], whose coverage check (the worklist
+//! behind [`crate::difference_is_empty`]) gives the same verdict because
 //! relevance-region cutouts are contained in the parameter space — their
 //! union covers the space iff it *equals* it, in which case it is convex
 //! and the BFT envelope is the space itself. The procedure stays exported

@@ -164,8 +164,7 @@ pub(crate) fn subtract_cutout_from_worklist(
 
 /// Margin-certified interior witness from a worklist's surviving pieces:
 /// the centre of the first piece admitting a ball comfortably above the
-/// interior tolerance (shared by [`difference_witness`] and the region
-/// engine's incremental coverage check).
+/// interior tolerance (the region engine's incremental coverage check).
 ///
 /// Per-piece verdicts are **cached** on the pieces: a piece whose verdict
 /// was computed by an earlier extraction (and survived resumption
@@ -194,36 +193,6 @@ pub(crate) fn worklist_witness(ctx: &LpCtx, remaining: &mut [CoveragePiece]) -> 
         }
     }
     None
-}
-
-/// Result of [`difference_witness`].
-#[derive(Debug, Clone)]
-pub enum DifferenceWitness {
-    /// The difference has empty interior.
-    Empty,
-    /// The difference has interior; if a surviving piece admits a ball of
-    /// radius comfortably above the tolerance (`INTERIOR_TOL` +
-    /// [`WITNESS_MARGIN`]), its centre is carried as a reusable witness.
-    /// `None` means the remainder is a tolerance-band sliver: non-empty
-    /// *now*, but too thin to certify verdicts after further cutouts.
-    NonEmpty(Option<Vec<f64>>),
-}
-
-/// Like [`difference_is_empty`], additionally extracting an interior
-/// witness point from the remainder when one exists with margin.
-///
-/// The returned witness certifies non-emptiness *incrementally*: any later
-/// cutout that stays further than [`crate::TOL`] + [`WITNESS_MARGIN`] from
-/// the witness leaves a ball of radius well above the interior tolerance
-/// uncovered, so the region provably stays non-empty without re-running
-/// the coverage check — the refresh mechanism behind the optimizer's
-/// relevance points.
-pub fn difference_witness(ctx: &LpCtx, base: &Polytope, cutouts: &[Polytope]) -> DifferenceWitness {
-    let mut remaining = difference_remainder(ctx, base, cutouts);
-    if remaining.is_empty() {
-        return DifferenceWitness::Empty;
-    }
-    DifferenceWitness::NonEmpty(worklist_witness(ctx, &mut remaining))
 }
 
 /// The worklist decomposition of `base ∖ ⋃ cutouts` into convex pieces

@@ -41,10 +41,7 @@ mod polytope;
 pub mod region;
 
 pub use convexity::{envelope, union_convex_polytope};
-pub use difference::{
-    difference_is_empty, difference_witness, subtract, union_covers, CoveragePiece,
-    DifferenceWitness, WITNESS_MARGIN,
-};
+pub use difference::{difference_is_empty, subtract, union_covers, CoveragePiece, WITNESS_MARGIN};
 pub use region::{
     Cutout, CutoutRegion, HalfspaceList, ProbeSet, RegionBase, RegionEngine, FASTPATH_MARGIN,
 };

@@ -22,14 +22,15 @@
 //!   ([`Polytope::max_linear_with`], staged and borrow-based);
 //! * relevance points (§6.2 refinement 3) are stored as **indices** into a
 //!   probe set owned by the base, so shrinking a region allocates nothing;
-//! * emptiness runs the piecewise coverage check
-//!   ([`crate::difference_witness`]) and extracts a margin-certified
-//!   **interior witness** that keeps later checks free until a cutout
-//!   actually covers it. For cutouts contained in the base — true for
-//!   both backends — this verdict coincides with the paper's Algorithm 2
-//!   (Bemporad–Fukuda–Torrisi convexity of the cutout union followed by a
-//!   containment test): the union covers the base iff it *equals* the
-//!   base, in which case it is convex.
+//! * emptiness runs the piecewise coverage check (the worklist behind
+//!   [`crate::difference_is_empty`], resumed incrementally per region)
+//!   and extracts a margin-certified **interior witness** that keeps
+//!   later checks free until a cutout actually covers it. For cutouts
+//!   contained in the base — true for both backends — this verdict
+//!   coincides with the paper's Algorithm 2 (Bemporad–Fukuda–Torrisi
+//!   convexity of the cutout union followed by a containment test): the
+//!   union covers the base iff it *equals* the base, in which case it is
+//!   convex.
 
 use crate::{Halfspace, Polytope, INTERIOR_TOL, TOL, WITNESS_MARGIN};
 use mpq_lp::{dense::dot, FastPathSite, LpCtx, LpOutcome};
@@ -414,57 +415,7 @@ impl RegionEngine {
                     }
                 }
             }
-            2 if base.dim() == 2 => {
-                let (e1, e2) = (&extra[0], &extra[1]);
-                let s1: SmallVec<[f64; 8]> = verts.iter().map(|v| e1.slack(v)).collect();
-                let s2: SmallVec<[f64; 8]> = verts.iter().map(|v| e2.slack(v)).collect();
-                for i in 0..nv {
-                    if s1[i] >= -TOL && s2[i] >= -TOL {
-                        bounds.take(dot(w, &verts[i]), s1[i] >= 0.0 && s2[i] >= 0.0);
-                    }
-                }
-                // Edge crossings of either boundary that satisfy the other.
-                let mut edge_crossings = |sa: &[f64], other: &Halfspace| {
-                    for i in 0..nv {
-                        for j in (i + 1)..nv {
-                            if (sa[i] > 0.0 && sa[j] < 0.0) || (sa[i] < 0.0 && sa[j] > 0.0) {
-                                let t = sa[i] / (sa[i] - sa[j]);
-                                let p = [
-                                    verts[i][0] + t * (verts[j][0] - verts[i][0]),
-                                    verts[i][1] + t * (verts[j][1] - verts[i][1]),
-                                ];
-                                let other_slack = other.slack(&p);
-                                if other_slack >= -TOL {
-                                    bounds.take(dot(w, &p), other_slack >= 0.0);
-                                }
-                            }
-                        }
-                    }
-                };
-                edge_crossings(&s1, e2);
-                edge_crossings(&s2, e1);
-                // Intersection of the two boundaries, if inside the base.
-                let (n1, n2) = (e1.normal(), e2.normal());
-                let det = n1[0] * n2[1] - n1[1] * n2[0];
-                if det.abs() > 1e-12 {
-                    let p = [
-                        (e1.offset() * n2[1] - e2.offset() * n1[1]) / det,
-                        (n1[0] * e2.offset() - n2[0] * e1.offset()) / det,
-                    ];
-                    let min_slack = base
-                        .polytope
-                        .halfspaces()
-                        .iter()
-                        .map(|f| f.slack(&p))
-                        .fold(f64::INFINITY, f64::min);
-                    if min_slack >= -TOL {
-                        bounds.take(dot(w, &p), min_slack >= 0.0);
-                    }
-                } else {
-                    bounds.degenerate = true;
-                }
-            }
-            // General 2-D enumeration (three or more extras): vertices of
+            // General 2-D enumeration (two or more extras): vertices of
             // `base ∩ extra` are base vertices surviving every extra,
             // base-edge crossings of one extra boundary surviving the
             // others, or pairwise extra-boundary intersections inside the

@@ -24,8 +24,9 @@
 //!    `ShardedSession` uses, so the network changes *where* a query
 //!    runs, never *what* it computes.
 //! 2. **Idempotent servers** ([`server::ShardServerCore`]): the first
-//!    answer per `query_digest` is cached; retries and duplicated frames
-//!    replay it byte-for-byte instead of re-optimizing. Replays are
+//!    answer per query is cached, keyed on the server's own
+//!    `query_digest` of it; retries and duplicated frames replay it
+//!    byte-for-byte instead of re-optimizing. Replays are
 //!    flagged (`dedup`) so tests can prove they happened.
 //! 3. **Bit-exact transport** ([`wire`]): `f64`s travel as raw IEEE-754
 //!    bits under an FNV-1a body checksum, so an answer either arrives

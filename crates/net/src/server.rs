@@ -11,9 +11,13 @@
 //! entirely.
 //!
 //! What the server *does* own is **idempotency**: the first answer per
-//! query digest is cached, and any replay of that digest — a router
-//! retry after a lost response, a duplicated frame — is answered from
-//! the cache without re-running the optimizer. Combined with the
+//! query is cached, and any replay of that query — a router retry after
+//! a lost response, a duplicated frame — is answered from the cache
+//! without re-running the optimizer. The cache is keyed on the server's
+//! own `query_digest` of the request's query, never on the digest the
+//! client sent, and each entry keeps its query: a hit whose query
+//! differs (a digest collision) is optimized unshared and answered with
+//! `dedup: false`, as the in-process service does. Combined with the
 //! optimizer's determinism contract, this makes retried and duplicated
 //! requests byte-indistinguishable from first tries (modulo the `dedup`
 //! flag, which exists precisely so tests can assert the replay happened).
@@ -49,6 +53,8 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Duration;
 
+use mpq_catalog::fault::query_digest;
+use mpq_catalog::Query;
 use mpq_cloud::model::ParametricCostModel;
 use mpq_core::session::{LiftedCostCache, OptimizerSession};
 use mpq_core::space::MpqSpace;
@@ -80,7 +86,8 @@ pub const MAX_CONNECTIONS: usize = 64;
 pub struct ServerCounters {
     /// Request frames answered (including replays and panics).
     pub handled: u64,
-    /// Of `handled`, the answers replayed from the idempotency cache.
+    /// Of `handled`, the requests whose digest hit the idempotency cache:
+    /// replays, plus any digest collision (answered unshared).
     pub dedup_hits: u64,
     /// Frames that failed to decode and were answered [`Message::Error`].
     pub protocol_errors: u64,
@@ -103,13 +110,11 @@ pub struct ShardServerCore<'a, 'm, S: MpqSpace, M: ParametricCostModel + ?Sized>
     session: &'a OptimizerSession<'m, S, M>,
     shard: u32,
     probes: Vec<Vec<f64>>,
-    /// `Some(ε)` serves every request through `optimize_at(ε)` and stamps
-    /// the response's `served_epsilon`; `None` serves exact.
-    epsilon: Option<f64>,
-    /// digest → first answer: single-flight (one optimize per resident
-    /// digest, racing replays wait on it) and bounded to
-    /// [`DEDUP_CAPACITY`]. Its counters register as `server_dedup`.
-    dedup: LiftedCostCache<u64, (WireOutcome, Option<f64>)>,
+    /// `query_digest` → the query and its first answer: single-flight
+    /// (one optimize per resident digest, racing replays wait on it) and
+    /// bounded to [`DEDUP_CAPACITY`]. Its counters register as
+    /// `server_dedup`.
+    dedup: LiftedCostCache<u64, (Query, WireOutcome)>,
     obs: Obs,
     handled: Counter,
     protocol_errors: Counter,
@@ -130,7 +135,6 @@ where
             session,
             shard,
             probes,
-            epsilon: None,
             dedup: LiftedCostCache::with_capacity(Some(DEDUP_CAPACITY)),
             obs: Obs::off(),
             handled: Counter::new(),
@@ -156,15 +160,6 @@ where
             self.session.register_obs(registry, "server_");
         }
         self.obs = obs;
-        self
-    }
-
-    /// Serves every request ε-approximately (`optimize_at(ε)`) and
-    /// stamps `served_epsilon: Some(ε)` on each answer — the networked
-    /// mirror of the service's precision dial. The stamp rides the wire,
-    /// so cross-process runs can assert it bit-identically.
-    pub fn with_epsilon(mut self, epsilon: f64) -> Self {
-        self.epsilon = Some(epsilon);
         self
     }
 
@@ -236,22 +231,29 @@ where
         // Validation at admission, the rule `ServiceHandle::submit`
         // applies: an invalid query is answered without reaching the
         // optimizer (or the dedup cache) instead of panicking inside it.
-        let (outcome, served_epsilon, dedup) = if let Err(e) = request.submitted.query.validate() {
+        let query = &request.submitted.query;
+        let (outcome, dedup) = if let Err(e) = query.validate() {
             span.record("invalid", 1);
             self.panicked.inc();
             let message = format!("invalid query: {e}");
-            (WireOutcome::Panicked { message }, None, false)
+            (WireOutcome::Panicked { message }, false)
         } else {
-            // Idempotency: the first request for a digest optimizes
-            // outside the cache lock; a racing replay of the same digest
+            // Idempotency: the first request for a query optimizes
+            // outside the cache lock; a racing replay of the same query
             // waits for that optimize and replays it. A replay is any
             // call whose closure did not run.
             let mut optimized = false;
-            let answer = self.dedup.get_or_lift(&request.digest, || {
+            let answer = self.dedup.get_or_lift(&query_digest(query), || {
                 optimized = true;
-                self.optimize_once(&request.submitted.query)
+                (query.clone(), self.optimize_once(query))
             });
-            (answer.0.clone(), answer.1, !optimized)
+            if optimized || answer.0 == *query {
+                (answer.1.clone(), !optimized)
+            } else {
+                // A digest collision: the entry is another query's, so
+                // this one runs unshared.
+                (self.optimize_once(query), false)
+            }
         };
         span.record("dedup", u64::from(dedup));
 
@@ -262,7 +264,7 @@ where
             shard: self.shard,
             dedup,
             outcome,
-            served_epsilon,
+            served_epsilon: None,
         }))
     }
 
@@ -271,13 +273,13 @@ where
     /// inside the dedup cache's once-cell, where an unwind would poison
     /// the digest for every later replay, so the summary is taken inside
     /// the unwind guard too.
-    fn optimize_once(&self, query: &mpq_catalog::Query) -> (WireOutcome, Option<f64>) {
+    fn optimize_once(&self, query: &Query) -> WireOutcome {
         let summarize = |solution| PlanSummary::of(self.session.space(), &solution, &self.probes);
-        match optimize_isolated(self.session, query, self.epsilon, summarize) {
-            Ok(summary) => (WireOutcome::Ok(summary), self.epsilon),
+        match optimize_isolated(self.session, query, None, summarize) {
+            Ok(summary) => WireOutcome::Ok(summary),
             Err(message) => {
                 self.panicked.inc();
-                (WireOutcome::Panicked { message }, None)
+                WireOutcome::Panicked { message }
             }
         }
     }
@@ -475,4 +477,76 @@ fn accept_loop<T, S, M>(
             }
         }
     });
+}
+
+#[cfg(test)]
+mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
+    use super::*;
+    use crate::wire::WireRequest;
+    use mpq_catalog::generator::{generate, GeneratorConfig};
+    use mpq_catalog::graph::Topology;
+    use mpq_cloud::model::CloudCostModel;
+    use mpq_core::grid_space::GridSpace;
+    use mpq_core::session::SessionConfig;
+    use mpq_core::OptimizerConfig;
+    use mpq_service::SubmittedQuery;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// Sends `query` under its honest digest; returns the outcome and the
+    /// `dedup` flag.
+    fn ask<M: ParametricCostModel + ?Sized>(
+        core: &ShardServerCore<'_, '_, GridSpace, M>,
+        request_id: u64,
+        query: &Query,
+    ) -> (WireOutcome, bool) {
+        let frame = core.handle_frame(&encode_message(&Message::Request(WireRequest {
+            request_id,
+            digest: query_digest(query),
+            attempt: 0,
+            trace_id: request_id,
+            submitted: SubmittedQuery::new(query.clone()),
+        })));
+        match decode_message(&frame) {
+            Ok(Message::Response(r)) => (r.outcome, r.dedup),
+            other => panic!("expected a response frame, got {other:?}"),
+        }
+    }
+
+    /// A digest collision never shares: with another query's answer
+    /// planted under this query's digest, the request is optimized
+    /// unshared, gets its own answer, and leaves the entry as it was.
+    #[test]
+    fn colliding_digest_runs_unshared() {
+        let model = CloudCostModel::default();
+        let opt = OptimizerConfig {
+            threads: Some(1),
+            ..OptimizerConfig::default_for(1)
+        };
+        let space = GridSpace::for_unit_box(1, &opt, 2).expect("grid space");
+        let mut config = SessionConfig::new(opt).without_subtree_cache();
+        config.cached = false;
+        let session = OptimizerSession::with_config(space, &model, config);
+        let probes = vec![vec![0.0], vec![1.0]];
+        let mut rng = StdRng::seed_from_u64(3);
+        let generator = GeneratorConfig::paper(3, Topology::Chain, 1);
+        let (own, other) = (
+            generate(&generator, &mut rng),
+            generate(&generator, &mut rng),
+        );
+        let fresh = ShardServerCore::new(&session, 0, probes.clone());
+        let (reference, planted) = (ask(&fresh, 0, &own).0, ask(&fresh, 1, &other).0);
+        assert_ne!(reference, planted, "the two queries answer differently");
+
+        let core = ShardServerCore::new(&session, 0, probes);
+        core.dedup
+            .get_or_lift(&query_digest(&own), || (other.clone(), planted));
+        assert_eq!(ask(&core, 2, &own), (reference.clone(), false));
+        assert_eq!(
+            ask(&core, 3, &own),
+            (reference, false),
+            "the entry stays the other's"
+        );
+    }
 }

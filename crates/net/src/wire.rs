@@ -550,9 +550,10 @@ pub struct WireRequest {
     /// Connection-local request id; the matching response echoes it, so
     /// a late duplicate answer is recognizably stale.
     pub request_id: u64,
-    /// The query's content digest (`mpq_catalog::fault::query_digest`) —
-    /// the **idempotency key**: the server caches its first answer per
-    /// digest and replays it for retries and duplicates.
+    /// The query's content digest (`mpq_catalog::fault::query_digest`),
+    /// echoed in the response so the router can match it. The server
+    /// does not trust it: its idempotency cache is keyed on its own
+    /// digest of `submitted.query`.
     pub digest: u64,
     /// 0-based attempt number (0 = first send, >0 = retry). Servers
     /// ignore it; the deterministic fault injector keys on it.
@@ -584,7 +585,8 @@ pub struct WireResponse {
     pub dedup: bool,
     /// What became of the query.
     pub outcome: WireOutcome,
-    /// ε stamp when the answer was served approximately.
+    /// ε stamp when the answer was served approximately (a shard
+    /// server serves exact and sends `None`).
     pub served_epsilon: Option<f64>,
 }
 

@@ -1,7 +1,8 @@
 //! The shard server's idempotency cache under concurrency and at its
 //! bound: distinct digests optimize at the same time, a racing replay of
 //! an in-flight digest waits for that one optimize and replays it, the
-//! cache evicts past [`DEDUP_CAPACITY`] without changing answers, an
+//! cache evicts past [`DEDUP_CAPACITY`] without changing answers, a
+//! digest the client forged cannot share another query's answer, an
 //! invalid query is answered before it reaches the cache, and a valid
 //! query whose costs overflow, or that has more parameters than the
 //! server's space, is answered `Panicked`, never `Ok`.
@@ -80,9 +81,14 @@ fn queries(tables: usize, count: usize, seed: u64) -> Vec<Query> {
 }
 
 fn request_frame(request_id: u64, query: &Query) -> Vec<u8> {
+    frame_with_digest(request_id, query, query_digest(query))
+}
+
+/// A request frame carrying `digest`, whatever the query's own is.
+fn frame_with_digest(request_id: u64, query: &Query, digest: u64) -> Vec<u8> {
     encode_message(&Message::Request(WireRequest {
         request_id,
-        digest: query_digest(query),
+        digest,
         attempt: 0,
         trace_id: request_id,
         submitted: SubmittedQuery::new(query.clone()),
@@ -366,4 +372,43 @@ fn too_many_parameters_are_answered_panicked() {
     let valid = queries(3, 1, 1).remove(0);
     let answer = response(&core.handle_frame(&request_frame(2, &valid)));
     assert!(matches!(answer.outcome, WireOutcome::Ok(_)));
+}
+
+/// The cache is keyed on the server's own digest of the query, never on
+/// the digest a request carries: two different queries sent under one
+/// forged digest each get their own answer, and later honest requests
+/// for either replay that query's own answer.
+#[test]
+fn forged_digest_cannot_share_an_answer() {
+    let model = CloudCostModel::default();
+    let qs = queries(3, 2, 7);
+    let reference: Vec<WireOutcome> = {
+        let session = session(&model, None);
+        let core = core(&session);
+        qs.iter()
+            .enumerate()
+            .map(|(i, q)| response(&core.handle_frame(&request_frame(i as u64, q))).outcome)
+            .collect()
+    };
+    assert_ne!(
+        reference[0], reference[1],
+        "the two queries answer differently"
+    );
+
+    let session = session(&model, None);
+    let core = core(&session);
+    let forged = query_digest(&qs[0]);
+    for (i, q) in qs.iter().enumerate() {
+        let answer = response(&core.handle_frame(&frame_with_digest(i as u64, q, forged)));
+        assert_eq!(
+            answer.outcome, reference[i],
+            "query {i} under a forged digest"
+        );
+        assert!(!answer.dedup, "query {i} is optimized, not replayed");
+    }
+    for (i, q) in qs.iter().enumerate() {
+        let answer = response(&core.handle_frame(&request_frame(10 + i as u64, q)));
+        assert_eq!(answer.outcome, reference[i], "honest replay of query {i}");
+        assert!(answer.dedup, "query {i} is replayed from its own entry");
+    }
 }

@@ -69,7 +69,7 @@
 //!   answered [`QueryOutcome::TimedOut`] without burning optimizer time.
 //! * **ε-approximate serving** — an optional [`ApproxPolicy`] downgrades
 //!   deadline-pressured batches to the ε-approximate optimizer
-//!   (`SessionConfig::with_epsilon` semantics, per batch): the answers
+//!   (`OptimizerSession::optimize_at` semantics, per batch): the answers
 //!   are `(1+ε)`-covers of the exact frontiers, each response is stamped
 //!   [`QueryResponse::served_epsilon`], and [`ServiceStats`] counts
 //!   `approx_served` / `approx_batches`. The ε choice is a pure function

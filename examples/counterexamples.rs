@@ -118,7 +118,7 @@ fn figure5() {
         PwlFn::from_linear(square, LinearFn::new(vec![0.0, 0.0], 1.0)),
     ]);
     let ctx = mpq::lp::LpCtx::new();
-    let dom = plan1.dominance_regions(&plan2, &ctx);
+    let dom = plan1.dominance_regions(&plan2, 1.0, &ctx);
     let unit = Polytope::from_box(&[0.0, 0.0], &[1.0, 1.0]);
     println!("== Figure 5 / statement M2 ==");
     println!(
