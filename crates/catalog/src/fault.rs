@@ -260,7 +260,7 @@ pub enum NetFaultKind {
     /// timeout and retries.
     Drop,
     /// The request frame is delivered twice: the server must answer the
-    /// replay from its idempotency cache, never re-optimizing.
+    /// replay from its idempotency cache (only a panic runs again).
     Duplicate,
     /// Delivery is delayed by [`NetFault::delay_us`] virtual
     /// microseconds; a delay at or past the attempt timeout behaves like

@@ -205,7 +205,7 @@ impl MpqSpace for PwlSpace {
         if strict && self.probably_identical(own, competitor) {
             return false;
         }
-        let dom = competitor.dominance_regions(own, 1.0, &self.ctx);
+        let dom = competitor.dominance_regions(own, &self.ctx);
         if dom.is_empty() {
             return false;
         }
@@ -213,33 +213,14 @@ impl MpqSpace for PwlSpace {
         true
     }
 
-    /// Whole-space dominance via a coverage check: `dominator`
-    /// `band`-dominates `dominated` everywhere iff the union of the
-    /// dominance polytopes (`dominator ≤ band · dominated`, Algorithm 3)
-    /// covers the parameter space — decided by subtracting them from a
-    /// throwaway full region and asking the shared engine for emptiness.
-    /// Exact up to LP tolerance, so no false positives.
-    ///
-    /// At band 1 it answers `false` without looking, so exact runs leave
-    /// whole-space dominance to region subtraction; `false` is always
-    /// sound.
-    fn dominates_everywhere(
-        &self,
-        dominator: &MultiCostFn,
-        dominated: &MultiCostFn,
-        band: f64,
-    ) -> bool {
-        if band == 1.0 {
-            return false;
-        }
-        let dom = dominator.dominance_regions(dominated, band, &self.ctx);
-        if dom.is_empty() {
-            return false;
-        }
-        let mut state = CutoutRegion::Full;
-        self.add_cutouts(&mut state, dom);
-        self.engine
-            .region_is_empty(&self.ctx, &self.base, &mut state)
+    /// Answers `false` at every band, which is always sound: exact runs
+    /// leave whole-space dominance to region subtraction, and at band
+    /// `1 + ε` skipping the whole-plan discard keeps the exact frontier,
+    /// itself a valid `(1+ε)`-cover. A banded coverage check per retained
+    /// plan would cost LPs for that discard: on the pinned pwl chain-2/2
+    /// query it raised LPs by half and discarded nothing.
+    fn dominates_everywhere(&self, _: &MultiCostFn, _: &MultiCostFn, _band: f64) -> bool {
+        false
     }
 
     /// `IsEmpty` of Algorithm 2: the region is empty iff the union of its

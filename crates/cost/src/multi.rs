@@ -58,15 +58,12 @@ impl MultiCostFn {
         }
     }
 
-    /// The dominance region `Dom(self, other)` under a multiplicative
-    /// band: a set of convex polytopes covering exactly the points where
-    /// `self ≤ band · other` according to **every** metric (Algorithm 3,
-    /// function `Dom`). `band = 1` is the paper's exact `Dom`; `band =
-    /// 1 + ε` its (1+ε) relaxation. Multiplying by `1.0` is exact in
-    /// IEEE-754, so band 1 computes the unscaled difference bit for bit.
+    /// The dominance region `Dom(self, other)`: a set of convex polytopes
+    /// covering exactly the points where `self ≤ other` according to
+    /// **every** metric (Algorithm 3, function `Dom`).
     ///
     /// Per metric, each pair of linear pieces contributes the polytope
-    /// `reg₁ ∩ reg₂ ∩ {(w₁ − band·w₂) · x ≤ band·b₂ − b₁}`; the per-metric
+    /// `reg₁ ∩ reg₂ ∩ {(w₁ − w₂) · x ≤ b₂ − b₁}`; the per-metric
     /// polytope sets are then intersected combinatorially (line 56 of
     /// Algorithm 3). Empty-interior members are dropped throughout.
     ///
@@ -76,7 +73,7 @@ impl MultiCostFn {
     /// ([`Polytope::intersection_is_empty`]) first, so grid-aligned piece
     /// decompositions — where almost every cross pair is empty — prune
     /// without solving LPs.
-    pub fn dominance_regions(&self, other: &MultiCostFn, band: f64, ctx: &LpCtx) -> Vec<Polytope> {
+    pub fn dominance_regions(&self, other: &MultiCostFn, ctx: &LpCtx) -> Vec<Polytope> {
         debug_assert_eq!(self.num_metrics(), other.num_metrics());
         let dim = self.dim();
         let mut per_metric: Vec<Vec<Polytope>> = Vec::with_capacity(self.num_metrics());
@@ -90,15 +87,11 @@ impl MultiCostFn {
                     {
                         continue;
                     }
-                    // The scaled difference `f₁ − band · f₂`, in one pass
-                    // and on the stack.
+                    // The difference `f₁ − f₂`, in one pass and on the
+                    // stack.
                     let dw: SmallVec<[f64; 8]> =
-                        p1.f.w
-                            .iter()
-                            .zip(&p2.f.w)
-                            .map(|(a, b)| a - band * b)
-                            .collect();
-                    let db = p1.f.b - band * p2.f.b;
+                        p1.f.w.iter().zip(&p2.f.w).map(|(a, b)| a - b).collect();
+                    let db = p1.f.b - p2.f.b;
                     match Halfspace::new(&dw[..], -db) {
                         HalfspaceKind::AlwaysTrue => {
                             polys.push(p1.region.intersect_dedup(&p2.region))
@@ -184,11 +177,11 @@ mod tests {
         // (always): the entire parameter space... no — dominance requires
         // *both* metrics at most equal: time 0.5+σ ≤ 2 ⇔ σ ≤ 1.5, true on
         // [0,1]; fees 2 ≤ 3 always. So Dom(p2, p1) = [0, 1].
-        let dom = p2.dominance_regions(&p1, 1.0, &ctx);
+        let dom = p2.dominance_regions(&p1, &ctx);
         assert!(mpq_geometry::union_covers(&ctx, &dom, &interval(0.0, 1.0)));
         // p1 dominates p2 where 2 ≤ 0.5 + σ ⇔ σ ≥ 1.5: nowhere on [0,1],
         // and 3 ≤ 2 never holds, so Dom(p1, p2) is empty.
-        let dom_rev = p1.dominance_regions(&p2, 1.0, &ctx);
+        let dom_rev = p1.dominance_regions(&p2, &ctx);
         assert!(dom_rev.is_empty());
     }
 
@@ -206,7 +199,7 @@ mod tests {
             lin(x.clone(), vec![0.0], 0.25),
             lin(x, vec![0.0], 2.0),
         ]);
-        let dom = a.dominance_regions(&b, 1.0, &ctx);
+        let dom = a.dominance_regions(&b, &ctx);
         assert_eq!(dom.len(), 1);
         let (lo, hi) = dom[0].bounding_box(&ctx).unwrap();
         assert!(lo[0].abs() < 1e-6 && (hi[0] - 0.25).abs() < 1e-6);
@@ -234,7 +227,7 @@ mod tests {
         )]);
         let g = MultiCostFn::new(vec![lin(interval(0.0, 1.0), vec![0.0], 0.4)]);
         // f ≤ g on [0, 0.4] ∪ [0.6, 1].
-        let dom = f.dominance_regions(&g, 1.0, &ctx);
+        let dom = f.dominance_regions(&g, &ctx);
         let expect_left = interval(0.0, 0.4);
         let expect_right = interval(0.6, 1.0);
         assert!(mpq_geometry::union_covers(&ctx, &dom, &expect_left));
@@ -242,31 +235,6 @@ mod tests {
         // And nothing in the middle.
         for p in &dom {
             assert!(!p.contains_point(&[0.5]));
-        }
-    }
-
-    #[test]
-    fn banded_dominance_widens_region() {
-        let ctx = LpCtx::new();
-        let x = interval(0.0, 1.0);
-        // time: a = σ vs b = 0.25 → exactly a ≤ b on [0, 0.25], banded
-        // (ε = 0.2) on [0, 0.3]; fees: a = 1 vs b = 2 → always.
-        let a = MultiCostFn::new(vec![
-            lin(x.clone(), vec![1.0], 0.0),
-            lin(x.clone(), vec![0.0], 1.0),
-        ]);
-        let b = MultiCostFn::new(vec![
-            lin(x.clone(), vec![0.0], 0.25),
-            lin(x, vec![0.0], 2.0),
-        ]);
-        let banded = a.dominance_regions(&b, 1.2, &ctx);
-        assert!(mpq_geometry::union_covers(
-            &ctx,
-            &banded,
-            &interval(0.0, 0.3)
-        ));
-        for p in &banded {
-            assert!(!p.contains_point(&[0.35]));
         }
     }
 
@@ -299,7 +267,7 @@ mod tests {
             lin(square.clone(), vec![0.0, 0.0], 1.0),
             lin(square, vec![0.0, 0.0], 1.0),
         ]);
-        let dom = p1.dominance_regions(&p2, 1.0, &ctx);
+        let dom = p1.dominance_regions(&p2, &ctx);
         let unit = Polytope::from_box(&[0.0, 0.0], &[1.0, 1.0]);
         assert!(mpq_geometry::union_covers(&ctx, &dom, &unit));
         for p in &dom {

@@ -70,7 +70,7 @@ proptest! {
             PwlFn::from_linear(x.clone(), b_time.clone()),
             PwlFn::from_linear(x, b_fees.clone()),
         ]);
-        let dom = a.dominance_regions(&b, 1.0, &ctx);
+        let dom = a.dominance_regions(&b, &ctx);
         // Strictly-interior sample points avoid boundary ambiguity.
         for p in lattice(&[0.017], &[0.989], 31) {
             let should = a_time.eval(&p) <= b_time.eval(&p) + 1e-9

@@ -18,7 +18,7 @@
 //! | fault | what the wire sees | what must happen |
 //! |-------|--------------------|------------------|
 //! | `Drop` | nothing, ever | attempt times out, router retries |
-//! | `Duplicate` | the request twice | server answers replay from cache (`dedup`), never re-optimizes |
+//! | `Duplicate` | the request twice | server answers replay from cache (`dedup`); only a panicked answer re-runs |
 //! | `Delay` | the request, late | late-but-in-time delivers; past-timeout behaves as dropped |
 //! | `Truncate` | a short frame, checksum restamped | typed `Truncated` decode error → `Message::Error` → retry |
 //! | `Corrupt` | a flipped body byte | typed `Corrupt` decode error → `Message::Error` → retry |

@@ -24,10 +24,11 @@
 //!    `ShardedSession` uses, so the network changes *where* a query
 //!    runs, never *what* it computes.
 //! 2. **Idempotent servers** ([`server::ShardServerCore`]): the first
-//!    answer per query is cached, keyed on the server's own
-//!    `query_digest` of it; retries and duplicated frames replay it
-//!    byte-for-byte instead of re-optimizing. Replays are
-//!    flagged (`dedup`) so tests can prove they happened.
+//!    answer per query is kept in the service's `AnswerCache`, keyed on
+//!    the cache's own `query_digest` of it; retries and duplicated
+//!    frames replay it byte-for-byte instead of re-optimizing. Replays
+//!    are flagged (`dedup`) so tests can prove they happened. A panicked
+//!    answer is never replayed: a retry runs its own attempt.
 //! 3. **Bit-exact transport** ([`wire`]): `f64`s travel as raw IEEE-754
 //!    bits under an FNV-1a body checksum, so an answer either arrives
 //!    exactly as computed or fails decoding with a typed error — there
@@ -56,9 +57,7 @@ pub mod wire;
 
 pub use chaos::{ChaosConn, ChaosCounters, InProcConn};
 pub use router::{NetError, NetResponse, NetTime, RetryPolicy, ShardConn, ShardRouter, StreamConn};
-pub use server::{
-    serve_tcp, serve_unix, ServerCounters, ShardServerCore, DEDUP_CAPACITY, MAX_CONNECTIONS,
-};
+pub use server::{serve_tcp, serve_unix, ServerCounters, ShardServerCore, MAX_CONNECTIONS};
 pub use wire::{
     decode_message, encode_message, read_frame, write_frame, Message, PlanSummary, WireError,
     WireOutcome, WireRequest, WireResponse, MAX_FRAME_LEN, WIRE_VERSION,

@@ -16,7 +16,7 @@
 //! `ShardedSession` routes by — so a networked deployment and an
 //! in-process one send every query to the same shard index, which is one
 //! of the two pillars of the bit-identity invariant (the other is server
-//! idempotency: retries replay, they never re-optimize).
+//! idempotency: retries replay, they never re-optimize a healthy answer).
 //!
 //! Time is abstracted behind [`NetTime`] so the chaos proptest can run
 //! the *identical* retry/backoff/deadline logic under the service's
@@ -513,7 +513,7 @@ impl<'a, C: ShardConn> ShardRouter<'a, C> {
                     // A stale answer, a protocol-error report, or a
                     // frame too damaged to decode: this attempt is lost,
                     // but the server's idempotency cache makes the retry
-                    // safe.
+                    // safe (only a panicked query runs again).
                     Ok(_) | Err(_) => continue,
                 },
                 Err(_) => continue, // timeout / closed / io — retry

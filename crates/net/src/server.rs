@@ -10,38 +10,23 @@
 //! ignores [`SubmittedQuery::deadline`](mpq_service::SubmittedQuery)
 //! entirely.
 //!
-//! What the server *does* own is **idempotency**: the first answer per
-//! query is cached, and any replay of that query — a router retry after
-//! a lost response, a duplicated frame — is answered from the cache
-//! without re-running the optimizer. The cache is keyed on the server's
-//! own `query_digest` of the request's query, never on the digest the
-//! client sent, and each entry keeps its query: a hit whose query
-//! differs (a digest collision) is optimized unshared and answered with
-//! `dedup: false`, as the in-process service does. Combined with the
-//! optimizer's determinism contract, this makes retried and duplicated
-//! requests byte-indistinguishable from first tries (modulo the `dedup`
-//! flag, which exists precisely so tests can assert the replay happened).
+//! What the server *does* own is **idempotency**, through the
+//! [`AnswerCache`] the in-process service uses too (its docs hold the
+//! rule): a retried or duplicated request is answered from the first
+//! answer to its query, byte-identical to a first try but for the
+//! `dedup` flag, which exists so tests can assert the replay happened.
+//! The cache validates at admission, keys on its own digest of the query
+//! (never the client's), runs a colliding request unshared, lets a
+//! replay racing its leader wait on a channel while distinct queries
+//! optimize concurrently, and never replays a panic: a transient fault
+//! heals on retry, and a poison query panics on every attempt.
 //!
-//! The idempotency cache is **single-flight and bounded**, with no global
-//! lock: it is the workspace's [`LiftedCostCache`], which reserves a
-//! digest's slot under its ring lock and runs the optimize outside it.
-//! Requests for distinct digests optimize concurrently; a replay racing
-//! an in-flight digest waits for that one optimize and replays it. At
-//! most [`DEDUP_CAPACITY`] answers stay resident (second-chance
-//! eviction), so a long-lived server's memory does not grow with its
-//! traffic.
-//!
-//! A query failing `Query::validate` is answered
-//! [`WireOutcome::Panicked`] (`invalid query: …`) before the dedup cache,
-//! without running the optimizer — the same admission rule the
-//! in-process service applies. A request that panics inside the
-//! optimizer is caught by [`optimize_isolated`], the in-process
-//! service's own quarantine path, and answered [`WireOutcome::Panicked`];
-//! the panic outcome is cached like any other, so a poison query cannot
-//! be re-detonated by retries. An undecodable frame is answered
-//! [`Message::Error`] — a protocol-level diagnosis the router treats as
-//! retryable transport damage. The connection never hangs and never
-//! dies of one bad request.
+//! A request that panics inside the optimizer is caught by
+//! [`optimize_isolated`], the in-process service's own quarantine path,
+//! and answered [`WireOutcome::Panicked`]. An undecodable frame is
+//! answered [`Message::Error`] — a protocol-level diagnosis the router
+//! treats as retryable transport damage. The connection never hangs and
+//! never dies of one bad request.
 //!
 //! The accept loops serve at most [`MAX_CONNECTIONS`] connections at
 //! once, one thread each; a further client waits in the listen backlog
@@ -51,27 +36,21 @@ use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc;
 use std::time::Duration;
 
-use mpq_catalog::fault::query_digest;
 use mpq_catalog::Query;
 use mpq_cloud::model::ParametricCostModel;
-use mpq_core::session::{LiftedCostCache, OptimizerSession};
+use mpq_core::session::OptimizerSession;
 use mpq_core::space::MpqSpace;
 use mpq_obs::{Counter, Obs};
-use mpq_service::optimize_isolated;
+use mpq_service::answer_cache::{Lookup, Release, Shareable};
+use mpq_service::{optimize_isolated, AnswerCache, SubmittedQuery};
 
 use crate::wire::{
     decode_message, encode_message, peek_request, write_frame, Message, PlanSummary,
     WireMetricsResponse, WireOutcome, WireProtocolError, WireResponse,
 };
-
-/// Entry bound of a server's idempotency cache. Retries and duplicates
-/// of a request arrive within one router attempt timeout, which at a
-/// shard's request rate is far fewer requests than this, so an evicted
-/// digest is one no router will replay; and if one ever is, the
-/// re-optimized answer is bit-identical (only `dedup` differs).
-pub const DEDUP_CAPACITY: usize = 4096;
 
 /// The most connections an accept loop ([`serve_tcp`], [`serve_unix`])
 /// serves at once. Each live connection holds one thread; at the cap the
@@ -87,18 +66,26 @@ pub struct ServerCounters {
     /// Request frames answered (including replays and panics).
     pub handled: u64,
     /// Of `handled`, the requests whose digest hit the idempotency cache:
-    /// replays, plus any digest collision (answered unshared).
+    /// replays, plus any digest collision or request after a panicked
+    /// answer (both answered unshared).
     pub dedup_hits: u64,
     /// Frames that failed to decode and were answered [`Message::Error`].
     pub protocol_errors: u64,
     /// Requests answered [`WireOutcome::Panicked`]: optimizations that
-    /// panicked (cached), plus queries that failed validation (never
-    /// optimized).
+    /// panicked (never shared), plus queries that failed validation
+    /// (never optimized).
     pub panicked: u64,
 }
 
+/// The cache's panic rule: a `Panicked` answer is never shared.
+impl Shareable for WireOutcome {
+    fn panicked(&self) -> bool {
+        matches!(self, WireOutcome::Panicked { .. })
+    }
+}
+
 /// The transport-agnostic heart of a shard server: one borrowed
-/// [`OptimizerSession`] plus the idempotency cache, exposed as a pure
+/// [`OptimizerSession`] plus the idempotency cache, exposed as a total
 /// `frame in → frame out` function ([`Self::handle_frame`]).
 ///
 /// Keeping the core free of sockets is what lets the deterministic chaos
@@ -110,11 +97,9 @@ pub struct ShardServerCore<'a, 'm, S: MpqSpace, M: ParametricCostModel + ?Sized>
     session: &'a OptimizerSession<'m, S, M>,
     shard: u32,
     probes: Vec<Vec<f64>>,
-    /// `query_digest` → the query and its first answer: single-flight
-    /// (one optimize per resident digest, racing replays wait on it) and
-    /// bounded to [`DEDUP_CAPACITY`]. Its counters register as
-    /// `server_dedup`.
-    dedup: LiftedCostCache<u64, (Query, WireOutcome)>,
+    /// The idempotency cache; a replay racing its leader waits on a
+    /// channel. Its counters register as `server_dedup`.
+    answers: AnswerCache<WireOutcome, mpsc::Sender<WireOutcome>>,
     obs: Obs,
     handled: Counter,
     protocol_errors: Counter,
@@ -135,7 +120,7 @@ where
             session,
             shard,
             probes,
-            dedup: LiftedCostCache::with_capacity(Some(DEDUP_CAPACITY)),
+            answers: AnswerCache::default(),
             obs: Obs::off(),
             handled: Counter::new(),
             protocol_errors: Counter::new(),
@@ -156,7 +141,7 @@ where
             self.handled = registry.counter("server_handled");
             self.protocol_errors = registry.counter("server_protocol_errors");
             self.panicked = registry.counter("server_panicked");
-            registry.register_cache("server_dedup", self.dedup.counters());
+            registry.register_cache("server_dedup", self.answers.counters());
             self.session.register_obs(registry, "server_");
         }
         self.obs = obs;
@@ -173,7 +158,7 @@ where
     pub fn counters(&self) -> ServerCounters {
         ServerCounters {
             handled: self.handled.get(),
-            dedup_hits: self.dedup.stats().hits,
+            dedup_hits: self.answers.counters().hits(),
             protocol_errors: self.protocol_errors.get(),
             panicked: self.panicked.get(),
         }
@@ -228,32 +213,35 @@ where
         span.record("shard", u64::from(self.shard));
         span.record("attempt", u64::from(request.attempt));
 
-        // Validation at admission, the rule `ServiceHandle::submit`
-        // applies: an invalid query is answered without reaching the
-        // optimizer (or the dedup cache) instead of panicking inside it.
-        let query = &request.submitted.query;
-        let (outcome, dedup) = if let Err(e) = query.validate() {
-            span.record("invalid", 1);
-            self.panicked.inc();
-            let message = format!("invalid query: {e}");
-            (WireOutcome::Panicked { message }, false)
-        } else {
-            // Idempotency: the first request for a query optimizes
-            // outside the cache lock; a racing replay of the same query
-            // waits for that optimize and replays it. A replay is any
-            // call whose closure did not run.
-            let mut optimized = false;
-            let answer = self.dedup.get_or_lift(&query_digest(query), || {
-                optimized = true;
-                (query.clone(), self.optimize_once(query))
-            });
-            if optimized || answer.0 == *query {
-                (answer.1.clone(), !optimized)
-            } else {
-                // A digest collision: the entry is another query's, so
-                // this one runs unshared.
-                (self.optimize_once(query), false)
+        // The server ignores deadlines, so it shares by query alone.
+        let submitted = SubmittedQuery::new(request.submitted.query);
+        let query = &submitted.query;
+        let (waiter, replay) = mpsc::channel();
+        let (outcome, dedup) = match self.answers.lookup(&submitted, || waiter, || true) {
+            Lookup::Invalid(message) => {
+                span.record("invalid", 1);
+                self.panicked.inc();
+                (WireOutcome::Panicked { message }, false)
             }
+            Lookup::Done(outcome) => (WireOutcome::clone(&outcome), true),
+            Lookup::Waiting => match replay.recv() {
+                Ok(outcome) => (outcome, true),
+                // The leader panicked: this request gets its own attempt.
+                Err(_) => (self.optimize_once(query), false),
+            },
+            Lookup::Run(lead) => {
+                let outcome = self.optimize_once(query);
+                // A panicked answer releases its waiters by dropping
+                // their channels: each then runs its own attempt.
+                if let Some(Release::Share(waiters)) = lead.map(|lead| lead.resolve(&outcome)) {
+                    for waiter in waiters {
+                        let _ = waiter.send(outcome.clone());
+                    }
+                }
+                (outcome, false)
+            }
+            // The server admits every request.
+            Lookup::Refused => (WireOutcome::Rejected, false),
         };
         span.record("dedup", u64::from(dedup));
 
@@ -269,10 +257,9 @@ where
     }
 
     /// Optimizes and summarizes one query through the service's one
-    /// quarantine path ([`optimize_isolated`]). Never unwinds: it runs
-    /// inside the dedup cache's once-cell, where an unwind would poison
-    /// the digest for every later replay, so the summary is taken inside
-    /// the unwind guard too.
+    /// quarantine path ([`optimize_isolated`]). Never unwinds: a leader
+    /// that unwound would leave its waiters blocked, so the summary is
+    /// taken inside the unwind guard too.
     fn optimize_once(&self, query: &Query) -> WireOutcome {
         let summarize = |solution| PlanSummary::of(self.session.space(), &solution, &self.probes);
         match optimize_isolated(self.session, query, None, summarize) {
@@ -484,13 +471,13 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
     use crate::wire::WireRequest;
+    use mpq_catalog::fault::query_digest;
     use mpq_catalog::generator::{generate, GeneratorConfig};
     use mpq_catalog::graph::Topology;
     use mpq_cloud::model::CloudCostModel;
     use mpq_core::grid_space::GridSpace;
     use mpq_core::session::SessionConfig;
     use mpq_core::OptimizerConfig;
-    use mpq_service::SubmittedQuery;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -540,8 +527,15 @@ mod tests {
         assert_ne!(reference, planted, "the two queries answer differently");
 
         let core = ShardServerCore::new(&session, 0, probes);
-        core.dedup
-            .get_or_lift(&query_digest(&own), || (other.clone(), planted));
+        let key = core.answers.key(&SubmittedQuery::new(own.clone()));
+        let no_waiter = || unreachable!("the key is vacant");
+        match core
+            .answers
+            .lookup_at(key, &SubmittedQuery::new(other), no_waiter, || true)
+        {
+            Lookup::Run(Some(lead)) => drop(lead.resolve(&planted)),
+            _ => panic!("the planted query leads its key"),
+        }
         assert_eq!(ask(&core, 2, &own), (reference.clone(), false));
         assert_eq!(
             ask(&core, 3, &own),

@@ -581,7 +581,7 @@ pub struct WireResponse {
     /// The shard that answered.
     pub shard: u32,
     /// True iff the answer was replayed from the server's idempotency
-    /// cache (a retry or duplicate — the optimizer did not run again).
+    /// cache (the optimizer did not run again; a panic is never replayed).
     pub dedup: bool,
     /// What became of the query.
     pub outcome: WireOutcome,

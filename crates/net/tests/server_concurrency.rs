@@ -1,11 +1,12 @@
 //! The shard server's idempotency cache under concurrency and at its
 //! bound: distinct digests optimize at the same time, a racing replay of
 //! an in-flight digest waits for that one optimize and replays it, the
-//! cache evicts past [`DEDUP_CAPACITY`] without changing answers, a
-//! digest the client forged cannot share another query's answer, an
-//! invalid query is answered before it reaches the cache, and a valid
-//! query whose costs overflow, or that has more parameters than the
-//! server's space, is answered `Panicked`, never `Ok`.
+//! cache evicts past [`ANSWER_CAPACITY`] without changing answers, a
+//! digest the client forged cannot share another query's answer, a
+//! panicked answer is never replayed, an invalid query is answered
+//! before it reaches the cache, and a valid query whose costs overflow,
+//! or that has more parameters than the server's space, is answered
+//! `Panicked`, never `Ok`.
 //!
 //! The concurrency tests meet inside the session's fault hook, which
 //! runs at the start of every optimize. The meeting point waits with a
@@ -16,7 +17,7 @@ use std::collections::HashSet;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use mpq_catalog::fault::query_digest;
+use mpq_catalog::fault::{query_digest, silence_injected_panics, Fault, FaultPlan};
 use mpq_catalog::generator::{generate, GeneratorConfig};
 use mpq_catalog::graph::Topology;
 use mpq_catalog::Query;
@@ -24,12 +25,12 @@ use mpq_cloud::model::CloudCostModel;
 use mpq_core::grid_space::GridSpace;
 use mpq_core::session::{FaultHook, OptimizerSession, SessionConfig};
 use mpq_core::OptimizerConfig;
-use mpq_net::server::{ShardServerCore, DEDUP_CAPACITY};
+use mpq_net::server::ShardServerCore;
 use mpq_net::wire::{
     decode_message, encode_message, Message, WireOutcome, WireRequest, WireResponse,
 };
 use mpq_obs::Obs;
-use mpq_service::SubmittedQuery;
+use mpq_service::{SubmittedQuery, ANSWER_CAPACITY};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -252,7 +253,7 @@ fn racing_copies_of_one_digest_optimize_once() {
     assert_eq!(core.counters().dedup_hits, 1);
 }
 
-/// Past [`DEDUP_CAPACITY`] distinct digests the cache evicts: the first
+/// Past [`ANSWER_CAPACITY`] distinct digests the cache evicts: the first
 /// digest is optimized again, and its answer frame is byte-identical to
 /// the first one (`dedup` is false both times).
 #[test]
@@ -261,7 +262,7 @@ fn dedup_cache_is_bounded_and_eviction_keeps_answers() {
     let session = session(&model, None);
     let obs = Obs::wall();
     let core = core(&session).with_obs(obs.clone());
-    let qs = queries(1, DEDUP_CAPACITY + 1, 5);
+    let qs = queries(1, ANSWER_CAPACITY + 1, 5);
 
     let first = core.handle_frame(&request_frame(0, &qs[0]));
     assert!(!response(&first).dedup);
@@ -411,4 +412,50 @@ fn forged_digest_cannot_share_an_answer() {
         assert_eq!(answer.outcome, reference[i], "honest replay of query {i}");
         assert!(answer.dedup, "query {i} is replayed from its own entry");
     }
+}
+
+/// A panicked answer is never replayed: a `transient(1)` query panics on
+/// its first request and is answered `Ok` on an honest replay,
+/// bit-identical to a plain optimize and with `dedup` false; a poison
+/// query is answered `Panicked` on every replay, one optimize each.
+#[test]
+fn panicked_answers_are_never_replayed() {
+    silence_injected_panics();
+    let model = CloudCostModel::default();
+    let qs = queries(3, 2, 13);
+    let (transient, poison) = (&qs[0], &qs[1]);
+    let reference = {
+        let session = session(&model, None);
+        response(&core(&session).handle_frame(&request_frame(0, transient))).outcome
+    };
+    assert!(matches!(reference, WireOutcome::Ok(_)));
+    let mut plan = FaultPlan::new();
+    plan.mark(transient, Fault::transient(1));
+    plan.mark(poison, Fault::poison());
+    let plan = Arc::new(plan);
+    let session = session(&model, Some(plan.hook(|_| {})));
+    let core = core(&session);
+
+    let first = response(&core.handle_frame(&request_frame(1, transient)));
+    assert!(matches!(first.outcome, WireOutcome::Panicked { .. }));
+    let replay = response(&core.handle_frame(&request_frame(2, transient)));
+    assert_eq!(
+        (replay.outcome, replay.dedup),
+        (reference.clone(), false),
+        "the replay runs its own attempt"
+    );
+    let again = response(&core.handle_frame(&request_frame(3, transient)));
+    assert_eq!((again.outcome, again.dedup), (reference, true));
+    assert_eq!(plan.attempts_of(transient), 2);
+
+    for i in 0..3 {
+        let answer = response(&core.handle_frame(&request_frame(10 + i, poison)));
+        assert!(
+            matches!(answer.outcome, WireOutcome::Panicked { .. }),
+            "replay {i} of the poison query"
+        );
+        assert!(!answer.dedup);
+    }
+    assert_eq!(plan.attempts_of(poison), 3);
+    assert_eq!(core.counters().panicked, 4);
 }

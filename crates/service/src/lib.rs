@@ -7,37 +7,29 @@
 //! cost lifts across the queries of one batch; this crate adds the
 //! *service front-end* that turns arriving queries into batches:
 //!
-//! * **Coalescing** — identical requests share one optimization. The
-//!   first submit of a (query, deadline) pair is its *leader* and batches
-//!   like any request. A later submit of the same pair is a *copy*: it
-//!   never joins a batch or reaches a session (it only passes its submit
-//!   time to the batcher's deadline sweep). If the leader has resolved,
-//!   `submit` answers the copy at once with a clone of the leader's
-//!   answer; otherwise the copy waits on the leader and is answered the
-//!   moment it resolves. A copy gets the leader's route and
-//!   `served_epsilon` — the answer it would have got by riding in the
-//!   leader's batch. The key is the content digest
-//!   (`mpq_catalog::fault::query_digest`) mixed with the deadline's bits,
-//!   and a hit also requires the leader's stored query to be equal, so a
-//!   digest collision only costs the sharing, never a wrong answer. At
-//!   most [`ANSWER_CAPACITY`] keys are remembered (second-chance
-//!   eviction, see `mpq_cost`); the next submit of an evicted key leads
-//!   again. A leader that timed out or met shutdown passes that outcome
-//!   on (a copy has the same deadline). A leader that panicked does not:
-//!   its shard worker re-runs each waiting copy alone (see *panic
-//!   isolation*), and the next submit of the key leads again.
+//! * **Coalescing** — identical requests share one optimization through
+//!   the [`AnswerCache`], which the network shard server uses too (its
+//!   docs hold the key, collision, panic and bound rules). The first
+//!   submit of a (query, deadline) pair *leads* and batches like any
+//!   request. A later one is a *copy*: it never joins a batch (it only
+//!   passes its submit time to the deadline sweep) and gets the leader's
+//!   answer, route and `served_epsilon` — at once if the leader has
+//!   resolved, else the moment it does. A leader that timed out or met
+//!   shutdown passes that outcome on; one that panicked does not (see
+//!   *panic isolation*).
 //! * **Batch accumulation** — leaders buffer per shard and dispatch when
 //!   either trigger of the [`BatchPolicy`] fires: the buffer reaches
 //!   `max_batch` (*size* trigger) or the oldest buffered request has
-//!   waited `max_wait` (*deadline* trigger — Trummer & Koch's
-//!   randomized-MPQ line frames exactly this latency/quality trade-off:
-//!   waiting longer buys more sharing). Shutdown flushes the rest
-//!   (*drain* trigger).
+//!   waited `max_wait` (*deadline* trigger). A worker runs each query of
+//!   a batch alone through its shard session, so how queries group into
+//!   batches changes nothing they compute or share; waiting longer only
+//!   adds latency. Shutdown flushes the rest (*drain* trigger).
 //! * **Sharded sessions** — batches dispatch to one of N
 //!   [`ShardedSession`] shards, chosen by the stable `OpShape`-derived
 //!   affinity (`mpq_core::session::query_affinity`), so queries over the
-//!   same tables land on the shard that already cached their lifted
-//!   costs (the in-process form of sharding a workload across machines).
+//!   same tables land on the shard whose subtree cache already holds
+//!   their shared subplans (the in-process form of sharding a workload
+//!   across machines).
 //! * **Completion tickets** — every submission returns a
 //!   [`ServiceTicket`]; [`ServiceTicket::wait`] blocks on the request's
 //!   own completion channel and **always returns**: the ticket resolves
@@ -58,22 +50,23 @@
 //!   buffered-but-undispatched request count; beyond it, `submit`
 //!   answers the ticket immediately with [`QueryOutcome::Rejected`]
 //!   (backpressure the caller can see) instead of queueing unboundedly.
-//!   Copies take no queue slot, so a copy is never rejected.
-//!   `submit` also runs `Query::validate`: an invalid query is answered
-//!   [`QueryOutcome::Panicked`] (`invalid query: …`, the message
+//!   Copies take no queue slot, so a copy is never rejected. The
+//!   [`AnswerCache`] also runs `Query::validate`: an invalid query is
+//!   answered [`QueryOutcome::Panicked`] (`invalid query: …`, the message
 //!   `optimize` would panic with) and counted quarantined before it can
 //!   enter a batch.
 //! * **Deadline budgets** — a per-query absolute deadline
 //!   ([`SubmittedQuery::deadline`], service-clock seconds) is checked
 //!   when the query's batch dispatches: already-expired queries are
 //!   answered [`QueryOutcome::TimedOut`] without burning optimizer time.
-//! * **ε-approximate serving** — an optional [`ApproxPolicy`] downgrades
-//!   deadline-pressured batches to the ε-approximate optimizer
+//! * **ε-approximate serving** — [`ServiceConfig::with_approx`]
+//!   downgrades deadline-triggered batches to the ε-approximate optimizer
 //!   (`OptimizerSession::optimize_at` semantics, per batch): the answers
 //!   are `(1+ε)`-covers of the exact frontiers, each response is stamped
 //!   [`QueryResponse::served_epsilon`], and [`ServiceStats`] counts
-//!   `approx_served` / `approx_batches`. The ε choice is a pure function
-//!   of the submission sequence, so virtual-clock replays reproduce it.
+//!   `approx_served` / `approx_batches`. Which batches deadline-trigger
+//!   is a pure function of the submission sequence, so virtual-clock
+//!   replays reproduce the ε choice.
 //! * **Bounded caches** — shard sessions built with a
 //!   `SessionConfig::cache_capacity` evict deterministically
 //!   (second-chance CLOCK, see `mpq_cost`), so a service that runs
@@ -84,13 +77,11 @@
 //!   measured under a **caller-supplied clock**. With a [`VirtualClock`]
 //!   stepped from a seeded arrival trace, batching decisions — batch
 //!   contents, the trigger mix and the `coalesced` count — replay
-//!   bit-identically with no wall-clock dependence (`submit` classifies
-//!   leaders and copies, so the split is a function of the submission
-//!   sequence, and a copy's submit time still reaches the deadline
-//!   sweep, so a clock advance at a copy expires buffers exactly as an
-//!   advance at any other arrival). The one timing-dependent case is a copy of a query whose
-//!   leader panicked: whether the worker re-runs it or it leads anew
-//!   depends on when it arrives, but its outcome does not. The latency
+//!   bit-identically with no wall-clock dependence (`submit` splits
+//!   leaders from copies, and a copy's submit time still reaches the
+//!   deadline sweep). The one timing-dependent case is a copy of a query
+//!   whose leader panicked: whether the worker re-runs it or it leads
+//!   anew depends on when it arrives, but its outcome does not. The latency
 //!   *percentiles* are approximate there (completion times are read
 //!   while the submitter may still be advancing the clock), so treat
 //!   them like any other measured-duration metric.
@@ -155,20 +146,22 @@
 // (`unwrap`/`expect` on queue plumbing) this crate bans.
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
-use mpq_catalog::fault::query_digest;
+pub mod answer_cache;
+
+pub use answer_cache::{AnswerCache, ANSWER_CAPACITY};
+use answer_cache::{Lead, Lookup, Release, Shareable};
+
 use mpq_catalog::Query;
 use mpq_cloud::model::ParametricCostModel;
 use mpq_core::rrpa::MpqSolution;
 use mpq_core::session::{OptimizerSession, ShardedSession};
 use mpq_core::space::MpqSpace;
 use mpq_core::stats::thread_solved;
-use mpq_cost::{CacheStats, LiftedCostCache};
+use mpq_cost::CacheStats;
 use mpq_obs::{Counter, Gauge, Histogram, Obs, SpanGuard};
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// When an accumulating batch dispatches to its shard.
@@ -246,62 +239,8 @@ impl VirtualClock {
     }
 }
 
-/// When a deadline-triggered batch downgrades to the ε-approximate
-/// optimizer (see [`ApproxPolicy`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ApproxTrigger {
-    /// Every deadline-triggered batch runs at ε: the batch already paid
-    /// its full latency budget, so it trades precision for speed
-    /// unconditionally.
-    DeadlineOnly,
-    /// A deadline-triggered batch runs at ε only when at least this many
-    /// requests were buffered across all shards at flush time — genuine
-    /// queue pressure, not just a slow trickle.
-    QueueDepth(usize),
-}
-
-/// The service's precision/latency dial: when a batch dispatches because
-/// its **deadline** expired (the batch already waited `max_wait`), the
-/// shard worker may run it through the ε-approximate optimizer
-/// ([`mpq_core::session::OptimizerSession::optimize_at`]) instead
-/// of the exact one — serving a provable `(1+ε)`-cover of each exact
-/// frontier now rather than the exact frontier later. Size- and
-/// drain-triggered batches always run exact.
-///
-/// The ε decision is made by the batcher at flush time from the trigger
-/// and the buffered request count — both pure functions of the submission
-/// sequence under a [`VirtualClock`] — so trace replays reproduce the
-/// same ε choices bit for bit (the same bar as the trigger mix).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ApproxPolicy {
-    /// The approximation factor deadline-pressured batches run at
-    /// (must be finite and positive; `ε = 0` would be the exact path).
-    pub epsilon: f64,
-    /// Which deadline-triggered batches downgrade.
-    pub trigger: ApproxTrigger,
-}
-
-impl ApproxPolicy {
-    /// Downgrade every deadline-triggered batch to ε.
-    pub fn deadline_only(epsilon: f64) -> Self {
-        Self {
-            epsilon,
-            trigger: ApproxTrigger::DeadlineOnly,
-        }
-    }
-
-    /// Downgrade deadline-triggered batches to ε only under queue
-    /// pressure (≥ `depth` buffered requests at flush time).
-    pub fn queue_depth(epsilon: f64, depth: usize) -> Self {
-        Self {
-            epsilon,
-            trigger: ApproxTrigger::QueueDepth(depth),
-        }
-    }
-}
-
 /// Service configuration: the batch policy, the clock, the admission
-/// bound, and the approximate-serving policy.
+/// bound, and the ε of approximate serving.
 #[derive(Clone)]
 pub struct ServiceConfig {
     /// Batch dispatch triggers.
@@ -316,9 +255,9 @@ pub struct ServiceConfig {
     ///
     /// [`submit`]: ServiceHandle::submit
     pub max_queue: Option<usize>,
-    /// ε-approximate serving policy for deadline-pressured batches
-    /// (`None` = always exact; see [`ApproxPolicy`]).
-    pub approx: Option<ApproxPolicy>,
+    /// The ε deadline-triggered batches run at (`None` = always exact;
+    /// see [`ServiceConfig::with_approx`]).
+    pub approx: Option<f64>,
     /// Observability: [`Obs::off`] (the default) keeps serving on the
     /// unobserved hot path, with every counter a private cell. A live
     /// handle keeps every counter in its registry under a `service_*`
@@ -359,16 +298,20 @@ impl ServiceConfig {
         self
     }
 
-    /// Installs an ε-approximate serving policy (see [`ApproxPolicy`]).
+    /// The precision/latency dial: a batch whose **deadline** fired (it
+    /// already waited `max_wait`) runs through the ε-approximate
+    /// optimizer ([`OptimizerSession::optimize_at`]), serving a
+    /// `(1+ε)`-cover of each exact frontier now rather than the exact
+    /// frontier later. Size- and drain-triggered batches run exact.
     ///
     /// # Panics
-    /// Panics if the policy's ε is not finite and positive.
-    pub fn with_approx(mut self, approx: ApproxPolicy) -> Self {
+    /// Panics if `epsilon` is not finite and positive.
+    pub fn with_approx(mut self, epsilon: f64) -> Self {
         assert!(
-            approx.epsilon.is_finite() && approx.epsilon > 0.0,
-            "an approximate-serving policy needs a finite positive epsilon"
+            epsilon.is_finite() && epsilon > 0.0,
+            "approximate serving needs a finite positive epsilon"
         );
-        self.approx = Some(approx);
+        self.approx = Some(epsilon);
         self
     }
 
@@ -418,21 +361,17 @@ impl From<Query> for SubmittedQuery {
     }
 }
 
-/// Why a batch dispatched.
+/// Why a batch dispatched. The discriminant is the stable code spans
+/// record as `trigger`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchTrigger {
     /// The buffer reached `max_batch`.
-    Size,
+    Size = 0,
     /// The oldest buffered request waited `max_wait`.
-    Deadline,
+    Deadline = 1,
     /// Service shutdown flushed the remainder.
-    Drain,
+    Drain = 2,
 }
-
-/// The most (query, deadline) keys `submit` remembers for coalescing
-/// copies; past it, second-chance eviction drops the key that was copied
-/// least recently.
-pub const ANSWER_CAPACITY: usize = 4096;
 
 /// How a request travelled through the service: set on outcomes that
 /// reached a shard worker ([`QueryOutcome::Ok`] / [`Panicked`]), absent
@@ -529,14 +468,6 @@ impl<S: MpqSpace> QueryOutcome<S> {
             _ => None,
         }
     }
-
-    /// A reference to the solution, if the query completed.
-    pub fn as_ok(&self) -> Option<&MpqSolution<S>> {
-        match self {
-            QueryOutcome::Ok(solution) => Some(solution),
-            _ => None,
-        }
-    }
 }
 
 impl<S: MpqSpace> std::fmt::Debug for QueryOutcome<S> {
@@ -570,8 +501,8 @@ pub struct QueryResponse<S: MpqSpace> {
     /// that failed validation).
     pub latency: f64,
     /// The ε-approximation factor the request's batch ran at: `Some(ε)`
-    /// when an [`ApproxPolicy`] downgraded the (deadline-pressured)
-    /// batch, `None` for exact serving or outcomes that never reached a
+    /// when [`ServiceConfig::with_approx`] downgraded the
+    /// (deadline-triggered) batch, `None` for exact serving or outcomes that never reached a
     /// worker. An `Ok` answer with `Some(ε)` is a `(1+ε)`-cover of the
     /// exact frontier (every exact-frontier plan is ε-dominated by some
     /// served plan), not necessarily the exact frontier itself.
@@ -585,6 +516,25 @@ fn unrouted<S: MpqSpace>(outcome: QueryOutcome<S>, latency: f64) -> QueryRespons
         route: None,
         latency,
         served_epsilon: None,
+    }
+}
+
+impl<S: MpqSpace> Clone for QueryResponse<S> {
+    fn clone(&self) -> Self {
+        Self {
+            outcome: self.outcome.clone(),
+            route: self.route,
+            latency: self.latency,
+            served_epsilon: self.served_epsilon,
+        }
+    }
+}
+
+/// The panic rule of the [`AnswerCache`]: a `Panicked` answer is never
+/// shared.
+impl<S: MpqSpace> Shareable for QueryResponse<S> {
+    fn panicked(&self) -> bool {
+        self.kind() == OutcomeKind::Panicked
     }
 }
 
@@ -603,16 +553,6 @@ impl<S: MpqSpace> QueryResponse<S> {
     /// The outcome's discriminant.
     pub fn kind(&self) -> OutcomeKind {
         self.outcome.kind()
-    }
-
-    /// This answer, shared with a copy whose wait was `latency`.
-    fn for_copy(&self, latency: f64) -> Self {
-        Self {
-            outcome: self.outcome.clone(),
-            route: self.route,
-            latency,
-            served_epsilon: self.served_epsilon,
-        }
     }
 
     /// The solution of an `Ok` outcome.
@@ -723,10 +663,9 @@ pub struct ServiceStats {
     /// Requests answered with a solution ([`QueryOutcome::Ok`]).
     pub completed: u64,
     /// Of `completed`, the answers served ε-approximately (their batch
-    /// was downgraded by the [`ApproxPolicy`]; the response carries
-    /// `served_epsilon: Some(ε)`).
+    /// was downgraded; the response carries `served_epsilon: Some(ε)`).
     pub approx_served: u64,
-    /// Batches the [`ApproxPolicy`] downgraded to ε.
+    /// Batches [`ServiceConfig::with_approx`] downgraded to ε.
     pub approx_batches: u64,
     /// Requests turned away by admission control
     /// ([`QueryOutcome::Rejected`]).
@@ -969,45 +908,40 @@ impl StatsShared {
 
 /// One buffered request travelling batcher → shard worker.
 struct Pending<S: MpqSpace> {
-    query: Query,
-    /// Absolute service-clock deadline (see [`SubmittedQuery::deadline`]).
-    deadline: Option<f64>,
+    submitted: SubmittedQuery,
     submitted_at: f64,
     reply: mpsc::Sender<QueryResponse<S>>,
-    /// The coalescing slot this request leads (`None`: it runs unshared
-    /// after a digest collision).
-    slot: Option<Arc<Mutex<Slot<S>>>>,
+    /// This request's lead on its [`AnswerCache`] key (`None`: it runs
+    /// unshared after a key collision, or its lead is resolved).
+    lead: Option<Lead<QueryResponse<S>, Waiter<S>>>,
 }
 
+/// A copy waiting on its leader: its submit time and its ticket's
+/// channel.
+type Waiter<S> = (f64, mpsc::Sender<QueryResponse<S>>);
+
 impl<S: MpqSpace> Pending<S> {
-    /// Answers this request and the copies waiting on it. `Ok`,
-    /// `TimedOut` and `Shutdown` are shared, and the slot keeps the
-    /// answer for later copies. A `Panicked` answer is not shared: the
-    /// slot goes back to vacant and the waiting copies are returned for
-    /// the caller to re-run.
+    /// Answers this request and resolves its lead. A shared answer goes
+    /// to the copies waiting on it; the copies of a `Panicked` one are
+    /// returned for the caller to give one attempt each.
     fn resolve(
-        &self,
+        &mut self,
         stats: &StatsShared,
         response: QueryResponse<S>,
         now: f64,
-    ) -> Vec<WaitingCopy<S>> {
-        let mut rerun = Vec::new();
-        if let Some(slot) = &self.slot {
-            let mut state = slot.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Slot::InFlight { key, copies } = std::mem::replace(&mut *state, Slot::Vacant) {
-                if response.kind() == OutcomeKind::Panicked {
-                    rerun = copies;
-                } else {
-                    for copy in copies {
-                        stats.answer(&copy.reply, response.for_copy(now - copy.submitted_at));
-                    }
-                    *state = Slot::Done {
-                        key,
-                        answer: response.for_copy(0.0),
-                    };
+    ) -> Vec<Waiter<S>> {
+        let rerun = match self.lead.take().map(|lead| lead.resolve(&response)) {
+            Some(Release::Share(copies)) => {
+                for (submitted_at, reply) in copies {
+                    let mut copy = response.clone();
+                    copy.latency = now - submitted_at;
+                    stats.answer(&reply, copy);
                 }
+                Vec::new()
             }
-        }
+            Some(Release::Rerun(copies)) => copies,
+            None => Vec::new(),
+        };
         stats.answer(&self.reply, response);
         rerun
     }
@@ -1024,51 +958,12 @@ enum Arrival<S: MpqSpace> {
     Sweep(f64),
 }
 
-/// The coalescing state of one (query, deadline) key.
-enum Slot<S: MpqSpace> {
-    /// No leader: the next submit of the key leads.
-    Vacant,
-    /// The leader is in the service; its copies wait here.
-    InFlight {
-        key: SubmittedQuery,
-        copies: Vec<WaitingCopy<S>>,
-    },
-    /// The leader resolved; a copy is answered inside `submit`.
-    Done {
-        key: SubmittedQuery,
-        answer: QueryResponse<S>,
-    },
-}
-
-/// A copy waiting on its leader.
-struct WaitingCopy<S: MpqSpace> {
-    submitted_at: f64,
-    reply: mpsc::Sender<QueryResponse<S>>,
-}
-
-/// The coalescing key: the content digest mixed with the deadline's bits.
-fn answer_key(submitted: &SubmittedQuery) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    query_digest(&submitted.query).hash(&mut hasher);
-    submitted.deadline.map(f64::to_bits).hash(&mut hasher);
-    hasher.finish()
-}
-
-/// Stable numeric code for a trigger in span fields (spans carry u64s).
-fn trigger_code(t: BatchTrigger) -> u64 {
-    match t {
-        BatchTrigger::Size => 0,
-        BatchTrigger::Deadline => 1,
-        BatchTrigger::Drain => 2,
-    }
-}
-
 /// One dispatched batch.
 struct ShardBatch<S: MpqSpace> {
     seq: u64,
     trigger: BatchTrigger,
-    /// `Some(ε)` when the [`ApproxPolicy`] downgraded this
-    /// (deadline-pressured) batch — decided by the batcher at flush
+    /// `Some(ε)` when [`ServiceConfig::with_approx`] downgraded this
+    /// (deadline-triggered) batch — decided by the batcher at flush
     /// time, so every query of the batch and every re-run copy runs at
     /// the same ε.
     epsilon: Option<f64>,
@@ -1132,9 +1027,8 @@ pub struct ServiceHandle<'a, S: MpqSpace, M: ParametricCostModel + ?Sized> {
     stats: Arc<StatsShared>,
     obs: Obs,
     sessions: &'a ShardedSession<'a, S, M>,
-    /// The coalescing slots, keyed by [`answer_key`] and bounded by
-    /// [`ANSWER_CAPACITY`]; allocated at the first valid submit.
-    slots: OnceLock<LiftedCostCache<u64, Mutex<Slot<S>>>>,
+    /// Validation, coalescing and the panic rule (see the crate docs).
+    answers: AnswerCache<QueryResponse<S>, Waiter<S>>,
 }
 
 impl<S, M> ServiceHandle<'_, S, M>
@@ -1163,50 +1057,12 @@ where
         let ticket = ServiceTicket { rx: reply_rx };
         let mut span = self.obs.span("submit");
         self.stats.submitted.inc();
-        // Validation at admission: an invalid query would only panic
-        // inside `optimize`.
-        if let Err(e) = submitted.query.validate() {
-            span.record("invalid", 1);
-            let outcome = QueryOutcome::Panicked {
-                message: format!("invalid query: {e}"),
-            };
-            self.stats.answer(&reply_tx, unrouted(outcome, 0.0));
-            return ticket;
-        }
         let submitted_at = (self.clock)();
-        let slot = self
-            .slots
-            .get_or_init(|| LiftedCostCache::with_capacity(Some(ANSWER_CAPACITY)))
-            .get_or_lift(&answer_key(&submitted), || Mutex::new(Slot::Vacant));
-        // A poisoned slot lock only means a client thread panicked while
-        // holding it; the state inside is still consistent.
-        let mut state = slot.lock().unwrap_or_else(PoisonError::into_inner);
-        let leads = match &mut *state {
-            Slot::Vacant => true,
-            Slot::Done { key, answer } if *key == submitted => {
-                let response = answer.for_copy((self.clock)() - submitted_at);
-                drop(state);
-                self.stats.answer(&reply_tx, response);
-                self.coalesced(&mut span, submitted_at);
-                return ticket;
-            }
-            Slot::InFlight { key, copies } if *key == submitted => {
-                copies.push(WaitingCopy {
-                    submitted_at,
-                    reply: reply_tx,
-                });
-                drop(state);
-                self.coalesced(&mut span, submitted_at);
-                return ticket;
-            }
-            // A digest collision: the slot belongs to another query, so
-            // this one runs unshared.
-            _ => false,
-        };
-        // Admission control: reserve a queue slot or reject. The
-        // reservation is released when the request leaves the buffers
-        // (dispatch, expiry, or shutdown drain).
-        let admitted = match self.max_queue {
+        // Admission control, asked only for a request that runs: reserve
+        // a queue slot or reject. The reservation is released when the
+        // request leaves the buffers (dispatch, expiry, or shutdown
+        // drain).
+        let admit = || match self.max_queue {
             Some(max) => self
                 .stats
                 .queued
@@ -1219,31 +1075,45 @@ where
                 true
             }
         };
-        if !admitted {
-            span.record("rejected", 1);
-            self.stats
-                .answer(&reply_tx, unrouted(QueryOutcome::Rejected, 0.0));
-            return ticket;
-        }
-        let slot = leads.then(|| {
-            *state = Slot::InFlight {
-                key: submitted.clone(),
-                copies: Vec::new(),
-            };
-            Arc::clone(&slot)
-        });
-        drop(state);
+        let waiter = || (submitted_at, reply_tx.clone());
+        let lead = match self.answers.lookup(&submitted, waiter, admit) {
+            Lookup::Run(lead) => lead,
+            Lookup::Invalid(message) => {
+                span.record("invalid", 1);
+                let outcome = QueryOutcome::Panicked { message };
+                self.stats.answer(&reply_tx, unrouted(outcome, 0.0));
+                return ticket;
+            }
+            Lookup::Refused => {
+                span.record("rejected", 1);
+                self.stats
+                    .answer(&reply_tx, unrouted(QueryOutcome::Rejected, 0.0));
+                return ticket;
+            }
+            Lookup::Done(answer) => {
+                // Stamped before the clone: the latency covers the lookup.
+                let latency = (self.clock)() - submitted_at;
+                let mut response = QueryResponse::clone(&answer);
+                response.latency = latency;
+                self.stats.answer(&reply_tx, response);
+                self.coalesced(&mut span, submitted_at);
+                return ticket;
+            }
+            Lookup::Waiting => {
+                self.coalesced(&mut span, submitted_at);
+                return ticket;
+            }
+        };
         let pending = Pending {
-            query: submitted.query,
-            deadline: submitted.deadline,
+            submitted,
             submitted_at,
             reply: reply_tx,
-            slot,
+            lead,
         };
         // A poisoned submit lock only means another client thread
         // panicked *while holding it*; the sender inside is still valid.
         let sender = self.tx.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Err(mpsc::SendError(Arrival::Request(pending))) =
+        if let Err(mpsc::SendError(Arrival::Request(mut pending))) =
             sender.send(Arrival::Request(pending))
         {
             // The batcher is gone — the service is shutting down (or was
@@ -1273,12 +1143,6 @@ where
             self.sessions.cache_stats_per_shard(),
             self.sessions.subtree_stats_per_shard(),
         )
-    }
-
-    /// The service clock (useful for clients that want to timestamp their
-    /// own records consistently — e.g. to compute absolute deadlines).
-    pub fn now(&self) -> f64 {
-        (self.clock)()
     }
 }
 
@@ -1366,7 +1230,7 @@ where
                     span.record("shard", shard as u64);
                     span.record("batch_seq", batch.seq);
                     span.record("batch_size", batch_size as u64);
-                    span.record("trigger", trigger_code(batch.trigger));
+                    span.record("trigger", batch.trigger as u64);
                     if batch.epsilon.is_some() {
                         span.record("approx", 1);
                     }
@@ -1398,17 +1262,16 @@ where
                         latency,
                         served_epsilon: batch.epsilon,
                     };
-                    for pending in &batch.requests {
-                        let outcome = attempt(&pending.query);
+                    for mut pending in batch.requests {
+                        let outcome = attempt(&pending.submitted.query);
                         let now = clock();
                         let response = respond(outcome, now - pending.submitted_at);
                         // Copies of a panicked leader re-run alone, one
                         // attempt each, at the batch's ε.
-                        for copy in pending.resolve(&stats, response, now) {
+                        for (submitted_at, reply) in pending.resolve(&stats, response, now) {
                             cells.queries.inc();
-                            let outcome = attempt(&pending.query);
-                            stats
-                                .answer(&copy.reply, respond(outcome, clock() - copy.submitted_at));
+                            let outcome = attempt(&pending.submitted.query);
+                            stats.answer(&reply, respond(outcome, clock() - submitted_at));
                         }
                     }
                     span.record("lps_delta", thread_solved() - lps_before);
@@ -1432,89 +1295,70 @@ where
                     })
                     .collect();
                 let mut seq = 0u64;
-                // Sends `requests` to `shard` as one batch; `buffers` is
-                // what stays buffered, for the ε gate's depth.
-                let mut dispatch = |buffers: &[ShardBuffer<S>],
-                                    shard: usize,
-                                    trigger: BatchTrigger,
-                                    requests: Vec<Pending<S>>| {
-                    if requests.is_empty() {
-                        return;
-                    }
-                    // ε decision. Both inputs — the trigger and the total
-                    // buffered count, this batch included — are pure
-                    // functions of the submission sequence under a
-                    // virtual clock, so replays reproduce the ε choice
-                    // exactly.
-                    let epsilon = approx.and_then(|a| {
-                        if trigger != BatchTrigger::Deadline {
-                            return None;
+                // Sends `requests` to `shard` as one batch.
+                let mut dispatch =
+                    |shard: usize, trigger: BatchTrigger, requests: Vec<Pending<S>>| {
+                        if requests.is_empty() {
+                            return;
                         }
-                        let buffered = requests.len()
-                            + buffers.iter().map(|b| b.requests.len()).sum::<usize>();
-                        match a.trigger {
-                            ApproxTrigger::DeadlineOnly => Some(a.epsilon),
-                            ApproxTrigger::QueueDepth(depth) => {
-                                (buffered >= depth).then_some(a.epsilon)
+                        // Only deadline-triggered batches run at ε.
+                        let epsilon = approx.filter(|_| trigger == BatchTrigger::Deadline);
+                        let mut span = obs.span("batch_flush");
+                        span.record("shard", shard as u64);
+                        span.record("trigger", trigger as u64);
+                        stats
+                            .queued
+                            .fetch_sub(requests.len() as u64, Ordering::Relaxed);
+                        // Per-query deadline budget, checked at dispatch:
+                        // requests already expired are answered TimedOut
+                        // without burning optimizer time; the batch forms
+                        // from the rest.
+                        let now = clock();
+                        let (live, expired): (Vec<_>, Vec<_>) = requests
+                            .into_iter()
+                            .partition(|p| p.submitted.deadline.is_none_or(|d| now <= d));
+                        span.record("expired", expired.len() as u64);
+                        span.record("dispatched", live.len() as u64);
+                        for mut pending in expired {
+                            let latency = now - pending.submitted_at;
+                            pending.resolve(&stats, unrouted(QueryOutcome::TimedOut, latency), now);
+                        }
+                        if live.is_empty() {
+                            return;
+                        }
+                        match batch_txs[shard].send(ShardBatch {
+                            seq,
+                            trigger,
+                            epsilon,
+                            requests: live,
+                        }) {
+                            Ok(()) => {
+                                seq += 1;
+                                stats.batches.inc();
+                                if epsilon.is_some() {
+                                    stats.approx_batches.inc();
+                                }
+                                match trigger {
+                                    BatchTrigger::Size => stats.size_triggered.inc(),
+                                    BatchTrigger::Deadline => stats.deadline_triggered.inc(),
+                                    BatchTrigger::Drain => stats.drain_triggered.inc(),
+                                }
+                            }
+                            Err(mpsc::SendError(batch)) => {
+                                // The shard worker is gone without being
+                                // told to stop — it can only have been
+                                // killed from outside (workers catch query
+                                // panics). Answer the whole batch as
+                                // Shutdown rather than panicking the batcher
+                                // and stranding every other ticket.
+                                for mut pending in batch.requests {
+                                    let latency = now - pending.submitted_at;
+                                    let response = unrouted(QueryOutcome::Shutdown, latency);
+                                    pending.resolve(&stats, response, now);
+                                }
                             }
                         }
-                    });
-                    let mut span = obs.span("batch_flush");
-                    span.record("shard", shard as u64);
-                    span.record("trigger", trigger_code(trigger));
-                    stats
-                        .queued
-                        .fetch_sub(requests.len() as u64, Ordering::Relaxed);
-                    // Per-query deadline budget, checked at dispatch:
-                    // requests already expired are answered TimedOut
-                    // without burning optimizer time; the batch forms
-                    // from the rest.
-                    let now = clock();
-                    let (live, expired): (Vec<_>, Vec<_>) = requests
-                        .into_iter()
-                        .partition(|p| p.deadline.is_none_or(|d| now <= d));
-                    span.record("expired", expired.len() as u64);
-                    span.record("dispatched", live.len() as u64);
-                    for pending in expired {
-                        let latency = now - pending.submitted_at;
-                        pending.resolve(&stats, unrouted(QueryOutcome::TimedOut, latency), now);
-                    }
-                    if live.is_empty() {
-                        return;
-                    }
-                    match batch_txs[shard].send(ShardBatch {
-                        seq,
-                        trigger,
-                        epsilon,
-                        requests: live,
-                    }) {
-                        Ok(()) => {
-                            seq += 1;
-                            stats.batches.inc();
-                            if epsilon.is_some() {
-                                stats.approx_batches.inc();
-                            }
-                            match trigger {
-                                BatchTrigger::Size => stats.size_triggered.inc(),
-                                BatchTrigger::Deadline => stats.deadline_triggered.inc(),
-                                BatchTrigger::Drain => stats.drain_triggered.inc(),
-                            }
-                        }
-                        Err(mpsc::SendError(batch)) => {
-                            // The shard worker is gone without being
-                            // told to stop — it can only have been
-                            // killed from outside (workers catch query
-                            // panics). Answer the whole batch as
-                            // Shutdown rather than panicking the batcher
-                            // and stranding every other ticket.
-                            for pending in batch.requests {
-                                let latency = now - pending.submitted_at;
-                                let response = unrouted(QueryOutcome::Shutdown, latency);
-                                pending.resolve(&stats, response, now);
-                            }
-                        }
-                    }
-                };
+                    };
                 loop {
                     // Blocking recv while idle; with buffered requests,
                     // sleep only until the earliest buffered deadline
@@ -1564,13 +1408,13 @@ where
                         Some(Arrival::Sweep(at)) => *at,
                         None => clock(),
                     };
-                    for shard in 0..shards {
-                        if !buffers[shard].requests.is_empty() && buffers[shard].deadline <= now {
-                            let requests = buffers[shard].take(&stats);
-                            dispatch(&buffers, shard, BatchTrigger::Deadline, requests);
+                    for (shard, buffer) in buffers.iter_mut().enumerate() {
+                        if !buffer.requests.is_empty() && buffer.deadline <= now {
+                            let requests = buffer.take(&stats);
+                            dispatch(shard, BatchTrigger::Deadline, requests);
                         }
                     }
-                    let Some(Arrival::Request(pending)) = received else {
+                    let Some(Arrival::Request(mut pending)) = received else {
                         continue;
                     };
                     // Routing consults the query's shape; a malformed
@@ -1578,7 +1422,7 @@ where
                     // quarantined right here, so it cannot take the
                     // batcher down.
                     let shard = match catch_unwind(AssertUnwindSafe(|| {
-                        sessions.shard_of(&pending.query)
+                        sessions.shard_of(&pending.submitted.query)
                     })) {
                         Ok(shard) => shard,
                         Err(payload) => {
@@ -1594,8 +1438,8 @@ where
                             // Routing is pure in the query, so its copies
                             // would panic the same way.
                             let leader = panicked(pending.submitted_at);
-                            for copy in pending.resolve(&stats, leader, now) {
-                                stats.answer(&copy.reply, panicked(copy.submitted_at));
+                            for (submitted_at, reply) in pending.resolve(&stats, leader, now) {
+                                stats.answer(&reply, panicked(submitted_at));
                             }
                             continue;
                         }
@@ -1608,15 +1452,15 @@ where
                     stats.queue_depth_peak.raise(depth);
                     if buffers[shard].requests.len() >= policy.max_batch {
                         let requests = buffers[shard].take(&stats);
-                        dispatch(&buffers, shard, BatchTrigger::Size, requests);
+                        dispatch(shard, BatchTrigger::Size, requests);
                     }
                 }
                 // Shutdown: drain whatever is left, in shard order —
                 // every buffered ticket gets an answer before the
                 // workers are released.
-                for shard in 0..shards {
-                    let requests = buffers[shard].take(&stats);
-                    dispatch(&buffers, shard, BatchTrigger::Drain, requests);
+                for (shard, buffer) in buffers.iter_mut().enumerate() {
+                    let requests = buffer.take(&stats);
+                    dispatch(shard, BatchTrigger::Drain, requests);
                 }
                 // `batch_txs` drop here, terminating the shard workers.
             });
@@ -1629,7 +1473,7 @@ where
             stats: Arc::clone(&stats),
             obs: obs.clone(),
             sessions,
-            slots: OnceLock::new(),
+            answers: AnswerCache::default(),
         };
         let out = body(&handle);
         // Dropping the handle closes the submit channel: the batcher
@@ -2320,8 +2164,7 @@ mod tests {
         assert!(stats.lps_solved > 0);
     }
 
-    /// A deadline-triggered batch under a `DeadlineOnly` approx policy
-    /// is served at ε: the response is stamped, the counters move, and
+    /// A deadline-triggered batch under `with_approx` is served at ε: the response is stamped, the counters move, and
     /// exact (size/drain) batches stay unstamped.
     #[test]
     fn approx_policy_downgrades_deadline_batches() {
@@ -2331,7 +2174,7 @@ mod tests {
         let vclock = VirtualClock::new();
         let config = ServiceConfig::new(BatchPolicy::new(100, Duration::from_micros(50)))
             .with_clock(vclock.clock())
-            .with_approx(ApproxPolicy::deadline_only(0.1));
+            .with_approx(0.1);
         let (tickets, stats) = serve(&shard_sessions, config, |handle| {
             let t0 = handle.submit(queries[0].clone());
             vclock.advance_to_micros(100);
@@ -2358,59 +2201,6 @@ mod tests {
         assert!(stats.approx_served <= stats.completed);
     }
 
-    /// A `QueueDepth` gate keeps lone deadline flushes exact and
-    /// downgrades only under real buffered pressure.
-    #[test]
-    fn queue_depth_gate_requires_pressure() {
-        let model = CloudCostModel::default();
-        // Two affinity groups so two shard buffers can hold requests at
-        // the same flush.
-        let mut queries = same_shard_workload(2, 5);
-        queries.extend(same_shard_workload(2, 23));
-        let shard_sessions = sessions(&model, 2, None);
-        let vclock = VirtualClock::new();
-        let config = ServiceConfig::new(BatchPolicy::new(100, Duration::from_micros(50)))
-            .with_clock(vclock.clock())
-            .with_approx(ApproxPolicy::queue_depth(0.1, 2));
-        let (tickets, stats) = serve(&shard_sessions, config, |handle| {
-            // Round 1: a single buffered request expires alone —
-            // below the depth-2 gate, so it must be served exact.
-            let t0 = handle.submit(queries[0].clone());
-            vclock.advance_to_micros(100);
-            let t1 = handle.submit(queries[2].clone());
-            // Round 2: t1's buffer plus t2's makes depth 2 when the
-            // clock expires them — now the gate opens.
-            let t2 = handle.submit(queries[1].clone());
-            vclock.advance_to_micros(200);
-            let t3 = handle.submit(queries[3].clone());
-            vec![t0, t1, t2, t3]
-        });
-        let responses: Vec<_> = tickets.into_iter().map(|t| t.wait()).collect();
-        assert_eq!(responses[0].route.unwrap().trigger, BatchTrigger::Deadline);
-        assert_eq!(
-            responses[0].served_epsilon, None,
-            "a lone expired request is below the pressure gate"
-        );
-        let deadline_approx = responses
-            .iter()
-            .filter(|r| {
-                r.route
-                    .is_some_and(|route| route.trigger == BatchTrigger::Deadline)
-                    && r.served_epsilon == Some(0.1)
-            })
-            .count();
-        assert!(
-            deadline_approx >= 1,
-            "pressured deadline flushes must downgrade (got {responses:?})"
-        );
-        assert_eq!(stats.approx_served as usize, deadline_approx);
-        assert!(stats.approx_batches >= 1);
-        assert_eq!(
-            stats.submitted,
-            stats.completed + stats.rejected + stats.timed_out + stats.quarantined
-        );
-    }
-
     /// Quarantine preserves the batch's ε: healthy batch-mates of a
     /// poison query in a downgraded batch still come back stamped, each
     /// after exactly one attempt.
@@ -2429,7 +2219,7 @@ mod tests {
         let vclock = VirtualClock::new();
         let config = ServiceConfig::new(BatchPolicy::new(100, Duration::from_micros(50)))
             .with_clock(vclock.clock())
-            .with_approx(ApproxPolicy::deadline_only(0.1));
+            .with_approx(0.1);
         let (tickets, stats) = serve(&shard_sessions, config, |handle| {
             let t0 = handle.submit(queries[0].clone());
             let t1 = handle.submit(queries[1].clone());
@@ -2808,9 +2598,9 @@ mod tests {
         assert_eq!((stats.deadline_triggered, stats.drain_triggered), (1, 0));
     }
 
-    /// A digest collision never shares: with another query's resolved
-    /// slot planted under this query's key, the request runs unshared
-    /// and gets its own answer.
+    /// A key collision never shares: with another query's answer planted
+    /// under this query's key, the request runs unshared and gets its
+    /// own answer.
     #[test]
     fn colliding_key_runs_unshared() {
         let model = CloudCostModel::default();
@@ -2826,13 +2616,13 @@ mod tests {
             let other = handle
                 .submit(queries[1].clone())
                 .wait_timeout(&clock, budget);
-            let key = answer_key(&SubmittedQuery::new(queries[0].clone()));
-            handle.slots.get().unwrap().get_or_lift(&key, || {
-                Mutex::new(Slot::Done {
-                    key: SubmittedQuery::new(queries[1].clone()),
-                    answer: other,
-                })
-            });
+            let key = handle.answers.key(&SubmittedQuery::new(queries[0].clone()));
+            let planted = SubmittedQuery::new(queries[1].clone());
+            let no_waiter = || unreachable!("the key is vacant");
+            match handle.answers.lookup_at(key, &planted, no_waiter, || true) {
+                Lookup::Run(Some(lead)) => drop(lead.resolve(&other)),
+                _ => panic!("the planted query leads its key"),
+            }
             let own = handle
                 .submit(queries[0].clone())
                 .wait_timeout(&clock, budget);
@@ -2961,7 +2751,7 @@ mod tests {
         let clock = vclock.clock();
         let config = ServiceConfig::new(BatchPolicy::new(100, Duration::from_micros(50)))
             .with_clock(vclock.clock())
-            .with_approx(ApproxPolicy::deadline_only(0.1));
+            .with_approx(0.1);
         let (tickets, stats) = serve(&shard_sessions, config, |handle| {
             let leader = handle.submit(queries[0].clone());
             let waiting = handle.submit(queries[0].clone());

@@ -18,11 +18,11 @@
 //!    quarantined poison costs exactly one worker restart: every query
 //!    gets one attempt, and no healthy batch-mate is ever re-run.
 //!
-//! Half the cases additionally run under
-//! `ApproxPolicy::deadline_only(0.1)`: ε-served completions still count
-//! toward the conservation identity (`approx_served ≤ completed`),
-//! quarantine still catches every poison, and a healthy response stamped
-//! `served_epsilon` must carry the policy's ε — every attempt of a
+//! Half the cases additionally run with `ServiceConfig::with_approx(0.1)`:
+//! ε-served completions still count toward the conservation identity
+//! (`approx_served ≤ completed`), quarantine still catches every poison,
+//! and a healthy response stamped `served_epsilon` must carry that ε —
+//! every attempt of a
 //! downgraded batch runs at the batch ε — with a frontier no larger
 //! than the exact reference and every exact cost vector (1+ε)-dominated.
 //!
@@ -43,7 +43,7 @@ use mpq_core::rrpa::{optimize, MpqSolution};
 use mpq_core::session::{SessionConfig, ShardedSession};
 use mpq_core::space::MpqSpace;
 use mpq_core::OptimizerConfig;
-use mpq_service::{serve, ApproxPolicy, BatchPolicy, OutcomeKind, ServiceConfig, VirtualClock};
+use mpq_service::{serve, BatchPolicy, OutcomeKind, ServiceConfig, VirtualClock};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -166,7 +166,7 @@ proptest! {
             ))
             .with_clock(vclock.clock());
             if let Some(eps) = epsilon {
-                config = config.with_approx(ApproxPolicy::deadline_only(eps));
+                config = config.with_approx(eps);
             }
             // `serve` returning at all is invariant 2: the drain flush
             // only runs after every worker survived its batches, and
