@@ -459,11 +459,6 @@ impl NetFaultPlan {
         self.faults.entry(query_digest(query)).or_insert(fault);
     }
 
-    /// Marks a raw digest (for callers that pre-computed it).
-    pub fn mark_digest(&mut self, digest: u64, fault: NetFault) {
-        self.faults.entry(digest).or_insert(fault);
-    }
-
     /// The fault marked for `query`, if any.
     pub fn fault_of(&self, query: &Query) -> Option<NetFault> {
         self.faults.get(&query_digest(query)).copied()

@@ -250,11 +250,6 @@ impl TableSet {
         self.0 & !other.0 == 0
     }
 
-    /// True iff the sets share no member.
-    pub fn is_disjoint(self, other: TableSet) -> bool {
-        self.0 & other.0 == 0
-    }
-
     /// Iterates over member indices in increasing order.
     pub fn iter(self) -> impl Iterator<Item = usize> {
         let mut bits = self.0;

@@ -71,17 +71,10 @@ pub struct GridSpace {
 impl GridSpace {
     /// Builds a space over an existing grid.
     pub fn new(grid: Arc<ParamGrid>, num_metrics: usize, config: &OptimizerConfig) -> Self {
-        // The exact emptiness fast paths (interval arithmetic in 1-D,
-        // slab tests + Chebyshev triple enumeration in 2-D) are on:
-        // cutout-emptiness prechecks on 2-parameter grids were the
-        // dominant LP site. Verdicts are identical to the LP's — the
-        // ambiguous tolerance band still falls back to the solver — so
-        // plan counts are unchanged and only the LP count drops.
         let engine = RegionEngine::new(
             config.relevance_points,
             config.redundant_cutout_removal,
             config.redundant_constraint_removal,
-            true,
         );
         Self::with_parts(grid, num_metrics, engine, Arc::new(LpCtx::new()))
     }

@@ -80,15 +80,10 @@ impl PwlSpace {
         Self {
             grid,
             ctx: Arc::new(LpCtx::new()),
-            // The exact emptiness fast paths are on: general cutouts carry
-            // piece-region constraints, answered by interval arithmetic in
-            // 1-D and by the slab/triple tests (plus the general 2-D
-            // vertex enumeration for redundancy queries) in 2-D.
             engine: RegionEngine::new(
                 config.relevance_points,
                 config.redundant_cutout_removal,
                 config.redundant_constraint_removal,
-                true,
             ),
             base,
             num_metrics,

@@ -27,7 +27,7 @@
 //! [`SmallVec`], so the candidate-pruning hot path does not allocate until
 //! an actual split halfspace must be produced.
 
-use crate::{approx, CostVec, LinearFn, LinearPiece, MultiCostFn, PwlFn};
+use crate::{approx, CostVec, LinearFn};
 use mpq_geometry::grid::ParamGrid;
 use mpq_geometry::{Halfspace, HalfspaceKind, Polytope};
 use mpq_lp::dense::dot;
@@ -405,28 +405,6 @@ impl GridCost {
             .zip(other.eval(x))
             .all(|(a, b)| cost_le(*a, b))
     }
-
-    /// Converts to the general representation (one piece per simplex per
-    /// metric) for interop with [`MultiCostFn`]-based code and tests.
-    /// Piece regions are the grid's interned simplex polytopes.
-    pub fn to_multi_cost_fn(&self) -> MultiCostFn {
-        let dim = self.grid.dim();
-        let metrics = (0..self.num_metrics)
-            .map(|m| {
-                let pieces = self
-                    .grid
-                    .simplices()
-                    .iter()
-                    .map(|s| LinearPiece {
-                        region: Arc::clone(self.grid.simplex_poly(s.id)),
-                        f: self.piece(m, s.id),
-                    })
-                    .collect();
-                PwlFn::new(dim, pieces)
-            })
-            .collect();
-        MultiCostFn::new(metrics)
-    }
 }
 
 #[cfg(test)]
@@ -533,20 +511,6 @@ mod tests {
                 assert!(!h.contains(&[0.31]));
             }
             other => panic!("expected split, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn conversion_to_multi_cost_fn_agrees() {
-        let grid = Arc::new(ParamGrid::new(&[0.0, 0.0], &[1.0, 1.0], 2).unwrap());
-        let g = GridCost::from_closure(Arc::clone(&grid), 2, |x| {
-            vec![x[0] * x[1] + 1.0, 2.0 - x[0]]
-        });
-        let mc = g.to_multi_cost_fn();
-        for p in mpq_geometry::grid::lattice(&[0.0, 0.0], &[1.0, 1.0], 5) {
-            let gv = g.eval(&p);
-            let mv = mc.eval(&p).unwrap();
-            assert!((gv[0] - mv[0]).abs() < 1e-9 && (gv[1] - mv[1]).abs() < 1e-9);
         }
     }
 

@@ -37,13 +37,6 @@ pub use linear::LinearFn;
 pub use multi::MultiCostFn;
 pub use pwl::{LinearPiece, PwlFn};
 
-/// Identifies a cost metric by position (0-based) in a cost vector.
-///
-/// Metric *names* and semantics (time, fees, precision loss, …) are owned
-/// by the cost model that produces the functions; this crate only needs the
-/// arity.
-pub type MetricIdx = usize;
-
 /// Evaluated cost vector, one entry per metric. Lower is better for every
 /// metric (qualities like result precision are modelled as losses, see
 /// Section 2 of the paper).

@@ -196,11 +196,6 @@ impl Halfspace {
                 .zip(&other.a)
                 .all(|(x, y)| (x - y).abs() <= TOL)
     }
-
-    /// Converts to an [`mpq_lp::Constraint`].
-    pub fn to_constraint(&self) -> mpq_lp::Constraint {
-        mpq_lp::Constraint::new(self.a.to_vec(), self.b)
-    }
 }
 
 /// A convex polytope in H-representation: the intersection of finitely many

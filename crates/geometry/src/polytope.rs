@@ -697,13 +697,6 @@ impl Polytope {
         }
     }
 
-    /// A point in the (relative) interior if one exists.
-    pub fn interior_point(&self, ctx: &LpCtx) -> Option<Vec<f64>> {
-        self.chebyshev_center(ctx)
-            .filter(|(_, r)| *r > INTERIOR_TOL)
-            .map(|(x, _)| x)
-    }
-
     /// True iff `self ⊇ other` (up to [`TOL`]): every constraint of `self`
     /// is satisfied by all of `other`, checked with one LP per constraint.
     ///
@@ -810,46 +803,6 @@ impl Polytope {
         }
         Some((lo, hi))
     }
-
-    /// Vertices of a one- or two-dimensional polytope (for display and
-    /// tests). Returns vertices in no particular order; `None` for higher
-    /// dimensions or unbounded polytopes.
-    pub fn low_dim_vertices(&self, ctx: &LpCtx) -> Option<Vec<Vec<f64>>> {
-        match self.dim() {
-            1 => {
-                let (lo, hi) = self.bounding_box(ctx)?;
-                if (hi[0] - lo[0]).abs() <= TOL {
-                    Some(vec![lo])
-                } else {
-                    Some(vec![lo, hi])
-                }
-            }
-            2 => {
-                self.bounding_box(ctx)?; // reject unbounded polytopes
-                let hs = &self.halfspaces;
-                let mut verts: Vec<Vec<f64>> = Vec::new();
-                for i in 0..hs.len() {
-                    for j in (i + 1)..hs.len() {
-                        let mut a = Vec::with_capacity(4);
-                        a.extend_from_slice(hs[i].normal());
-                        a.extend_from_slice(hs[j].normal());
-                        let b = vec![hs[i].offset(), hs[j].offset()];
-                        if let Some(v) = mpq_lp::dense::solve_linear_system(a, b) {
-                            if self.contains_point(&v)
-                                && !verts.iter().any(|u| {
-                                    (u[0] - v[0]).abs() < 1e-6 && (u[1] - v[1]).abs() < 1e-6
-                                })
-                            {
-                                verts.push(v);
-                            }
-                        }
-                    }
-                }
-                Some(verts)
-            }
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -948,35 +901,5 @@ mod tests {
         // Unbounded polytope has no bounding box.
         let unbounded = Polytope::from_inequalities(2, vec![(vec![1.0, 0.0], 1.0)]);
         assert!(unbounded.bounding_box(&ctx).is_none());
-    }
-
-    #[test]
-    fn vertices_of_triangle() {
-        let ctx = ctx();
-        // Triangle x >= 0, y >= 0, x + y <= 1.
-        let p = Polytope::from_inequalities(
-            2,
-            vec![
-                (vec![-1.0, 0.0], 0.0),
-                (vec![0.0, -1.0], 0.0),
-                (vec![1.0, 1.0], 1.0),
-            ],
-        );
-        let mut verts = p.low_dim_vertices(&ctx).unwrap();
-        verts.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        assert_eq!(verts.len(), 3);
-        assert!((verts[0][0]).abs() < 1e-6 && (verts[0][1]).abs() < 1e-6);
-    }
-
-    #[test]
-    fn interior_point_lies_inside() {
-        let ctx = ctx();
-        let p = Polytope::from_box(&[0.0, 0.0, 0.0], &[1.0, 2.0, 3.0]);
-        let x = p.interior_point(&ctx).unwrap();
-        assert!(p.contains_point(&x));
-        // Strictly inside: positive slack on every constraint.
-        for h in p.halfspaces() {
-            assert!(h.slack(&x) > 1e-6);
-        }
     }
 }

@@ -174,9 +174,10 @@ fn cell_placement(cutout: &Cutout, w: &[f64]) -> Option<bool> {
     Some(false)
 }
 
-/// Sentinel pending-mask: every term undecided (or the halfspace list
-/// exceeded the mask width, so no per-term information was recorded).
-const ALL_PENDING: u64 = u64::MAX;
+/// The terms of a halfspace conjunction that the LP-free pass left
+/// undecided, as indices into its halfspace list (see
+/// [`RegionEngine::cover_fast_pass`]).
+type Undecided = SmallVec<[usize; 2]>;
 
 /// Extra-halfspace cap for the general 2-D vertex enumeration: the
 /// O((nv² + m²)·m) candidate sweep stops beating an LP well above it, and
@@ -287,6 +288,14 @@ impl CutoutRegion {
 /// regions of an optimization run; it is `Sync` (the LP context is shared
 /// by reference and the emptiness counters are atomic), so the queries of
 /// a session batch can use one engine concurrently.
+///
+/// Each predicate has one path: an exact LP-free verdict where it is
+/// decisive, the solver where it is not. Cutout emptiness goes through
+/// [`Polytope::is_empty_with_fastpath`]; halfspace coverage (both §6.2
+/// cutout refinements) through one LP-free pass over all terms
+/// (`cover_fast_pass`) and one LP pass over the terms it left undecided
+/// (`cover_lp_pass`). The only switches are the three §6.2 refinements,
+/// which the ablation study turns off one at a time.
 #[derive(Debug)]
 pub struct RegionEngine {
     /// §6.2 refinement 3: keep relevance points, skip emptiness checks
@@ -297,31 +306,21 @@ pub struct RegionEngine {
     /// §6.2 refinement 1: drop cutout halfspaces implied by the base and
     /// the cutout's other halfspaces.
     redundant_constraint_removal: bool,
-    /// Answer emptiness-style queries through the exact fast paths of
-    /// [`Polytope::quick_is_empty_with`] (interval arithmetic in 1-D,
-    /// slab tests + Chebyshev triple enumeration in 2-D) and
-    /// one-dimensional linear maxima by exact interval arithmetic for any
-    /// number of extra halfspaces. On for both optimizer backends; the
-    /// `false` setting keeps the raw-LP behaviour available for
-    /// differential tests.
-    exact_empty_fastpaths: bool,
     emptiness_checks: AtomicU64,
     emptiness_skipped: AtomicU64,
 }
 
 impl RegionEngine {
-    /// Builds an engine with the given refinement switches.
+    /// Builds an engine with the given §6.2 refinement switches.
     pub fn new(
         relevance_points: bool,
         redundant_cutout_removal: bool,
         redundant_constraint_removal: bool,
-        exact_empty_fastpaths: bool,
     ) -> Self {
         Self {
             relevance_points,
             redundant_cutout_removal,
             redundant_constraint_removal,
-            exact_empty_fastpaths,
             emptiness_checks: AtomicU64::new(0),
             emptiness_skipped: AtomicU64::new(0),
         }
@@ -333,7 +332,6 @@ impl RegionEngine {
             self.relevance_points,
             self.redundant_cutout_removal,
             self.redundant_constraint_removal,
-            self.exact_empty_fastpaths,
         )
     }
 
@@ -360,9 +358,9 @@ impl RegionEngine {
     /// enumerating the region's vertex set (a bounded polytope attains
     /// linear maxima at vertices). Supported for at most one extra
     /// halfspace in any dimension, any number of extras (up to an
-    /// internal cap of 12) in two dimensions, and — with the engine's
-    /// exact-fast-path switch — any number of extras in one dimension. Returns `None` for unsupported shapes; otherwise
-    /// `Some(RegionMaxBounds)` with:
+    /// internal cap of 12) in two dimensions, and any number of extras in
+    /// one dimension (exact interval arithmetic). Returns `None` for
+    /// unsupported shapes; otherwise `Some(RegionMaxBounds)` with:
     ///
     /// * `upper` — max over candidates accepted with the inclusive `-TOL`
     ///   slack threshold. A true region vertex is never missed and any
@@ -489,7 +487,7 @@ impl RegionEngine {
                     }
                 }
             }
-            _ if self.exact_empty_fastpaths && base.dim() == 1 => {
+            _ if base.dim() == 1 => {
                 let (lo, hi) = base.polytope.interval_1d(extra);
                 if lo > hi + FASTPATH_MARGIN {
                     // Certainly empty: leave `upper` at None.
@@ -513,14 +511,14 @@ impl RegionEngine {
         Some(bounds)
     }
 
-    /// LP-free arm of the redundancy test "does `h` contain
-    /// `base ∩ extra`": `Some(verdict)` when the exact enumeration decides
-    /// the query, `None` when only the solver can (unsupported shape, or
-    /// inside the ambiguous band).
+    /// LP-free verdict on one term of the coverage conjunction, "does `h`
+    /// contain `base ∩ extra`": `Some(verdict)` when the exact enumeration
+    /// decides the query, `None` when only the solver can (unsupported
+    /// shape, or inside the ambiguous band).
     ///
     /// Public for differential testing against the LP answer
     /// (`tests/vertex_enum_proptest.rs`); the optimizer consumes it only
-    /// through the engine's cutout paths.
+    /// through the engine's coverage pass (`cover_fast_pass`).
     #[inline]
     pub fn halfspace_covers_fast(
         &self,
@@ -591,112 +589,78 @@ impl RegionEngine {
         None
     }
 
-    /// LP arm of [`Self::halfspace_covers`], for queries the exact
-    /// enumeration left undecided.
+    /// LP-free pass of the conjunction "`base ∩ extra` lies in every `h` of
+    /// `hs`", the one predicate behind both §6.2 refinements: each term
+    /// gets its [`Self::halfspace_covers_fast`] verdict in list order, and
+    /// the first decisive `false` settles the conjunction. Returns
+    /// `Ok(verdict)` when no LP is needed, and otherwise the undecided
+    /// terms for [`Self::cover_lp_pass`]. Every term is a deterministic
+    /// predicate, so deferring the undecided ones changes no verdict: a
+    /// decisive LP-free `false` on a later term settles the query before
+    /// the earlier ambiguous terms pay their solver calls.
     #[inline]
-    fn halfspace_covers_lp(
-        &self,
-        ctx: &LpCtx,
-        base: &RegionBase,
-        extra: &[Halfspace],
-        h: &Halfspace,
-    ) -> bool {
-        ctx.fastpath_fallback(FastPathSite::CutoutRedundancy);
-        match base.polytope.max_linear_with(ctx, h.normal(), extra) {
-            LpOutcome::Optimal(sol) => sol.value <= h.offset() + TOL,
-            LpOutcome::Unbounded => false,
-            LpOutcome::Infeasible => true,
-        }
-    }
-
-    /// Maximum of `h.normal() · x` over `base ∩ extra`, compared to the
-    /// halfspace offset: true iff the halfspace contains that region.
-    ///
-    /// The exact enumeration ([`Self::region_max_bounds`]) answers
-    /// decisive queries without an LP, each verdict certified by the bound
-    /// that is sound for its direction; unsupported shapes and queries
-    /// within [`FASTPATH_MARGIN`] of the `offset + TOL` threshold — where
-    /// LP round-off could disagree — fall through to the solver.
-    #[inline]
-    fn halfspace_covers(
-        &self,
-        ctx: &LpCtx,
-        base: &RegionBase,
-        extra: &[Halfspace],
-        h: &Halfspace,
-    ) -> bool {
-        match self.halfspace_covers_fast(base, extra, h) {
-            Some(verdict) => {
-                ctx.fastpath_hit(FastPathSite::CutoutRedundancy);
-                verdict
-            }
-            None => self.halfspace_covers_lp(ctx, base, extra, h),
-        }
-    }
-
-    /// Conjunction `∀ h ∈ hs: halfspace_covers(base ∩ extra ⊆ h)`,
-    /// evaluated LP-last: every term is a deterministic predicate, so the
-    /// conjunction's value does not depend on evaluation order — a
-    /// decisive LP-free `false` on any term settles the query before the
-    /// ambiguous terms pay their solver calls.
-    #[inline]
-    fn halfspaces_cover(
+    fn cover_fast_pass(
         &self,
         ctx: &LpCtx,
         base: &RegionBase,
         extra: &[Halfspace],
         hs: &[Halfspace],
-    ) -> bool {
-        let mut pending: SmallVec<[&Halfspace; 2]> = SmallVec::new();
-        for h in hs {
-            match self.halfspace_covers_fast(base, extra, h) {
-                Some(false) => {
-                    ctx.fastpath_hit(FastPathSite::CutoutRedundancy);
-                    return false;
-                }
-                Some(true) => ctx.fastpath_hit(FastPathSite::CutoutRedundancy),
-                None => pending.push(h),
-            }
-        }
-        pending
-            .iter()
-            .all(|h| self.halfspace_covers_lp(ctx, base, extra, h))
-    }
-
-    /// LP-free arm of [`Self::halfspaces_cover`]: `Ok(verdict)` when every
-    /// term (or a decisive `false`) resolves without the solver;
-    /// `Err(mask)` with the bitmask of undecided terms otherwise, so the
-    /// caller can solve exactly those without re-enumerating the rest.
-    /// Halfspace lists beyond the mask width (never produced by either
-    /// backend, but not structurally impossible for general dominance
-    /// polytopes) report everything undecided via [`ALL_PENDING`].
-    #[inline]
-    fn halfspaces_cover_fast(
-        &self,
-        ctx: &LpCtx,
-        base: &RegionBase,
-        extra: &[Halfspace],
-        hs: &[Halfspace],
-    ) -> Result<bool, u64> {
-        if hs.len() > u64::BITS as usize {
-            return Err(ALL_PENDING);
-        }
-        let mut pending: u64 = 0;
+    ) -> Result<bool, Undecided> {
+        let mut undecided = Undecided::new();
         for (i, h) in hs.iter().enumerate() {
             match self.halfspace_covers_fast(base, extra, h) {
-                Some(false) => {
+                Some(covered) => {
                     ctx.fastpath_hit(FastPathSite::CutoutRedundancy);
-                    return Ok(false);
+                    if !covered {
+                        return Ok(false);
+                    }
                 }
-                Some(true) => ctx.fastpath_hit(FastPathSite::CutoutRedundancy),
-                None => pending |= 1 << i,
+                None => undecided.push(i),
             }
         }
-        if pending == 0 {
+        if undecided.is_empty() {
             Ok(true)
         } else {
-            Err(pending)
+            Err(undecided)
         }
+    }
+
+    /// LP pass of the conjunction over the terms [`Self::cover_fast_pass`]
+    /// left undecided, in order, stopping at the first term whose
+    /// halfspace does not contain `base ∩ extra`: one maximum of
+    /// `h.normal() · x` over the region per term, compared with
+    /// `h.offset() + TOL`.
+    fn cover_lp_pass(
+        &self,
+        ctx: &LpCtx,
+        base: &RegionBase,
+        extra: &[Halfspace],
+        hs: &[Halfspace],
+        undecided: &[usize],
+    ) -> bool {
+        undecided.iter().all(|&i| {
+            let h = &hs[i];
+            ctx.fastpath_fallback(FastPathSite::CutoutRedundancy);
+            match base.polytope.max_linear_with(ctx, h.normal(), extra) {
+                LpOutcome::Optimal(sol) => sol.value <= h.offset() + TOL,
+                LpOutcome::Unbounded => false,
+                LpOutcome::Infeasible => true,
+            }
+        })
+    }
+
+    /// True iff `base ∩ extra` lies in every `h` of `hs`: the fast pass,
+    /// then the LP pass over whatever it left undecided.
+    #[inline]
+    fn covers(
+        &self,
+        ctx: &LpCtx,
+        base: &RegionBase,
+        extra: &[Halfspace],
+        hs: &[Halfspace],
+    ) -> bool {
+        self.cover_fast_pass(ctx, base, extra, hs)
+            .unwrap_or_else(|undecided| self.cover_lp_pass(ctx, base, extra, hs, &undecided))
     }
 
     /// Adds a cutout (base ∩ halfspaces) to a region, applying the
@@ -735,25 +699,18 @@ impl RegionEngine {
                     .fold(f64::INFINITY, f64::min);
                 r > INTERIOR_TOL + FASTPATH_MARGIN
             };
+            // Otherwise the exact interval (1-D) / slab-and-triple (2-D)
+            // fast paths decide, with the tolerance band of the
+            // piece-algebra predicates, and the LP answers what they leave
+            // open.
             if certified_nonempty {
                 ctx.fastpath_hit(FastPathSite::CutoutEmptiness);
-            } else {
-                let empty = if self.exact_empty_fastpaths {
-                    // The exact interval (1-D) / slab-and-triple (2-D)
-                    // fast paths share the tolerance band of the
-                    // piece-algebra predicates.
-                    base.polytope.is_empty_with_fastpath(
-                        ctx,
-                        &halfspaces,
-                        FastPathSite::CutoutEmptiness,
-                    )
-                } else {
-                    ctx.fastpath_fallback(FastPathSite::CutoutEmptiness);
-                    base.polytope.is_empty_with(ctx, &halfspaces)
-                };
-                if empty {
-                    return;
-                }
+            } else if base.polytope.is_empty_with_fastpath(
+                ctx,
+                &halfspaces,
+                FastPathSite::CutoutEmptiness,
+            ) {
+                return;
             }
         }
         // §6.2 refinement 1 (targeted): the base facets are kept
@@ -765,7 +722,7 @@ impl RegionEngine {
             let mut i = 0;
             while i < halfspaces.len() && halfspaces.len() > 1 {
                 let candidate = halfspaces.remove(i);
-                if self.halfspace_covers(ctx, base, &halfspaces, &candidate) {
+                if self.covers(ctx, base, &halfspaces, std::slice::from_ref(&candidate)) {
                     // Redundant: leave it out.
                 } else {
                     halfspaces.insert(i, candidate);
@@ -811,38 +768,17 @@ impl RegionEngine {
         // it before other cutouts' ambiguous terms pay their solver
         // calls; only then do the undecided candidates solve.
         if self.redundant_cutout_removal {
-            let mut absorbed = false;
-            let mut pending: SmallVec<[(usize, u64); 8]> = SmallVec::new();
-            for (i, c) in cutouts.iter().enumerate() {
-                match self.halfspaces_cover_fast(ctx, base, &cutout.halfspaces, &c.halfspaces) {
-                    Ok(true) => {
-                        absorbed = true;
-                        break;
-                    }
-                    Ok(false) => {}
-                    Err(mask) => pending.push((i, mask)),
-                }
-            }
-            if !absorbed {
-                absorbed = pending.iter().any(|&(i, mask)| {
-                    if mask == ALL_PENDING {
-                        // Oversized halfspace list: no per-term mask was
-                        // recorded, re-run the full conjunction.
-                        return self.halfspaces_cover(
-                            ctx,
-                            base,
-                            &cutout.halfspaces,
-                            &cutouts[i].halfspaces,
-                        );
-                    }
-                    cutouts[i]
-                        .halfspaces
-                        .iter()
-                        .enumerate()
-                        .filter(|&(j, _)| mask & (1 << j) != 0)
-                        .all(|(_, h)| self.halfspace_covers_lp(ctx, base, &cutout.halfspaces, h))
-                });
-            }
+            let mut pending: SmallVec<[(usize, Undecided); 8]> = SmallVec::new();
+            let absorbed = cutouts.iter().enumerate().any(|(i, c)| {
+                self.cover_fast_pass(ctx, base, &cutout.halfspaces, &c.halfspaces)
+                    .unwrap_or_else(|undecided| {
+                        pending.push((i, undecided));
+                        false
+                    })
+            }) || pending.iter().any(|(i, undecided)| {
+                let container = &cutouts[*i].halfspaces;
+                self.cover_lp_pass(ctx, base, &cutout.halfspaces, container, undecided)
+            });
             if absorbed {
                 return;
             }
@@ -859,7 +795,7 @@ impl RegionEngine {
             // the wholesale `retain` used to issue them.
             let mut i = 0;
             while i < cutouts.len() {
-                if self.halfspaces_cover(ctx, base, &cutouts[i].halfspaces, &cutout.halfspaces) {
+                if self.covers(ctx, base, &cutouts[i].halfspaces, &cutout.halfspaces) {
                     cutouts.remove(i);
                     if let Some((processed, _)) = remainder {
                         if i < *processed {
@@ -1014,7 +950,7 @@ mod tests {
     }
 
     fn engine() -> RegionEngine {
-        RegionEngine::new(true, true, true, false)
+        RegionEngine::new(true, true, true)
     }
 
     fn hs(a: f64, b: f64) -> Halfspace {
@@ -1127,7 +1063,7 @@ mod tests {
         let base = interval_base(0.0, 1.0);
         // No relevance points, so the emptiness checks below run the
         // coverage worklist for real and cache a remainder.
-        let eng = RegionEngine::new(false, true, true, false);
+        let eng = RegionEngine::new(false, true, true);
         let mut state = CutoutRegion::Full;
         // A = [0, 0.3], B = [0.8, 1]: the gap (0.3, 0.8) stays relevant.
         eng.add_cutout(
@@ -1191,42 +1127,37 @@ mod tests {
 
     #[test]
     fn exact_interval_mode_matches_lp_mode() {
-        // The same cutout script must produce identical verdicts with and
-        // without the 1-D interval fast paths.
-        for exact in [false, true] {
-            let ctx = LpCtx::new();
-            let base = interval_base(0.0, 1.0);
-            let eng = RegionEngine::new(true, true, true, exact);
-            let mut state = CutoutRegion::Full;
-            eng.add_cutout(
-                &ctx,
-                &base,
-                &mut state,
-                HalfspaceList::from_iter([hs(1.0, 0.5), hs(-1.0, -0.1)]),
-                false,
-            );
-            assert!(
-                !eng.region_is_empty(&ctx, &base, &mut state),
-                "exact={exact}"
-            );
-            eng.add_cutout(
-                &ctx,
-                &base,
-                &mut state,
-                HalfspaceList::from_iter([hs(-1.0, -0.4)]),
-                false,
-            );
-            eng.add_cutout(
-                &ctx,
-                &base,
-                &mut state,
-                HalfspaceList::from_iter([hs(1.0, 0.15)]),
-                false,
-            );
-            assert!(
-                eng.region_is_empty(&ctx, &base, &mut state),
-                "exact={exact}"
-            );
-        }
+        // A 1-D cutout script decided by the interval fast paths reaches
+        // the verdicts the LP would. The fast verdicts themselves are
+        // compared with the LP's by `vertex_enum_proptest`'s
+        // `interval_redundancy_fast_verdicts_agree_with_lp` and
+        // `emptiness_fast_path_agrees_with_lp`.
+        let ctx = LpCtx::new();
+        let base = interval_base(0.0, 1.0);
+        let eng = engine();
+        let mut state = CutoutRegion::Full;
+        eng.add_cutout(
+            &ctx,
+            &base,
+            &mut state,
+            HalfspaceList::from_iter([hs(1.0, 0.5), hs(-1.0, -0.1)]),
+            false,
+        );
+        assert!(!eng.region_is_empty(&ctx, &base, &mut state));
+        eng.add_cutout(
+            &ctx,
+            &base,
+            &mut state,
+            HalfspaceList::from_iter([hs(-1.0, -0.4)]),
+            false,
+        );
+        eng.add_cutout(
+            &ctx,
+            &base,
+            &mut state,
+            HalfspaceList::from_iter([hs(1.0, 0.15)]),
+            false,
+        );
+        assert!(eng.region_is_empty(&ctx, &base, &mut state));
     }
 }

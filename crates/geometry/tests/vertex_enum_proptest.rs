@@ -91,7 +91,7 @@ fn check_bounds_against_lp(
     extras: &[Halfspace],
     w: &[f64],
 ) -> Result<(), TestCaseError> {
-    let engine = RegionEngine::new(true, true, true, true);
+    let engine = RegionEngine::new(true, true, true);
     let Some(bounds) = engine.region_max_bounds(base, extras, w) else {
         return Ok(()); // unsupported shape: nothing to compare
     };
@@ -259,7 +259,7 @@ fn lp_covers(base: &RegionBase, extras: &[Halfspace], h: &Halfspace) -> bool {
 /// that ties exactly at the offset is decided without the LP.
 #[test]
 fn interval_tie_is_decided_without_lp() {
-    let engine = RegionEngine::new(true, true, true, true);
+    let engine = RegionEngine::new(true, true, true);
     let base = interval_base(0.25, 0.5);
     let tie = Halfspace::proper(vec![1.0], 0.5);
     assert_eq!(engine.halfspace_covers_fast(&base, &[], &tie), Some(true));
@@ -391,7 +391,7 @@ proptest! {
     ) {
         let (lo, hi) = [(0.0, 1.0), (0.25, 0.5), (0.5, 0.75)][cell];
         let base = interval_base(lo, hi);
-        let engine = RegionEngine::new(true, true, true, true);
+        let engine = RegionEngine::new(true, true, true);
         if let Some(fast) = engine.halfspace_covers_fast(&base, &extras, &h) {
             prop_assert_eq!(
                 fast,

@@ -8,13 +8,13 @@
 //! its three evaluation metrics.
 //!
 //! This crate provides the substitute substrate: a from-scratch dense
-//! two-phase simplex solver ([`solve`]) sized for the problems PWL-RRPA
-//! produces (a handful of variables, tens of constraints), a per-thread
-//! solve counter ([`thread_solved`]) that backs the Figure 12 metric, a
-//! context ([`LpCtx`]) that counts where geometry fast paths fell back to
-//! the solver, and a small dense
-//! linear-system solver ([`dense::solve_linear_system`]) used to interpolate
-//! linear cost functions on grid simplices.
+//! two-phase simplex solver ([`LpCtx::solve_staged`]) sized for the
+//! problems PWL-RRPA produces (a handful of variables, tens of
+//! constraints), a per-thread solve counter ([`thread_solved`]) that backs
+//! the Figure 12 metric, a context ([`LpCtx`]) that counts where geometry
+//! fast paths fell back to the solver, and a small dense linear-system
+//! solver ([`dense::solve_linear_system`]) used to interpolate linear cost
+//! functions on grid simplices.
 //!
 //! # Problem form
 //!
@@ -27,25 +27,23 @@
 //!
 //! with `x ∈ Rⁿ` **free** (unrestricted in sign). Parameter-space polytopes
 //! carry their own bound constraints, so no implicit non-negativity is
-//! assumed.
+//! assumed. Callers write the rows straight into the solver's per-thread
+//! scratch memory through a [`RowStage`]; no problem value is built.
 //!
 //! # Example
 //!
 //! ```
-//! use mpq_lp::{Constraint, LpCtx, LpOutcome, LpProblem};
+//! use mpq_lp::{LpCtx, LpOutcome};
 //!
 //! // maximize x + y s.t. x <= 2, y <= 3, x + y <= 4
-//! let problem = LpProblem::new(
-//!     vec![1.0, 1.0],
-//!     vec![
-//!         Constraint::new(vec![1.0, 0.0], 2.0),
-//!         Constraint::new(vec![0.0, 1.0], 3.0),
-//!         Constraint::new(vec![1.0, 1.0], 4.0),
-//!     ],
-//! );
 //! let ctx = LpCtx::default();
 //! let before = mpq_lp::thread_solved();
-//! match ctx.solve(&problem) {
+//! let outcome = ctx.solve_staged(&[1.0, 1.0], |rows| {
+//!     rows.push_row(&[1.0, 0.0], 2.0);
+//!     rows.push_row(&[0.0, 1.0], 3.0);
+//!     rows.push_row(&[1.0, 1.0], 4.0);
+//! });
+//! match outcome {
 //!     LpOutcome::Optimal(sol) => {
 //!         assert!((sol.value - 4.0).abs() < 1e-9);
 //!     }
@@ -89,64 +87,6 @@ fn record_solve() {
 /// constraint rows), which keeps a single absolute tolerance meaningful.
 pub const EPS: f64 = 1e-9;
 
-/// A single linear inequality `a · x ≤ b`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Constraint {
-    /// Coefficient vector `a` (one entry per variable).
-    pub a: Vec<f64>,
-    /// Right-hand side `b`.
-    pub b: f64,
-}
-
-impl Constraint {
-    /// Creates the constraint `a · x ≤ b`.
-    pub fn new(a: Vec<f64>, b: f64) -> Self {
-        Self { a, b }
-    }
-
-    /// Evaluates the slack `b - a · x`; non-negative iff `x` satisfies the
-    /// constraint.
-    pub fn slack(&self, x: &[f64]) -> f64 {
-        debug_assert_eq!(self.a.len(), x.len());
-        self.b - self.a.iter().zip(x).map(|(ai, xi)| ai * xi).sum::<f64>()
-    }
-}
-
-/// A linear program in the form `maximize c·x subject to A x ≤ b`, `x` free.
-#[derive(Debug, Clone)]
-pub struct LpProblem {
-    /// Objective coefficients `c` (the number of variables is `c.len()`).
-    pub objective: Vec<f64>,
-    /// Inequality constraints.
-    pub constraints: Vec<Constraint>,
-}
-
-impl LpProblem {
-    /// Creates a new maximization problem.
-    ///
-    /// # Panics
-    /// Panics (in debug builds) if a constraint's arity differs from the
-    /// objective's.
-    pub fn new(objective: Vec<f64>, constraints: Vec<Constraint>) -> Self {
-        debug_assert!(constraints.iter().all(|c| c.a.len() == objective.len()));
-        Self {
-            objective,
-            constraints,
-        }
-    }
-
-    /// Number of decision variables.
-    pub fn num_vars(&self) -> usize {
-        self.objective.len()
-    }
-
-    /// A pure feasibility problem (zero objective) over the given
-    /// constraints.
-    pub fn feasibility(num_vars: usize, constraints: Vec<Constraint>) -> Self {
-        Self::new(vec![0.0; num_vars], constraints)
-    }
-}
-
 /// An optimal solution to a linear program.
 #[derive(Debug, Clone)]
 pub struct LpSolution {
@@ -182,21 +122,12 @@ impl LpOutcome {
     }
 }
 
-/// Solves a linear program without touching any statistics counter.
-///
-/// Prefer [`LpCtx::solve`] inside the optimizer so that the solved-LP count
-/// ([`thread_solved`]) reported by the experiment harness stays accurate.
-pub fn solve(problem: &LpProblem) -> LpOutcome {
-    simplex::solve(problem)
-}
-
 /// Solves `maximize objective · x` subject to rows staged by `fill`,
 /// without touching any statistics counter.
 ///
-/// This is the allocation-lean entry point: constraint rows are written
-/// directly into per-thread scratch memory instead of being materialised
-/// as [`Constraint`] values. Prefer [`LpCtx::solve_staged`] inside the
-/// optimizer so the solved-LP count stays accurate.
+/// Constraint rows are written directly into per-thread scratch memory.
+/// Prefer [`LpCtx::solve_staged`] inside the optimizer so the solved-LP
+/// count stays accurate.
 pub fn solve_staged(objective: &[f64], fill: impl FnOnce(&mut RowStage)) -> LpOutcome {
     simplex::solve_staged(objective, fill)
 }
@@ -212,9 +143,10 @@ pub fn solve_staged(objective: &[f64], fill: impl FnOnce(&mut RowStage)) -> LpOu
 /// already holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FastPathSite {
-    /// Cutout-redundancy and halfspace-coverage queries of the region
-    /// engine (`RegionEngine::halfspace_covers`), answered by exact
-    /// vertex enumeration when decisive.
+    /// Halfspace-coverage queries of the region engine's two cutout
+    /// refinements (the LP-free `cover_fast_pass` and the `cover_lp_pass`
+    /// of `mpq-geometry`'s `region` module), answered by exact vertex
+    /// enumeration when decisive.
     CutoutRedundancy = 0,
     /// Cutout-emptiness prechecks when a multi-halfspace cutout is added
     /// (`RegionEngine::add_cutout`), answered by inscribed-ball
@@ -301,17 +233,6 @@ impl LpCtx {
         Self::default()
     }
 
-    /// Solves `problem`, counting one solve on this thread.
-    pub fn solve(&self, problem: &LpProblem) -> LpOutcome {
-        record_solve();
-        simplex::solve(problem)
-    }
-
-    /// Maximizes `objective` subject to `constraints`.
-    pub fn maximize(&self, objective: Vec<f64>, constraints: Vec<Constraint>) -> LpOutcome {
-        self.solve(&LpProblem::new(objective, constraints))
-    }
-
     /// Solves `maximize objective · x` subject to rows staged by `fill`,
     /// counting one solve on this thread. See [`solve_staged`].
     pub fn solve_staged(&self, objective: &[f64], fill: impl FnOnce(&mut RowStage)) -> LpOutcome {
@@ -371,22 +292,36 @@ impl LpCtx {
 mod tests {
     use super::*;
 
-    fn c(a: Vec<f64>, b: f64) -> Constraint {
-        Constraint::new(a, b)
+    /// One row `a · x ≤ b`.
+    type Row = (Vec<f64>, f64);
+
+    fn c(a: Vec<f64>, b: f64) -> Row {
+        (a, b)
+    }
+
+    /// Solves `maximize objective · x` over `rows` without counting.
+    fn solve_rows(objective: &[f64], rows: &[Row]) -> LpOutcome {
+        solve_staged(objective, |stage| {
+            for (a, b) in rows {
+                stage.push_row(a, *b);
+            }
+        })
+    }
+
+    /// The slack `b - a · x` of one row; non-negative iff `x` satisfies it.
+    fn slack((a, b): &Row, x: &[f64]) -> f64 {
+        b - a.iter().zip(x).map(|(ai, xi)| ai * xi).sum::<f64>()
     }
 
     #[test]
     fn maximize_simple_box() {
-        let p = LpProblem::new(
-            vec![3.0, 2.0],
-            vec![
-                c(vec![1.0, 0.0], 4.0),
-                c(vec![0.0, 1.0], 5.0),
-                c(vec![-1.0, 0.0], 0.0),
-                c(vec![0.0, -1.0], 0.0),
-            ],
-        );
-        let sol = solve(&p).optimal().expect("optimal");
+        let rows = [
+            c(vec![1.0, 0.0], 4.0),
+            c(vec![0.0, 1.0], 5.0),
+            c(vec![-1.0, 0.0], 0.0),
+            c(vec![0.0, -1.0], 0.0),
+        ];
+        let sol = solve_rows(&[3.0, 2.0], &rows).optimal().expect("optimal");
         assert!((sol.value - 22.0).abs() < 1e-7, "value = {}", sol.value);
         assert!((sol.x[0] - 4.0).abs() < 1e-7);
         assert!((sol.x[1] - 5.0).abs() < 1e-7);
@@ -395,8 +330,8 @@ mod tests {
     #[test]
     fn free_variables_negative_optimum() {
         // maximize -x s.t. x >= 3  (i.e. -x <= -3); optimum at x = 3.
-        let p = LpProblem::new(vec![-1.0], vec![c(vec![-1.0], -3.0), c(vec![1.0], 10.0)]);
-        let sol = solve(&p).optimal().expect("optimal");
+        let rows = [c(vec![-1.0], -3.0), c(vec![1.0], 10.0)];
+        let sol = solve_rows(&[-1.0], &rows).optimal().expect("optimal");
         assert!((sol.value + 3.0).abs() < 1e-7);
         assert!((sol.x[0] - 3.0).abs() < 1e-7);
     }
@@ -404,21 +339,21 @@ mod tests {
     #[test]
     fn detects_infeasible() {
         // x <= 1 and x >= 2.
-        let p = LpProblem::feasibility(1, vec![c(vec![1.0], 1.0), c(vec![-1.0], -2.0)]);
-        assert!(matches!(solve(&p), LpOutcome::Infeasible));
+        let rows = [c(vec![1.0], 1.0), c(vec![-1.0], -2.0)];
+        assert!(matches!(solve_rows(&[0.0], &rows), LpOutcome::Infeasible));
     }
 
     #[test]
     fn detects_unbounded() {
         // maximize x s.t. x >= 0 — unbounded above.
-        let p = LpProblem::new(vec![1.0], vec![c(vec![-1.0], 0.0)]);
-        assert!(matches!(solve(&p), LpOutcome::Unbounded));
+        let rows = [c(vec![-1.0], 0.0)];
+        assert!(matches!(solve_rows(&[1.0], &rows), LpOutcome::Unbounded));
     }
 
     #[test]
     fn feasibility_with_zero_objective_is_optimal() {
-        let p = LpProblem::feasibility(2, vec![c(vec![1.0, 1.0], 1.0)]);
-        match solve(&p) {
+        let rows = [c(vec![1.0, 1.0], 1.0)];
+        match solve_rows(&[0.0, 0.0], &rows) {
             LpOutcome::Optimal(sol) => assert!(sol.value.abs() < 1e-9),
             other => panic!("unexpected {other:?}"),
         }
@@ -427,39 +362,37 @@ mod tests {
     #[test]
     fn degenerate_equality_via_two_inequalities() {
         // x + y <= 1 and x + y >= 1, maximize x with 0 <= x,y.
-        let p = LpProblem::new(
-            vec![1.0, 0.0],
-            vec![
-                c(vec![1.0, 1.0], 1.0),
-                c(vec![-1.0, -1.0], -1.0),
-                c(vec![-1.0, 0.0], 0.0),
-                c(vec![0.0, -1.0], 0.0),
-            ],
-        );
-        let sol = solve(&p).optimal().expect("optimal");
+        let rows = [
+            c(vec![1.0, 1.0], 1.0),
+            c(vec![-1.0, -1.0], -1.0),
+            c(vec![-1.0, 0.0], 0.0),
+            c(vec![0.0, -1.0], 0.0),
+        ];
+        let sol = solve_rows(&[1.0, 0.0], &rows).optimal().expect("optimal");
         assert!((sol.value - 1.0).abs() < 1e-7);
     }
 
     #[test]
     fn no_constraints_zero_objective() {
-        let p = LpProblem::feasibility(2, vec![]);
-        assert!(solve(&p).is_feasible());
+        assert!(solve_rows(&[0.0, 0.0], &[]).is_feasible());
     }
 
     #[test]
     fn no_constraints_nonzero_objective_unbounded() {
-        let p = LpProblem::new(vec![1.0, -1.0], vec![]);
-        assert!(matches!(solve(&p), LpOutcome::Unbounded));
+        assert!(matches!(
+            solve_rows(&[1.0, -1.0], &[]),
+            LpOutcome::Unbounded
+        ));
     }
 
     #[test]
     fn thread_solved_counts_only_this_threads_solves() {
         let ctx = LpCtx::new();
-        let p = LpProblem::feasibility(1, vec![c(vec![1.0], 1.0)]);
+        let solve = || ctx.solve_staged(&[0.0], |stage| stage.push_row(&[1.0], 1.0));
         let before = thread_solved();
-        ctx.solve(&p);
+        solve();
         std::thread::scope(|s| {
-            s.spawn(|| ctx.solve(&p));
+            s.spawn(solve);
         });
         ctx.solve_staged(&[0.0], |_| {});
         assert_eq!(thread_solved() - before, 2);
@@ -502,28 +435,27 @@ mod tests {
     #[test]
     fn negative_rhs_requires_phase_one() {
         // Feasible region: x >= 1, x <= 2 written with a negative RHS row.
-        let p = LpProblem::new(vec![1.0], vec![c(vec![-1.0], -1.0), c(vec![1.0], 2.0)]);
-        let sol = solve(&p).optimal().expect("optimal");
+        let rows = [c(vec![-1.0], -1.0), c(vec![1.0], 2.0)];
+        let sol = solve_rows(&[1.0], &rows).optimal().expect("optimal");
         assert!((sol.value - 2.0).abs() < 1e-7);
     }
 
     #[test]
     fn solution_satisfies_all_constraints() {
-        let p = LpProblem::new(
-            vec![1.0, 2.0, -1.0],
-            vec![
-                c(vec![1.0, 1.0, 1.0], 6.0),
-                c(vec![1.0, -1.0, 2.0], 4.0),
-                c(vec![-1.0, 0.0, 0.0], 0.0),
-                c(vec![0.0, -1.0, 0.0], 0.0),
-                c(vec![0.0, 0.0, -1.0], 0.0),
-            ],
-        );
-        let sol = solve(&p).optimal().expect("optimal");
-        for con in &p.constraints {
+        let rows = [
+            c(vec![1.0, 1.0, 1.0], 6.0),
+            c(vec![1.0, -1.0, 2.0], 4.0),
+            c(vec![-1.0, 0.0, 0.0], 0.0),
+            c(vec![0.0, -1.0, 0.0], 0.0),
+            c(vec![0.0, 0.0, -1.0], 0.0),
+        ];
+        let sol = solve_rows(&[1.0, 2.0, -1.0], &rows)
+            .optimal()
+            .expect("optimal");
+        for row in &rows {
             assert!(
-                con.slack(&sol.x) >= -1e-7,
-                "violated: {con:?} at {:?}",
+                slack(row, &sol.x) >= -1e-7,
+                "violated: {row:?} at {:?}",
                 sol.x
             );
         }

@@ -35,10 +35,10 @@
 //! row-major matrix), right-hand sides, basis, reduced costs — lives in a
 //! per-thread [`Scratch`] that is reused across solves, so the steady
 //! state allocates only the returned solution vector. Callers stage
-//! constraint rows directly via [`solve_staged`], which avoids
-//! materialising `LpProblem`/`Constraint` values entirely.
+//! constraint rows directly into that scratch via [`solve_staged`], the
+//! solver's one entry point.
 
-use crate::{LpOutcome, LpProblem, LpSolution, EPS};
+use crate::{LpOutcome, LpSolution, EPS};
 use std::cell::RefCell;
 
 /// Feasibility tolerance for the phase-1 optimum (looser than [`EPS`] to
@@ -431,14 +431,6 @@ impl Tableau<'_> {
             .position(|&b| b == logical)
             .map_or(0.0, |i| self.rhs[i])
     }
-}
-
-pub(crate) fn solve(problem: &LpProblem) -> LpOutcome {
-    solve_staged(&problem.objective, |stage| {
-        for con in &problem.constraints {
-            stage.push_row(&con.a, con.b);
-        }
-    })
 }
 
 /// Solves `maximize objective · x` subject to the rows staged by `fill`,

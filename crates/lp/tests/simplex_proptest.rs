@@ -9,26 +9,43 @@
 //!  * the value is at least as good as a coarse interior sample (a weak but
 //!    solver-independent lower bound on the optimum).
 
-use mpq_lp::{solve, Constraint, LpOutcome, LpProblem};
+use mpq_lp::{solve_staged, LpOutcome};
 use proptest::prelude::*;
 
-/// Builds a problem whose feasible set is a box `[-5, 5]^n` intersected with
-/// random halfspaces shifted to keep the origin feasible.
-fn bounded_problem(n: usize, objective: Vec<f64>, cuts: Vec<(Vec<f64>, f64)>) -> LpProblem {
-    let mut constraints = Vec::new();
+/// One row `a · x ≤ b`.
+type Row = (Vec<f64>, f64);
+
+/// Builds the rows of a feasible set that is a box `[-5, 5]^n` intersected
+/// with random halfspaces shifted to keep the origin feasible.
+fn bounded_rows(n: usize, cuts: Vec<(Vec<f64>, f64)>) -> Vec<Row> {
+    let mut rows = Vec::new();
     for j in 0..n {
         let mut lo = vec![0.0; n];
         lo[j] = -1.0;
-        constraints.push(Constraint::new(lo, 5.0));
+        rows.push((lo, 5.0));
         let mut hi = vec![0.0; n];
         hi[j] = 1.0;
-        constraints.push(Constraint::new(hi, 5.0));
+        rows.push((hi, 5.0));
     }
     for (a, shift) in cuts {
         // a · 0 = 0 ≤ shift keeps the origin inside for shift ≥ 0.
-        constraints.push(Constraint::new(a, shift));
+        rows.push((a, shift));
     }
-    LpProblem::new(objective, constraints)
+    rows
+}
+
+/// Solves `maximize objective · x` over `rows`.
+fn solve_rows(objective: &[f64], rows: &[Row]) -> LpOutcome {
+    solve_staged(objective, |stage| {
+        for (a, b) in rows {
+            stage.push_row(a, *b);
+        }
+    })
+}
+
+/// The slack `b - a · x` of one row; non-negative iff `x` satisfies it.
+fn slack((a, b): &Row, x: &[f64]) -> f64 {
+    b - a.iter().zip(x).map(|(ai, xi)| ai * xi).sum::<f64>()
 }
 
 fn coeff() -> impl Strategy<Value = f64> {
@@ -49,12 +66,12 @@ proptest! {
             .iter()
             .map(|(a, s)| (a[..n].to_vec(), *s as f64 / 4.0))
             .collect();
-        let problem = bounded_problem(n, objective.clone(), cuts);
+        let rows = bounded_rows(n, cuts);
 
-        match solve(&problem) {
+        match solve_rows(&objective, &rows) {
             LpOutcome::Optimal(sol) => {
-                for c in &problem.constraints {
-                    prop_assert!(c.slack(&sol.x) >= -1e-6,
+                for c in &rows {
+                    prop_assert!(slack(c, &sol.x) >= -1e-6,
                         "constraint {:?} violated at {:?}", c, sol.x);
                 }
                 let recomputed: f64 = objective.iter().zip(&sol.x).map(|(c, x)| c * x).sum();
@@ -76,14 +93,8 @@ proptest! {
         let a: Vec<f64> = a_raw[..n].to_vec();
         prop_assume!(a.iter().any(|&v| v != 0.0));
         let neg: Vec<f64> = a.iter().map(|v| -v).collect();
-        let problem = LpProblem::feasibility(
-            n,
-            vec![
-                Constraint::new(a, 0.0),
-                Constraint::new(neg, -(gap as f64)),
-            ],
-        );
-        prop_assert!(matches!(solve(&problem), LpOutcome::Infeasible));
+        let rows = [(a, 0.0), (neg, -(gap as f64))];
+        prop_assert!(matches!(solve_rows(&vec![0.0; n], &rows), LpOutcome::Infeasible));
     }
 
     #[test]
@@ -92,11 +103,11 @@ proptest! {
         obj_raw in prop::collection::vec(coeff(), 4),
     ) {
         let objective: Vec<f64> = obj_raw[..n].to_vec();
-        let base = bounded_problem(n, objective.clone(), vec![]);
+        let base = bounded_rows(n, vec![]);
         let mut doubled = base.clone();
-        doubled.constraints.extend(base.constraints.clone());
-        let v1 = solve(&base).optimal().expect("base optimal").value;
-        let v2 = solve(&doubled).optimal().expect("doubled optimal").value;
+        doubled.extend(base.clone());
+        let v1 = solve_rows(&objective, &base).optimal().expect("base optimal").value;
+        let v2 = solve_rows(&objective, &doubled).optimal().expect("doubled optimal").value;
         prop_assert!((v1 - v2).abs() < 1e-6, "{v1} vs {v2}");
     }
 }

@@ -65,9 +65,11 @@ pub const MAX_CONNECTIONS: usize = 64;
 pub struct ServerCounters {
     /// Request frames answered (including replays and panics).
     pub handled: u64,
-    /// Of `handled`, the requests whose digest hit the idempotency cache:
-    /// replays, plus any digest collision or request after a panicked
-    /// answer (both answered unshared).
+    /// Of `handled`, the replays: responses sent with `dedup: true`,
+    /// answered from another request's optimize. A request whose key
+    /// holds another query, or that runs again after a panicked answer,
+    /// is answered unshared and not counted (the idempotency cache's own
+    /// key hits, which do count it, register as `server_dedup`).
     pub dedup_hits: u64,
     /// Frames that failed to decode and were answered [`Message::Error`].
     pub protocol_errors: u64,
@@ -102,6 +104,7 @@ pub struct ShardServerCore<'a, 'm, S: MpqSpace, M: ParametricCostModel + ?Sized>
     answers: AnswerCache<WireOutcome, mpsc::Sender<WireOutcome>>,
     obs: Obs,
     handled: Counter,
+    replays: Counter,
     protocol_errors: Counter,
     panicked: Counter,
 }
@@ -123,22 +126,24 @@ where
             answers: AnswerCache::default(),
             obs: Obs::off(),
             handled: Counter::new(),
+            replays: Counter::new(),
             protocol_errors: Counter::new(),
             panicked: Counter::new(),
         }
     }
 
     /// Attaches an observability handle: the traffic counters re-home onto
-    /// the handle's registry (`server_handled`, `server_protocol_errors`,
-    /// `server_panicked`), the dedup cache and the session's caches
-    /// register there (`server_dedup`, and the session's under
-    /// `server_`), every request emits a `server_request` span stamped
-    /// with the wire `trace_id`, and [`Message::MetricsRequest`] frames
+    /// the handle's registry (`server_handled`, `server_replays`,
+    /// `server_protocol_errors`, `server_panicked`), the dedup cache and
+    /// the session's caches register there (`server_dedup`, and the
+    /// session's under `server_`), every request emits a `server_request`
+    /// span stamped with the wire `trace_id`, and [`Message::MetricsRequest`] frames
     /// are answered from the registry. Call before serving — re-homing
     /// does not migrate traffic counts already accumulated.
     pub fn with_obs(mut self, obs: Obs) -> Self {
         if let Some(registry) = obs.registry() {
             self.handled = registry.counter("server_handled");
+            self.replays = registry.counter("server_replays");
             self.protocol_errors = registry.counter("server_protocol_errors");
             self.panicked = registry.counter("server_panicked");
             registry.register_cache("server_dedup", self.answers.counters());
@@ -158,7 +163,7 @@ where
     pub fn counters(&self) -> ServerCounters {
         ServerCounters {
             handled: self.handled.get(),
-            dedup_hits: self.answers.counters().hits(),
+            dedup_hits: self.replays.get(),
             protocol_errors: self.protocol_errors.get(),
             panicked: self.panicked.get(),
         }
@@ -244,6 +249,9 @@ where
             Lookup::Refused => (WireOutcome::Rejected, false),
         };
         span.record("dedup", u64::from(dedup));
+        if dedup {
+            self.replays.inc();
+        }
 
         encode_message(&Message::Response(WireResponse {
             request_id: request.request_id,

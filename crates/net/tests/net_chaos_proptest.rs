@@ -226,7 +226,9 @@ fn check_faulted_fabric(
             dedup_hits,
         ]);
         // Idempotency hard bound: the optimizer ran at most once per
-        // distinct digest, no matter how many frames flew.
+        // distinct digest, no matter how many frames flew. Every request
+        // that is not a replay runs its own optimize (the trace injects
+        // no optimizer faults), so `handled - dedup_hits` counts them.
         for (i, core) in cores.iter().enumerate() {
             let distinct: std::collections::HashSet<u64> = trace
                 .queries

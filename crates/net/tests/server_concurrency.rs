@@ -209,7 +209,9 @@ fn racing_copies_of_one_digest_optimize_once() {
     // second copy waits on the first instead of arriving itself.
     let meeting = Meeting::new(2);
     let session = session(&model, Some(meeting.hook()));
-    let core = core(&session);
+    let obs = Obs::wall();
+    let core = core(&session).with_obs(obs.clone());
+    let key_hits = obs.registry().expect("observed").cache("server_dedup");
     let qs = queries(3, 2, 11);
     let (dup, other) = (&qs[0], &qs[1]);
 
@@ -220,11 +222,12 @@ fn racing_copies_of_one_digest_optimize_once() {
         // finds the digest in flight.
         meeting.wait_first();
         let second = scope.spawn(move || response(&core.handle_frame(&request_frame(2, dup))));
-        // The replay counts its hit before it waits for the in-flight
-        // optimize, which cannot finish before the distinct request
-        // arrives: once the hit shows, the second copy is waiting.
+        // The second copy's key hit counts in the answer cache before it
+        // waits for the in-flight optimize, which cannot finish before
+        // the distinct request arrives: once the hit shows, the second
+        // copy is waiting.
         let waiting_since = Instant::now();
-        while core.counters().dedup_hits == 0 && waiting_since.elapsed() < MEET_TIMEOUT {
+        while key_hits.hits() == 0 && waiting_since.elapsed() < MEET_TIMEOUT {
             std::thread::sleep(Duration::from_millis(1));
         }
         let distinct = scope.spawn(move || response(&core.handle_frame(&request_frame(3, other))));
@@ -458,4 +461,5 @@ fn panicked_answers_are_never_replayed() {
     }
     assert_eq!(plan.attempts_of(poison), 3);
     assert_eq!(core.counters().panicked, 4);
+    assert_eq!(core.counters().dedup_hits, 1, "one answer replayed");
 }
