@@ -83,7 +83,7 @@ fn record_solve() {
 
 /// Numerical tolerance used throughout the solver.
 ///
-/// Constraint data produced by the geometry layer is normalised (unit-norm
+/// Row data produced by the geometry layer is normalised (unit-norm
 /// constraint rows), which keeps a single absolute tolerance meaningful.
 pub const EPS: f64 = 1e-9;
 
@@ -125,7 +125,7 @@ impl LpOutcome {
 /// Solves `maximize objective · x` subject to rows staged by `fill`,
 /// without touching any statistics counter.
 ///
-/// Constraint rows are written directly into per-thread scratch memory.
+/// Rows are written directly into per-thread scratch memory.
 /// Prefer [`LpCtx::solve_staged`] inside the optimizer so the solved-LP
 /// count stays accurate.
 pub fn solve_staged(objective: &[f64], fill: impl FnOnce(&mut RowStage)) -> LpOutcome {
