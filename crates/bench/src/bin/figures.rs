@@ -6,7 +6,8 @@
 //! * `fig4` / `fig5` / `fig6` — the Section 4 counterexample tables;
 //! * `fig7`  — the pruning illustration: the parallel join's relevance
 //!   region after comparison with the single-node join;
-//! * `fig10` — cutout subtraction on relevance regions;
+//! * `fig10` — cutout subtraction on relevance regions, through the
+//!   optimizer's region engine;
 //! * `fig11` — adding PWL functions per linear region;
 //! * `bound` — the §6.3 expected-Pareto-set-size bound 2^((nX+1)·nM);
 //! * `pq_vs_mpq` — the §1.1 argument: single-metric PQ result sets miss
@@ -27,7 +28,7 @@ use mpq_core::space::MpqSpace;
 use mpq_core::OptimizerConfig;
 use mpq_cost::{GridCost, LinearFn};
 use mpq_geometry::grid::ParamGrid;
-use mpq_geometry::Polytope;
+use mpq_geometry::{CutoutRegion, Halfspace, Polytope, RegionBase, RegionEngine};
 use mpq_lp::LpCtx;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -128,38 +129,53 @@ fn fig7() {
 fn fig10() {
     println!("== Figure 10: polytopes are subtracted by adding them as cutouts ==");
     let ctx = LpCtx::new();
-    let region = Polytope::from_box(&[0.0, 0.0], &[1.0, 1.0]);
-    // The figure's triangle cutout: x1 + x2 <= 0.8 within the square.
-    let cutout = Polytope::from_inequalities(
-        2,
-        vec![
-            (vec![-1.0, 0.0], 0.0),
-            (vec![0.0, -1.0], 0.0),
-            (vec![1.0, 1.0], 0.8),
-        ],
+    // The unit square as a region-engine base, with no relevance-point
+    // probes, so the emptiness verdict below comes from the coverage check.
+    let square = Polytope::from_box(&[0.0, 0.0], &[1.0, 1.0]);
+    let corners = vec![
+        vec![0.0, 0.0],
+        vec![1.0, 0.0],
+        vec![0.0, 1.0],
+        vec![1.0, 1.0],
+    ];
+    let base = RegionBase::new(Arc::new(square), corners, Vec::new(), vec![0.5, 0.5]);
+    let engine = RegionEngine::new(true, true, true);
+    let mut region = CutoutRegion::Full;
+    // The figure's triangle x1 + x2 <= 0.8: the square's rows plus one.
+    let triangle = Halfspace::proper(vec![1.0, 1.0], 0.8);
+    engine.add_cutout(
+        &ctx,
+        &base,
+        &mut region,
+        std::iter::once(triangle).collect(),
+        false,
     );
-    let pieces = mpq_geometry::subtract(&ctx, &region, &cutout);
     println!(
-        "unit square minus triangle: represented as complement of 1 cutout;\n\
-         explicit decomposition of the difference has {} convex pieces",
-        pieces.len()
+        "relevance region: unit square minus {} cutout(s), each stored as its\n\
+         rows beyond the square's (no explicit decomposition of the difference):",
+        region.cutouts().len()
     );
-    for (i, p) in pieces.iter().enumerate() {
-        let (lo, hi) = p.bounding_box(&ctx).expect("bounded piece");
-        println!(
-            "  piece {}: bounding box [{:.2},{:.2}] x [{:.2},{:.2}]",
-            i + 1,
-            lo[0],
-            hi[0],
-            lo[1],
-            hi[1]
-        );
+    for (i, c) in region.cutouts().iter().enumerate() {
+        let rows: Vec<String> = c
+            .halfspaces()
+            .iter()
+            .map(|h| {
+                format!(
+                    "{:.3}*x1 + {:.3}*x2 <= {:.3}",
+                    h.normal()[0],
+                    h.normal()[1],
+                    h.offset()
+                )
+            })
+            .collect();
+        println!("  cutout {}: square and {}", i + 1, rows.join(" and "));
     }
+    let empty = engine.region_is_empty(&ctx, &base, &mut region);
     println!(
-        "emptiness: region minus cutout empty? {} (correct: the triangle\n\
-         does not cover the square)",
-        mpq_geometry::difference_is_empty(&ctx, &region, std::slice::from_ref(&cutout))
+        "emptiness: region minus cutouts empty? {empty} (correct: the triangle\n\
+         does not cover the square)"
     );
+    assert!(!empty, "the triangle must not cover the unit square");
     println!();
 }
 

@@ -31,7 +31,7 @@
 //!   per simplex. The default for experiments.
 //! * [`pwl_space::PwlSpace`] — PWL-RRPA with general piece decompositions
 //!   and globally tracked cutouts, following Algorithms 2 and 3 verbatim
-//!   (Bemporad–Fukuda–Torrisi convexity recognition in `IsEmpty`).
+//!   (`IsEmpty` as a coverage check of the cutout union).
 //! * [`sampled::SampledSpace`] — the *generic* RRPA of Section 5 for
 //!   arbitrary (e.g. non-linear) cost functions, exact on a finite sample
 //!   of the parameter space.

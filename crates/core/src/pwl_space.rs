@@ -8,11 +8,11 @@
 //! the complement of a cutout list (Figure 8). `IsEmpty` follows
 //! Algorithm 2: the region is empty iff the cutout union covers the
 //! parameter space — decided by the shared
-//! [`mpq_geometry::region::RegionEngine`]'s piecewise coverage check,
-//! which coincides with the paper's Bemporad–Fukuda–Torrisi formulation
-//! because dominance cutouts are contained in the parameter space (the
-//! union covers X iff it *equals* X, in which case it is convex and the
-//! BFT envelope is X itself).
+//! [`mpq_geometry::region::RegionEngine`]'s piecewise coverage check.
+//! The paper first tests the cutout union for convexity
+//! (Bemporad–Fukuda–Torrisi) and then for containing X; both give the
+//! same verdict because dominance cutouts are contained in the parameter
+//! space, so the union covers X iff it *equals* X, which is convex.
 //!
 //! This space is the faithful rendition of the paper's §6 pseudo-code. It
 //! is asymptotically slower than [`crate::grid_space::GridSpace`] (piece
@@ -220,8 +220,7 @@ impl MpqSpace for PwlSpace {
 
     /// `IsEmpty` of Algorithm 2: the region is empty iff the union of its
     /// cutouts covers the parameter space (see the module docs for why the
-    /// engine's coverage check coincides with the paper's BFT
-    /// formulation). Relevance points, margin-certified witnesses and
+    /// engine's coverage check gives the paper's verdict). Relevance points, margin-certified witnesses and
     /// cached verdicts keep repeat checks free.
     fn region_is_empty(&self, region: &mut PwlRegion) -> bool {
         self.engine

@@ -32,7 +32,7 @@ use rand::SeedableRng;
 /// A deterministic clock: each read advances 100 µs.
 fn ticking() -> Obs {
     let t = AtomicU64::new(0);
-    Obs::with_clock(true, Arc::new(move || t.fetch_add(100, Ordering::Relaxed)))
+    Obs::with_clock(Arc::new(move || t.fetch_add(100, Ordering::Relaxed)))
 }
 
 fn counters_of(
@@ -166,7 +166,7 @@ fn spaces_sharing_a_registry_add_up() {
         let solution = optimize(&query, &model, &space, &config);
         let breakdown = space.lp_ctx().fastpath_breakdown();
         assert!(
-            breakdown.total_fast() + breakdown.total_lp() > 0,
+            breakdown.total_fast() + breakdown.lp.iter().sum::<u64>() > 0,
             "seed {seed}"
         );
         for i in 0..FastPathSite::ALL.len() {

@@ -56,47 +56,14 @@ fn vertex_key(grid: &ParamGrid, v: &[f64]) -> Vec<i64> {
         .collect()
 }
 
-/// Evaluates `f` once per distinct grid vertex and interpolates a linear
-/// function on every simplex. Index `i` of the result corresponds to
-/// simplex id `i`.
+/// Evaluates the vector-valued closure `f` **once** per distinct grid
+/// vertex and interpolates every metric's linear function on every
+/// simplex. Returns one `Vec<LinearFn>` per metric, indexed by simplex id.
 ///
 /// # Panics
 /// Panics, naming the vertex, if `f` returns a non-finite value there: an
 /// overflowed cost would otherwise interpolate to NaN pieces that every
 /// dominance test silently misreads.
-pub fn approximate_scalar(grid: &ParamGrid, mut f: impl FnMut(&[f64]) -> f64) -> Vec<LinearFn> {
-    let mut cache: HashMap<Vec<i64>, f64> = HashMap::new();
-    grid.simplices()
-        .iter()
-        .map(|s| {
-            let values: Vec<f64> = s
-                .vertices
-                .iter()
-                .map(|v| {
-                    *cache.entry(vertex_key(grid, v)).or_insert_with(|| {
-                        let c = f(v);
-                        assert!(
-                            c.is_finite(),
-                            "non-finite cost {c} at parameter point {v:?}"
-                        );
-                        c
-                    })
-                })
-                .collect();
-            interpolate_simplex(s, &values).expect("grid simplices are non-degenerate")
-        })
-        .collect()
-}
-
-/// Evaluates the vector-valued closure `f` **once** per distinct grid
-/// vertex and interpolates every metric's linear function on every
-/// simplex. Returns one `Vec<LinearFn>` per metric, indexed by simplex id
-/// — numerically identical to running [`approximate_scalar`] per metric,
-/// with `num_metrics`× fewer closure evaluations.
-///
-/// # Panics
-/// Panics, naming the vertex, if `f` returns a non-finite value there
-/// (see [`approximate_scalar`]).
 pub fn approximate_vector(
     grid: &ParamGrid,
     num_metrics: usize,
@@ -137,13 +104,6 @@ pub fn approximate_vector(
     metrics
 }
 
-/// Builds a general [`PwlFn`] approximating `f` on the grid. Piece regions
-/// are the grid's interned simplex polytopes.
-pub fn pwl_from_closure(grid: &ParamGrid, f: impl FnMut(&[f64]) -> f64) -> PwlFn {
-    let fns = approximate_scalar(grid, f);
-    PwlFn::new(grid.dim(), pieces_on_grid(grid, fns))
-}
-
 /// Pairs per-simplex linear functions with the grid's interned simplex
 /// regions.
 fn pieces_on_grid(grid: &ParamGrid, fns: Vec<LinearFn>) -> Vec<LinearPiece> {
@@ -175,6 +135,12 @@ pub fn multi_from_closure(
 mod tests {
     use super::*;
     use mpq_geometry::grid::lattice;
+
+    /// The one-metric lifting of a scalar closure.
+    fn pwl_from_closure(grid: &ParamGrid, f: impl Fn(&[f64]) -> f64) -> PwlFn {
+        let fns = approximate_vector(grid, 1, |x| vec![f(x)]).remove(0);
+        PwlFn::new(grid.dim(), pieces_on_grid(grid, fns))
+    }
 
     #[test]
     fn affine_closures_are_exact_everywhere() {
@@ -221,7 +187,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "non-finite cost inf at parameter point [0.0]")]
+    #[should_panic(expected = "non-finite cost [inf] at parameter point [0.0]")]
     fn non_finite_vertex_cost_panics() {
         let grid = ParamGrid::new(&[0.0], &[1.0], 2).unwrap();
         pwl_from_closure(&grid, |x| 1.0 / x[0]);

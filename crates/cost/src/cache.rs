@@ -216,11 +216,6 @@ impl<K, V> LiftedCostCache<K, V> {
         }
     }
 
-    /// The entry bound (`None` = unbounded).
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
-    }
-
     /// Current hit/miss/eviction counters, as a plain value.
     pub fn stats(&self) -> CacheStats {
         CacheStats::of(&self.counters)

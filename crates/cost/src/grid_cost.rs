@@ -29,7 +29,7 @@
 
 use crate::{approx, CostVec, LinearFn};
 use mpq_geometry::grid::ParamGrid;
-use mpq_geometry::{Halfspace, HalfspaceKind, Polytope};
+use mpq_geometry::{Halfspace, HalfspaceKind};
 use mpq_lp::dense::dot;
 use smallvec::SmallVec;
 use std::sync::Arc;
@@ -56,30 +56,17 @@ pub enum MetricOnSimplex {
     Split(Halfspace),
 }
 
-/// Result of intersecting dominance constraints over all metrics within a
-/// simplex.
-#[derive(Debug, Clone)]
-pub enum SimplexDominance {
-    /// Dominates on the entire simplex.
-    Full,
-    /// Dominates nowhere on the simplex.
-    Empty,
-    /// Dominates exactly on the carried polytope (simplex ∩ halfspaces);
-    /// may still have empty interior when several metrics split.
-    Partial(Polytope),
-}
-
 /// Inline halfspace list for per-simplex dominance constraints — the
 /// shared region engine's cutout representation ([`mpq_geometry::region`]),
 /// re-exported so dominance classification hands its halfspaces to the
 /// engine without conversion.
 pub use mpq_geometry::HalfspaceList;
 
-/// Halfspace-level form of [`SimplexDominance`]: the dominance region is
-/// the simplex intersected with the carried halfspaces. Storing only the
-/// halfspaces lets relevance regions share the simplex polytope across all
-/// cutouts of a simplex, which makes redundancy tests O(#metrics) LPs
-/// instead of O(#simplex constraints).
+/// Result of intersecting dominance constraints over all metrics within a
+/// simplex: the dominance region is the simplex intersected with the
+/// carried halfspaces. Storing only the halfspaces lets relevance regions
+/// share the simplex polytope across all cutouts of a simplex, which makes
+/// redundancy tests O(#metrics) LPs instead of O(#simplex constraints).
 #[derive(Debug, Clone)]
 pub enum DominanceHalfspaces {
     /// Dominates on the entire simplex.
@@ -153,22 +140,6 @@ impl GridCost {
     ) -> Self {
         let metrics = approx::approximate_vector(&grid, num_metrics, f);
         Self::new(grid, metrics)
-    }
-
-    /// The zero cost function.
-    pub fn zero(grid: Arc<ParamGrid>, num_metrics: usize) -> Self {
-        assert!(num_metrics > 0, "at least one cost metric is required");
-        let len = num_metrics * grid.num_simplices() * (grid.dim() + 1);
-        Self {
-            grid,
-            num_metrics,
-            data: vec![0.0; len],
-        }
-    }
-
-    /// The shared grid.
-    pub fn grid(&self) -> &Arc<ParamGrid> {
-        &self.grid
     }
 
     /// Number of metrics.
@@ -245,14 +216,6 @@ impl GridCost {
                 .zip(&third.data)
                 .map(|((a, b), c)| (a + b) + c)
                 .collect(),
-        }
-    }
-
-    /// In-place version of [`GridCost::add`].
-    pub fn add_assign(&mut self, other: &GridCost) {
-        self.assert_compatible(other);
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
         }
     }
 
@@ -363,27 +326,6 @@ impl GridCost {
         }
     }
 
-    /// The region within one simplex where `self` dominates `other`, as a
-    /// polytope (see [`GridCost::dominance_halfspaces`]).
-    pub fn dominance_in_simplex(
-        &self,
-        other: &GridCost,
-        simplex: usize,
-        strict: bool,
-    ) -> SimplexDominance {
-        match self.dominance_halfspaces(other, simplex, strict) {
-            DominanceHalfspaces::Full => SimplexDominance::Full,
-            DominanceHalfspaces::Empty => SimplexDominance::Empty,
-            DominanceHalfspaces::Split(halfspaces) => {
-                let mut region = self.grid.simplex(simplex).polytope.clone();
-                for h in halfspaces {
-                    region.push(h);
-                }
-                SimplexDominance::Partial(region)
-            }
-        }
-    }
-
     /// True iff `self ≤ band · other` over the entire parameter space —
     /// per metric at every simplex vertex. Exact and LP-free; `band = 1`
     /// is exact dominance (see [`GridCost::classify_metric`]).
@@ -396,14 +338,6 @@ impl GridCost {
                 )
             })
         })
-    }
-
-    /// True iff `self` dominates `other` at the point `x`.
-    pub fn dominates_at(&self, other: &GridCost, x: &[f64]) -> bool {
-        self.eval(x)
-            .iter()
-            .zip(other.eval(x))
-            .all(|(a, b)| cost_le(*a, b))
     }
 }
 
@@ -464,28 +398,30 @@ mod tests {
     }
 
     #[test]
-    fn dominance_in_simplex_cases() {
+    fn dominance_halfspaces_cases() {
         let grid = grid1d(1);
         // time: a = σ vs b = 0.25; fees: a = 1 vs b = 2.
         let a = GridCost::from_closure(Arc::clone(&grid), 2, |x| vec![x[0], 1.0]);
         let b = GridCost::from_closure(Arc::clone(&grid), 2, |_| vec![0.25, 2.0]);
-        match a.dominance_in_simplex(&b, 0, false) {
-            SimplexDominance::Partial(p) => {
-                assert!(p.contains_point(&[0.2]));
-                assert!(!p.contains_point(&[0.3]));
+        match a.dominance_halfspaces(&b, 0, false) {
+            DominanceHalfspaces::Split(hs) => {
+                let p = grid.simplex(0).polytope.clone();
+                let region = hs.into_iter().fold(p, |r, h| r.with(h));
+                assert!(region.contains_point(&[0.2]));
+                assert!(!region.contains_point(&[0.3]));
             }
-            other => panic!("expected partial, got {other:?}"),
+            other => panic!("expected split, got {other:?}"),
         }
         // Reverse direction: b never beats a on fees → empty.
         assert!(matches!(
-            b.dominance_in_simplex(&a, 0, false),
-            SimplexDominance::Empty
+            b.dominance_halfspaces(&a, 0, false),
+            DominanceHalfspaces::Empty
         ));
         // A strictly better plan dominates fully.
         let best = GridCost::from_closure(Arc::clone(&grid), 2, |_| vec![0.0, 0.0]);
         assert!(matches!(
-            best.dominance_in_simplex(&a, 0, false),
-            SimplexDominance::Full
+            best.dominance_halfspaces(&a, 0, false),
+            DominanceHalfspaces::Full
         ));
     }
 
@@ -531,8 +467,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "share one ParamGrid")]
     fn adding_across_grids_panics() {
-        let a = GridCost::zero(grid1d(2), 1);
-        let b = GridCost::zero(grid1d(2), 1);
+        let a = GridCost::from_closure(grid1d(2), 1, |_| vec![0.0]);
+        let b = GridCost::from_closure(grid1d(2), 1, |_| vec![0.0]);
         let _ = a.add(&b);
     }
 }

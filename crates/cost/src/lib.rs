@@ -11,8 +11,8 @@
 //!
 //! * [`LinearFn`] — a single linear piece `b + w · x`;
 //! * [`PwlFn`] — a general piecewise-linear function over arbitrary
-//!   polytope pieces, with addition, scaling, pointwise min/max (Figure 11
-//!   and the `AccumulateCost` function of Algorithm 3);
+//!   polytope pieces, with addition (Figure 11 and the `AccumulateCost`
+//!   function of Algorithm 3);
 //! * [`MultiCostFn`] — one [`PwlFn`] per metric, with the dominance-region
 //!   computation `Dom` of Algorithm 3;
 //! * [`GridCost`] — the grid-aligned representation used by the optimizer:
@@ -30,9 +30,7 @@ mod multi;
 mod pwl;
 
 pub use cache::{CacheStats, LiftedCostCache};
-pub use grid_cost::{
-    DominanceHalfspaces, GridCost, HalfspaceList, MetricOnSimplex, SimplexDominance,
-};
+pub use grid_cost::{DominanceHalfspaces, GridCost, HalfspaceList, MetricOnSimplex};
 pub use linear::LinearFn;
 pub use multi::MultiCostFn;
 pub use pwl::{LinearPiece, PwlFn};

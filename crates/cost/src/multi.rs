@@ -35,11 +35,6 @@ impl MultiCostFn {
         self.metrics[0].dim()
     }
 
-    /// Per-metric components.
-    pub fn metrics(&self) -> &[PwlFn] {
-        &self.metrics
-    }
-
     /// Evaluates all metrics at `x`; `None` outside some component's domain.
     pub fn eval(&self, x: &[f64]) -> Option<CostVec> {
         self.metrics.iter().map(|m| m.eval(x)).collect()
@@ -134,14 +129,6 @@ impl MultiCostFn {
         }
         acc.into_iter().map(|p| p.remove_redundant(ctx)).collect()
     }
-
-    /// True iff `self` dominates `other` at the point `x` (both defined).
-    pub fn dominates_at(&self, other: &MultiCostFn, x: &[f64], tol: f64) -> bool {
-        match (self.eval(x), other.eval(x)) {
-            (Some(a), Some(b)) => crate::dominates(&a, &b, tol),
-            _ => false,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -178,7 +165,11 @@ mod tests {
         // *both* metrics at most equal: time 0.5+σ ≤ 2 ⇔ σ ≤ 1.5, true on
         // [0,1]; fees 2 ≤ 3 always. So Dom(p2, p1) = [0, 1].
         let dom = p2.dominance_regions(&p1, &ctx);
-        assert!(mpq_geometry::union_covers(&ctx, &dom, &interval(0.0, 1.0)));
+        assert!(mpq_geometry::difference_is_empty(
+            &ctx,
+            &interval(0.0, 1.0),
+            &dom
+        ));
         // p1 dominates p2 where 2 ≤ 0.5 + σ ⇔ σ ≥ 1.5: nowhere on [0,1],
         // and 3 ≤ 2 never holds, so Dom(p1, p2) is empty.
         let dom_rev = p1.dominance_regions(&p2, &ctx);
@@ -201,11 +192,22 @@ mod tests {
         ]);
         let dom = a.dominance_regions(&b, &ctx);
         assert_eq!(dom.len(), 1);
-        let (lo, hi) = dom[0].bounding_box(&ctx).unwrap();
-        assert!(lo[0].abs() < 1e-6 && (hi[0] - 0.25).abs() < 1e-6);
+        // The region is [0, 0.25]: membership probes on both sides of
+        // each end.
+        for (x, inside) in [
+            (-0.01, false),
+            (0.0, true),
+            (0.1, true),
+            (0.25, true),
+            (0.26, false),
+        ] {
+            assert_eq!(dom[0].contains_point(&[x]), inside, "at {x}");
+        }
         // Pointwise agreement.
-        assert!(a.dominates_at(&b, &[0.1], 1e-9));
-        assert!(!a.dominates_at(&b, &[0.5], 1e-9));
+        let dominates_at =
+            |x: f64| crate::dominates(&a.eval(&[x]).unwrap(), &b.eval(&[x]).unwrap(), 1e-9);
+        assert!(dominates_at(0.1));
+        assert!(!dominates_at(0.5));
     }
 
     #[test]
@@ -230,8 +232,8 @@ mod tests {
         let dom = f.dominance_regions(&g, &ctx);
         let expect_left = interval(0.0, 0.4);
         let expect_right = interval(0.6, 1.0);
-        assert!(mpq_geometry::union_covers(&ctx, &dom, &expect_left));
-        assert!(mpq_geometry::union_covers(&ctx, &dom, &expect_right));
+        assert!(mpq_geometry::difference_is_empty(&ctx, &expect_left, &dom));
+        assert!(mpq_geometry::difference_is_empty(&ctx, &expect_right, &dom));
         // And nothing in the middle.
         for p in &dom {
             assert!(!p.contains_point(&[0.5]));
@@ -269,9 +271,13 @@ mod tests {
         ]);
         let dom = p1.dominance_regions(&p2, &ctx);
         let unit = Polytope::from_box(&[0.0, 0.0], &[1.0, 1.0]);
-        assert!(mpq_geometry::union_covers(&ctx, &dom, &unit));
+        assert!(mpq_geometry::difference_is_empty(&ctx, &unit, &dom));
         for p in &dom {
-            assert!(unit.contains_polytope(&ctx, p));
+            assert!(mpq_geometry::difference_is_empty(
+                &ctx,
+                p,
+                std::slice::from_ref(&unit)
+            ));
         }
     }
 }

@@ -1,7 +1,7 @@
 //! General piecewise-linear functions over polytope pieces.
 
 use crate::LinearFn;
-use mpq_geometry::{Halfspace, HalfspaceKind, Polytope};
+use mpq_geometry::Polytope;
 use mpq_lp::{FastPathSite, LpCtx};
 use std::sync::Arc;
 
@@ -66,12 +66,6 @@ impl PwlFn {
         )
     }
 
-    /// The constant function `c` on `region`.
-    pub fn constant(region: Polytope, c: f64) -> Self {
-        let dim = region.dim();
-        Self::from_linear(region, LinearFn::constant(dim, c))
-    }
-
     /// Number of parameters.
     pub fn dim(&self) -> usize {
         self.dim
@@ -91,116 +85,11 @@ impl PwlFn {
             .map(|p| p.f.eval(x))
     }
 
-    /// Scales values by `k ≥ 0` (piece regions shared, not cloned).
-    pub fn scale(&self, k: f64) -> PwlFn {
-        debug_assert!(k >= 0.0, "scaling by a negative factor breaks dominance");
-        PwlFn {
-            dim: self.dim,
-            pieces: self
-                .pieces
-                .iter()
-                .map(|p| LinearPiece {
-                    region: Arc::clone(&p.region),
-                    f: p.f.scale(k),
-                })
-                .collect(),
-        }
-    }
-
-    /// Adds a constant offset (piece regions shared, not cloned).
-    pub fn add_const(&self, c: f64) -> PwlFn {
-        PwlFn {
-            dim: self.dim,
-            pieces: self
-                .pieces
-                .iter()
-                .map(|p| LinearPiece {
-                    region: Arc::clone(&p.region),
-                    f: p.f.add_const(c),
-                })
-                .collect(),
-        }
-    }
-
     /// Pointwise sum (the `AccumulateCost` pattern of Algorithm 3): the
     /// parameter space is re-partitioned into pairwise intersections of the
     /// operand regions; weight vectors and base costs add on each non-empty
     /// intersection (Figure 11 of the paper).
     pub fn add(&self, other: &PwlFn, ctx: &LpCtx) -> PwlFn {
-        self.combine(other, ctx, |r, f1, f2| {
-            vec![LinearPiece {
-                region: r,
-                f: f1.add(f2),
-            }]
-        })
-    }
-
-    /// Pointwise maximum. Within an intersection region the winner can
-    /// change across the hyperplane `f₁(x) = f₂(x)`, so pieces are split.
-    /// Used to accumulate execution time of sub-plans that run in parallel
-    /// (the paper's §3 example: "the execution time of a plan equals the
-    /// maximum over the execution times of its sub-plans").
-    pub fn max(&self, other: &PwlFn, ctx: &LpCtx) -> PwlFn {
-        self.extremum(other, ctx, true)
-    }
-
-    /// Pointwise minimum (see [`PwlFn::max`]).
-    pub fn min(&self, other: &PwlFn, ctx: &LpCtx) -> PwlFn {
-        self.extremum(other, ctx, false)
-    }
-
-    fn extremum(&self, other: &PwlFn, ctx: &LpCtx, want_max: bool) -> PwlFn {
-        self.combine(other, ctx, |r, f1, f2| {
-            // d = f1 − f2; the set {d ≥ 0} within r takes f1 for max / f2
-            // for min.
-            let d = f1.sub(f2);
-            let (upper, lower) = if want_max { (f1, f2) } else { (f2, f1) };
-            let neg: Vec<f64> = d.w.iter().map(|v| -v).collect();
-            match Halfspace::new(neg, d.b) {
-                // d ≥ 0 everywhere degenerate (w = 0): constant sign.
-                HalfspaceKind::AlwaysTrue => vec![LinearPiece {
-                    region: r,
-                    f: upper.clone(),
-                }],
-                HalfspaceKind::AlwaysFalse => vec![LinearPiece {
-                    region: r,
-                    f: lower.clone(),
-                }],
-                HalfspaceKind::Proper(h) => {
-                    let mut out = Vec::with_capacity(2);
-                    if !r.is_empty_with_fastpath(
-                        ctx,
-                        std::slice::from_ref(&h),
-                        FastPathSite::PieceAlgebra,
-                    ) {
-                        out.push(LinearPiece {
-                            region: Arc::new(r.with(h.clone())),
-                            f: upper.clone(),
-                        });
-                    }
-                    let hc = h.complement();
-                    if !r.is_empty_with_fastpath(
-                        ctx,
-                        std::slice::from_ref(&hc),
-                        FastPathSite::PieceAlgebra,
-                    ) {
-                        out.push(LinearPiece {
-                            region: Arc::new(r.with(hc)),
-                            f: lower.clone(),
-                        });
-                    }
-                    out
-                }
-            }
-        })
-    }
-
-    fn combine(
-        &self,
-        other: &PwlFn,
-        ctx: &LpCtx,
-        mut make: impl FnMut(Arc<Polytope>, &LinearFn, &LinearFn) -> Vec<LinearPiece>,
-    ) -> PwlFn {
         debug_assert_eq!(self.dim, other.dim);
         let mut pieces = Vec::with_capacity(self.pieces.len().max(other.pieces.len()));
         for p1 in &self.pieces {
@@ -213,7 +102,10 @@ impl PwlFn {
                     .region
                     .intersection_is_empty(ctx, &p2.region, FastPathSite::PieceAlgebra)
                 {
-                    pieces.extend(make(shared_intersect(&p1.region, &p2.region), &p1.f, &p2.f));
+                    pieces.push(LinearPiece {
+                        region: shared_intersect(&p1.region, &p2.region),
+                        f: p1.f.add(&p2.f),
+                    });
                 }
             }
         }
@@ -270,47 +162,6 @@ mod tests {
             let expect = f.eval(&[x]).unwrap() + g.eval(&[x]).unwrap();
             assert!((s.eval(&[x]).unwrap() - expect).abs() < 1e-9, "at {x}");
         }
-    }
-
-    #[test]
-    fn max_splits_at_crossing() {
-        let ctx = LpCtx::new();
-        // f = x and g = 1 − x cross at 0.5.
-        let f = PwlFn::from_linear(interval(0.0, 1.0), LinearFn::new(vec![1.0], 0.0));
-        let g = PwlFn::from_linear(interval(0.0, 1.0), LinearFn::new(vec![-1.0], 1.0));
-        let m = f.max(&g, &ctx);
-        assert_eq!(m.pieces().len(), 2);
-        for x in [0.1f64, 0.4, 0.6, 0.9] {
-            let expect = x.max(1.0 - x);
-            assert!((m.eval(&[x]).unwrap() - expect).abs() < 1e-9, "at {x}");
-        }
-        let n = f.min(&g, &ctx);
-        for x in [0.1f64, 0.4, 0.6, 0.9] {
-            let expect = x.min(1.0 - x);
-            assert!((n.eval(&[x]).unwrap() - expect).abs() < 1e-9, "at {x}");
-        }
-    }
-
-    #[test]
-    fn max_of_parallel_functions_does_not_split() {
-        let ctx = LpCtx::new();
-        let f = PwlFn::from_linear(interval(0.0, 1.0), LinearFn::new(vec![1.0], 0.0));
-        let g = PwlFn::from_linear(interval(0.0, 1.0), LinearFn::new(vec![1.0], 1.0));
-        let m = f.max(&g, &ctx);
-        assert_eq!(m.pieces().len(), 1);
-        assert!((m.eval(&[0.5]).unwrap() - 1.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn scale_and_const_preserve_regions() {
-        let f = step_fn(
-            &[0.0, 0.5, 1.0],
-            &[LinearFn::new(vec![1.0], 0.0), LinearFn::new(vec![0.0], 2.0)],
-        );
-        let g = f.scale(3.0).add_const(1.0);
-        assert_eq!(g.pieces().len(), 2);
-        assert!((g.eval(&[0.25]).unwrap() - 1.75).abs() < 1e-9);
-        assert!((g.eval(&[0.75]).unwrap() - 7.0).abs() < 1e-9);
     }
 
     #[test]

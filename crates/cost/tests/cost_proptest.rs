@@ -41,21 +41,6 @@ proptest! {
     }
 
     #[test]
-    fn pwl_max_min_match_pointwise(f in linear_fn(2), g in linear_fn(2)) {
-        let ctx = LpCtx::new();
-        let square = Polytope::from_box(&[0.0, 0.0], &[1.0, 1.0]);
-        let ff = PwlFn::from_linear(square.clone(), f.clone());
-        let gg = PwlFn::from_linear(square, g.clone());
-        let mx = ff.max(&gg, &ctx);
-        let mn = ff.min(&gg, &ctx);
-        for p in lattice(&[0.02, 0.03], &[0.97, 0.96], 5) {
-            let (fv, gv) = (f.eval(&p), g.eval(&p));
-            prop_assert!((mx.eval(&p).unwrap() - fv.max(gv)).abs() < 1e-7);
-            prop_assert!((mn.eval(&p).unwrap() - fv.min(gv)).abs() < 1e-7);
-        }
-    }
-
-    #[test]
     fn dominance_regions_match_pointwise(
         a_time in linear_fn(1), a_fees in linear_fn(1),
         b_time in linear_fn(1), b_fees in linear_fn(1),

@@ -1,13 +1,14 @@
-//! Polytope set differences.
+//! Polytope set differences: the coverage check behind `IsEmpty`.
 //!
 //! Relevance regions are complements of unions of convex polytopes
 //! (Theorem 4 of the MPQ paper). Deciding whether a relevance region is
 //! empty amounts to deciding whether the union of its cutouts covers the
-//! parameter space, and the Bemporad–Fukuda–Torrisi convexity check
-//! (see [`crate::union_convex_polytope`]) needs the emptiness of
-//! `envelope ∖ union`. Both reduce to the primitive implemented here:
-//! subtracting a union of polytopes from a polytope by recursive
-//! subdivision and testing what remains for (interior) emptiness.
+//! parameter space. This module decides it by a worklist: the remainder
+//! of the base is kept as convex pieces, each cutout is subtracted from
+//! every piece by recursive subdivision, and the region is empty iff the
+//! worklist drains. The region engine runs the same worklist
+//! incrementally per region; [`difference_is_empty`] runs it from
+//! scratch.
 //!
 //! A subtracted row that the piece already carries verbatim yields no
 //! piece and is not queried: `piece ∩ ¬h` lies in the hyperplane of `h`,
@@ -19,34 +20,20 @@ use crate::{Halfspace, Polytope};
 use mpq_lp::{FastPathSite, LpCtx};
 
 /// Decomposes `base ∖ minus` into convex pieces with pairwise disjoint
-/// interiors.
+/// interiors, for a `base` already proven non-empty and `minus` given by
+/// its rows: the worklist's per-piece step. Worklist pieces are
+/// non-empty by the exact query that put them on the worklist, so
+/// re-running that check would repeat a deterministic predicate
+/// verbatim.
 ///
-/// For constraints `c₁ … c_k` of `minus`, the classic decomposition is
+/// For rows `c₁ … c_k` of `minus`, the classic decomposition is
 ///
 /// ```text
 /// base ∖ minus = ⋃ⱼ  base ∩ c₁ ∩ … ∩ c_{j−1} ∩ ¬c_j
 /// ```
 ///
 /// where `¬c_j` is the complementary closed halfspace. Pieces with empty
-/// interior are dropped (see the crate-level emptiness discussion); a
-/// `c_j` already among the rows of `base ∩ c₁ ∩ … ∩ c_{j−1}` yields no
-/// piece without an emptiness query.
-pub fn subtract(ctx: &LpCtx, base: &Polytope, minus: &Polytope) -> Vec<Polytope> {
-    debug_assert_eq!(base.dim(), minus.dim());
-    if base.is_empty_with_fastpath(ctx, &[], FastPathSite::Coverage) {
-        return Vec::new();
-    }
-    if minus.is_trivially_empty() {
-        return vec![base.clone()];
-    }
-    subtract_from_nonempty(ctx, base, minus.halfspaces())
-}
-
-/// [`subtract`] with `minus` given by its rows, for a `base` already
-/// proven non-empty: worklist callers (the coverage machinery)
-/// re-subtract from pieces whose non-emptiness was established by the
-/// exact query that put them on the worklist, so re-running that check
-/// would repeat a deterministic predicate verbatim.
+/// interior are dropped (see the crate-level emptiness discussion).
 ///
 /// A row `h` the running prefix already carries verbatim (a base row, or
 /// a repeat within `minus`) is skipped: `prefix ∩ ¬h` lies in `h`'s
@@ -214,12 +201,6 @@ fn difference_remainder(ctx: &LpCtx, base: &Polytope, cutouts: &[Polytope]) -> V
     remaining
 }
 
-/// True iff `⋃ polys ⊇ target` up to measure zero (the uncovered part has
-/// empty interior).
-pub fn union_covers(ctx: &LpCtx, polys: &[Polytope], target: &Polytope) -> bool {
-    difference_is_empty(ctx, target, polys)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,12 +214,12 @@ mod tests {
         let ctx = ctx();
         let base = Polytope::from_box(&[0.0], &[1.0]);
         let minus = Polytope::from_box(&[2.0], &[3.0]);
-        let pieces = subtract(&ctx, &base, &minus);
+        let pieces = subtract_from_nonempty(&ctx, &base, minus.halfspaces());
         // The decomposition may return the base split by inactive
         // constraints, but its union must be the base: check via coverage.
-        assert!(union_covers(&ctx, &pieces, &base));
+        assert!(difference_is_empty(&ctx, &base, &pieces));
         for p in &pieces {
-            assert!(base.contains_polytope(&ctx, p));
+            assert!(difference_is_empty(&ctx, p, std::slice::from_ref(&base)));
         }
     }
 
@@ -247,7 +228,7 @@ mod tests {
         let ctx = ctx();
         let base = Polytope::from_box(&[0.0, 0.0], &[1.0, 1.0]);
         let minus = Polytope::from_box(&[-1.0, -1.0], &[2.0, 2.0]);
-        assert!(subtract(&ctx, &base, &minus).is_empty());
+        assert!(subtract_from_nonempty(&ctx, &base, minus.halfspaces()).is_empty());
     }
 
     #[test]
@@ -255,13 +236,19 @@ mod tests {
         let ctx = ctx();
         let base = Polytope::from_box(&[0.0], &[1.0]);
         let minus = Polytope::from_box(&[0.0], &[0.25]);
-        let pieces = subtract(&ctx, &base, &minus);
-        assert_eq!(pieces.len(), 1);
-        assert!(pieces[0].contains_point(&[0.5]));
-        assert!(!pieces[0].contains_point(&[0.1]));
+        let pieces = subtract_from_nonempty(&ctx, &base, minus.halfspaces());
         // Figure 7 of the paper: the relevance region left over is [0.25, 1].
-        let (lo, hi) = pieces[0].bounding_box(&ctx).unwrap();
-        assert!((lo[0] - 0.25).abs() < 1e-6 && (hi[0] - 1.0).abs() < 1e-6);
+        assert_eq!(pieces.len(), 1);
+        for (x, inside) in [
+            (0.1, false),
+            (0.24, false),
+            (0.26, true),
+            (0.5, true),
+            (1.0, true),
+        ] {
+            assert_eq!(pieces[0].contains_point(&[x]), inside, "at {x}");
+        }
+        assert!(!pieces[0].contains_point(&[1.01]));
     }
 
     #[test]
@@ -322,9 +309,11 @@ mod tests {
     }
 
     #[test]
-    fn union_covers_empty_target() {
+    fn empty_base_difference_is_empty() {
         let ctx = ctx();
-        assert!(union_covers(&ctx, &[], &Polytope::empty(2)));
+        let mut empty = Polytope::full(2);
+        empty.add_inequality(vec![0.0, 0.0], -1.0);
+        assert!(difference_is_empty(&ctx, &empty, &[]));
     }
 
     #[test]

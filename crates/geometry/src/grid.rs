@@ -379,7 +379,7 @@ mod tests {
         let ctx = mpq_lp::LpCtx::new();
         let g = ParamGrid::new(&[0.0, 0.0], &[1.0, 1.0], 2).unwrap();
         let polys: Vec<Polytope> = g.simplices().iter().map(|s| s.polytope.clone()).collect();
-        assert!(crate::union_covers(&ctx, &polys, &g.box_polytope()));
+        assert!(crate::difference_is_empty(&ctx, &g.box_polytope(), &polys));
     }
 
     #[test]
@@ -390,7 +390,9 @@ mod tests {
         for i in 0..ss.len() {
             for j in (i + 1)..ss.len() {
                 assert!(
-                    ss[i].polytope.intersect(&ss[j].polytope).is_empty(&ctx),
+                    ss[i]
+                        .polytope
+                        .is_empty_with(&ctx, ss[j].polytope.halfspaces()),
                     "simplices {i} and {j} overlap"
                 );
             }

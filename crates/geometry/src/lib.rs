@@ -12,10 +12,10 @@
 //!   the complement of a finite union of convex polytopes (Theorem 4).
 //!
 //! This crate implements the polytope operations the algorithm needs:
-//! emptiness with interior semantics, containment, constraint-redundancy
-//! elimination (the paper's first refinement), polytope differences, the
-//! Bemporad–Fukuda–Torrisi convexity-recognition procedure for unions of
-//! polytopes used by `IsEmpty` (Algorithm 2), and the [`grid::ParamGrid`]
+//! emptiness with interior semantics, constraint-redundancy elimination
+//! (the paper's first refinement), the coverage check behind `IsEmpty`
+//! (Algorithm 2: [`difference_is_empty`], run incrementally per region by
+//! the shared [`region::RegionEngine`]), and the [`grid::ParamGrid`]
 //! simplicial decomposition on which the optimizer aligns all cost
 //! functions.
 //!
@@ -31,17 +31,14 @@
 //! no interior (no ball of radius > [`INTERIOR_TOL`] fits inside). This is
 //! sound for Pareto-plan-set completeness: on the boundary of a dominance
 //! region the dominating plan has *equal* cost, so the plan kept for the
-//! adjacent full-dimensional region dominates there too. The closed-set
-//! predicate [`Polytope::is_feasible`] is also available.
+//! adjacent full-dimensional region dominates there too.
 
-mod convexity;
 mod difference;
 pub mod grid;
 mod polytope;
 pub mod region;
 
-pub use convexity::{envelope, union_convex_polytope};
-pub use difference::{difference_is_empty, subtract, union_covers, CoveragePiece, WITNESS_MARGIN};
+pub use difference::{difference_is_empty, CoveragePiece, WITNESS_MARGIN};
 pub use region::{
     Cutout, CutoutRegion, HalfspaceList, ProbeSet, RegionBase, RegionEngine, FASTPATH_MARGIN,
 };
@@ -244,25 +241,6 @@ impl Polytope {
         p
     }
 
-    /// Builds a polytope from raw inequalities `a · x ≤ b`; degenerate rows
-    /// are resolved symbolically.
-    pub fn from_inequalities(dim: usize, rows: impl IntoIterator<Item = (Vec<f64>, f64)>) -> Self {
-        let mut p = Self::full(dim);
-        for (a, b) in rows {
-            p.add_inequality(a, b);
-        }
-        p
-    }
-
-    /// An explicitly empty polytope.
-    pub fn empty(dim: usize) -> Self {
-        Self {
-            dim,
-            halfspaces: Vec::new(),
-            trivially_empty: true,
-        }
-    }
-
     /// Ambient dimension.
     pub fn dim(&self) -> usize {
         self.dim
@@ -271,11 +249,6 @@ impl Polytope {
     /// The defining halfspaces (empty for the full space).
     pub fn halfspaces(&self) -> &[Halfspace] {
         &self.halfspaces
-    }
-
-    /// Number of defining halfspaces.
-    pub fn num_constraints(&self) -> usize {
-        self.halfspaces.len()
     }
 
     /// True if a constructor proved emptiness without any LP.
@@ -305,31 +278,9 @@ impl Polytope {
         out
     }
 
-    /// Intersection of two polytopes (concatenated constraints).
-    pub fn intersect(&self, other: &Polytope) -> Polytope {
-        debug_assert_eq!(self.dim, other.dim);
-        let mut out = self.clone();
-        out.halfspaces.extend(other.halfspaces.iter().cloned());
-        out.trivially_empty |= other.trivially_empty;
-        out
-    }
-
     /// True iff `x` satisfies every constraint up to [`TOL`].
     pub fn contains_point(&self, x: &[f64]) -> bool {
         !self.trivially_empty && self.halfspaces.iter().all(|h| h.contains(x))
-    }
-
-    /// True iff `x` lies **strictly** inside the polytope: every constraint
-    /// satisfied with slack greater than [`TOL`].
-    ///
-    /// Relevance-region membership treats cutouts as open sets through this
-    /// predicate: a parameter point on a cutout *boundary* — where the
-    /// dominating competitor has exactly equal cost — still counts as
-    /// relevant, which preserves the relevance-mapping property at
-    /// measure-zero tie sets (see the MPQ paper's distinction between
-    /// `Dom` and strict dominance `StD` in Section 2).
-    pub fn strictly_contains_point(&self, x: &[f64]) -> bool {
-        !self.trivially_empty && self.halfspaces.iter().all(|h| h.slack(x) > TOL)
     }
 }
 
@@ -374,12 +325,13 @@ mod tests {
         assert!(p.contains_point(&[0.0, 0.0]));
         assert!(!p.contains_point(&[1.5, 0.5]));
         assert!(!p.contains_point(&[0.5, -0.1]));
-        assert_eq!(p.num_constraints(), 4);
+        assert_eq!(p.halfspaces().len(), 4);
     }
 
     #[test]
     fn trivially_empty_from_degenerate_row() {
-        let p = Polytope::from_inequalities(2, vec![(vec![0.0, 0.0], -1.0)]);
+        let mut p = Polytope::full(2);
+        p.add_inequality(vec![0.0, 0.0], -1.0);
         assert!(p.is_trivially_empty());
         assert!(!p.contains_point(&[0.0, 0.0]));
     }

@@ -296,10 +296,11 @@ impl Polytope {
     ///    the inscribed radius by half the slab width. Grid-aligned
     ///    geometry produces such pairs for every cell boundary and every
     ///    Kuhn diagonal (the two triangle orientations of a cell state the
-    ///    diagonal with exactly negated coefficients), and `extremum`
-    ///    splits cut with a halfspace and its exact complement — so
-    ///    adjacent and identical-boundary regions (width ≤ 0) resolve
-    ///    for free with a tight exact-arithmetic margin;
+    ///    diagonal with exactly negated coefficients), and the coverage
+    ///    worklist cuts each piece with a row's exact
+    ///    [`Halfspace::complement`] — so adjacent and identical-boundary
+    ///    regions (width ≤ 0) resolve for free with a tight
+    ///    exact-arithmetic margin;
     /// 4. the bounding box is clipped by the deduplicated rows in O(k·v)
     ///    and the clipped polygon's vertex centroid is tested like a
     ///    probe — the same exact "non-empty" certificate, which settles
@@ -591,10 +592,6 @@ impl Polytope {
         out.trivially_empty |= other.trivially_empty;
         out
     }
-    /// Maximizes `w · x` over the polytope.
-    pub fn max_linear(&self, ctx: &LpCtx, w: &[f64]) -> LpOutcome {
-        self.max_linear_with(ctx, w, &[])
-    }
 
     /// Maximizes `w · x` over `self ∩ extra` without materialising the
     /// intersection — the hot predicate behind cutout-redundancy tests.
@@ -610,37 +607,13 @@ impl Polytope {
         })
     }
 
-    /// True iff the polytope is non-empty *as a closed set* (boundary-only
-    /// polytopes count as feasible).
-    pub fn is_feasible(&self, ctx: &LpCtx) -> bool {
-        if self.is_trivially_empty() {
-            return false;
-        }
-        if self.halfspaces.is_empty() {
-            return true;
-        }
-        let objective: ObjBuf = std::iter::repeat_n(0.0, self.dim()).collect();
-        ctx.solve_staged(&objective, |stage| {
-            for h in &self.halfspaces {
-                stage.push_row(h.normal(), h.offset());
-            }
-        })
-        .is_feasible()
-    }
-
-    /// True iff the polytope has empty interior — no ball of radius
-    /// greater than [`INTERIOR_TOL`] fits inside — see the crate-level
-    /// emptiness discussion.
+    /// True iff `self ∩ extra` has empty interior — no ball of radius
+    /// greater than [`INTERIOR_TOL`] fits inside, see the crate-level
+    /// emptiness discussion — without materialising the intersection.
     ///
     /// Implemented as a Chebyshev-radius LP: maximize `t` subject to
     /// `aᵢ · x + t ≤ bᵢ` (the normals are unit vectors) and `t ≤ 1` so the
     /// objective stays bounded on unbounded polytopes.
-    pub fn is_empty(&self, ctx: &LpCtx) -> bool {
-        self.is_empty_with(ctx, &[])
-    }
-
-    /// True iff `self ∩ extra` has empty interior, without materialising
-    /// the intersection.
     pub fn is_empty_with(&self, ctx: &LpCtx, extra: &[Halfspace]) -> bool {
         if self.is_trivially_empty() {
             return true;
@@ -695,27 +668,6 @@ impl Polytope {
             }
             _ => None,
         }
-    }
-
-    /// True iff `self ⊇ other` (up to [`TOL`]): every constraint of `self`
-    /// is satisfied by all of `other`, checked with one LP per constraint.
-    ///
-    /// An empty `other` is contained in everything. Containment of an
-    /// unbounded `other` direction fails the max-LP and correctly reports
-    /// `false`.
-    pub fn contains_polytope(&self, ctx: &LpCtx, other: &Polytope) -> bool {
-        debug_assert_eq!(self.dim(), other.dim());
-        if other.is_trivially_empty() || !other.is_feasible(ctx) {
-            return true;
-        }
-        self.halfspaces.iter().all(|h| {
-            match other.max_linear(ctx, h.normal()) {
-                LpOutcome::Optimal(sol) => sol.value <= h.offset() + TOL,
-                LpOutcome::Unbounded => false,
-                // Unreachable: `other` was just proven feasible.
-                LpOutcome::Infeasible => true,
-            }
-        })
     }
 
     /// Removes redundant constraints (the paper's first §6.2 refinement):
@@ -787,22 +739,6 @@ impl Polytope {
             trivially_empty: false,
         }
     }
-
-    /// Smallest axis-aligned bounding box, or `None` if the polytope is
-    /// empty or unbounded in some coordinate.
-    pub fn bounding_box(&self, ctx: &LpCtx) -> Option<(Vec<f64>, Vec<f64>)> {
-        let dim = self.dim();
-        let mut lo = vec![0.0; dim];
-        let mut hi = vec![0.0; dim];
-        for j in 0..dim {
-            let mut w = vec![0.0; dim];
-            w[j] = 1.0;
-            hi[j] = self.max_linear(ctx, &w).optimal()?.value;
-            w[j] = -1.0;
-            lo[j] = -self.max_linear(ctx, &w).optimal()?.value;
-        }
-        Some((lo, hi))
-    }
 }
 
 #[cfg(test)]
@@ -817,26 +753,23 @@ mod tests {
     #[test]
     fn box_is_not_empty() {
         let p = Polytope::from_box(&[0.0, 0.0], &[1.0, 1.0]);
-        assert!(!p.is_empty(&ctx()));
-        assert!(p.is_feasible(&ctx()));
+        assert!(!p.is_empty_with(&ctx(), &[]));
     }
 
     #[test]
     fn contradictory_constraints_are_empty() {
         let mut p = Polytope::from_box(&[0.0], &[1.0]);
         p.add_inequality(vec![1.0], -1.0); // x <= -1 contradicts x >= 0
-        assert!(p.is_empty(&ctx()));
-        assert!(!p.is_feasible(&ctx()));
+        assert!(p.is_empty_with(&ctx(), &[]));
     }
 
     #[test]
-    fn lower_dimensional_polytope_is_empty_but_feasible() {
+    fn lower_dimensional_polytope_is_empty() {
         // The segment {x = 0.5} × [0, 1] inside the unit square.
         let mut p = Polytope::from_box(&[0.0, 0.0], &[1.0, 1.0]);
         p.add_inequality(vec![1.0, 0.0], 0.5);
         p.add_inequality(vec![-1.0, 0.0], -0.5);
-        assert!(p.is_empty(&ctx()), "segment has no interior");
-        assert!(p.is_feasible(&ctx()), "segment is non-empty as a set");
+        assert!(p.is_empty_with(&ctx(), &[]), "segment has no interior");
     }
 
     #[test]
@@ -848,26 +781,6 @@ mod tests {
     }
 
     #[test]
-    fn containment_of_nested_boxes() {
-        let outer = Polytope::from_box(&[0.0, 0.0], &[4.0, 4.0]);
-        let inner = Polytope::from_box(&[1.0, 1.0], &[2.0, 2.0]);
-        let ctx = ctx();
-        assert!(outer.contains_polytope(&ctx, &inner));
-        assert!(!inner.contains_polytope(&ctx, &outer));
-        // Everything contains the empty set.
-        assert!(inner.contains_polytope(&ctx, &Polytope::empty(2)));
-    }
-
-    #[test]
-    fn containment_of_overlapping_boxes_fails_both_ways() {
-        let a = Polytope::from_box(&[0.0], &[2.0]);
-        let b = Polytope::from_box(&[1.0], &[3.0]);
-        let ctx = ctx();
-        assert!(!a.contains_polytope(&ctx, &b));
-        assert!(!b.contains_polytope(&ctx, &a));
-    }
-
-    #[test]
     fn redundancy_elimination_keeps_geometry() {
         let ctx = ctx();
         let mut p = Polytope::from_box(&[0.0, 0.0], &[1.0, 1.0]);
@@ -875,31 +788,30 @@ mod tests {
         p.add_inequality(vec![1.0, 1.0], 10.0); // implied by the box
         p.add_inequality(vec![1.0, 0.0], 1.0); // duplicate of x <= 1
         let r = p.remove_redundant(&ctx);
-        assert_eq!(r.num_constraints(), 4, "only the box rows survive");
-        assert!(r.contains_polytope(&ctx, &p));
-        assert!(p.contains_polytope(&ctx, &r));
+        assert_eq!(r.halfspaces().len(), 4, "only the box rows survive");
+        // Same set: each side minus the other has no interior.
+        assert!(crate::difference_is_empty(
+            &ctx,
+            &r,
+            std::slice::from_ref(&p)
+        ));
+        assert!(crate::difference_is_empty(
+            &ctx,
+            &p,
+            std::slice::from_ref(&r)
+        ));
     }
 
     #[test]
     fn redundancy_on_unbounded_polytope() {
         let ctx = ctx();
         // x >= 0 plus a redundant x >= -1.
-        let p = Polytope::from_inequalities(1, vec![(vec![-1.0], 0.0), (vec![-1.0], 1.0)]);
+        let mut p = Polytope::full(1);
+        p.add_inequality(vec![-1.0], 0.0);
+        p.add_inequality(vec![-1.0], 1.0);
         let r = p.remove_redundant(&ctx);
-        assert_eq!(r.num_constraints(), 1);
+        assert_eq!(r.halfspaces().len(), 1);
         assert!(r.contains_point(&[0.5]));
         assert!(!r.contains_point(&[-0.5]));
-    }
-
-    #[test]
-    fn bounding_box_roundtrip() {
-        let ctx = ctx();
-        let p = Polytope::from_box(&[-1.0, 2.0], &[3.0, 5.0]);
-        let (lo, hi) = p.bounding_box(&ctx).unwrap();
-        assert!((lo[0] + 1.0).abs() < 1e-6 && (hi[0] - 3.0).abs() < 1e-6);
-        assert!((lo[1] - 2.0).abs() < 1e-6 && (hi[1] - 5.0).abs() < 1e-6);
-        // Unbounded polytope has no bounding box.
-        let unbounded = Polytope::from_inequalities(2, vec![(vec![1.0, 0.0], 1.0)]);
-        assert!(unbounded.bounding_box(&ctx).is_none());
     }
 }

@@ -26,11 +26,10 @@
 //!   [`crate::difference_is_empty`], resumed incrementally per region)
 //!   and extracts a margin-certified **interior witness** that keeps
 //!   later checks free until a cutout actually covers it. For cutouts
-//!   contained in the base — true for both backends — this verdict
-//!   coincides with the paper's Algorithm 2 (Bemporad–Fukuda–Torrisi
-//!   convexity of the cutout union followed by a containment test): the
-//!   union covers the base iff it *equals* the base, in which case it is
-//!   convex.
+//!   contained in the base — true for both backends — this verdict is
+//!   the one the paper's Algorithm 2 reaches through a convexity test of
+//!   the cutout union followed by a containment test: the union covers
+//!   the base iff it *equals* the base, in which case it is convex.
 
 use crate::{Halfspace, Polytope, INTERIOR_TOL, TOL, WITNESS_MARGIN};
 use mpq_lp::{dense::dot, FastPathSite, LpCtx, LpOutcome};
@@ -147,7 +146,7 @@ impl Cutout {
 
 /// Where the ball of radius `TOL + WITNESS_MARGIN` around `w` sits in
 /// `cutout`'s worklist subdivision (scanning the cutout's halfspaces in
-/// order, as the coverage check's `subtract` does):
+/// order, as the coverage worklist's subdivision does):
 ///
 /// * `Some(true)` — the ball lies wholly in a cell *outside* the cutout
 ///   (each halfspace cleared by the margin, the first outside-side one
@@ -843,7 +842,7 @@ impl RegionEngine {
     /// Each cutout is subtracted through its extra rows alone. Every
     /// worklist piece lies inside the base and carries its rows verbatim,
     /// so a base row could only yield a piece with no interior; the
-    /// worklist skips such rows anyway (see [`crate::subtract`]), and
+    /// worklist skips such rows anyway (see the `difference` module), and
     /// leaving them out spares a copy of the base per cutout.
     #[inline]
     pub fn region_is_empty(

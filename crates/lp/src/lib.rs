@@ -107,31 +107,6 @@ pub enum LpOutcome {
     Unbounded,
 }
 
-impl LpOutcome {
-    /// Returns the optimal solution, if any.
-    pub fn optimal(self) -> Option<LpSolution> {
-        match self {
-            LpOutcome::Optimal(sol) => Some(sol),
-            _ => None,
-        }
-    }
-
-    /// True iff the problem is feasible (optimal or unbounded).
-    pub fn is_feasible(&self) -> bool {
-        !matches!(self, LpOutcome::Infeasible)
-    }
-}
-
-/// Solves `maximize objective · x` subject to rows staged by `fill`,
-/// without touching any statistics counter.
-///
-/// Rows are written directly into per-thread scratch memory.
-/// Prefer [`LpCtx::solve_staged`] inside the optimizer so the solved-LP
-/// count stays accurate.
-pub fn solve_staged(objective: &[f64], fill: impl FnOnce(&mut RowStage)) -> LpOutcome {
-    simplex::solve_staged(objective, fill)
-}
-
 /// The call sites whose exact geometric fast paths the context tracks:
 /// each site answers a predicate either LP-free (a *hit*) or by falling
 /// back to the solver (a *fallback*), and the per-site split tells future
@@ -199,11 +174,6 @@ impl FastPathBreakdown {
     pub fn total_fast(&self) -> u64 {
         self.fast.iter().sum()
     }
-
-    /// Total LP fallbacks across all sites.
-    pub fn total_lp(&self) -> u64 {
-        self.lp.iter().sum()
-    }
 }
 
 /// Statistics-carrying solver context.
@@ -234,7 +204,9 @@ impl LpCtx {
     }
 
     /// Solves `maximize objective · x` subject to rows staged by `fill`,
-    /// counting one solve on this thread. See [`solve_staged`].
+    /// counting one solve on this thread ([`thread_solved`]) — the only
+    /// way into the simplex, so every solve is counted. Rows are written
+    /// directly into per-thread scratch memory.
     pub fn solve_staged(&self, objective: &[f64], fill: impl FnOnce(&mut RowStage)) -> LpOutcome {
         record_solve();
         simplex::solve_staged(objective, fill)
@@ -299,13 +271,25 @@ mod tests {
         (a, b)
     }
 
-    /// Solves `maximize objective · x` over `rows` without counting.
+    /// Solves `maximize objective · x` over `rows`, checking that the
+    /// solve counts once on this thread.
     fn solve_rows(objective: &[f64], rows: &[Row]) -> LpOutcome {
-        solve_staged(objective, |stage| {
+        let before = thread_solved();
+        let outcome = LpCtx::new().solve_staged(objective, |stage| {
             for (a, b) in rows {
                 stage.push_row(a, *b);
             }
-        })
+        });
+        assert_eq!(thread_solved() - before, 1, "one counted solve per call");
+        outcome
+    }
+
+    /// The solution of an LP that must have a finite optimum.
+    fn optimum(outcome: LpOutcome) -> LpSolution {
+        match outcome {
+            LpOutcome::Optimal(sol) => sol,
+            other => panic!("expected an optimum, got {other:?}"),
+        }
     }
 
     /// The slack `b - a · x` of one row; non-negative iff `x` satisfies it.
@@ -321,7 +305,7 @@ mod tests {
             c(vec![-1.0, 0.0], 0.0),
             c(vec![0.0, -1.0], 0.0),
         ];
-        let sol = solve_rows(&[3.0, 2.0], &rows).optimal().expect("optimal");
+        let sol = optimum(solve_rows(&[3.0, 2.0], &rows));
         assert!((sol.value - 22.0).abs() < 1e-7, "value = {}", sol.value);
         assert!((sol.x[0] - 4.0).abs() < 1e-7);
         assert!((sol.x[1] - 5.0).abs() < 1e-7);
@@ -331,7 +315,7 @@ mod tests {
     fn free_variables_negative_optimum() {
         // maximize -x s.t. x >= 3  (i.e. -x <= -3); optimum at x = 3.
         let rows = [c(vec![-1.0], -3.0), c(vec![1.0], 10.0)];
-        let sol = solve_rows(&[-1.0], &rows).optimal().expect("optimal");
+        let sol = optimum(solve_rows(&[-1.0], &rows));
         assert!((sol.value + 3.0).abs() < 1e-7);
         assert!((sol.x[0] - 3.0).abs() < 1e-7);
     }
@@ -368,13 +352,16 @@ mod tests {
             c(vec![-1.0, 0.0], 0.0),
             c(vec![0.0, -1.0], 0.0),
         ];
-        let sol = solve_rows(&[1.0, 0.0], &rows).optimal().expect("optimal");
+        let sol = optimum(solve_rows(&[1.0, 0.0], &rows));
         assert!((sol.value - 1.0).abs() < 1e-7);
     }
 
     #[test]
     fn no_constraints_zero_objective() {
-        assert!(solve_rows(&[0.0, 0.0], &[]).is_feasible());
+        assert!(matches!(
+            solve_rows(&[0.0, 0.0], &[]),
+            LpOutcome::Optimal(_)
+        ));
     }
 
     #[test]
@@ -408,7 +395,7 @@ mod tests {
         assert_eq!(b.fast[FastPathSite::Coverage as usize], 2);
         assert_eq!(b.lp[FastPathSite::PieceAlgebra as usize], 1);
         assert_eq!(b.total_fast(), 2);
-        assert_eq!(b.total_lp(), 1);
+        assert_eq!(b.lp.iter().sum::<u64>(), 1);
     }
 
     #[test]
@@ -436,7 +423,7 @@ mod tests {
     fn negative_rhs_requires_phase_one() {
         // Feasible region: x >= 1, x <= 2 written with a negative RHS row.
         let rows = [c(vec![-1.0], -1.0), c(vec![1.0], 2.0)];
-        let sol = solve_rows(&[1.0], &rows).optimal().expect("optimal");
+        let sol = optimum(solve_rows(&[1.0], &rows));
         assert!((sol.value - 2.0).abs() < 1e-7);
     }
 
@@ -449,9 +436,7 @@ mod tests {
             c(vec![0.0, -1.0, 0.0], 0.0),
             c(vec![0.0, 0.0, -1.0], 0.0),
         ];
-        let sol = solve_rows(&[1.0, 2.0, -1.0], &rows)
-            .optimal()
-            .expect("optimal");
+        let sol = optimum(solve_rows(&[1.0, 2.0, -1.0], &rows));
         for row in &rows {
             assert!(
                 slack(row, &sol.x) >= -1e-7,

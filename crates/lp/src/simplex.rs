@@ -92,11 +92,6 @@ pub struct RowStage<'a> {
 }
 
 impl RowStage<'_> {
-    /// Number of decision variables rows must match.
-    pub fn num_vars(&self) -> usize {
-        self.num_vars
-    }
-
     /// Stages the constraint `a · x ≤ b`.
     pub fn push_row(&mut self, a: &[f64], b: f64) {
         debug_assert_eq!(a.len(), self.num_vars);

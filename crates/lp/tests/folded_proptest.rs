@@ -11,7 +11,7 @@
 //! including degenerate rows, negative right-hand sides (phase-1
 //! activity), ties and near-parallel constraints.
 
-use mpq_lp::{solve_staged, LpOutcome};
+use mpq_lp::{LpCtx, LpOutcome};
 use proptest::prelude::*;
 
 /// The unfolded two-phase simplex, kept verbatim as the reference.
@@ -315,7 +315,7 @@ fn coeff() -> impl Strategy<Value = f64> {
 }
 
 fn assert_bit_identical(objective: &[f64], rows: &[(Vec<f64>, f64)]) -> Result<(), TestCaseError> {
-    let folded = solve_staged(objective, |stage| {
+    let folded = LpCtx::new().solve_staged(objective, |stage| {
         for (a, b) in rows {
             stage.push_row(a, *b);
         }

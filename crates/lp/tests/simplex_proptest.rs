@@ -9,7 +9,7 @@
 //!  * the value is at least as good as a coarse interior sample (a weak but
 //!    solver-independent lower bound on the optimum).
 
-use mpq_lp::{solve_staged, LpOutcome};
+use mpq_lp::{thread_solved, LpCtx, LpOutcome, LpSolution};
 use proptest::prelude::*;
 
 /// One row `a · x ≤ b`.
@@ -34,13 +34,25 @@ fn bounded_rows(n: usize, cuts: Vec<(Vec<f64>, f64)>) -> Vec<Row> {
     rows
 }
 
-/// Solves `maximize objective · x` over `rows`.
+/// Solves `maximize objective · x` over `rows`, checking that the solve
+/// counts once on this thread.
 fn solve_rows(objective: &[f64], rows: &[Row]) -> LpOutcome {
-    solve_staged(objective, |stage| {
+    let before = thread_solved();
+    let outcome = LpCtx::new().solve_staged(objective, |stage| {
         for (a, b) in rows {
             stage.push_row(a, *b);
         }
-    })
+    });
+    assert_eq!(thread_solved() - before, 1, "one counted solve per call");
+    outcome
+}
+
+/// The solution of an LP that must have a finite optimum.
+fn optimum(outcome: LpOutcome) -> LpSolution {
+    match outcome {
+        LpOutcome::Optimal(sol) => sol,
+        other => panic!("expected an optimum, got {other:?}"),
+    }
 }
 
 /// The slack `b - a · x` of one row; non-negative iff `x` satisfies it.
@@ -106,8 +118,8 @@ proptest! {
         let base = bounded_rows(n, vec![]);
         let mut doubled = base.clone();
         doubled.extend(base.clone());
-        let v1 = solve_rows(&objective, &base).optimal().expect("base optimal").value;
-        let v2 = solve_rows(&objective, &doubled).optimal().expect("doubled optimal").value;
+        let v1 = optimum(solve_rows(&objective, &base)).value;
+        let v2 = optimum(solve_rows(&objective, &doubled)).value;
         prop_assert!((v1 - v2).abs() < 1e-6, "{v1} vs {v2}");
     }
 }

@@ -193,17 +193,11 @@ impl<T: NetStream> ShardConn for StreamConn<T> {
                 .set_read_timeout_secs(timeout)
                 .map_err(|e| NetError::Io(e.to_string()))?;
             write_frame(stream, frame).map_err(|e| NetError::Io(e.to_string()))?;
-            match crate::wire::read_frame(stream) {
+            // A read timeout ends the attempt: never keep waiting.
+            match crate::wire::read_frame(stream, || false) {
                 Ok(Some(payload)) => Ok(payload),
                 Ok(None) => Err(NetError::Closed("peer closed the stream".into())),
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    Err(NetError::Timeout)
-                }
+                Err(e) if crate::wire::is_poll_timeout(&e) => Err(NetError::Timeout),
                 Err(e) => Err(NetError::Io(e.to_string())),
             }
         })();
@@ -319,11 +313,6 @@ impl NetTime {
     /// Sleeps `secs` (real or virtual per construction).
     pub fn sleep(&self, secs: f64) {
         (self.sleep)(secs)
-    }
-
-    /// The underlying clock (for stamping latencies elsewhere).
-    pub fn clock(&self) -> ServiceClock {
-        Arc::clone(&self.clock)
     }
 }
 

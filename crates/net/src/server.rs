@@ -48,8 +48,8 @@ use mpq_service::answer_cache::{Lookup, Release, Shareable};
 use mpq_service::{optimize_isolated, AnswerCache, SubmittedQuery};
 
 use crate::wire::{
-    decode_message, encode_message, peek_request, write_frame, Message, PlanSummary,
-    WireMetricsResponse, WireOutcome, WireProtocolError, WireResponse,
+    decode_message, encode_message, is_poll_timeout, peek_request, read_frame, write_frame,
+    Message, PlanSummary, WireMetricsResponse, WireOutcome, WireProtocolError, WireResponse,
 };
 
 /// The most connections an accept loop ([`serve_tcp`], [`serve_unix`])
@@ -285,86 +285,16 @@ where
 /// that an idle connection costs ~nothing.
 const POLL_TIMEOUT: Duration = Duration::from_millis(25);
 
-/// True iff `err` is the polling timeout (both spellings — unix sockets
-/// report `WouldBlock`, TCP reports `TimedOut` on some platforms).
-fn is_poll_timeout(err: &io::Error) -> bool {
-    matches!(
-        err.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
-}
-
-/// Reads one frame, treating poll timeouts as wake-ups rather than
-/// errors: partial progress (a half-read prefix or payload) is **kept**
-/// across timeouts, so a frame whose bytes straddle poll ticks can never
-/// misalign the stream. This is load-bearing — a stateless reader that
-/// drops partial fill on timeout turns an innocent scheduling gap
-/// between the length prefix and the payload into misframing: the next
-/// read interprets message-start bytes as a length and the connection
-/// dies of `InvalidData`. Returns `Ok(None)` on clean EOF at a frame
-/// boundary; errors on shutdown raised mid-wait, oversized prefixes,
-/// mid-frame EOF, and real stream failures.
-fn read_frame_patient<T: io::Read>(
-    stream: &mut T,
-    shutdown: &AtomicBool,
-) -> io::Result<Option<Vec<u8>>> {
-    fn fill<T: io::Read>(
-        stream: &mut T,
-        buf: &mut [u8],
-        shutdown: &AtomicBool,
-        eof_ok_at_zero: bool,
-    ) -> io::Result<Option<()>> {
-        let mut got = 0usize;
-        while got < buf.len() {
-            match stream.read(&mut buf[got..]) {
-                Ok(0) if got == 0 && eof_ok_at_zero => return Ok(None),
-                Ok(0) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "stream closed mid frame",
-                    ))
-                }
-                Ok(n) => got += n,
-                Err(err) if is_poll_timeout(&err) => {
-                    if shutdown.load(Ordering::Relaxed) {
-                        return Err(err);
-                    }
-                    // Poll tick — keep waiting, keep the bytes we have.
-                }
-                Err(err) => return Err(err),
-            }
-        }
-        Ok(Some(()))
-    }
-
-    let mut len_bytes = [0u8; 4];
-    if fill(stream, &mut len_bytes, shutdown, true)?.is_none() {
-        return Ok(None);
-    }
-    let len = u32::from_le_bytes(len_bytes) as usize;
-    if len > crate::wire::MAX_FRAME_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            crate::wire::WireError::Oversized {
-                declared: len,
-                cap: crate::wire::MAX_FRAME_LEN,
-            },
-        ));
-    }
-    let mut payload = vec![0u8; len];
-    fill(stream, &mut payload, shutdown, false)?;
-    Ok(Some(payload))
-}
-
 /// Serves one established stream until the peer closes it or `shutdown`
-/// is raised: read a frame, answer it, repeat.
+/// is raised: read a frame (waiting through poll timeouts while
+/// `shutdown` is low), answer it, repeat.
 fn serve_stream<T: io::Read + io::Write>(
     stream: &mut T,
     core_handle: &dyn Fn(&[u8]) -> Vec<u8>,
     shutdown: &AtomicBool,
 ) {
     loop {
-        match read_frame_patient(stream, shutdown) {
+        match read_frame(stream, || !shutdown.load(Ordering::Relaxed)) {
             Ok(Some(payload)) => {
                 if write_frame(stream, &core_handle(&payload)).is_err() {
                     return; // peer gone mid-answer; nothing to salvage

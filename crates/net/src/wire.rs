@@ -901,23 +901,34 @@ pub fn write_frame(w: &mut impl std::io::Write, payload: &[u8]) -> std::io::Resu
     w.flush()
 }
 
+/// True iff `err` is a read timeout (both spellings: unix sockets report
+/// `WouldBlock`, TCP reports `TimedOut` on some platforms).
+pub(crate) fn is_poll_timeout(err: &std::io::Error) -> bool {
+    matches!(
+        err.kind(),
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+    )
+}
+
 /// Reads one length-prefixed frame. The declared length is capped at
 /// [`MAX_FRAME_LEN`] *before* the buffer is allocated. `Ok(None)` means
-/// the peer closed the stream cleanly at a frame boundary.
-pub fn read_frame(r: &mut impl std::io::Read) -> std::io::Result<Option<Vec<u8>>> {
+/// the peer closed the stream cleanly at a frame boundary; EOF anywhere
+/// else is `UnexpectedEof`.
+///
+/// A read timeout asks `keep_waiting`. On `false` the timeout error is
+/// returned: a client bounding its wait for an answer passes `|| false`.
+/// On `true` the read goes on with the bytes read so far **kept**, so a
+/// frame whose bytes straddle timeouts can never misalign the stream: a
+/// polling server passes "not shut down". Dropping the partial fill
+/// instead would turn a scheduling gap between the length prefix and the
+/// payload into misframing, with message bytes read as a length.
+pub fn read_frame(
+    r: &mut impl std::io::Read,
+    keep_waiting: impl Fn() -> bool,
+) -> std::io::Result<Option<Vec<u8>>> {
     let mut len_bytes = [0u8; 4];
-    let mut filled = 0;
-    while filled < 4 {
-        match r.read(&mut len_bytes[filled..])? {
-            0 if filled == 0 => return Ok(None),
-            0 => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "stream closed mid length prefix",
-                ))
-            }
-            n => filled += n,
-        }
+    if !fill(r, &mut len_bytes, &keep_waiting)? {
+        return Ok(None);
     }
     let len = u32::from_le_bytes(len_bytes) as usize;
     if len > MAX_FRAME_LEN {
@@ -930,8 +941,35 @@ pub fn read_frame(r: &mut impl std::io::Read) -> std::io::Result<Option<Vec<u8>>
         ));
     }
     let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    if !fill(r, &mut payload, &keep_waiting)? {
+        return Err(eof_mid_frame());
+    }
     Ok(Some(payload))
+}
+
+/// Fills `buf` from `r`; `Ok(false)` iff the stream ended before the
+/// first byte. Timeouts are handled as [`read_frame`] documents.
+fn fill(
+    r: &mut impl std::io::Read,
+    buf: &mut [u8],
+    keep_waiting: &impl Fn() -> bool,
+) -> std::io::Result<bool> {
+    let mut got = 0;
+    while got < buf.len() {
+        match r.read(&mut buf[got..]) {
+            Ok(0) if got == 0 => return Ok(false),
+            Ok(0) => return Err(eof_mid_frame()),
+            Ok(n) => got += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) if is_poll_timeout(&e) && keep_waiting() => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(true)
+}
+
+fn eof_mid_frame() -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "stream closed mid frame")
 }
 
 #[cfg(test)]
@@ -1200,7 +1238,7 @@ mod tests {
         // And an oversized *frame* is refused before allocation too.
         let huge = (MAX_FRAME_LEN as u32 + 1).to_le_bytes();
         let mut cursor = std::io::Cursor::new(huge.to_vec());
-        assert!(read_frame(&mut cursor).is_err());
+        assert!(read_frame(&mut cursor, || false).is_err());
     }
 
     #[test]
@@ -1230,13 +1268,62 @@ mod tests {
         write_frame(&mut stream, &payload).unwrap();
         let mut cursor = std::io::Cursor::new(stream);
         assert_eq!(
-            read_frame(&mut cursor).unwrap().as_deref(),
+            read_frame(&mut cursor, || false).unwrap().as_deref(),
             Some(&payload[..])
         );
         assert_eq!(
-            read_frame(&mut cursor).unwrap().as_deref(),
+            read_frame(&mut cursor, || false).unwrap().as_deref(),
             Some(&payload[..])
         );
-        assert_eq!(read_frame(&mut cursor).unwrap(), None, "clean EOF");
+        assert_eq!(
+            read_frame(&mut cursor, || false).unwrap(),
+            None,
+            "clean EOF"
+        );
+    }
+
+    /// A stream that hands out one byte per read and times out before
+    /// each one.
+    struct Stutter {
+        bytes: Vec<u8>,
+        at: usize,
+        timed_out: bool,
+    }
+
+    impl std::io::Read for Stutter {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if !std::mem::replace(&mut self.timed_out, true) {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            self.timed_out = false;
+            let Some(&b) = self.bytes.get(self.at) else {
+                return Ok(0);
+            };
+            buf[0] = b;
+            self.at += 1;
+            Ok(1)
+        }
+    }
+
+    #[test]
+    fn timeouts_keep_partial_frames_only_while_asked_to_wait() {
+        let payload = encode_message(&sample_request());
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, &payload).unwrap();
+        let stutter = || Stutter {
+            bytes: bytes.clone(),
+            at: 0,
+            timed_out: false,
+        };
+        // Waiting through every timeout reassembles the frame intact.
+        let mut patient = stutter();
+        assert_eq!(
+            read_frame(&mut patient, || true).unwrap().as_deref(),
+            Some(&payload[..])
+        );
+        assert_eq!(read_frame(&mut patient, || true).unwrap(), None);
+        // Not waiting hands the first timeout back.
+        let err = read_frame(&mut stutter(), || false).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock);
     }
 }

@@ -208,13 +208,13 @@ proptest! {
 fn oversized_frame_prefix_is_refused_without_allocating() {
     for declared in [MAX_FRAME_LEN as u32 + 1, u32::MAX, u32::MAX - 7, 1 << 30] {
         let mut stream = std::io::Cursor::new(declared.to_le_bytes().to_vec());
-        let err = read_frame(&mut stream).expect_err("oversized prefix must fail");
+        let err = read_frame(&mut stream, || false).expect_err("oversized prefix must fail");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
     // At exactly the cap the length is honored (and then fails on EOF,
     // not on the cap).
     let mut stream = std::io::Cursor::new((MAX_FRAME_LEN as u32).to_le_bytes().to_vec());
-    let err = read_frame(&mut stream).expect_err("no payload follows");
+    let err = read_frame(&mut stream, || false).expect_err("no payload follows");
     assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
 }
 
@@ -231,7 +231,10 @@ fn framing_survives_interleaving_and_detects_midframe_eof() {
     // Chop the second frame short.
     stream.truncate(4 + a.len() + 4 + b.len() / 2);
     let mut cursor = std::io::Cursor::new(stream);
-    assert_eq!(read_frame(&mut cursor).unwrap().as_deref(), Some(&a[..]));
-    let err = read_frame(&mut cursor).expect_err("mid-frame EOF");
+    assert_eq!(
+        read_frame(&mut cursor, || false).unwrap().as_deref(),
+        Some(&a[..])
+    );
+    let err = read_frame(&mut cursor, || false).expect_err("mid-frame EOF");
     assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
 }

@@ -431,7 +431,7 @@ fn connection_past_the_cap_waits_for_a_free_slot() {
         extra
             .set_read_timeout(Some(Duration::from_millis(300)))
             .expect("read timeout");
-        let early = read_frame(&mut extra);
+        let early = read_frame(&mut extra, || false);
         assert!(
             matches!(&early, Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)),
             "a connection past the cap must not be served yet: {early:?}"
@@ -441,7 +441,7 @@ fn connection_past_the_cap_waits_for_a_free_slot() {
         extra
             .set_read_timeout(Some(Duration::from_secs(10)))
             .expect("read timeout");
-        let frame = read_frame(&mut extra)
+        let frame = read_frame(&mut extra, || false)
             .expect("answered once a slot frees")
             .expect("a whole frame");
         match decode_message(&frame) {

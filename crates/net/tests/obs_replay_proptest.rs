@@ -52,7 +52,7 @@ fn server_session_config(opt: &OptimizerConfig) -> SessionConfig {
 /// An observability handle ticking on `vclock`'s microseconds.
 fn vclock_obs(vclock: &VirtualClock) -> Obs {
     let vc = VirtualClock::clone(vclock);
-    Obs::with_clock(true, Arc::new(move || vc.now_micros()))
+    Obs::with_clock(Arc::new(move || vc.now_micros()))
 }
 
 /// Everything one observed run emits: the rendered observability

@@ -19,10 +19,7 @@ fn main() {
     // A virtual clock: every read advances 250 µs, as if each step of
     // the request took exactly that long.
     let ticks = AtomicU64::new(0);
-    let obs = Obs::with_clock(
-        true,
-        Arc::new(move || ticks.fetch_add(250, Ordering::Relaxed)),
-    );
+    let obs = Obs::with_clock(Arc::new(move || ticks.fetch_add(250, Ordering::Relaxed)));
 
     let registry = obs.registry().expect("enabled handle has a registry");
     let submitted = registry.counter("service_submitted");

@@ -526,17 +526,10 @@ pub struct SpanRecord {
 /// Under a virtual clock, span timings are a pure function of the trace.
 pub type ObsClock = Arc<dyn Fn() -> u64 + Send + Sync>;
 
-#[derive(Debug)]
-struct ObsInner {
-    clock_is_virtual: bool,
+struct ObsShared {
     registry: Registry,
     spans: Mutex<Vec<SpanRecord>>,
     next_span: AtomicU32,
-}
-
-// The clock closure lives outside ObsInner's Debug.
-struct ObsShared {
-    inner: ObsInner,
     clock: ObsClock,
 }
 
@@ -555,8 +548,7 @@ impl std::fmt::Debug for Obs {
             None => f.write_str("Obs::off"),
             Some(s) => f
                 .debug_struct("Obs")
-                .field("virtual", &s.inner.clock_is_virtual)
-                .field("spans", &lock(&s.inner.spans).len())
+                .field("spans", &lock(&s.spans).len())
                 .finish(),
         }
     }
@@ -570,16 +562,13 @@ impl Obs {
 
     /// An enabled handle reading `clock` (microseconds). Pass a closure
     /// over a virtual clock for replayable output, e.g.
-    /// `Obs::with_clock(true, Arc::new(move || vclock.now_micros()))`.
-    pub fn with_clock(clock_is_virtual: bool, clock: ObsClock) -> Self {
+    /// `Obs::with_clock(Arc::new(move || vclock.now_micros()))`.
+    pub fn with_clock(clock: ObsClock) -> Self {
         Self {
             shared: Some(Arc::new(ObsShared {
-                inner: ObsInner {
-                    clock_is_virtual,
-                    registry: Registry::new(),
-                    spans: Mutex::new(Vec::new()),
-                    next_span: AtomicU32::new(0),
-                },
+                registry: Registry::new(),
+                spans: Mutex::new(Vec::new()),
+                next_span: AtomicU32::new(0),
                 clock,
             })),
         }
@@ -588,7 +577,7 @@ impl Obs {
     /// An enabled handle on real monotonic time (anchored at creation).
     pub fn wall() -> Self {
         let start = std::time::Instant::now();
-        Self::with_clock(false, Arc::new(move || start.elapsed().as_micros() as u64))
+        Self::with_clock(Arc::new(move || start.elapsed().as_micros() as u64))
     }
 
     /// Whether this handle records anything.
@@ -598,7 +587,7 @@ impl Obs {
 
     /// The registry, if enabled.
     pub fn registry(&self) -> Option<&Registry> {
-        self.shared.as_deref().map(|s| &s.inner.registry)
+        self.shared.as_deref().map(|s| &s.registry)
     }
 
     /// The clock reading in microseconds; 0 when disabled.
@@ -616,7 +605,7 @@ impl Obs {
         let Some(shared) = &self.shared else {
             return SpanGuard { active: None };
         };
-        let id = shared.inner.next_span.fetch_add(1, Ordering::Relaxed);
+        let id = shared.next_span.fetch_add(1, Ordering::Relaxed);
         let ptr = Arc::as_ptr(shared) as usize;
         let parent = SPAN_STACK.with(|s| {
             let mut s = s.borrow_mut();
@@ -640,7 +629,7 @@ impl Obs {
     pub fn spans(&self) -> Vec<SpanRecord> {
         match &self.shared {
             None => Vec::new(),
-            Some(s) => lock(&s.inner.spans).clone(),
+            Some(s) => lock(&s.spans).clone(),
         }
     }
 
@@ -716,7 +705,7 @@ impl Drop for SpanGuard {
                 s.remove(pos);
             }
         });
-        lock(&a.shared.inner.spans).push(SpanRecord {
+        lock(&a.shared.spans).push(SpanRecord {
             id: a.id,
             parent: a.parent,
             name: a.name,
@@ -879,7 +868,7 @@ mod tests {
 
     #[test]
     fn spans_nest_on_the_thread_local_stack() {
-        let obs = Obs::with_clock(true, ticking(10));
+        let obs = Obs::with_clock(ticking(10));
         {
             let mut outer = obs.span("request");
             outer.record("shard", 2);
@@ -933,7 +922,7 @@ mod tests {
     #[test]
     fn span_tree_is_a_pure_function_of_the_trace() {
         let run = || {
-            let obs = Obs::with_clock(true, ticking(7));
+            let obs = Obs::with_clock(ticking(7));
             {
                 let mut a = obs.span("a");
                 a.record("n", 1);

@@ -2380,7 +2380,7 @@ mod tests {
         let shard_sessions = sessions(&model, 1, None);
         let vclock = VirtualClock::new();
         let vc = vclock.clone();
-        let obs = Obs::with_clock(true, Arc::new(move || vc.now_micros()));
+        let obs = Obs::with_clock(Arc::new(move || vc.now_micros()));
         let config = ServiceConfig::new(BatchPolicy::new(100, Duration::from_secs(3600)))
             .with_clock(vclock.clock())
             .with_max_queue(2)
@@ -2473,7 +2473,7 @@ mod tests {
         let shard_sessions = sessions(&model, 2, None);
         let vclock = VirtualClock::new();
         let vc = vclock.clone();
-        let obs = Obs::with_clock(true, Arc::new(move || vc.now_micros()));
+        let obs = Obs::with_clock(Arc::new(move || vc.now_micros()));
         let registry = obs.registry().expect("enabled handle");
         let depth = registry.gauge("service_queue_depth");
         let config = ServiceConfig::new(BatchPolicy::new(100, Duration::from_secs(3600)))
@@ -2507,7 +2507,7 @@ mod tests {
         let shard_sessions = sessions(&model, 2, None);
         let vclock = VirtualClock::new();
         let vc = vclock.clone();
-        let obs = Obs::with_clock(true, Arc::new(move || vc.now_micros()));
+        let obs = Obs::with_clock(Arc::new(move || vc.now_micros()));
         let config = ServiceConfig::new(BatchPolicy::new(100, Duration::from_secs(1000)))
             .with_clock(vclock.clock())
             .with_obs(obs.clone());

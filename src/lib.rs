@@ -12,7 +12,7 @@
 //! | module | crate | contents |
 //! |--------|-------|----------|
 //! | [`lp`] | `mpq-lp` | dense two-phase simplex, LP counters |
-//! | [`geometry`] | `mpq-geometry` | polytopes, union convexity (BFT), parameter grids |
+//! | [`geometry`] | `mpq-geometry` | polytopes, region engine, parameter grids |
 //! | [`cost`] | `mpq-cost` | linear/PWL/multi-objective cost functions, dominance |
 //! | [`catalog`] | `mpq-catalog` | tables, queries, join graphs, workload generator |
 //! | [`cloud`] | `mpq-cloud` | cost models: time × fees and time × precision-loss |
