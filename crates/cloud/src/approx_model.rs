@@ -23,10 +23,11 @@
 //! sampled inputs would require cardinality to become part of per-plan
 //! state, which the MPQ plan model (and the paper) does not track.
 
-use crate::join::{parallel_hash_join_cost, single_node_hash_join_cost, JoinStats};
-use crate::model::{CostClosure, JoinAlternative, ParametricCostModel, ScanAlternative};
-use crate::ops::{JoinOp, ScanOp};
-use crate::scan::{index_seek_cost, table_scan_cost};
+use crate::model::{
+    exact_scans, hash_joins, JoinAlternative, ParametricCostModel, ScanAlternative, ShapeTags,
+};
+use crate::ops::ScanOp;
+use crate::scan::table_scan_cost;
 use crate::shape::{tag, OpShape};
 use crate::ClusterConfig;
 use mpq_catalog::{Query, TableSet};
@@ -34,12 +35,16 @@ use mpq_catalog::{Query, TableSet};
 /// Metric index of precision loss in the approximate model.
 pub const METRIC_LOSS: usize = 1;
 
-/// Shape tags of this model's operators (distinct from the Cloud model's).
-const T_EXACT_SCAN: u64 = tag::APPROX_BASE;
-const T_SEEK: u64 = tag::APPROX_BASE + 1;
+/// Shape tags of this model's exact operators and joins (distinct from
+/// the Cloud model's).
+const TAGS: ShapeTags = ShapeTags {
+    table_scan: tag::APPROX_BASE,
+    index_seek: tag::APPROX_BASE + 1,
+    single_node_hash: tag::APPROX_BASE + 3,
+    parallel_hash: tag::APPROX_BASE + 4,
+};
+/// Shape tag of the sampled scans.
 const T_SAMPLED: u64 = tag::APPROX_BASE + 2;
-const T_SINGLE: u64 = tag::APPROX_BASE + 3;
-const T_PARALLEL: u64 = tag::APPROX_BASE + 4;
 
 /// Cost model trading execution time against result-precision loss.
 #[derive(Debug, Clone)]
@@ -70,6 +75,11 @@ fn with_loss(mut time_fees: Vec<f64>, loss: f64) -> Vec<f64> {
     time_fees
 }
 
+/// The wrap of the exact operators and the joins: they lose nothing.
+fn no_loss(time_fees: Vec<f64>) -> Vec<f64> {
+    with_loss(time_fees, 0.0)
+}
+
 impl ParametricCostModel for ApproxCostModel {
     fn num_metrics(&self) -> usize {
         2
@@ -82,27 +92,8 @@ impl ParametricCostModel for ApproxCostModel {
     fn scan_alternatives(&self, query: &Query, table: usize) -> Vec<ScanAlternative> {
         let rows = query.tables[table].rows;
         let row_bytes = query.tables[table].row_bytes;
-        let mut out: Vec<ScanAlternative> = Vec::with_capacity(2 + self.sampling_rates.len());
-
-        // Exact full scan: zero loss.
-        let exact = with_loss(table_scan_cost(&self.cluster, rows, row_bytes), 0.0);
-        out.push(ScanAlternative {
-            op: ScanOp::TableScan,
-            cost: Box::new(move |_x| exact.clone()),
-            shape: Some(OpShape::new(T_EXACT_SCAN).scalar(rows).scalar(row_bytes)),
-        });
-        // Exact index seek when a predicate exists: zero loss, parametric.
-        if query.predicates_on(table).next().is_some() {
-            let matching = query.base_card(table);
-            let cluster = self.cluster.clone();
-            out.push(ScanAlternative {
-                op: ScanOp::IndexSeek,
-                cost: Box::new(move |x| {
-                    with_loss(index_seek_cost(&cluster, matching.eval(x)), 0.0)
-                }),
-                shape: Some(OpShape::new(T_SEEK).card(&matching)),
-            });
-        }
+        // The exact scan and index seek: zero loss.
+        let mut out = exact_scans(&self.cluster, query, table, &TAGS, no_loss);
         // Sampled scans: cheaper, lossy. Modelled as table scans over the
         // sampled fraction.
         for &rate in &self.sampling_rates {
@@ -133,46 +124,7 @@ impl ParametricCostModel for ApproxCostModel {
         left: TableSet,
         right: TableSet,
     ) -> Vec<JoinAlternative> {
-        let build = query.join_card(left);
-        let probe = query.join_card(right);
-        let output = query.join_card(left.union(right));
-        let build_row_bytes = query.row_bytes(left);
-        let probe_row_bytes = query.row_bytes(right);
-        let stats_at = move |x: &[f64]| JoinStats {
-            build_rows: build.eval(x),
-            build_row_bytes,
-            probe_rows: probe.eval(x),
-            probe_row_bytes,
-            out_rows: output.eval(x),
-        };
-        let c1 = self.cluster.clone();
-        let c2 = self.cluster.clone();
-        let single: CostClosure =
-            Box::new(move |x| with_loss(single_node_hash_join_cost(&c1, &stats_at(x)), 0.0));
-        let parallel: CostClosure =
-            Box::new(move |x| with_loss(parallel_hash_join_cost(&c2, &stats_at(x)), 0.0));
-        let join_shape = |t: u64| {
-            Some(
-                OpShape::new(t)
-                    .card(&build)
-                    .card(&probe)
-                    .card(&output)
-                    .scalar(build_row_bytes)
-                    .scalar(probe_row_bytes),
-            )
-        };
-        vec![
-            JoinAlternative {
-                op: JoinOp::SingleNodeHash,
-                cost: single,
-                shape: join_shape(T_SINGLE),
-            },
-            JoinAlternative {
-                op: JoinOp::ParallelHash,
-                cost: parallel,
-                shape: join_shape(T_PARALLEL),
-            },
-        ]
+        hash_joins(&self.cluster, query, left, right, &TAGS, no_loss)
     }
 }
 

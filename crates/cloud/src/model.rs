@@ -17,6 +17,7 @@ use crate::scan::{index_seek_cost, table_scan_cost};
 use crate::shape::{tag, OpShape};
 use crate::{ClusterConfig, NUM_METRICS};
 use mpq_catalog::{Query, Selectivity, TableSet};
+use std::convert::identity;
 
 /// A cost closure: parameter vector ↦ one value per metric.
 pub type CostClosure = Box<dyn Fn(&[f64]) -> Vec<f64> + Send + Sync>;
@@ -93,6 +94,113 @@ pub trait ParametricCostModel: Send + Sync {
     }
 }
 
+/// The shape tags of the four alternatives [`exact_scans`] and
+/// [`hash_joins`] build, so two models never share a shape.
+pub(crate) struct ShapeTags {
+    pub(crate) table_scan: u64,
+    pub(crate) index_seek: u64,
+    pub(crate) single_node_hash: u64,
+    pub(crate) parallel_hash: u64,
+}
+
+const CLOUD_TAGS: ShapeTags = ShapeTags {
+    table_scan: tag::TABLE_SCAN,
+    index_seek: tag::INDEX_SEEK,
+    single_node_hash: tag::SINGLE_NODE_HASH,
+    parallel_hash: tag::PARALLEL_HASH,
+};
+
+/// The exact scans of `table`: a full table scan and, when the table
+/// has a predicate, an index seek, each cost passed through `wrap` (the
+/// Cloud model's is the identity, which compiles away).
+pub(crate) fn exact_scans<W>(
+    cluster: &ClusterConfig,
+    query: &Query,
+    table: usize,
+    tags: &ShapeTags,
+    wrap: W,
+) -> Vec<ScanAlternative>
+where
+    W: Fn(Vec<f64>) -> Vec<f64> + Copy + Send + Sync + 'static,
+{
+    let rows = query.tables[table].rows;
+    let row_bytes = query.tables[table].row_bytes;
+    let mut out = Vec::with_capacity(2);
+    // Full scan: reads everything, selectivity-independent.
+    let scan_cost = wrap(table_scan_cost(cluster, rows, row_bytes));
+    out.push(ScanAlternative {
+        op: ScanOp::TableScan,
+        cost: Box::new(move |_x| scan_cost.clone()),
+        shape: Some(OpShape::new(tags.table_scan).scalar(rows).scalar(row_bytes)),
+    });
+    // Index seek: only available when the table has a predicate to
+    // drive the index (paper: indices exist per predicate column).
+    if query.predicates_on(table).next().is_some() {
+        let matching = query.base_card(table);
+        let cluster = cluster.clone();
+        out.push(ScanAlternative {
+            op: ScanOp::IndexSeek,
+            cost: Box::new(move |x| wrap(index_seek_cost(&cluster, matching.eval(x)))),
+            shape: Some(OpShape::new(tags.index_seek).card(&matching)),
+        });
+    }
+    out
+}
+
+/// The single-node and parallel hash joins of `left` (build side) with
+/// `right` (probe side), each cost passed through `wrap` as in
+/// [`exact_scans`].
+pub(crate) fn hash_joins<W>(
+    cluster: &ClusterConfig,
+    query: &Query,
+    left: TableSet,
+    right: TableSet,
+    tags: &ShapeTags,
+    wrap: W,
+) -> Vec<JoinAlternative>
+where
+    W: Fn(Vec<f64>) -> Vec<f64> + Copy + Send + Sync + 'static,
+{
+    let build = query.join_card(left);
+    let probe = query.join_card(right);
+    let output = query.join_card(left.union(right));
+    let build_row_bytes = query.row_bytes(left);
+    let probe_row_bytes = query.row_bytes(right);
+    let stats_at = move |x: &[f64]| JoinStats {
+        build_rows: build.eval(x),
+        build_row_bytes,
+        probe_rows: probe.eval(x),
+        probe_row_bytes,
+        out_rows: output.eval(x),
+    };
+    let c1 = cluster.clone();
+    let c2 = cluster.clone();
+    // Both join closures are pure in the operand/output cardinality
+    // monomials and the two row widths.
+    let join_shape = |t: u64| {
+        Some(
+            OpShape::new(t)
+                .card(&build)
+                .card(&probe)
+                .card(&output)
+                .scalar(build_row_bytes)
+                .scalar(probe_row_bytes),
+        )
+    };
+    vec![
+        JoinAlternative {
+            op: JoinOp::SingleNodeHash,
+            cost: Box::new(move |x| wrap(single_node_hash_join_cost(&c1, &stats_at(x)))),
+            shape: join_shape(tags.single_node_hash),
+        },
+        JoinAlternative {
+            op: JoinOp::ParallelHash,
+            cost: Box::new(move |x| wrap(parallel_hash_join_cost(&c2, &stats_at(x)))),
+            shape: join_shape(tags.parallel_hash),
+        },
+    ]
+}
+
 /// The paper's Cloud scenario: execution time and monetary fees
 /// ([`crate::METRIC_TIME`], [`crate::METRIC_FEES`]).
 #[derive(Debug, Clone, Default)]
@@ -118,29 +226,7 @@ impl ParametricCostModel for CloudCostModel {
     }
 
     fn scan_alternatives(&self, query: &Query, table: usize) -> Vec<ScanAlternative> {
-        let rows = query.tables[table].rows;
-        let row_bytes = query.tables[table].row_bytes;
-        let cluster = self.cluster.clone();
-        let mut out = Vec::with_capacity(2);
-        // Full scan: reads everything, selectivity-independent.
-        let scan_cost = table_scan_cost(&cluster, rows, row_bytes);
-        out.push(ScanAlternative {
-            op: ScanOp::TableScan,
-            cost: Box::new(move |_x| scan_cost.clone()),
-            shape: Some(OpShape::new(tag::TABLE_SCAN).scalar(rows).scalar(row_bytes)),
-        });
-        // Index seek: only available when the table has a predicate to
-        // drive the index (paper: indices exist per predicate column).
-        if query.predicates_on(table).next().is_some() {
-            let matching = query.base_card(table);
-            let cluster = self.cluster.clone();
-            out.push(ScanAlternative {
-                op: ScanOp::IndexSeek,
-                cost: Box::new(move |x| index_seek_cost(&cluster, matching.eval(x))),
-                shape: Some(OpShape::new(tag::INDEX_SEEK).card(&matching)),
-            });
-        }
-        out
+        exact_scans(&self.cluster, query, table, &CLOUD_TAGS, identity)
     }
 
     fn join_alternatives(
@@ -149,44 +235,7 @@ impl ParametricCostModel for CloudCostModel {
         left: TableSet,
         right: TableSet,
     ) -> Vec<JoinAlternative> {
-        let build = query.join_card(left);
-        let probe = query.join_card(right);
-        let output = query.join_card(left.union(right));
-        let build_row_bytes = query.row_bytes(left);
-        let probe_row_bytes = query.row_bytes(right);
-        let stats_at = move |x: &[f64]| JoinStats {
-            build_rows: build.eval(x),
-            build_row_bytes,
-            probe_rows: probe.eval(x),
-            probe_row_bytes,
-            out_rows: output.eval(x),
-        };
-        let c1 = self.cluster.clone();
-        let c2 = self.cluster.clone();
-        // Both join closures are pure in the operand/output cardinality
-        // monomials and the two row widths.
-        let join_shape = |t: u64| {
-            Some(
-                OpShape::new(t)
-                    .card(&build)
-                    .card(&probe)
-                    .card(&output)
-                    .scalar(build_row_bytes)
-                    .scalar(probe_row_bytes),
-            )
-        };
-        vec![
-            JoinAlternative {
-                op: JoinOp::SingleNodeHash,
-                cost: Box::new(move |x| single_node_hash_join_cost(&c1, &stats_at(x))),
-                shape: join_shape(tag::SINGLE_NODE_HASH),
-            },
-            JoinAlternative {
-                op: JoinOp::ParallelHash,
-                cost: Box::new(move |x| parallel_hash_join_cost(&c2, &stats_at(x))),
-                shape: join_shape(tag::PARALLEL_HASH),
-            },
-        ]
+        hash_joins(&self.cluster, query, left, right, &CLOUD_TAGS, identity)
     }
 
     /// Every Cloud cost input is catalog statistics: per-table

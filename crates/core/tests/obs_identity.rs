@@ -126,22 +126,19 @@ fn replayed_run_renders_byte_identical_observability() {
         let space = GridSpace::for_unit_box(1, &config, 2).expect("grid space");
         let _ = optimize(&query, &model, &space, &config);
         let registry = obs.registry().expect("enabled handle");
-        (
-            obs.span_tree(),
-            registry.snapshot_jsonl(),
-            registry.expose(),
-        )
+        (obs.span_tree(), registry.samples(), registry.expose())
     };
-    let (tree_a, jsonl_a, text_a) = run();
-    let (tree_b, jsonl_b, text_b) = run();
-    assert!(!tree_a.is_empty() && !jsonl_a.is_empty());
+    let (tree_a, samples_a, text_a) = run();
+    let (tree_b, samples_b, text_b) = run();
+    assert!(!tree_a.is_empty() && !samples_a.is_empty());
     assert_eq!(tree_a, tree_b, "span tree replays byte-identically");
-    assert_eq!(jsonl_a, jsonl_b, "snapshot replays byte-identically");
+    assert_eq!(samples_a, samples_b, "samples replay identically");
     assert_eq!(text_a, text_b, "exposition replays byte-identically");
     // The LP count and its fast-path attribution made it into the
     // registry.
-    assert!(jsonl_a.contains("\"name\":\"optimize_lps_solved\""));
-    assert!(jsonl_a.contains("\"name\":\"lp_fastpath_coverage_fast\""));
+    let named = |name: &str| samples_a.iter().any(|(n, _)| n == name);
+    assert!(named("optimize_lps_solved"));
+    assert!(named("lp_fastpath_coverage_fast"));
 }
 
 /// Spaces sharing one registry add up: two `GridSpace`s, one query each,

@@ -2,7 +2,7 @@
 //!
 //! `mpq-service` serves one process; this crate stretches the same
 //! contract across processes. A deployment is a set of **shard servers**
-//! — each fronting one `OptimizerSession` over TCP or a unix socket —
+//! — each fronting one `OptimizerSession` over TCP —
 //! and a **router** on the client side that affinity-hashes every query
 //! to its shard, speaks a hand-rolled versioned binary wire format, and
 //! drives each submission through deadline-aware retries to exactly one
@@ -57,7 +57,7 @@ pub mod wire;
 
 pub use chaos::{ChaosConn, ChaosCounters, InProcConn};
 pub use router::{NetError, NetResponse, NetTime, RetryPolicy, ShardConn, ShardRouter, StreamConn};
-pub use server::{serve_tcp, serve_unix, ServerCounters, ShardServerCore, MAX_CONNECTIONS};
+pub use server::{serve_tcp, ServerCounters, ShardServerCore, MAX_CONNECTIONS};
 pub use wire::{
     decode_message, encode_message, read_frame, write_frame, Message, PlanSummary, WireError,
     WireOutcome, WireRequest, WireResponse, MAX_FRAME_LEN, WIRE_VERSION,

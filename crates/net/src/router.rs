@@ -24,20 +24,24 @@
 //! advance virtual time instead of burning wall time, and a fixed
 //! (trace, fault plan, seed) replays the exact same attempt schedule
 //! forever.
+//!
+//! The router keeps no counter store of its own: it counts through the
+//! in-process service's [`StatsStore`] — the same classification of
+//! outcomes into resolution classes and the same [`ServiceStats`]
+//! builder — plus one `retries` cell. With [`ShardRouter::with_obs`]
+//! those cells are `router_*` cells of the handle's registry.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
 use mpq_catalog::fault::query_digest;
 use mpq_catalog::Query;
 use mpq_cloud::shape::fnv1a_bytes;
-use mpq_service::{ServiceClock, ServiceStats, ShardStats, SubmittedQuery, VirtualClock};
+use mpq_service::{ServiceClock, ServiceStats, StatsStore, SubmittedQuery, VirtualClock};
 
-use mpq_obs::{Histogram, Obs};
+use mpq_obs::{Counter, Obs};
 
 use crate::wire::{
     decode_message, encode_message, write_frame, Message, WireError, WireMetricsRequest,
@@ -100,7 +104,7 @@ pub trait ShardConn {
     }
 }
 
-/// A dialable byte stream ([`TcpStream`], [`UnixStream`]): the bound
+/// A dialable byte stream such as a [`TcpStream`]: the bound
 /// [`StreamConn`] needs to run its exchange with a bounded read.
 pub trait NetStream: Read + Write {
     /// Bounds every subsequent read by `timeout`.
@@ -108,12 +112,6 @@ pub trait NetStream: Read + Write {
 }
 
 impl NetStream for TcpStream {
-    fn set_read_timeout_secs(&self, timeout: Duration) -> std::io::Result<()> {
-        self.set_read_timeout(Some(timeout))
-    }
-}
-
-impl NetStream for UnixStream {
     fn set_read_timeout_secs(&self, timeout: Duration) -> std::io::Result<()> {
         self.set_read_timeout(Some(timeout))
     }
@@ -173,14 +171,6 @@ impl StreamConn<TcpStream> {
             stream.set_nodelay(true)?;
             Ok(stream)
         })
-    }
-}
-
-impl StreamConn<UnixStream> {
-    /// A unix-socket connection to `path`.
-    pub fn unix(path: impl Into<PathBuf>) -> Self {
-        let path = path.into();
-        Self::new(move || UnixStream::connect(&path))
     }
 }
 
@@ -335,35 +325,6 @@ pub struct NetResponse {
     pub latency: f64,
 }
 
-/// A stable numeric code for each outcome variant, recorded on the
-/// router's `route_request` span (span fields are `u64`).
-fn outcome_code(outcome: &WireOutcome) -> u64 {
-    match outcome {
-        WireOutcome::Ok(_) => 0,
-        WireOutcome::Panicked { .. } => 1,
-        WireOutcome::TimedOut => 2,
-        WireOutcome::Rejected => 3,
-        WireOutcome::Shutdown => 4,
-        WireOutcome::Unavailable => 5,
-    }
-}
-
-#[derive(Debug, Default)]
-struct RouterCounters {
-    submitted: u64,
-    completed: u64,
-    approx_served: u64,
-    rejected: u64,
-    timed_out: u64,
-    quarantined: u64,
-    unavailable: u64,
-    retries: u64,
-    per_shard_queries: Vec<u64>,
-    /// Latencies of `Ok` answers: bounded memory however long the
-    /// router lives.
-    latencies: Histogram,
-}
-
 /// The client front of the shard fabric: affinity-routes each submission
 /// to its shard's connection and drives the retry loop to exactly one
 /// outcome. See the module docs for the invariants.
@@ -374,7 +335,10 @@ pub struct ShardRouter<'a, C: ShardConn> {
     time: NetTime,
     next_request_id: u64,
     next_trace_id: u64,
-    counters: RouterCounters,
+    /// The counters every front keeps, under `router_*` names.
+    stats: StatsStore,
+    /// Attempts beyond the first: the one counter only the router moves.
+    retries: Counter,
     obs: Obs,
 }
 
@@ -401,19 +365,27 @@ impl<'a, C: ShardConn> ShardRouter<'a, C> {
             time,
             next_request_id: 1,
             next_trace_id: 1,
-            counters: RouterCounters {
-                per_shard_queries: vec![0; shards],
-                ..RouterCounters::default()
-            },
+            stats: StatsStore::new("router_", shards, &Obs::off()),
+            retries: Counter::new(),
             obs: Obs::off(),
         }
     }
 
-    /// Attaches an observability handle: every submission opens a
-    /// `route_request` span stamped with the trace id it sent on the
-    /// wire, so router spans join server spans across the process
-    /// boundary. With [`Obs::off`] (the default) nothing is recorded.
+    /// Attaches an observability handle: the counters re-home onto the
+    /// handle's registry as `router_*` cells (the [`StatsStore`]'s
+    /// names under `router_`, plus `router_retries`), and every
+    /// submission opens a `route_request` span stamped with the trace id
+    /// it sent on the wire, so router spans join server spans across the
+    /// process boundary. Two routers sharing one registry add into the
+    /// same cells, so each one's [`Self::stats`] includes the other's
+    /// traffic. With [`Obs::off`] (the default) nothing is recorded.
+    /// Call before submitting — re-homing does not migrate counts
+    /// already accumulated.
     pub fn with_obs(mut self, obs: Obs) -> Self {
+        if let Some(registry) = obs.registry() {
+            self.stats = StatsStore::new("router_", self.conns.len(), &obs);
+            self.retries = registry.counter("router_retries");
+        }
         self.obs = obs;
         self
     }
@@ -437,8 +409,8 @@ impl<'a, C: ShardConn> ShardRouter<'a, C> {
         let mut span = self.obs.span("route_request");
         span.record("trace", trace_id);
         span.record("shard", shard as u64);
-        self.counters.submitted += 1;
-        self.counters.per_shard_queries[shard] += 1;
+        self.stats.submit();
+        self.stats.route(shard, 1);
         let start = self.time.now();
         let deadline = submitted.deadline;
         let frame_of = |request_id: u64, attempt: u32| {
@@ -478,7 +450,7 @@ impl<'a, C: ShardConn> ShardRouter<'a, C> {
                 );
             }
             if attempts > 0 {
-                self.counters.retries += 1;
+                self.retries.inc();
                 self.time.sleep(self.policy.backoff(digest, attempts));
             }
             let request_id = self.next_request_id;
@@ -509,7 +481,7 @@ impl<'a, C: ShardConn> ShardRouter<'a, C> {
             }
         };
         span.record("attempts", u64::from(response.attempts));
-        span.record("outcome", outcome_code(&response.outcome));
+        span.record("outcome", response.outcome.kind() as u64);
         if response.dedup {
             span.record("dedup", 1);
         }
@@ -535,8 +507,9 @@ impl<'a, C: ShardConn> ShardRouter<'a, C> {
         }
     }
 
+    /// Counts the resolution in the store and builds the response.
     fn resolve(
-        &mut self,
+        &self,
         shard: usize,
         start: f64,
         attempts: u32,
@@ -545,21 +518,8 @@ impl<'a, C: ShardConn> ShardRouter<'a, C> {
         outcome: WireOutcome,
     ) -> NetResponse {
         let latency = self.time.now() - start;
-        match &outcome {
-            WireOutcome::Ok(_) => {
-                self.counters.completed += 1;
-                if served_epsilon.is_some() {
-                    self.counters.approx_served += 1;
-                }
-                self.counters.latencies.record_secs(latency);
-            }
-            WireOutcome::Panicked { .. } => self.counters.quarantined += 1,
-            WireOutcome::TimedOut => self.counters.timed_out += 1,
-            WireOutcome::Rejected => self.counters.rejected += 1,
-            // A shard that answers `Shutdown` is as unavailable to this
-            // query as one that never answered.
-            WireOutcome::Shutdown | WireOutcome::Unavailable => self.counters.unavailable += 1,
-        }
+        self.stats
+            .resolve(outcome.kind(), latency, served_epsilon.is_some());
         NetResponse {
             outcome,
             shard,
@@ -575,45 +535,18 @@ impl<'a, C: ShardConn> ShardRouter<'a, C> {
         &self.conns[i]
     }
 
-    /// Snapshot of the router's counters as a [`ServiceStats`] — the
-    /// same accounting type the in-process service reports, so the
-    /// conservation identity and the wire counters are asserted through
-    /// one code path in both chaos suites. Batch-layer fields
-    /// (`batches`, triggers, `lps_solved`, cache stats) are zero: the
-    /// router is a per-query front; batching happens server-side.
+    /// Snapshot of the router's counters as a [`ServiceStats`], built by
+    /// the same [`StatsStore::snapshot`] as the in-process service's, so
+    /// the conservation identity and the wire counters are asserted
+    /// through one code path in both chaos suites. The router adds only
+    /// its retries and its connections' reconnects and drops; the
+    /// batch-layer fields are zero, since batching happens server-side.
     pub fn stats(&self) -> ServiceStats {
-        let c = &self.counters;
-        let (latency_p50, latency_p95) = ServiceStats::latency_percentiles(&c.latencies);
-        ServiceStats {
-            submitted: c.submitted,
-            completed: c.completed,
-            approx_served: c.approx_served,
-            approx_batches: 0,
-            rejected: c.rejected,
-            timed_out: c.timed_out,
-            quarantined: c.quarantined,
-            unavailable: c.unavailable,
-            retries: c.retries,
-            reconnects: self.conns.iter().map(|c| c.reconnects()).sum(),
-            dropped: self.conns.iter().map(|c| c.dropped()).sum(),
-            queue_depth: 0,
-            queue_depth_peak: 0,
-            batches: 0,
-            size_triggered: 0,
-            deadline_triggered: 0,
-            drain_triggered: 0,
-            coalesced: 0,
-            lps_solved: 0,
-            per_shard: c
-                .per_shard_queries
-                .iter()
-                .map(|&queries| ShardStats {
-                    queries,
-                    ..ShardStats::default()
-                })
-                .collect(),
-            latency_p50,
-            latency_p95,
-        }
+        self.stats.snapshot(ServiceStats {
+            retries: self.retries.get(),
+            reconnects: self.conns.iter().map(C::reconnects).sum(),
+            dropped: self.conns.iter().map(C::dropped).sum(),
+            ..ServiceStats::default()
+        })
     }
 }

@@ -1,5 +1,5 @@
 //! The shard server: one `OptimizerSession` behind a frame-in, frame-out
-//! request handler, plus TCP and unix-socket accept loops.
+//! request handler, plus a TCP accept loop.
 //!
 //! The server is deliberately *thin and pure*: [`ShardServerCore`] owns
 //! no clock, no retry state and no deadline logic — it maps one request
@@ -28,13 +28,12 @@
 //! treats as retryable transport damage. The connection never hangs and
 //! never dies of one bad request.
 //!
-//! The accept loops serve at most [`MAX_CONNECTIONS`] connections at
+//! The accept loop serves at most [`MAX_CONNECTIONS`] connections at
 //! once, one thread each; a further client waits in the listen backlog
 //! until a live connection closes.
 
 use std::io;
 use std::net::{TcpListener, TcpStream};
-use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::Duration;
@@ -52,8 +51,7 @@ use crate::wire::{
     Message, PlanSummary, WireMetricsResponse, WireOutcome, WireProtocolError, WireResponse,
 };
 
-/// The most connections an accept loop ([`serve_tcp`], [`serve_unix`])
-/// serves at once. Each live connection holds one thread; at the cap the
+/// The most connections [`serve_tcp`] serves at once. Each live connection holds one thread; at the cap the
 /// loop stops accepting, so a further client waits in the listen backlog
 /// instead of costing a thread, and is accepted when a live connection
 /// closes. A router holds one connection per shard, so this bounds
@@ -92,7 +90,7 @@ impl Shareable for WireOutcome {
 ///
 /// Keeping the core free of sockets is what lets the deterministic chaos
 /// suite drive the *identical* code path in-process (`InProcConn` in
-/// [`crate::chaos`]) that the TCP/unix accept loops drive over real
+/// [`crate::chaos`]) that the TCP accept loop drives over real
 /// streams — the bit-identity invariant is verified against the very
 /// handler production traffic hits.
 pub struct ShardServerCore<'a, 'm, S: MpqSpace, M: ParametricCostModel + ?Sized> {
@@ -288,8 +286,8 @@ const POLL_TIMEOUT: Duration = Duration::from_millis(25);
 /// Serves one established stream until the peer closes it or `shutdown`
 /// is raised: read a frame (waiting through poll timeouts while
 /// `shutdown` is low), answer it, repeat.
-fn serve_stream<T: io::Read + io::Write>(
-    stream: &mut T,
+fn serve_stream(
+    stream: &mut TcpStream,
     core_handle: &dyn Fn(&[u8]) -> Vec<u8>,
     shutdown: &AtomicBool,
 ) {
@@ -312,6 +310,10 @@ fn serve_stream<T: io::Read + io::Write>(
 /// raised, answering each connection on its own scoped thread. Blocks
 /// the calling thread — spawn it inside your own [`std::thread::scope`]
 /// next to the router under test, or give it a dedicated thread.
+///
+/// The loop polls the non-blocking `accept`; while [`MAX_CONNECTIONS`]
+/// connections are live it does not call it. A stream that cannot be
+/// configured (no-delay, poll read timeout) is dropped.
 pub fn serve_tcp<S, M>(
     listener: TcpListener,
     core: &ShardServerCore<'_, '_, S, M>,
@@ -324,59 +326,6 @@ where
     M: ParametricCostModel + ?Sized + Sync,
 {
     listener.set_nonblocking(true)?;
-    accept_loop(
-        || listener.accept().map(|(stream, _addr)| stream),
-        |stream: &TcpStream| {
-            // Answers are one-frame writes on a request/reply cadence;
-            // Nagle only adds latency here.
-            let _ = stream.set_nodelay(true);
-            stream.set_read_timeout(Some(POLL_TIMEOUT))
-        },
-        core,
-        shutdown,
-    );
-    Ok(())
-}
-
-/// [`serve_tcp`] over a unix socket listener.
-pub fn serve_unix<S, M>(
-    listener: UnixListener,
-    core: &ShardServerCore<'_, '_, S, M>,
-    shutdown: &AtomicBool,
-) -> io::Result<()>
-where
-    S: MpqSpace + Sync,
-    S::Cost: Send + Sync,
-    S::Region: Send + Sync,
-    M: ParametricCostModel + ?Sized + Sync,
-{
-    listener.set_nonblocking(true)?;
-    accept_loop(
-        || listener.accept().map(|(stream, _addr)| stream),
-        |stream: &UnixStream| stream.set_read_timeout(Some(POLL_TIMEOUT)),
-        core,
-        shutdown,
-    );
-    Ok(())
-}
-
-/// The accept loop behind [`serve_tcp`] and [`serve_unix`]: polls the
-/// non-blocking `accept` until `shutdown` is raised, and serves each
-/// connection on its own scoped thread after `configure` prepares it (a
-/// stream that cannot be configured is dropped). While
-/// [`MAX_CONNECTIONS`] connections are live it does not call `accept`.
-fn accept_loop<T, S, M>(
-    accept: impl Fn() -> io::Result<T>,
-    configure: fn(&T) -> io::Result<()>,
-    core: &ShardServerCore<'_, '_, S, M>,
-    shutdown: &AtomicBool,
-) where
-    T: io::Read + io::Write + Send,
-    S: MpqSpace + Sync,
-    S::Cost: Send + Sync,
-    S::Region: Send + Sync,
-    M: ParametricCostModel + ?Sized + Sync,
-{
     let live = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         while !shutdown.load(Ordering::Relaxed) {
@@ -384,12 +333,15 @@ fn accept_loop<T, S, M>(
                 std::thread::sleep(POLL_TIMEOUT);
                 continue;
             }
-            match accept() {
-                Ok(mut stream) => {
+            match listener.accept() {
+                Ok((mut stream, _addr)) => {
                     live.fetch_add(1, Ordering::Relaxed);
                     let live = &live;
                     scope.spawn(move || {
-                        if configure(&stream).is_ok() {
+                        // Answers are one-frame writes on a request/reply
+                        // cadence; Nagle only adds latency here.
+                        let _ = stream.set_nodelay(true);
+                        if stream.set_read_timeout(Some(POLL_TIMEOUT)).is_ok() {
                             serve_stream(&mut stream, &|p| core.handle_frame(p), shutdown);
                         }
                         live.fetch_sub(1, Ordering::Relaxed);
@@ -402,6 +354,7 @@ fn accept_loop<T, S, M>(
             }
         }
     });
+    Ok(())
 }
 
 #[cfg(test)]

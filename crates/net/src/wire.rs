@@ -27,7 +27,7 @@
 
 use mpq_catalog::{JoinEdge, Predicate, Query, Selectivity, Table};
 use mpq_cloud::shape::fnv1a_bytes;
-use mpq_service::SubmittedQuery;
+use mpq_service::{OutcomeKind, SubmittedQuery};
 
 /// Magic word opening every message: `"MQ"` little-endian.
 pub const WIRE_MAGIC: u16 = 0x514d;
@@ -534,6 +534,18 @@ impl WireOutcome {
         }
     }
 
+    /// The outcome's resolution class, as both client fronts count it.
+    pub fn kind(&self) -> OutcomeKind {
+        match self {
+            WireOutcome::Ok(_) => OutcomeKind::Ok,
+            WireOutcome::Panicked { .. } => OutcomeKind::Panicked,
+            WireOutcome::TimedOut => OutcomeKind::TimedOut,
+            WireOutcome::Rejected => OutcomeKind::Rejected,
+            WireOutcome::Shutdown => OutcomeKind::Shutdown,
+            WireOutcome::Unavailable => OutcomeKind::Unavailable,
+        }
+    }
+
     /// The summary of an `Ok` outcome.
     pub fn ok(&self) -> Option<&PlanSummary> {
         match self {
@@ -609,10 +621,10 @@ pub struct WireMetricsRequest {
     pub request_id: u64,
 }
 
-/// A metrics scrape answer: the server's registry flattened to
-/// Prometheus-style `(name, value)` samples
-/// (`mpq_obs::Registry::samples`) — mergeable by name on the router
-/// side, and empty when the server runs unobserved.
+/// A metrics scrape answer: the server's registry read as flat
+/// `(name, value)` samples (`mpq_obs::Registry::samples`) — mergeable
+/// by name on the router side, and empty when the server runs
+/// unobserved.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireMetricsResponse {
     /// Echo of the scrape's request id.
@@ -901,8 +913,9 @@ pub fn write_frame(w: &mut impl std::io::Write, payload: &[u8]) -> std::io::Resu
     w.flush()
 }
 
-/// True iff `err` is a read timeout (both spellings: unix sockets report
-/// `WouldBlock`, TCP reports `TimedOut` on some platforms).
+/// True iff `err` is a read timeout or an empty non-blocking accept
+/// (both spellings: Unix platforms report `WouldBlock`, others
+/// `TimedOut`).
 pub(crate) fn is_poll_timeout(err: &std::io::Error) -> bool {
     matches!(
         err.kind(),

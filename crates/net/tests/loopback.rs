@@ -1,12 +1,12 @@
 //! Loopback integration: real sockets, real threads, the full fabric.
 //!
-//! Two shard servers on `127.0.0.1` TCP (and one on a unix socket)
-//! behind a retrying router; the answers must be bit-identical to plain
-//! in-process optimization with **zero** transport effort (no retries,
-//! no reconnects) — a clean wire adds latency, never noise. A third test
-//! points the router at a dead address and asserts the typed
-//! `Unavailable` degradation arrives in bounded wall time. The last
-//! test holds the accept loop to its connection cap.
+//! Two shard servers on `127.0.0.1` TCP behind a retrying router; the
+//! answers must be bit-identical to plain in-process optimization with
+//! **zero** transport effort (no retries, no reconnects) — a clean wire
+//! adds latency, never noise. Another test points the router at a dead
+//! address and asserts the typed `Unavailable` degradation arrives in
+//! bounded wall time. The last test holds the accept loop to its
+//! connection cap.
 
 use std::io::ErrorKind;
 use std::net::{TcpListener, TcpStream};
@@ -24,7 +24,7 @@ use mpq_core::rrpa::optimize;
 use mpq_core::session::{query_affinity, SessionConfig, ShardedSession};
 use mpq_core::OptimizerConfig;
 use mpq_net::router::{NetTime, RetryPolicy, ShardRouter, StreamConn};
-use mpq_net::server::{serve_tcp, serve_unix, ShardServerCore, MAX_CONNECTIONS};
+use mpq_net::server::{serve_tcp, ShardServerCore, MAX_CONNECTIONS};
 use mpq_net::wire::{
     decode_message, encode_message, read_frame, write_frame, Message, PlanSummary, WireOutcome,
     WireRequest,
@@ -176,70 +176,6 @@ fn tcp_loopback_is_bit_identical_with_zero_transport_effort() {
 
         shutdown.store(true, Ordering::Relaxed);
     });
-}
-
-#[test]
-fn unix_socket_round_trip() {
-    let query = {
-        let trace = generate_trace(
-            &TraceConfig {
-                workload: WorkloadConfig::uniform(
-                    GeneratorConfig::paper(2, Topology::Chain, 1),
-                    1,
-                    0.0,
-                ),
-                mean_gap: 0.0,
-            },
-            &mut StdRng::seed_from_u64(5),
-        );
-        trace.queries[0].clone()
-    };
-    let model = CloudCostModel::default();
-    let opt = opt_config();
-    let reference = {
-        let space = GridSpace::for_unit_box(1, &opt, 2).expect("grid space");
-        let sol = optimize(&query, &model, &space, &opt);
-        PlanSummary::of(&space, &sol, &probes())
-    };
-
-    let session_cfg = uncached(&opt);
-    let sessions = ShardedSession::build(1, &model, &session_cfg, || {
-        GridSpace::for_unit_box(1, &opt, 2).expect("grid space")
-    });
-    let core = ShardServerCore::new(sessions.shard(0), 0, probes());
-    let dir = std::env::temp_dir().join(format!("mpq-net-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("socket dir");
-    let path = dir.join("shard0.sock");
-    let _ = std::fs::remove_file(&path);
-    let listener = std::os::unix::net::UnixListener::bind(&path).expect("bind unix socket");
-    let shutdown = AtomicBool::new(false);
-
-    std::thread::scope(|scope| {
-        let _guard = ShutdownGuard(&shutdown);
-        let core_ref = &core;
-        let shutdown_ref = &shutdown;
-        scope.spawn(move || serve_unix(listener, core_ref, shutdown_ref));
-
-        let mut router = ShardRouter::new(
-            vec![StreamConn::unix(&path)],
-            |q| query_affinity(q, &model),
-            wall_policy(),
-            NetTime::wall(),
-        );
-        let resp = router.submit(SubmittedQuery {
-            query: query.clone(),
-            deadline: None,
-        });
-        assert_eq!(
-            resp.outcome.ok().expect("healthy over unix socket"),
-            &reference
-        );
-        assert_eq!(router.stats().retries, 0);
-
-        shutdown.store(true, Ordering::Relaxed);
-    });
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_dir(&dir);
 }
 
 /// Trace ids survive a real TCP hop: every `server_request` span the

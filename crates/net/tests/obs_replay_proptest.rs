@@ -1,12 +1,13 @@
 //! Observability replay: the networked half of the replay contract.
 //!
 //! Under the virtual clock the entire observability output — router span
-//! tree, per-shard server span trees, every registry snapshot — is a
-//! pure function of the (trace, fault plan, seed) triple: two replays of
-//! the same run render **byte-identical** text. Holds across shard
-//! counts {1, 2, 4} and with chaos on or off, because everything that
-//! feeds a span or a counter (retry schedules, fault injections, clock
-//! reads) is itself deterministic.
+//! tree and counters, per-shard server span trees, every registry's
+//! samples — is a pure function of the (trace, fault plan, seed) triple:
+//! two replays of the same run render **byte-identical** span trees and
+//! identical samples. Holds across shard counts {1, 2, 4} and with
+//! chaos on or off, because everything that feeds a span or a counter
+//! (retry schedules, fault injections, clock reads) is itself
+//! deterministic.
 //!
 //! The same runs pin the cross-process join contract: every
 //! `server_request` span carries a `trace` field equal to the trace id
@@ -15,7 +16,7 @@
 
 use std::sync::Arc;
 
-use mpq_catalog::fault::{NetFaultConfig, NetFaultKind, NetFaultPlan};
+use mpq_catalog::fault::{NetFault, NetFaultConfig, NetFaultKind, NetFaultPlan};
 use mpq_catalog::generator::{generate_trace, GeneratorConfig, TraceConfig, WorkloadConfig};
 use mpq_catalog::graph::Topology;
 use mpq_cloud::model::CloudCostModel;
@@ -55,12 +56,13 @@ fn vclock_obs(vclock: &VirtualClock) -> Obs {
     Obs::with_clock(Arc::new(move || vc.now_micros()))
 }
 
-/// Everything one observed run emits: the rendered observability
-/// output (router tree + registry snapshot, then each shard's tree +
-/// snapshot), the router/server trace-id stamps, and the wire-scraped
-/// registry samples.
+/// Everything one observed run emits: the rendered span trees (router,
+/// then each shard), every registry's samples (router, then each shard),
+/// the router/server trace-id stamps, and the wire-scraped registry
+/// samples.
 struct ObservedRun {
     rendered: String,
+    samples: Vec<(String, f64)>,
     router_traces: Vec<u64>,
     server_traces: Vec<u64>,
     scraped: Vec<(String, f64)>,
@@ -121,16 +123,14 @@ fn observed_run(
     let mut rendered = String::new();
     rendered.push_str("== router ==\n");
     rendered.push_str(&router_obs.span_tree());
-    if let Some(registry) = router_obs.registry() {
-        rendered.push_str(&registry.snapshot_jsonl());
-    }
     for (i, obs) in server_obs.iter().enumerate() {
         rendered.push_str(&format!("== shard {i} ==\n"));
         rendered.push_str(&obs.span_tree());
-        if let Some(registry) = obs.registry() {
-            rendered.push_str(&registry.snapshot_jsonl());
-        }
     }
+    let samples = std::iter::once(&router_obs)
+        .chain(&server_obs)
+        .flat_map(|obs| obs.registry().expect("enabled handle").samples())
+        .collect();
 
     let field = |spans: &[mpq_obs::SpanRecord], name: &str, key: &str| -> Vec<u64> {
         spans
@@ -148,6 +148,7 @@ fn observed_run(
         .collect();
     ObservedRun {
         rendered,
+        samples,
         router_traces,
         server_traces,
         scraped,
@@ -195,6 +196,12 @@ proptest! {
                 &a.rendered, &b.rendered,
                 "replay diverged at {} shards (chaos={})", shards, chaos
             );
+            prop_assert_eq!(&a.samples, &b.samples, "counters replay identically");
+            prop_assert!(
+                a.samples.iter().any(|(name, v)| name == "router_submitted"
+                    && *v as usize == trace.len()),
+                "the router's counters are in its registry"
+            );
             prop_assert_eq!(&a.router_traces, &b.router_traces);
             prop_assert_eq!(&a.server_traces, &b.server_traces);
             prop_assert_eq!(&a.scraped, &b.scraped, "scrape replays identically");
@@ -231,5 +238,98 @@ proptest! {
                 "scraped handled == observed server_request spans"
             );
         }
+    }
+}
+
+/// With observability on, the router's counters are `router_*` cells of
+/// its registry: over a short virtual-time trace with one transient
+/// fault, every `router_*` sample equals the matching field of
+/// `router.stats()`, and the names are exactly the cells the router
+/// moves.
+#[test]
+fn router_counters_live_in_the_registry() {
+    let trace_cfg = TraceConfig {
+        workload: WorkloadConfig::uniform(GeneratorConfig::paper(3, Topology::Chain, 1), 4, 0.0),
+        mean_gap: 25e-6,
+    };
+    let trace = generate_trace(&trace_cfg, &mut StdRng::seed_from_u64(7));
+    let mut plan = NetFaultPlan::new();
+    plan.mark(
+        &trace.queries[1],
+        NetFault::transient(NetFaultKind::Drop, 1),
+    );
+    let plan = Arc::new(plan);
+    let shards = 2;
+    let model = CloudCostModel::default();
+    let opt = opt_config();
+    let sessions = ShardedSession::build(shards, &model, &server_session_config(&opt), || {
+        GridSpace::for_unit_box(1, &opt, 2).expect("grid space")
+    });
+    let cores: Vec<_> = (0..shards)
+        .map(|i| ShardServerCore::new(sessions.shard(i), i as u32, probes()))
+        .collect();
+    let vclock = VirtualClock::new();
+    let time = NetTime::virtual_time(&vclock);
+    let conns: Vec<_> = cores
+        .iter()
+        .map(|core| ChaosConn::new(InProcConn::new(core), Arc::clone(&plan), time.clone()))
+        .collect();
+    let obs = vclock_obs(&vclock);
+    let policy = RetryPolicy::default();
+    let mut router = ShardRouter::new(conns, |q| query_affinity(q, &model), policy, time.clone())
+        .with_obs(obs.clone());
+    for (q, &at) in trace.queries.iter().zip(&trace.arrivals) {
+        vclock.advance_to_secs(at);
+        router.submit(SubmittedQuery::new(q.clone()));
+    }
+
+    let stats = router.stats();
+    assert!(stats.conserves(), "{stats:?}");
+    assert_eq!((stats.completed, stats.retries), (4, 1), "{stats:?}");
+    let mut expected = vec![
+        (
+            "router_approx_served".to_owned(),
+            stats.approx_served as f64,
+        ),
+        ("router_completed".to_owned(), stats.completed as f64),
+        ("router_quarantined".to_owned(), stats.quarantined as f64),
+        ("router_rejected".to_owned(), stats.rejected as f64),
+        ("router_retries".to_owned(), stats.retries as f64),
+        ("router_submitted".to_owned(), stats.submitted as f64),
+        ("router_timed_out".to_owned(), stats.timed_out as f64),
+        ("router_unavailable".to_owned(), stats.unavailable as f64),
+        (
+            "router_latency_seconds_count".to_owned(),
+            stats.completed as f64,
+        ),
+        (
+            "router_latency_seconds_p50_ns".to_owned(),
+            stats.latency_p50 * 1e9,
+        ),
+        (
+            "router_latency_seconds_p95_ns".to_owned(),
+            stats.latency_p95 * 1e9,
+        ),
+    ];
+    for (i, shard) in stats.per_shard.iter().enumerate() {
+        expected.push((format!("router_shard{i}_queries"), shard.queries as f64));
+    }
+    expected.sort_by(|a, b| a.0.cmp(&b.0));
+    // The histogram's sum and p99 have no `ServiceStats` field.
+    let mut samples: Vec<(String, f64)> = obs
+        .registry()
+        .expect("enabled handle")
+        .samples()
+        .into_iter()
+        .filter(|(name, _)| !name.ends_with("_sum_ns") && !name.ends_with("_p99_ns"))
+        .collect();
+    samples.sort_by(|a, b| a.0.cmp(&b.0));
+    assert_eq!(samples.len(), expected.len(), "{samples:?}");
+    for ((name, value), (want, field)) in samples.iter().zip(&expected) {
+        assert_eq!(name, want);
+        assert!(
+            (value - field).abs() <= 1e-6 * field.abs(),
+            "{name}: {value} vs {field}"
+        );
     }
 }

@@ -1,6 +1,6 @@
 //! Serves one simulated request trace through an [`Obs`] handle and
-//! prints what an operator would scrape: the span tree, the Prometheus
-//! text exposition, and the JSONL snapshot.
+//! prints what an operator would scrape: the span tree and the
+//! registry's samples as text, one `name value` line each.
 //!
 //! The clock is a deterministic ticker, so this example's output is
 //! byte-identical on every run — the same property the replay proptests
@@ -13,7 +13,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use mpq_obs::{parse_exposition, Obs};
+use mpq_obs::Obs;
 
 fn main() {
     // A virtual clock: every read advances 250 µs, as if each step of
@@ -55,10 +55,6 @@ fn main() {
 
     println!("== span tree ==");
     print!("{}", obs.span_tree());
-    println!("\n== exposition ==");
-    let text = registry.expose();
-    print!("{text}");
-    let samples = parse_exposition(&text).expect("own exposition parses");
-    println!("\n== jsonl snapshot ({} samples parsed) ==", samples.len());
-    print!("{}", registry.snapshot_jsonl());
+    println!("\n== exposition ({} samples) ==", registry.samples().len());
+    print!("{}", registry.expose());
 }

@@ -13,9 +13,9 @@
 //!   [`Gauge`]s, log-bucketed [`Histogram`]s and [`CacheCounters`],
 //!   hand-rolled with no external dependencies. Reads are lock-light
 //!   (one short registry lock to look a handle up, atomics thereafter);
-//!   the hot path touches only `Relaxed` atomics. Exposition comes in
-//!   two formats: Prometheus-style text ([`Registry::expose`]) and a
-//!   JSONL snapshot ([`Registry::snapshot_jsonl`]).
+//!   the hot path touches only `Relaxed` atomics. One walk reads it:
+//!   [`Registry::samples`], a flat `(name, value)` list that the wire
+//!   scrape carries and [`Registry::expose`] prints as text.
 //! - **Structured spans** ([`Obs::span`]): a guard API over a
 //!   thread-local span stack. Opening a span inside another span links
 //!   parent → child; dropping the guard stamps the end time and files
@@ -30,8 +30,7 @@
 //! Histogram buckets are logarithmic with 8 sub-buckets per octave
 //! (values below 64 are exact), so any recorded value is within 12.5 %
 //! of its bucket's reported upper bound while the whole histogram is a
-//! fixed 528 counters — bounded memory regardless of stream length, and
-//! two histograms merge by bucket-wise addition.
+//! fixed 528 counters — bounded memory regardless of stream length.
 
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
@@ -219,10 +218,8 @@ fn bucket_upper(idx: usize) -> u64 {
 ///
 /// Memory is bounded at `NUM_BUCKETS` atomic cells no matter how many
 /// values stream in — this is what replaced the service's 64 Ki latency
-/// ring — and two histograms merge exactly by bucket-wise addition, so
-/// per-shard histograms roll up into a fleet view without resampling.
-/// Quantiles are nearest-rank over bucket counts and return the bucket's
-/// upper bound: deterministic, and never an underestimate.
+/// ring. Quantiles are nearest-rank over bucket counts and return the
+/// bucket's upper bound: deterministic, and never an underestimate.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: Vec<AtomicU64>,
@@ -293,20 +290,6 @@ impl Histogram {
     pub fn quantile_secs(&self, q: f64) -> f64 {
         self.quantile(q) as f64 * 1e-9
     }
-
-    /// Adds every bucket of `other` into `self` (exact roll-up).
-    pub fn merge_from(&self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter().zip(&other.buckets) {
-            let n = theirs.load(Ordering::Relaxed);
-            if n > 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -317,8 +300,8 @@ impl Histogram {
 /// shared thereafter (`counter("x")` twice returns the same cell), so
 /// call-sites can look handles up once and bump atomics from then on.
 ///
-/// Iteration order everywhere is the `BTreeMap` name order — exposition
-/// output is deterministic by construction.
+/// Iteration order is the `BTreeMap` name order within each metric kind —
+/// [`Registry::samples`] is deterministic by construction.
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<String, Counter>>,
@@ -365,84 +348,13 @@ impl Registry {
         Arc::clone(lock(&self.caches).entry(name.to_owned()).or_default())
     }
 
-    /// Prometheus-style text exposition: `# TYPE` comments, one sample
-    /// per line, histograms as summaries with p50/p95/p99 quantile
-    /// labels (in seconds), caches as three counters.
-    pub fn expose(&self) -> String {
-        let mut out = String::new();
-        for (name, c) in lock(&self.counters).iter() {
-            let _ = writeln!(out, "# TYPE {name} counter\n{name} {}", c.get());
-        }
-        for (name, g) in lock(&self.gauges).iter() {
-            let _ = writeln!(out, "# TYPE {name} gauge\n{name} {}", g.get());
-        }
-        for (name, c) in lock(&self.caches).iter() {
-            let _ = writeln!(out, "# TYPE {name}_hits counter\n{name}_hits {}", c.hits());
-            let _ = writeln!(
-                out,
-                "# TYPE {name}_misses counter\n{name}_misses {}",
-                c.misses()
-            );
-            let _ = writeln!(
-                out,
-                "# TYPE {name}_evictions counter\n{name}_evictions {}",
-                c.evictions()
-            );
-        }
-        for (name, h) in lock(&self.histograms).iter() {
-            let _ = writeln!(out, "# TYPE {name} summary");
-            for q in [0.5, 0.95, 0.99] {
-                let _ = writeln!(out, "{name}{{quantile=\"{q}\"}} {}", h.quantile_secs(q));
-            }
-            let _ = writeln!(out, "{name}_sum {}", h.sum() as f64 * 1e-9);
-            let _ = writeln!(out, "{name}_count {}", h.count());
-        }
-        out
-    }
-
-    /// One JSON object per line, every metric kind, name order.
-    pub fn snapshot_jsonl(&self) -> String {
-        let mut out = String::new();
-        for (name, c) in lock(&self.counters).iter() {
-            let _ = writeln!(
-                out,
-                "{{\"kind\":\"counter\",\"name\":\"{name}\",\"value\":{}}}",
-                c.get()
-            );
-        }
-        for (name, g) in lock(&self.gauges).iter() {
-            let _ = writeln!(
-                out,
-                "{{\"kind\":\"gauge\",\"name\":\"{name}\",\"value\":{}}}",
-                g.get()
-            );
-        }
-        for (name, c) in lock(&self.caches).iter() {
-            let _ = writeln!(
-                out,
-                "{{\"kind\":\"cache\",\"name\":\"{name}\",\"hits\":{},\"misses\":{},\"evictions\":{}}}",
-                c.hits(),
-                c.misses(),
-                c.evictions()
-            );
-        }
-        for (name, h) in lock(&self.histograms).iter() {
-            let _ = writeln!(
-                out,
-                "{{\"kind\":\"histogram\",\"name\":\"{name}\",\"count\":{},\"sum_ns\":{},\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{}}}",
-                h.count(),
-                h.sum(),
-                h.quantile(0.5),
-                h.quantile(0.95),
-                h.quantile(0.99)
-            );
-        }
-        out
-    }
-
-    /// A flat `(name, value)` view of every metric, in deterministic
-    /// name order — the payload the `Metrics` wire message carries when
-    /// a router scrapes a remote shard registry.
+    /// A flat `(name, value)` view of every metric — the one reading of
+    /// the registry: counters, gauges, caches (as `_hits`, `_misses`,
+    /// `_evictions`), then histograms (as `_count`, `_sum_ns` and
+    /// `_p50_ns`/`_p95_ns`/`_p99_ns`), each kind in name order. It is
+    /// the payload the `Metrics` wire message carries when a router
+    /// scrapes a remote shard registry, and what [`Self::expose`]
+    /// prints.
     pub fn samples(&self) -> Vec<(String, f64)> {
         let mut out = Vec::new();
         for (name, c) in lock(&self.counters).iter() {
@@ -465,39 +377,16 @@ impl Registry {
         }
         out
     }
-}
 
-/// Parses [`Registry::expose`]-style text back into `(name, value)`
-/// samples: `#` comment lines are skipped, every other non-empty line
-/// must be `name[{labels}] value` with a finite float value. Used by the
-/// smoke tests to assert the exposition actually parses.
-pub fn parse_exposition(text: &str) -> Result<Vec<(String, f64)>, String> {
-    let mut out = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
+    /// [`Self::samples`] as text, one `name value` line per sample — what
+    /// an operator prints or serves to a scraper.
+    pub fn expose(&self) -> String {
+        let mut out = String::new();
+        for (name, value) in self.samples() {
+            let _ = writeln!(out, "{name} {value}");
         }
-        let (name, value) = line
-            .rsplit_once(' ')
-            .ok_or_else(|| format!("line {}: no value: {line:?}", lineno + 1))?;
-        let value: f64 = value
-            .parse()
-            .map_err(|_| format!("line {}: bad value: {line:?}", lineno + 1))?;
-        if !value.is_finite() {
-            return Err(format!("line {}: non-finite value: {line:?}", lineno + 1));
-        }
-        let base = name.split('{').next().unwrap_or(name);
-        if base.is_empty()
-            || !base
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
-        {
-            return Err(format!("line {}: bad metric name: {line:?}", lineno + 1));
-        }
-        out.push((name.to_owned(), value));
+        out
     }
-    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -808,27 +697,6 @@ mod tests {
     }
 
     #[test]
-    fn histograms_merge_exactly() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        let c = Histogram::new();
-        for v in [3u64, 70, 1_000_000, 5] {
-            a.record(v);
-            c.record(v);
-        }
-        for v in [900u64, 12] {
-            b.record(v);
-            c.record(v);
-        }
-        a.merge_from(&b);
-        assert_eq!(a.count(), c.count());
-        assert_eq!(a.sum(), c.sum());
-        for q in [0.0, 0.25, 0.5, 0.9, 1.0] {
-            assert_eq!(a.quantile(q), c.quantile(q));
-        }
-    }
-
-    #[test]
     fn registry_exposition_is_deterministic_and_parses() {
         let r = Registry::new();
         r.counter("zeta_total").add(7);
@@ -843,27 +711,43 @@ mod tests {
         cache.hit();
         cache.miss();
         r.histogram("latency_seconds").record_secs(0.001);
+        let samples = r.samples();
+        let names: Vec<&str> = samples.iter().map(|(n, _)| n.as_str()).collect();
+        // Counters, gauges, caches, histograms; name order within each.
+        assert_eq!(
+            names,
+            [
+                "alpha_total",
+                "zeta_total",
+                "depth",
+                "lift_cache_hits",
+                "lift_cache_misses",
+                "lift_cache_evictions",
+                "latency_seconds_count",
+                "latency_seconds_sum_ns",
+                "latency_seconds_p50_ns",
+                "latency_seconds_p95_ns",
+                "latency_seconds_p99_ns",
+            ]
+        );
+        let value = |name: &str| samples.iter().find(|(n, _)| n == name).unwrap().1;
+        assert_eq!((value("alpha_total"), value("zeta_total")), (1.0, 7.0));
+        assert_eq!(value("depth"), 3.0);
+        assert_eq!(value("lift_cache_hits"), 2.0);
+        assert_eq!(value("latency_seconds_count"), 1.0);
+        assert_eq!(samples, r.samples(), "re-reading is identical");
+        // The text form is one `name value` line per sample, and parses
+        // back to the same samples.
         let text = r.expose();
-        // Counters come first, in name order.
-        assert!(text.find("alpha_total 1").unwrap() < text.find("zeta_total 7").unwrap());
-        assert!(text.contains("lift_cache_hits 2"));
-        assert!(text.contains("# TYPE latency_seconds summary"));
-        let samples = parse_exposition(&text).expect("exposition parses");
-        assert!(samples.iter().any(|(n, v)| n == "alpha_total" && *v == 1.0));
-        assert_eq!(text, r.expose(), "re-exposition is byte-identical");
-        // JSONL snapshot carries the same values.
-        let jsonl = r.snapshot_jsonl();
-        assert!(jsonl.contains(
-            "{\"kind\":\"cache\",\"name\":\"lift_cache\",\"hits\":2,\"misses\":1,\"evictions\":0}"
-        ));
-    }
-
-    #[test]
-    fn parse_exposition_rejects_garbage() {
-        assert!(parse_exposition("no_value_here\n").is_err());
-        assert!(parse_exposition("name nan\n").is_err());
-        assert!(parse_exposition("bad name! 1\n").is_err());
-        assert_eq!(parse_exposition("# only comments\n\n").unwrap(), vec![]);
+        let parsed: Vec<(String, f64)> = text
+            .lines()
+            .map(|line| {
+                let (name, value) = line.split_once(' ').unwrap();
+                (name.to_owned(), value.parse().unwrap())
+            })
+            .collect();
+        assert_eq!(parsed, samples);
+        assert!(text.starts_with("alpha_total 1\nzeta_total 7\n"));
     }
 
     #[test]
@@ -930,7 +814,10 @@ mod tests {
             }
             let _c = obs.span("c");
             drop(_c);
-            (obs.span_tree(), obs.registry().unwrap().snapshot_jsonl())
+            let registry = obs.registry().unwrap();
+            registry.counter("runs").inc();
+            registry.histogram("a_seconds").record_secs(7e-6);
+            (obs.span_tree(), registry.samples())
         };
         assert_eq!(run(), run(), "identical traces render identically");
     }

@@ -71,7 +71,8 @@
 //!   `SessionConfig::cache_capacity` evict deterministically
 //!   (second-chance CLOCK, see `mpq_cost`), so a service that runs
 //!   forever holds bounded memory.
-//! * **Observability** — [`ServiceStats`] snapshots queue depth, batches
+//! * **Observability** — [`ServiceStats`], built by the [`StatsStore`]
+//!   a network router counts through too, snapshots queue depth, batches
 //!   formed, the trigger mix, rejected/timed-out/quarantined counts,
 //!   per-shard cache hit/miss and restart counts, and p50/p95 latency
 //!   measured under a **caller-supplied clock**. With a [`VirtualClock`]
@@ -419,20 +420,26 @@ pub enum QueryOutcome<S: MpqSpace> {
     Shutdown,
 }
 
-/// The discriminant of a [`QueryOutcome`], for matching and counting
-/// without touching the solution payload.
+/// The resolution class of a query's outcome on either client front:
+/// the discriminant of a [`QueryOutcome`], or of a network front's wire
+/// outcome, for matching and counting without touching the payload. The
+/// discriminant is the stable code a router's `route_request` span
+/// records as `outcome`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OutcomeKind {
     /// Optimized successfully.
-    Ok,
+    Ok = 0,
     /// Quarantined after panicking.
-    Panicked,
+    Panicked = 1,
     /// Deadline expired before dispatch.
-    TimedOut,
+    TimedOut = 2,
     /// Turned away by admission control.
-    Rejected,
+    Rejected = 3,
     /// Service terminated without an answer.
-    Shutdown,
+    Shutdown = 4,
+    /// A network front's shard stayed unreachable after every retry
+    /// (never in-process).
+    Unavailable = 5,
 }
 
 impl<S: MpqSpace> Clone for QueryOutcome<S> {
@@ -641,8 +648,9 @@ pub struct ShardStats {
     pub subtree: CacheStats,
 }
 
-/// Snapshot of the service counters (see [`ServiceHandle::stats`] /
-/// [`serve`]'s return value).
+/// Snapshot of a client front's counters: [`serve`]'s (see
+/// [`ServiceHandle::stats`] and its return value) or a network
+/// router's. Both build it through [`StatsStore::snapshot`].
 ///
 /// Conservation: every submission resolves exactly once, so after
 /// shutdown `submitted ==
@@ -653,10 +661,12 @@ pub struct ShardStats {
 /// it never adds a resolution class — and the wire counters (`retries`,
 /// `reconnects`, `dropped`) describe *transport effort*, not
 /// resolutions, so they sit outside the identity. In-process serving
-/// ([`serve`]) has no wire: its snapshots report all four wire counters
-/// as zero, and a network front (`mpq-net`) reports through the same
-/// snapshot type with them live.
-#[derive(Debug, Clone, PartialEq)]
+/// ([`serve`]) has no wire: its snapshots report the three wire
+/// counters as zero, and a network front reports its batch-layer
+/// fields (`batches`, triggers, queue depth, `coalesced`,
+/// `approx_batches`, `lps_solved`, per-shard batches, restarts and
+/// cache stats) as zero, since batching happens server-side.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServiceStats {
     /// Requests submitted (including ones later rejected).
     pub submitted: u64,
@@ -676,9 +686,10 @@ pub struct ServiceStats {
     /// Requests quarantined after panicking
     /// ([`QueryOutcome::Panicked`]).
     pub quarantined: u64,
-    /// Requests resolved as degraded by a network front: the shard was
-    /// unreachable (or answered `Shutdown`) after every retry. Always
-    /// `0` for in-process serving — there is no wire to lose.
+    /// Requests no shard answered: a network front's shard was
+    /// unreachable (or answered `Shutdown`) after every retry, or the
+    /// in-process service shut down before answering
+    /// ([`QueryOutcome::Shutdown`], which a live service never gives).
     pub unavailable: u64,
     /// Request attempts beyond the first, across all requests (a network
     /// front's retry loop; `0` in-process and on a fault-free wire).
@@ -715,11 +726,10 @@ pub struct ServiceStats {
     /// Per-shard counters, indexed by shard.
     pub per_shard: Vec<ShardStats>,
     /// Median submit-to-completion latency in service-clock seconds over
-    /// all **successful** completions. Both fronts read it from a
-    /// log-bucketed [`mpq_obs::Histogram`] — in-process [`serve`] from
-    /// its `service_latency_seconds` cell, a network router from its own
-    /// — so the reported value is a bucket representative (≤ 12.5 %
-    /// relative error), NaN before the first completion, and memory stays
+    /// all **successful** completions, read from the front's
+    /// `{prefix}latency_seconds` histogram (see [`StatsStore`]), so the
+    /// reported value is a bucket representative (≤ 12.5 % relative
+    /// error), NaN before the first completion, and memory stays
     /// bounded however long the front runs. Quarantined, timed-out,
     /// rejected and unavailable requests are excluded, so the
     /// percentiles describe healthy-query latency even under faults; and
@@ -742,38 +752,139 @@ impl ServiceStats {
         self.completed + self.rejected + self.timed_out + self.quarantined + self.unavailable
             == self.submitted
     }
+}
 
-    /// The p50 and p95 of a latency histogram in seconds, NaN while it
-    /// is empty — how every front fills [`Self::latency_p50`] and
-    /// [`Self::latency_p95`].
-    pub fn latency_percentiles(latencies: &Histogram) -> (f64, f64) {
-        if latencies.count() == 0 {
-            return (f64::NAN, f64::NAN);
+/// The one counter store of both client fronts — [`serve`] and a network
+/// router — and the one builder of their [`ServiceStats`]. It keeps what
+/// every front counts: submissions, per-shard queries, the resolution
+/// classes ([`Self::resolve`]) and healthy-answer latencies; each front
+/// keeps only what it alone moves next to it.
+///
+/// Every cell is named `{prefix}…` (`service_` for [`serve`], `router_`
+/// for the router): `submitted`, `completed`, `approx_served`,
+/// `rejected`, `timed_out`, `quarantined`, `unavailable`,
+/// `shard{i}_queries` and the `latency_seconds` histogram. With
+/// observability on, each is the handle's registry cell of that name, so
+/// a scrape and [`ServiceStats`] read the same atomics at any moment;
+/// with it off, every cell is fresh and no name is built.
+pub struct StatsStore {
+    submitted: Counter,
+    completed: Counter,
+    approx_served: Counter,
+    rejected: Counter,
+    timed_out: Counter,
+    quarantined: Counter,
+    unavailable: Counter,
+    shard_queries: Vec<Counter>,
+    /// Submit-to-completion latencies of successful completions, as a
+    /// lock-free log-bucketed histogram: bounded memory at any request
+    /// volume, and percentiles that are a pure function of the *set* of
+    /// samples (no ring-overwrite order dependence).
+    latencies: Arc<Histogram>,
+}
+
+impl StatsStore {
+    /// A store for a front over `shards` shards, its cells named under
+    /// `prefix` in `obs`'s registry (fresh cells when `obs` is off).
+    pub fn new(prefix: &str, shards: usize, obs: &Obs) -> Self {
+        let registry = obs.registry();
+        let counter = |name: std::fmt::Arguments<'_>| {
+            registry.map_or_else(Counter::new, |r| r.counter(&format!("{prefix}{name}")))
+        };
+        Self {
+            submitted: counter(format_args!("submitted")),
+            completed: counter(format_args!("completed")),
+            approx_served: counter(format_args!("approx_served")),
+            rejected: counter(format_args!("rejected")),
+            timed_out: counter(format_args!("timed_out")),
+            quarantined: counter(format_args!("quarantined")),
+            unavailable: counter(format_args!("unavailable")),
+            shard_queries: (0..shards)
+                .map(|i| counter(format_args!("shard{i}_queries")))
+                .collect(),
+            latencies: registry.map_or_else(
+                || Arc::new(Histogram::new()),
+                |r| r.histogram(&format!("{prefix}latency_seconds")),
+            ),
         }
-        (latencies.quantile_secs(0.50), latencies.quantile_secs(0.95))
+    }
+
+    /// Counts one submission.
+    pub fn submit(&self) {
+        self.submitted.inc();
+    }
+
+    /// Counts `n` requests sent to shard `shard`.
+    pub fn route(&self, shard: usize, n: u64) {
+        self.shard_queries[shard].add(n);
+    }
+
+    /// Counts one resolution in its class — the one classification of
+    /// both fronts. An `Ok` answer records its `latency` (service-clock
+    /// seconds) and, when `approx`, counts as ε-served; `Shutdown` and
+    /// `Unavailable` both count as `unavailable`: no shard answered.
+    pub fn resolve(&self, kind: OutcomeKind, latency: f64, approx: bool) {
+        match kind {
+            OutcomeKind::Ok => {
+                self.latencies.record_secs(latency);
+                self.completed.inc();
+                if approx {
+                    self.approx_served.inc();
+                }
+            }
+            OutcomeKind::Panicked => self.quarantined.inc(),
+            OutcomeKind::TimedOut => self.timed_out.inc(),
+            OutcomeKind::Rejected => self.rejected.inc(),
+            OutcomeKind::Shutdown | OutcomeKind::Unavailable => self.unavailable.inc(),
+        }
+    }
+
+    /// The front's [`ServiceStats`]: `front` carries what only the front
+    /// knows (the service's batch, queue and approximation counters and
+    /// per-shard batches, restarts and cache stats; a router's retries,
+    /// reconnects and drops), and the store fills in the rest —
+    /// `submitted`, the resolution classes, per-shard `queries` and the
+    /// latency percentiles.
+    pub fn snapshot(&self, front: ServiceStats) -> ServiceStats {
+        let (latency_p50, latency_p95) = if self.latencies.count() == 0 {
+            (f64::NAN, f64::NAN)
+        } else {
+            let quantile = |q| self.latencies.quantile_secs(q);
+            (quantile(0.50), quantile(0.95))
+        };
+        let mut per_shard = front.per_shard;
+        per_shard.resize(self.shard_queries.len(), ShardStats::default());
+        for (shard, queries) in per_shard.iter_mut().zip(&self.shard_queries) {
+            shard.queries = queries.get();
+        }
+        ServiceStats {
+            submitted: self.submitted.get(),
+            completed: self.completed.get(),
+            approx_served: self.approx_served.get(),
+            rejected: self.rejected.get(),
+            timed_out: self.timed_out.get(),
+            quarantined: self.quarantined.get(),
+            unavailable: self.unavailable.get(),
+            per_shard,
+            latency_p50,
+            latency_p95,
+            ..front
+        }
     }
 }
 
-/// One shard's counters in [`StatsShared`].
+/// One shard's batch-layer counters in [`StatsShared`].
 struct ShardCells {
-    queries: Counter,
     batches: Counter,
     restarts: Counter,
 }
 
-/// The live counters behind [`ServiceStats`] — their only store. With
-/// observability on, every cell is the handle's registry cell of the
-/// same `service_*` name, so a scrape and [`ServiceStats`] read the same
-/// atomics at any moment; with it off, every cell is fresh and no name
-/// is built.
+/// [`serve`]'s counters: the [`StatsStore`] under `service_*` names,
+/// plus the batch-layer cells only the batcher and its workers move,
+/// registered the same way.
 struct StatsShared {
-    submitted: Counter,
-    completed: Counter,
-    approx_served: Counter,
+    store: StatsStore,
     approx_batches: Counter,
-    rejected: Counter,
-    timed_out: Counter,
-    quarantined: Counter,
     queue_depth: Gauge,
     queue_depth_peak: Gauge,
     /// Admission-control occupancy: requests submitted but not yet
@@ -790,12 +901,6 @@ struct StatsShared {
     coalesced: Counter,
     lps_solved: Counter,
     shards: Vec<ShardCells>,
-    /// Submit-to-completion latencies of successful completions, as a
-    /// lock-free log-bucketed histogram: bounded memory at any request
-    /// volume, mergeable across processes, and percentiles that are a
-    /// pure function of the *set* of samples (no ring-overwrite order
-    /// dependence).
-    latencies: Arc<Histogram>,
 }
 
 impl StatsShared {
@@ -809,13 +914,8 @@ impl StatsShared {
             })
         };
         Self {
-            submitted: counter("service_submitted"),
-            completed: counter("service_completed"),
-            approx_served: counter("service_approx_served"),
+            store: StatsStore::new("service_", shards, obs),
             approx_batches: counter("service_approx_batches"),
-            rejected: counter("service_rejected"),
-            timed_out: counter("service_timed_out"),
-            quarantined: counter("service_quarantined"),
             queue_depth: gauge("service_queue_depth"),
             queue_depth_peak: gauge("service_queue_depth_peak"),
             queued: AtomicU64::new(0),
@@ -827,15 +927,10 @@ impl StatsShared {
             lps_solved: counter("service_lps_solved"),
             shards: (0..shards)
                 .map(|i| ShardCells {
-                    queries: shard_counter(i, "queries"),
                     batches: shard_counter(i, "batches"),
                     restarts: shard_counter(i, "restarts"),
                 })
                 .collect(),
-            latencies: registry.map_or_else(
-                || Arc::new(Histogram::new()),
-                |r| r.histogram("service_latency_seconds"),
-            ),
         }
     }
 
@@ -847,39 +942,15 @@ impl StatsShared {
         reply: &mpsc::Sender<QueryResponse<S>>,
         response: QueryResponse<S>,
     ) {
-        match response.outcome {
-            QueryOutcome::Ok(_) => {
-                self.latencies.record_secs(response.latency);
-                self.completed.inc();
-                if response.served_epsilon.is_some() {
-                    self.approx_served.inc();
-                }
-            }
-            QueryOutcome::Panicked { .. } => self.quarantined.inc(),
-            QueryOutcome::TimedOut => self.timed_out.inc(),
-            QueryOutcome::Rejected => self.rejected.inc(),
-            QueryOutcome::Shutdown => {}
-        }
+        let approx = response.served_epsilon.is_some();
+        self.store
+            .resolve(response.kind(), response.latency, approx);
         let _ = reply.send(response);
     }
 
     fn snapshot(&self, caches: Vec<CacheStats>, subtrees: Vec<CacheStats>) -> ServiceStats {
-        let (latency_p50, latency_p95) = ServiceStats::latency_percentiles(&self.latencies);
-        ServiceStats {
-            submitted: self.submitted.get(),
-            completed: self.completed.get(),
-            approx_served: self.approx_served.get(),
+        self.store.snapshot(ServiceStats {
             approx_batches: self.approx_batches.get(),
-            rejected: self.rejected.get(),
-            timed_out: self.timed_out.get(),
-            quarantined: self.quarantined.get(),
-            // In-process serving has no wire: the four transport
-            // counters exist so a network front can report through the
-            // same snapshot type (see the `ServiceStats` docs).
-            unavailable: 0,
-            retries: 0,
-            reconnects: 0,
-            dropped: 0,
             queue_depth: self.queue_depth.get(),
             queue_depth_peak: self.queue_depth_peak.get(),
             batches: self.batches.get(),
@@ -893,16 +964,15 @@ impl StatsShared {
                 .iter()
                 .zip(caches.into_iter().zip(subtrees))
                 .map(|(cells, (cache, subtree))| ShardStats {
-                    queries: cells.queries.get(),
                     batches: cells.batches.get(),
                     restarts: cells.restarts.get(),
                     cache,
                     subtree,
+                    ..ShardStats::default()
                 })
                 .collect(),
-            latency_p50,
-            latency_p95,
-        }
+            ..ServiceStats::default()
+        })
     }
 }
 
@@ -1056,7 +1126,7 @@ where
         let (reply_tx, reply_rx) = mpsc::channel();
         let ticket = ServiceTicket { rx: reply_rx };
         let mut span = self.obs.span("submit");
-        self.stats.submitted.inc();
+        self.stats.store.submit();
         let submitted_at = (self.clock)();
         // Admission control, asked only for a request that runs: reserve
         // a queue slot or reject. The reservation is released when the
@@ -1235,7 +1305,7 @@ where
                         span.record("approx", 1);
                     }
                     cells.batches.inc();
-                    cells.queries.add(batch_size as u64);
+                    stats.store.route(shard, batch_size as u64);
                     let lps_before = thread_solved();
                     let restarts_before = cells.restarts.get();
                     // One attempt, its LPs counted before it is answered.
@@ -1269,7 +1339,7 @@ where
                         // Copies of a panicked leader re-run alone, one
                         // attempt each, at the batch's ε.
                         for (submitted_at, reply) in pending.resolve(&stats, response, now) {
-                            cells.queries.inc();
+                            stats.store.route(shard, 1);
                             let outcome = attempt(&pending.submitted.query);
                             stats.answer(&reply, respond(outcome, clock() - submitted_at));
                         }
@@ -2352,7 +2422,7 @@ mod tests {
             "NaN before the first completion"
         );
         assert!(empty.latency_p95.is_nan());
-        stats.latencies.record_secs(1.0);
+        stats.store.latencies.record_secs(1.0);
         let snap = stats.snapshot(vec![CacheStats::default()], vec![CacheStats::default()]);
         assert!(
             (snap.latency_p50 - 1.0).abs() <= 0.125,
@@ -2365,6 +2435,21 @@ mod tests {
             snap.latency_p95
         );
         assert!(snap.latency_p50 <= snap.latency_p95);
+    }
+
+    /// A ticket answered `Shutdown` counts as `unavailable`, so the
+    /// conservation identity holds even when the service dies under a
+    /// request.
+    #[test]
+    fn shutdown_answers_count_as_unavailable() {
+        let stats = StatsShared::new(1, &Obs::off());
+        let (reply, rx) = mpsc::channel::<QueryResponse<GridSpace>>();
+        stats.store.submit();
+        stats.answer(&reply, unrouted(QueryOutcome::Shutdown, 0.0));
+        assert_eq!(rx.recv().unwrap().kind(), OutcomeKind::Shutdown);
+        let snap = stats.snapshot(vec![CacheStats::default()], vec![CacheStats::default()]);
+        assert_eq!((snap.submitted, snap.unavailable), (1, 1));
+        assert!(snap.conserves());
     }
 
     /// With observability on, the registry is the service's counter
@@ -2397,12 +2482,23 @@ mod tests {
         assert!(stats.conserves());
         assert!(stats.rejected > 0 && stats.completed > 0, "{stats:?}");
         let registry = obs.registry().expect("enabled handle");
-        let get = |name: &str| registry.counter(name).get();
+        // Read through the registry's one walk, so a missing cell fails
+        // instead of being created at zero.
+        let samples = registry.samples();
+        let sample = |name: &str| {
+            samples
+                .iter()
+                .find(|(n, _)| n == name)
+                .unwrap_or_else(|| panic!("no sample {name}"))
+                .1
+        };
+        let get = |name: &str| sample(name) as u64;
         assert_eq!(get("service_submitted"), stats.submitted);
         assert_eq!(get("service_completed"), stats.completed);
         assert_eq!(get("service_rejected"), stats.rejected);
         assert_eq!(get("service_timed_out"), stats.timed_out);
         assert_eq!(get("service_quarantined"), stats.quarantined);
+        assert_eq!(get("service_unavailable"), stats.unavailable);
         assert_eq!(get("service_batches"), stats.batches);
         assert_eq!(get("service_size_triggered"), stats.size_triggered);
         assert_eq!(get("service_deadline_triggered"), stats.deadline_triggered);
@@ -2416,25 +2512,28 @@ mod tests {
             assert_eq!(get(&format!("service_shard{i}_batches")), shard.batches);
             assert_eq!(get(&format!("service_shard{i}_restarts")), shard.restarts);
             for (cache, stats) in [("lift", shard.cache), ("subtree", shard.subtree)] {
-                let cells = registry.cache(&format!("service_shard{i}_{cache}_cache"));
-                assert_eq!((cells.hits(), cells.misses()), (stats.hits, stats.misses));
+                let cells = format!("service_shard{i}_{cache}_cache");
+                assert_eq!(
+                    (
+                        get(&format!("{cells}_hits")),
+                        get(&format!("{cells}_misses"))
+                    ),
+                    (stats.hits, stats.misses)
+                );
             }
         }
         assert!(
             stats.per_shard[0].cache.misses > 0,
             "the caches saw traffic"
         );
-        assert_eq!(
-            registry.gauge("service_queue_depth_peak").get(),
-            stats.queue_depth_peak
-        );
-        // The conservation identity, re-derived purely from the registry
-        // (in-process serving: unavailable is identically zero).
+        assert_eq!(get("service_queue_depth_peak"), stats.queue_depth_peak);
+        // The conservation identity, re-derived purely from the registry.
         assert_eq!(
             get("service_completed")
                 + get("service_rejected")
                 + get("service_timed_out")
-                + get("service_quarantined"),
+                + get("service_quarantined")
+                + get("service_unavailable"),
             get("service_submitted"),
             "registry counters satisfy the conservation identity"
         );
@@ -2446,10 +2545,15 @@ mod tests {
             "registry triggers partition the batches"
         );
         // Percentiles in the snapshot ARE the registry histogram's.
-        let histogram = registry.histogram("service_latency_seconds");
-        assert_eq!(histogram.count(), stats.completed);
-        assert_eq!(histogram.quantile_secs(0.5), stats.latency_p50);
-        assert_eq!(histogram.quantile_secs(0.95), stats.latency_p95);
+        assert_eq!(get("service_latency_seconds_count"), stats.completed);
+        assert_eq!(
+            sample("service_latency_seconds_p50_ns") * 1e-9,
+            stats.latency_p50
+        );
+        assert_eq!(
+            sample("service_latency_seconds_p95_ns") * 1e-9,
+            stats.latency_p95
+        );
         // And the lifecycle left a span trail: one submit span per
         // submission, at least one flush and one shard batch.
         let spans = obs.spans();
@@ -2457,10 +2561,9 @@ mod tests {
         assert_eq!(count("submit"), stats.submitted);
         assert!(count("batch_flush") >= 1);
         assert!(count("shard_batch") >= 1);
-        // Exposition over the live registry parses cleanly.
-        let text = registry.expose();
-        let parsed = mpq_obs::parse_exposition(&text).expect("exposition parses");
-        assert!(parsed.iter().any(|(n, _)| n == "service_submitted"));
+        // The text exposition prints the same samples.
+        let line = format!("service_submitted {}\n", stats.submitted);
+        assert!(registry.expose().contains(&line));
     }
 
     /// The registry's queue-depth gauges are live: a scrape sees the
