@@ -10,6 +10,9 @@
 //! approximate frontier is also never larger than the exact one (the
 //! banded predicate only removes more).
 
+mod common;
+
+use common::frontier_digest;
 use mpq_catalog::generator::{generate, generate_workload, GeneratorConfig, WorkloadConfig};
 use mpq_catalog::graph::Topology;
 use mpq_catalog::Query;
@@ -287,27 +290,6 @@ fn epsilon_solves_no_more_lps_than_exact() {
         approx_lps <= exact_lps,
         "ε = 0.1 must not solve more LPs than the exact run ({approx_lps} vs {exact_lps})"
     );
-}
-
-/// FNV-1a over the frontiers at the fixed probes: per probe its length,
-/// then each plan id and the bits of each cost.
-fn frontier_digest(frontiers: &[Vec<(mpq_core::plan::PlanId, Vec<f64>)>]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |word: u64| {
-        for byte in word.to_le_bytes() {
-            h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for frontier in frontiers {
-        mix(frontier.len() as u64);
-        for (id, costs) in frontier {
-            mix(u64::from(id.0));
-            for c in costs {
-                mix(c.to_bits());
-            }
-        }
-    }
-    h
 }
 
 /// `(plans_created, plans_pruned, final plans, lps_solved_query,

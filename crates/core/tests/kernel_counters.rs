@@ -8,7 +8,14 @@
 //! The rows are what `run_one` prints for the same arguments:
 //! `run_one grid chain 6 2 1`, `run_one pwl chain 2 2 0` and
 //! `run_one grid chain 4 1 1 2 2`.
+//!
+//! The ignored test pins the answers of the heavy 2-D grid queries
+//! (plans created, final plans, a frontier digest) and runs in release:
+//! `cargo test --release -p mpq-core --test kernel_counters -- --ignored`.
 
+mod common;
+
+use common::frontier_digest;
 use mpq_catalog::generator::{generate, GeneratorConfig};
 use mpq_catalog::graph::Topology;
 use mpq_cloud::model::{CloudCostModel, ParametricCostModel};
@@ -74,4 +81,62 @@ fn exact_mode_kernel_counters_are_pinned() {
             "{backend} chain-{tables}/{params} seed {seed}, {dim}-D resolution {res}"
         );
     }
+}
+
+/// The heavy tail of 2-D grid queries at the default resolution, pinned
+/// by `(plans_created, final_plans, frontier digest)`, the digest over
+/// the frontiers at a 5×5 probe lattice. chain-8/2 seed 2 (about 100 s)
+/// and star-7/2 seed 0 (about 15 s) are left out for time only.
+#[test]
+#[ignore = "heavy: about 15 s in release; run with `--release -- --ignored`"]
+fn heavy_tail_answers_are_pinned() {
+    #[rustfmt::skip]
+    const PINS: &[(&str, usize, u64, (u64, usize, u64))] = &[
+        ("chain", 7, 0, (4_789, 313, 14378378179065771128)),
+        ("chain", 7, 1, (3_569, 93, 16303927767974887307)),
+        ("chain", 7, 3, (2_073, 48, 10082876397346755008)),
+        ("chain", 7, 4, (3_237, 98, 14615440487992222173)),
+        ("chain", 8, 0, (7_174, 168, 12082809097979185052)),
+        ("chain", 8, 1, (6_314, 108, 15246765901546726621)),
+        ("chain", 8, 3, (4_070, 67, 12757393463033443413)),
+        ("star", 6, 0, (6_000, 267, 10374379750278014014)),
+        ("star", 6, 1, (2_704, 68, 6984339101877234605)),
+        ("star", 6, 2, (4_756, 254, 1923888307591508319)),
+    ];
+    const COORDS: [f64; 5] = [0.0, 0.15, 0.5, 0.85, 1.0];
+    let model = CloudCostModel::default();
+    let config = OptimizerConfig::default_for(2);
+    let actual: Vec<(&str, usize, u64, (u64, usize, u64))> = PINS
+        .iter()
+        .map(|&(topology, tables, seed, _)| {
+            let topo = if topology == "star" {
+                Topology::Star
+            } else {
+                Topology::Chain
+            };
+            let query = generate(
+                &GeneratorConfig::paper(tables, topo, 2),
+                &mut StdRng::seed_from_u64(seed),
+            );
+            let space = GridSpace::for_unit_box(2, &config, model.num_metrics()).expect("grid");
+            let sol = optimize(&query, &model, &space, &config);
+            let frontiers: Vec<_> = COORDS
+                .iter()
+                .flat_map(|&x| COORDS.map(|y| sol.frontier_at(&space, &[x, y])))
+                .collect();
+            let pin = (
+                sol.stats.plans_created,
+                sol.stats.final_plan_count,
+                frontier_digest(&frontiers),
+            );
+            (topology, tables, seed, pin)
+        })
+        .collect();
+    let rendered: Vec<String> = actual.iter().map(|row| format!("{row:?},")).collect();
+    assert_eq!(
+        actual.as_slice(),
+        PINS,
+        "heavy-tail answers moved; the current rows are:\n{}",
+        rendered.join("\n")
+    );
 }
