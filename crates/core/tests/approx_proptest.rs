@@ -317,14 +317,14 @@ fn pin_of<S: MpqSpace>(space: &S, sol: &MpqSolution<S>) -> Pin {
 fn epsilon_answers_are_pinned() {
     #[rustfmt::skip]
     const PINS: &[(&str, &str, u64, f64, Pin)] = &[
-        ("grid", "chain", 0, 0.01, (298, 220, 30, 4346, 16135524970028124520)),
-        ("grid", "chain", 0, 0.1, (274, 204, 27, 3414, 3846451500733818624)),
-        ("grid", "chain", 1, 0.01, (222, 166, 29, 3107, 11938439756100898725)),
-        ("grid", "chain", 1, 0.1, (214, 164, 24, 2255, 12682678415933722580)),
-        ("grid", "star", 0, 0.01, (334, 207, 74, 9348, 5212796951219174783)),
-        ("grid", "star", 0, 0.1, (310, 206, 56, 6271, 4547468756370397307)),
-        ("grid", "star", 1, 0.01, (390, 298, 26, 7573, 17530212615246607077)),
-        ("grid", "star", 1, 0.1, (382, 294, 24, 6760, 9080374454742232255)),
+        ("grid", "chain", 0, 0.01, (298, 220, 30, 866, 16135524970028124520)),
+        ("grid", "chain", 0, 0.1, (274, 204, 27, 570, 3846451500733818624)),
+        ("grid", "chain", 1, 0.01, (222, 166, 29, 235, 11938439756100898725)),
+        ("grid", "chain", 1, 0.1, (214, 164, 24, 143, 12682678415933722580)),
+        ("grid", "star", 0, 0.01, (334, 207, 74, 2037, 5212796951219174783)),
+        ("grid", "star", 0, 0.1, (310, 206, 56, 942, 4547468756370397307)),
+        ("grid", "star", 1, 0.01, (390, 298, 26, 701, 17530212615246607077)),
+        ("grid", "star", 1, 0.1, (382, 294, 24, 633, 9080374454742232255)),
         ("sampled", "chain", 0, 0.01, (226, 183, 9, 0, 14544436439347657447)),
         ("sampled", "chain", 0, 0.1, (218, 178, 8, 0, 16555838934950937988)),
         ("sampled", "chain", 1, 0.01, (190, 152, 15, 0, 15594135900580845524)),
@@ -333,8 +333,8 @@ fn epsilon_answers_are_pinned() {
         ("sampled", "star", 0, 0.1, (226, 174, 20, 0, 127553075024077624)),
         ("sampled", "star", 1, 0.01, (310, 248, 13, 0, 1461763939219636943)),
         ("sampled", "star", 1, 0.1, (310, 248, 13, 0, 16930815165366487817)),
-        ("pwl", "chain", 0, 0.01, (20, 9, 7, 7791, 7615074744099151248)),
-        ("pwl", "chain", 0, 0.1, (20, 9, 7, 7791, 7615074744099151248)),
+        ("pwl", "chain", 0, 0.01, (20, 9, 7, 7772, 7615074744099151248)),
+        ("pwl", "chain", 0, 0.1, (20, 9, 7, 7772, 7615074744099151248)),
     ];
     let model = CloudCostModel::default();
     let run = |backend: &str, topology: &str, seed: u64, epsilon: f64| -> Pin {

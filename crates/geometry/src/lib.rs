@@ -49,42 +49,27 @@ use smallvec::SmallVec;
 /// Geometric tolerance for predicates on normalised halfspaces.
 pub const TOL: f64 = 1e-7;
 
-/// Conditioning threshold for the exact-tie fast paths: a pair of 2-D
-/// unit normals is *well-conditioned* when it is exactly parallel
-/// (cross product `== 0.0`, e.g. duplicated or exactly complemented
-/// rows — harmless to the simplex) or crosses cleanly (|cross| at least
-/// this). Near-parallel-but-not-exact pairs are what drive the LP's
-/// round-off far beyond its nominal ~1e-7 bound (observed up to ~5e-6),
-/// so sub-[`FASTPATH_MARGIN`] fast-path verdicts — which must *predict*
-/// the LP's answer — are only taken when every row pair is
-/// well-conditioned.
+/// Conditioning threshold for vertices the 2-D fast paths solve for: a
+/// crossing of two unit-normal boundary lines (or an active triple of the
+/// Chebyshev enumeration) whose determinant is below this in magnitude
+/// loses up to ~1e-16/det of accuracy, so a verdict that depends on it
+/// keeps the wide [`FASTPATH_MARGIN`] or is left to the LP. Base vertices
+/// and interpolations along base edges involve no such solve.
 pub(crate) const WELL_CONDITIONED_MIN_DET: f64 = 1e-2;
 
-/// Decision margin at which an exact enumeration verdict provably agrees
-/// with the LP on a **well-conditioned** 2-D constraint set, or on any
-/// 1-D one (unit normals are ±1 there): the LP's round-off there stays
-/// near 1e-9, so a 3e-8 clearance leaves an order of magnitude of
-/// headroom while capturing the exact-tie queries (distance [`TOL`] from
-/// their decision boundary) that dominate the redundancy-check tail.
-pub(crate) const LP_AGREEMENT_MARGIN: f64 = 3e-8;
+/// Decision margin of the 1-D and 2-D fast paths when every candidate
+/// point is exact to round-off (base vertices, base-edge interpolations,
+/// well-conditioned crossings): a verdict that clears it equals the
+/// exact-arithmetic verdict on the same f64 inputs. It is far below
+/// [`TOL`], so the exact ties shared sub-plans produce (distance `TOL`
+/// from their decision boundary) are answered without an LP.
+pub(crate) const VERDICT_MARGIN: f64 = 3e-8;
 
-/// True iff the 2-D normals `a` and `b` are well-conditioned in the sense
-/// of [`WELL_CONDITIONED_MIN_DET`].
-#[inline]
-pub(crate) fn normals_well_conditioned_2d(a: &[f64], b: &[f64]) -> bool {
-    let det = a[0] * b[1] - a[1] * b[0];
-    !(det != 0.0 && det.abs() < WELL_CONDITIONED_MIN_DET)
-}
-
-/// True iff every pair of the given 2-D rows is well-conditioned in the
-/// sense of [`WELL_CONDITIONED_MIN_DET`].
-pub(crate) fn rows_well_conditioned_2d(rows: &[&Halfspace]) -> bool {
-    rows.iter().enumerate().all(|(i, a)| {
-        rows[i + 1..]
-            .iter()
-            .all(|b| normals_well_conditioned_2d(a.normal(), b.normal()))
-    })
-}
+/// Empty-side margin of the exact emptiness fast paths: an inscribed
+/// radius at most `INTERIOR_TOL - EMPTY_MARGIN` is "empty". The interval,
+/// slab and triple arithmetic behind it is exact to round-off, so
+/// zero-width slivers (radius 0, the dominant case) answer without an LP.
+pub(crate) const EMPTY_MARGIN: f64 = 1e-9;
 
 /// Minimum interior (Chebyshev) radius for a polytope to count as
 /// non-empty; see the crate-level discussion of emptiness semantics.

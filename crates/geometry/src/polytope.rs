@@ -2,7 +2,9 @@
 //! one- and two-dimensional fast paths that answer decisive queries
 //! without an LP.
 
-use crate::{Halfspace, Polytope, FASTPATH_MARGIN, INTERIOR_TOL, TOL};
+use crate::{
+    Halfspace, Polytope, EMPTY_MARGIN, FASTPATH_MARGIN, INTERIOR_TOL, TOL, WELL_CONDITIONED_MIN_DET,
+};
 use mpq_lp::{FastPathSite, LpCtx, LpOutcome};
 use smallvec::SmallVec;
 
@@ -71,7 +73,7 @@ fn quick_redundant_2d(kept: &[Halfspace], i: usize) -> Option<bool> {
                 // rows).
                 continue;
             }
-            if det.abs() < crate::WELL_CONDITIONED_MIN_DET {
+            if det.abs() < WELL_CONDITIONED_MIN_DET {
                 // Near-parallel: the crossing solve loses up to
                 // ~1e-16/det of accuracy, so the candidate (possibly the
                 // true maximum vertex — a thin wedge's tip) could fail
@@ -233,36 +235,15 @@ impl Polytope {
     /// when the verdict is certain without an LP, `None` when the query is
     /// unsupported (dimension > 2, or too many distinct constraints in two
     /// dimensions) or the inscribed radius sits within the ambiguous band
-    /// around [`INTERIOR_TOL`] where LP round-off could disagree.
+    /// around [`INTERIOR_TOL`].
     ///
-    /// In one dimension the empty-side margin is tight (`1e-9`): the
-    /// interval arithmetic is exact and the Chebyshev LP on these
-    /// two-variable problems resolves far below it, so exactly-adjacent
-    /// regions (radius 0) — the dominant case in piecewise cost algebra —
-    /// are answered for free. Two dimensions use the same tight empty
-    /// margin through the private 2-D arm (`quick_is_empty_2d`): an exact
-    /// opposite-normal slab test plus active-triple Chebyshev enumeration.
-    ///
-    /// **Trajectory note.** On zero-width 2-D slivers with degenerate
-    /// companion rows the Chebyshev LP's accumulated round-off can exceed
-    /// [`INTERIOR_TOL`] and (wrongly) report non-empty; this path reports
-    /// the geometric truth instead. Call sites whose committed counter
-    /// trajectories were recorded against raw LP verdicts must use the
-    /// LP-agreement band of [`Polytope::is_empty_with_fastpath`]
-    /// (conservative sites) rather than this tight predicate.
-    #[inline]
+    /// Both arms answer "empty" with a tight `1e-9` margin:
+    /// the interval arithmetic of one dimension is exact, and so are the
+    /// opposite-normal slab test and the well-conditioned active triples
+    /// of the 2-D arm (`quick_is_empty_2d`), so exactly-adjacent regions
+    /// (radius 0), the dominant case in piecewise cost algebra and the
+    /// coverage worklist, are answered for free.
     pub fn quick_is_empty_with(&self, extra: &[Halfspace]) -> Option<bool> {
-        self.quick_is_empty_margin(extra, 1e-9)
-    }
-
-    /// [`Polytope::quick_is_empty_with`] with an explicit empty-side
-    /// margin: `Some(true)` only when the inscribed radius is below
-    /// `INTERIOR_TOL - empty_margin`. A margin of [`FASTPATH_MARGIN`]
-    /// yields only verdicts the LP provably agrees with (its round-off is
-    /// an order of magnitude below); the tight `1e-9` margin additionally
-    /// answers exact zero-width slivers.
-    #[inline]
-    fn quick_is_empty_margin(&self, extra: &[Halfspace], empty_margin: f64) -> Option<bool> {
         if self.is_trivially_empty() {
             return Some(true);
         }
@@ -270,7 +251,7 @@ impl Polytope {
             1 => {
                 let (lo, hi) = self.interval_1d(extra);
                 let radius = (hi - lo) / 2.0; // may be infinite (unbounded sides)
-                if radius <= INTERIOR_TOL - 1e-9 {
+                if radius <= INTERIOR_TOL - EMPTY_MARGIN {
                     Some(true)
                 } else if radius > INTERIOR_TOL + FASTPATH_MARGIN {
                     Some(false)
@@ -278,7 +259,7 @@ impl Polytope {
                     None
                 }
             }
-            2 => self.quick_is_empty_2d(extra, empty_margin),
+            2 => self.quick_is_empty_2d(extra),
             _ => None,
         }
     }
@@ -316,10 +297,14 @@ impl Polytope {
     ///    axis-aligned bounds on both coordinates, which every optimizer
     ///    region carries (parameter boxes and grid cells).
     ///
-    /// Non-empty verdicts inside the [`FASTPATH_MARGIN`] band around
-    /// [`INTERIOR_TOL`], and empty verdicts inside the `empty_margin`
-    /// band, are left to the LP (`None`).
-    fn quick_is_empty_2d(&self, extra: &[Halfspace], empty_margin: f64) -> Option<bool> {
+    /// Conditioning is checked where a vertex is solved for: a triple
+    /// whose determinant is below [`crate::WELL_CONDITIONED_MIN_DET`] may
+    /// be solved inaccurately, so it blocks the "empty" verdict. Non-empty
+    /// verdicts inside the [`crate::VERDICT_MARGIN`] band above
+    /// [`INTERIOR_TOL`] (the probes keep [`FASTPATH_MARGIN`]), and empty
+    /// verdicts inside the [`crate::EMPTY_MARGIN`] band below it, are left
+    /// to the LP (`None`).
+    fn quick_is_empty_2d(&self, extra: &[Halfspace]) -> Option<bool> {
         debug_assert_eq!(self.dim(), 2);
         // Every stage reads the rows as compact `[a₀, a₁, b]` copies: one
         // pass up front, then tight loops without slice indirection.
@@ -384,68 +369,20 @@ impl Polytope {
             }
         }
         // Opposite-normal slab test (exact): aᵢ = −aⱼ forces
-        // 2t ≤ bᵢ + bⱼ in the Chebyshev LP. Near-opposite pairs give the
-        // weaker sound bound 2t ≤ bᵢ + bⱼ + ‖aᵢ + aⱼ‖·‖x‖ (via
-        // Cauchy–Schwarz over the bounding box) — too loose for verdicts,
-        // but enough to prove a triple scan pointless. The same pass
-        // checks each pair's conditioning.
-        let diag = if is_bounded {
-            ((hi[0] - lo[0]).powi(2) + (hi[1] - lo[1]).powi(2)).sqrt()
-                + lo[0].abs().max(hi[0].abs())
-                + lo[1].abs().max(hi[1].abs())
-        } else {
-            f64::INFINITY
-        };
-        let mut slab_cap = f64::INFINITY;
-        let mut radius_cap = f64::INFINITY;
-        let mut wc = true;
+        // 2t ≤ bᵢ + bⱼ in the Chebyshev LP.
         for (i, a) in rows.iter().enumerate() {
             for b in &rows[i + 1..] {
-                if a[0] == -b[0] && a[1] == -b[1] {
-                    slab_cap = slab_cap.min((a[2] + b[2]) / 2.0);
-                } else if a[0] * b[0] + a[1] * b[1] < -0.9 && diag.is_finite() {
-                    let sum_norm = ((a[0] + b[0]).powi(2) + (a[1] + b[1]).powi(2)).sqrt();
-                    radius_cap = radius_cap.min((a[2] + b[2] + sum_norm * diag) / 2.0);
+                if a[0] == -b[0]
+                    && a[1] == -b[1]
+                    && (a[2] + b[2]) / 2.0 <= INTERIOR_TOL - EMPTY_MARGIN
+                {
+                    return Some(true);
                 }
-                wc &= crate::normals_well_conditioned_2d(&a[..2], &b[..2]);
             }
         }
-        radius_cap = radius_cap.min(slab_cap);
-        // Conservative (LP-trajectory) sites may still take exact empty
-        // verdicts when every row pair is well-conditioned (exactly
-        // parallel or clearly crossing): the Chebyshev LP's round-off
-        // then stays far below INTERIOR_TOL, so it provably agrees. With
-        // ill-conditioned rows the LP has been observed to report radii
-        // ~5e-6 on exactly-empty slivers; those verdicts are pinned
-        // trajectory and keep the LP (an infinite effective margin).
-        let eff_empty = if empty_margin <= 1e-9 {
-            empty_margin
-        } else if wc {
-            crate::LP_AGREEMENT_MARGIN
-        } else {
-            f64::INFINITY
-        };
-        if slab_cap <= INTERIOR_TOL - eff_empty {
-            return Some(true);
-        }
-        let nonempty_bar = INTERIOR_TOL
-            + if wc {
-                crate::LP_AGREEMENT_MARGIN
-            } else {
-                FASTPATH_MARGIN
-            };
-        // Active-triple Chebyshev enumeration, for the shapes the probes
-        // miss: the optimum of `max t s.t. aᵢ·x + t ≤ bᵢ, t ≤ 1` (the LP
-        // behind `is_empty_with`) is attained where three constraints are
-        // active. A feasible candidate clearing the bar certifies
-        // non-emptiness immediately; the full maximum is only needed for
-        // the deeply infeasible empty verdicts. When the empty verdict is
-        // unavailable (ill-conditioned rows at an LP-trajectory site) and
-        // the slab bound already caps the radius below the bar, no triple
-        // can conclude anything — skip the scan and go straight to the
-        // solver.
+        // The O(k³) triple scan below stops beating the LP beyond 12 rows.
         let n = rows.len();
-        if n > 12 || (eff_empty.is_infinite() && radius_cap <= nonempty_bar) {
+        if n > 12 {
             return None;
         }
         // Clipped-centroid certificate: the vertex centroid of the clipped
@@ -460,10 +397,18 @@ impl Polytope {
                 }
             }
         }
+        // Active-triple Chebyshev enumeration, for the shapes the probes
+        // miss: the optimum of `max t s.t. aᵢ·x + t ≤ bᵢ, t ≤ 1` (the LP
+        // behind `is_empty_with`) is attained where three constraints are
+        // active. A feasible candidate clearing the bar certifies
+        // non-emptiness immediately, however it was solved (its slacks
+        // are checked directly); the full maximum is only needed for the
+        // deeply infeasible empty verdicts.
+        let nonempty_bar = INTERIOR_TOL + crate::VERDICT_MARGIN;
         let mut best: Option<f64> = None;
-        // Set when a triple was skipped as near-singular without being
-        // exactly parallel: the enumerated maximum may then miss the true
-        // optimum, so no empty verdict may be taken.
+        // Set when a triple is ill-conditioned: its solve may be off by
+        // far more than round-off, so the enumerated maximum may miss the
+        // true optimum and no empty verdict may be taken.
         let mut missed_triple = false;
         // Index n stands for the radius cap `t ≤ 1` of the Chebyshev LP.
         let row3 = |i: usize| -> ([f64; 3], f64) {
@@ -483,14 +428,14 @@ impl Polytope {
                     // An exactly singular triple has no unique vertex and
                     // is safe to skip: any optimum on such a dependent
                     // face is also attained at an independent triple (the
-                    // region is bounded). Near-singular-but-nonzero
-                    // triples are a genuine candidate loss.
+                    // region is bounded).
                     let det3 = ri[0] * (rj[1] * rk[2] - rj[2] * rk[1])
                         - ri[1] * (rj[0] * rk[2] - rj[2] * rk[0])
                         + ri[2] * (rj[0] * rk[1] - rj[1] * rk[0]);
                     if det3 == 0.0 {
                         continue;
                     }
+                    missed_triple |= det3.abs() < WELL_CONDITIONED_MIN_DET;
                     let Some([x0, x1, t]) = solve3([ri, rj, rk], [bi, bj, bk]) else {
                         missed_triple = true;
                         continue;
@@ -518,9 +463,9 @@ impl Polytope {
             // The empty verdict needs the enumerated maximum to be the
             // true optimum: bounded regions only (the `max t` LP is always
             // feasible — `t` is free downward — and attains its optimum at
-            // an active triple when `x` is bounded), with no candidate
-            // lost to the near-singularity gate.
-            Some(r) if is_bounded && !missed_triple && r <= INTERIOR_TOL - eff_empty.max(1e-9) => {
+            // an active triple when `x` is bounded), with every triple
+            // well-conditioned.
+            Some(r) if is_bounded && !missed_triple && r <= INTERIOR_TOL - EMPTY_MARGIN => {
                 Some(true)
             }
             _ => None,
@@ -531,16 +476,6 @@ impl Polytope {
     /// ambiguous or unsupported queries reach the LP solver. The verdict
     /// (LP-free or fallback) is recorded under `site` in the context's
     /// [`mpq_lp::FastPathBreakdown`].
-    ///
-    /// The empty-side margin depends on the site. Piece-algebra queries
-    /// use the tight exact-geometry margin (zero-width aligned slivers —
-    /// the dominant cross-pair case — answer for free). The engine sites
-    /// (coverage, cutout emptiness) feed counter trajectories that were
-    /// recorded against raw LP verdicts, and on degenerate zero-width
-    /// slivers the LP's accumulated round-off can exceed
-    /// [`INTERIOR_TOL`] and disagree with exact geometry — so those sites
-    /// only take empty verdicts the LP provably reproduces
-    /// ([`FASTPATH_MARGIN`] clear of the threshold).
     #[inline]
     pub fn is_empty_with_fastpath(
         &self,
@@ -548,11 +483,7 @@ impl Polytope {
         extra: &[Halfspace],
         site: FastPathSite,
     ) -> bool {
-        let empty_margin = match site {
-            FastPathSite::PieceAlgebra => 1e-9,
-            _ => crate::FASTPATH_MARGIN,
-        };
-        match self.quick_is_empty_margin(extra, empty_margin) {
+        match self.quick_is_empty_with(extra) {
             Some(verdict) => {
                 ctx.fastpath_hit(site);
                 verdict

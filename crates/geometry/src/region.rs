@@ -18,7 +18,9 @@
 //! * the §6.2 refinements (redundant-constraint and redundant-cutout
 //!   removal) are answered by **exact vertex-enumeration fast paths**
 //!   over the base's known vertex set whenever the decisive margin clears
-//!   [`FASTPATH_MARGIN`]; only ambiguous-band queries reach the LP solver
+//!   a narrow margin in 1-D and 2-D (3e-8, or [`FASTPATH_MARGIN`] when a
+//!   solved crossing is ill-conditioned) and [`FASTPATH_MARGIN`] above;
+//!   only ambiguous-band queries reach the LP solver
 //!   ([`Polytope::max_linear_with`], staged and borrow-based);
 //! * relevance points (§6.2 refinement 3) are stored as **indices** into a
 //!   probe set owned by the base, so shrinking a region allocates nothing;
@@ -47,11 +49,11 @@ pub type HalfspaceList = SmallVec<[Halfspace; 2]>;
 /// backend's global probe sets spill to the heap once per region.
 pub type ProbeSet = SmallVec<[u16; 8]>;
 
-/// Safety margin for the LP-free fast paths: geometric queries whose
-/// decisive quantity sits within this distance of its tolerance threshold
-/// are answered by the LP solver instead, so fast-path verdicts can never
-/// disagree with solver verdicts (LP round-off is ≤ ~1e-7; the margin is
-/// an order of magnitude above it).
+/// Wide safety margin of the LP-free fast paths, for queries whose
+/// candidate points may carry more than round-off error (3-D and up, or
+/// an ill-conditioned solved vertex) and for the interior-probe
+/// certificates: a decisive quantity within this distance of its
+/// tolerance threshold is answered by the LP solver instead.
 pub const FASTPATH_MARGIN: f64 = 1e-6;
 
 /// A convex base region with the exact metadata the engine's fast paths
@@ -192,11 +194,12 @@ pub struct RegionMaxBounds {
     pub upper: Option<f64>,
     /// Max over exactly feasible candidates (`None` = no certified point).
     pub lower: Option<f64>,
-    /// A candidate generator was skipped for conditioning reasons (a
-    /// near-parallel boundary pair below the determinant gate), so `upper`
-    /// may understate the true maximum by more than enumeration round-off.
-    /// Verdicts with sub-[`FASTPATH_MARGIN`] margins (the exact-tie rule)
-    /// must not trust such bounds.
+    /// A crossing of two extra boundaries was ill-conditioned: skipped
+    /// as near-parallel (`|det| ≤ 1e-12`), or computed with `|det|` below
+    /// the conditioning threshold, so it may be off by far more than
+    /// round-off. `upper` may then understate, and `lower` misstate, the
+    /// true maximum by more than enumeration round-off, so verdicts at
+    /// the narrow exact-tie margin must not trust such bounds.
     pub degenerate: bool,
 }
 
@@ -463,6 +466,7 @@ impl RegionEngine {
                             bounds.degenerate = true;
                             continue;
                         }
+                        bounds.degenerate |= det.abs() < crate::WELL_CONDITIONED_MIN_DET;
                         let p = [
                             (extra[ei].offset() * n2[1] - extra[ej].offset() * n1[1]) / det,
                             (n1[0] * extra[ej].offset() - n2[0] * extra[ei].offset()) / det,
@@ -526,66 +530,34 @@ impl RegionEngine {
         h: &Halfspace,
     ) -> Option<bool> {
         let bounds = self.region_max_bounds(base, extra, h.normal())?;
-        // The 0–2-extras arms keep their historical behaviour bit for bit
-        // (their verdicts are pinned trajectory); the general arm (3+
-        // extras) additionally refuses "covered"
-        // verdicts when a candidate generator was conditioning-skipped —
-        // `upper` may then understate the true maximum by more than any
-        // margin absorbs (a thin wedge's missed tip).
+        // With 3+ extras a `degenerate` crossing may be the region's
+        // true maximum (a thin wedge's tip), so `upper` cannot certify
+        // "covered". With two extras the one crossing is still
+        // enumerated, so `upper` is trusted at the wide margin.
         let trust_upper = extra.len() <= 2 || !bounds.degenerate;
+        // In 1-D and 2-D every candidate is a base vertex, an
+        // interpolation along a base edge or a crossing that is
+        // well-conditioned unless `degenerate` says otherwise, so each is
+        // exact to round-off and a verdict clearing the narrow margin
+        // equals the exact-arithmetic verdict. That takes the exact ties
+        // shared sub-plans produce (distance `TOL` inside the decision
+        // boundary) without an LP.
+        let margin = if base.dim() <= 2 && !bounds.degenerate {
+            crate::VERDICT_MARGIN
+        } else {
+            FASTPATH_MARGIN
+        };
         match bounds.upper {
             // Empty region: vacuously covered (the LP reports
             // Infeasible).
             None if trust_upper => return Some(true),
-            Some(upper) if trust_upper && upper <= h.offset() + TOL - FASTPATH_MARGIN => {
-                return Some(true)
-            }
+            Some(upper) if trust_upper && upper <= h.offset() + TOL - margin => return Some(true),
             _ => {}
         }
-        if let Some(lower) = bounds.lower {
-            if lower > h.offset() + TOL + FASTPATH_MARGIN {
-                return Some(false);
-            }
+        match bounds.lower {
+            Some(lower) if lower > h.offset() + TOL + margin => Some(false),
+            _ => None,
         }
-        // Narrow-band rule: shared sub-plans make a large share of
-        // redundancy queries tie exactly at the halfspace offset —
-        // distance `TOL` inside the decision boundary, which the
-        // symmetric [`FASTPATH_MARGIN`] above cannot take. The LP's
-        // verdict is still predictable there: with every row pair
-        // well-conditioned (exactly parallel or clearly crossing — see
-        // [`crate::rows_well_conditioned_2d`]) its round-off stays
-        // orders of magnitude below `TOL`, so both verdicts can be
-        // taken at a `3e-8` margin. Enumeration bounds are trusted at
-        // this granularity only when no candidate generator was
-        // conditioning-skipped (`degenerate`); ill-conditioned inputs
-        // have been observed to push the LP ~5e-6 past the true
-        // maximum, and those verdicts (right or wrong) are pinned
-        // trajectory, so they keep the LP. In 1-D every unit normal is
-        // ±1: no row pair can be ill-conditioned, so the rule needs no
-        // conditioning test there.
-        if matches!(base.dim(), 1 | 2) && !bounds.degenerate {
-            let decisive = match (bounds.upper, bounds.lower) {
-                (Some(u), _) if u <= h.offset() + TOL - crate::LP_AGREEMENT_MARGIN => Some(true),
-                (_, Some(l)) if l > h.offset() + TOL + crate::LP_AGREEMENT_MARGIN => Some(false),
-                _ => None,
-            };
-            if decisive.is_some() {
-                if base.dim() == 1 {
-                    return decisive;
-                }
-                let rows: SmallVec<[&Halfspace; 8]> = base
-                    .polytope
-                    .halfspaces()
-                    .iter()
-                    .chain(extra)
-                    .chain(std::iter::once(h))
-                    .collect();
-                if crate::rows_well_conditioned_2d(&rows) {
-                    return decisive;
-                }
-            }
-        }
-        None
     }
 
     /// LP-free pass of the conjunction "`base ∩ extra` lies in every `h` of

@@ -8,8 +8,9 @@
 //!
 //! * `upper` never misses a true vertex (candidates are accepted with an
 //!   inclusive `-TOL` slack), so the LP optimum can exceed it by at most
-//!   enumeration round-off — unless a candidate generator was skipped for
-//!   conditioning reasons, which the `degenerate` flag reports;
+//!   enumeration round-off — unless a crossing of two extra boundaries
+//!   was skipped or solved ill-conditioned, which the `degenerate` flag
+//!   reports;
 //! * `lower` only uses exactly feasible candidates, so it is always an
 //!   achievable objective value.
 //!
@@ -20,6 +21,10 @@
 //!
 //! Interval (1-D) bases pin the redundancy fast path's verdicts
 //! ([`RegionEngine::halfspace_covers_fast`]) against the LP at exact ties.
+//! The LP is not the oracle everywhere: on ill-conditioned 2-D rows its
+//! round-off exceeds the fast path's margin. Two queries logged from the
+//! optimizer pin the fast path's verdicts there against exact rational
+//! arithmetic over the same `f64` inputs.
 //!
 //! The same shapes also pin the coverage check's row skip: a subtracted
 //! row that a piece already carries yields no piece, which is sound only
@@ -264,6 +269,113 @@ fn interval_tie_is_decided_without_lp() {
     let tie = Halfspace::proper(vec![1.0], 0.5);
     assert_eq!(engine.halfspace_covers_fast(&base, &[], &tie), Some(true));
     assert!(lp_covers(&base, &[], &tie));
+}
+
+/// A halfspace from the bit patterns of `(a₀, a₁, b)`: the exact f64
+/// inputs of a logged optimizer query.
+fn row_from_bits((a0, a1, b): (u64, u64, u64)) -> Halfspace {
+    Halfspace::proper(
+        vec![f64::from_bits(a0), f64::from_bits(a1)],
+        f64::from_bits(b),
+    )
+}
+
+/// A 2-D base from logged rows and its exact vertex set (interior point:
+/// the vertex centroid).
+fn logged_base(rows: &[(u64, u64, u64)], verts: &[[f64; 2]]) -> RegionBase {
+    let mut poly = Polytope::full(2);
+    for &r in rows {
+        poly.push(row_from_bits(r));
+    }
+    let verts: Vec<Vec<f64>> = verts.iter().map(|v| v.to_vec()).collect();
+    let n = verts.len() as f64;
+    let centroid = (0..2)
+        .map(|i| verts.iter().map(|v| v[i]).sum::<f64>() / n)
+        .collect();
+    RegionBase::new(Arc::new(poly), verts.clone(), verts, centroid)
+}
+
+/// A redundancy query from chain-8/2 seed 0 whose base has a
+/// near-parallel row pair. Every candidate is a base vertex or a base-edge
+/// crossing of the single extra, and the enumerated maximum clears the
+/// narrow margin, so the fast path must say "covered": in exact rational
+/// arithmetic over these f64 inputs the maximum of `h.normal() · x` sits
+/// 9.87e-7 below `h.offset() + TOL`. The LP, which a conditioning test
+/// over all row pairs used to send this query to, overstates the maximum
+/// (2.3153e-4 against a threshold of 2.3010e-4) and answers "not covered".
+#[test]
+fn ill_conditioned_base_tie_is_decided_exactly() {
+    let base = logged_base(
+        &[
+            (4607182418800017408, 0, 4607182418800017408),
+            (13830554455654793216, 0, 13828302655841107968),
+            (0, 4607182418800017408, 4598175219545276416),
+            (0, 13830554455654793216, 9223372036854775808),
+            (
+                4604544271217802188,
+                13827916308072577996,
+                4602952008299670745,
+            ),
+        ],
+        &[[0.75, 0.0], [1.0, 0.25], [0.75, 0.25]],
+    );
+    let extra = row_from_bits((
+        4556019332081994849,
+        13830554454933238241,
+        4554128742842750426,
+    ));
+    let h = row_from_bits((
+        4554330377261070581,
+        13830554455225582835,
+        4552617563116954129,
+    ));
+    let engine = RegionEngine::new(true, true, true);
+    assert_eq!(
+        engine.halfspace_covers_fast(&base, &[extra], &h),
+        Some(true)
+    );
+}
+
+/// Two near-parallel extras crossing inside the base at `|det| = 0.0036`:
+/// the crossing is the region's maximum of `h.normal() · x`, 7.76e-5
+/// above `h.offset() + TOL` in exact arithmetic. An ill-conditioned
+/// crossing must still be enumerated (it only flags the bounds
+/// `degenerate`): skipping it understates `upper`, which two-extra
+/// regions still trust, and turns the verdict into a wrong "covered".
+#[test]
+fn ill_conditioned_extra_crossing_is_enumerated() {
+    let base = logged_base(
+        &[
+            (4607182418800017408, 0, 4598175219545276416),
+            (13830554455654793216, 0, 9223372036854775808),
+            (0, 4607182418800017408, 4598175219545276416),
+            (0, 13830554455654793216, 9223372036854775808),
+            (13827916308072577996, 4604544271217802188, 0),
+        ],
+        &[[0.0, 0.0], [0.25, 0.0], [0.25, 0.25]],
+    );
+    let extras = [
+        row_from_bits((
+            4571448577150395463,
+            13830554377638892126,
+            4554699628454734000,
+        )),
+        row_from_bits((
+            4558335003381638962,
+            13830554454225629830,
+            13774144443637259579,
+        )),
+    ];
+    let h = row_from_bits((
+        4567649240133708176,
+        13830554430005750648,
+        9223372036854775808,
+    ));
+    let engine = RegionEngine::new(true, true, true);
+    assert_eq!(
+        engine.halfspace_covers_fast(&base, &extras, &h),
+        Some(false)
+    );
 }
 
 /// `base` with `extras` appended, the shape of a region-engine cutout.
