@@ -243,6 +243,7 @@ impl Polytope {
     /// of the 2-D arm (`quick_is_empty_2d`), so exactly-adjacent regions
     /// (radius 0), the dominant case in piecewise cost algebra and the
     /// coverage worklist, are answered for free.
+    #[inline]
     pub fn quick_is_empty_with(&self, extra: &[Halfspace]) -> Option<bool> {
         if self.is_trivially_empty() {
             return Some(true);
@@ -298,7 +299,7 @@ impl Polytope {
     ///    region carries (parameter boxes and grid cells).
     ///
     /// Conditioning is checked where a vertex is solved for: a triple
-    /// whose determinant is below [`crate::WELL_CONDITIONED_MIN_DET`] may
+    /// whose determinant is below [`WELL_CONDITIONED_MIN_DET`] may
     /// be solved inaccurately, so it blocks the "empty" verdict. Non-empty
     /// verdicts inside the [`crate::VERDICT_MARGIN`] band above
     /// [`INTERIOR_TOL`] (the probes keep [`FASTPATH_MARGIN`]), and empty
